@@ -16,39 +16,10 @@ sigma and sigma_restricted are the divisor sums
 evaluated at integer s only; the symbolic-s versions live in eisenstein.
 """
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .fields import FF, get_field, smallest_irreducible
-from .poly import Poly, monic_divisors, vec_content
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Parameters of F_q = F_{p^e} plus deterministically chosen moduli
-    for the extensions F_{q^m} the computation touches."""
-    p: int
-    e: int
-    ext_moduli: dict = dc_field(default_factory=dict, compare=False)
-
-    @property
-    def q(self):
-        return self.p ** self.e
-
-    @staticmethod
-    def for_q(q):
-        field = get_field(q)
-        return FieldParams(field.p, field.n)
-
-    def base_field(self):
-        return get_field(self.q)
-
-    def ext_field(self, m):
-        """F_{q^m}, built over F_p with the recorded modulus."""
-        f = FF(self.p, self.e * m)
-        self.ext_moduli.setdefault(m, f.modulus)
-        return f
+from .poly import monic_divisors, vec_content
 
 
 class PoleError(ArithmeticError):
@@ -190,11 +161,6 @@ def psi0(p, x, q=None):
     return CycRat(p, q, num)
 
 
-def trace_to_fp(field, x):
-    """Tr_{F_q/F_p}(x) as an integer in [0, p)."""
-    return field.trace_to_prime(x)
-
-
 def sigma(s, avec):
     """Divisor sum over monic common divisors of the vector avec."""
     field = avec[0].field
@@ -227,8 +193,3 @@ def sigma_restricted(n, s, avec):
         if not n.divides(c):
             total += Fraction(q) ** (s * int(c.deg))
     return total
-
-
-def sigma_vec_zero(field):
-    """A canonical zero PolyVec of length 1 (helper for sigma at 0)."""
-    return (Poly.zero(field),)

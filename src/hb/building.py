@@ -18,7 +18,6 @@ Conventions fixed here (the underlying papers fix none):
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -135,30 +134,27 @@ def ratf_from_pairs(field, pairs):
 # ----------------------------------------------------------------------
 # F_q linear algebra on coordinate vectors (tuples of codes)
 
+def _fq_reduce(field, rows, v, width=None):
+    """v reduced by the echelon rows, each pivoting at its first nonzero
+    entry among the first `width` coordinates (all of them by default)."""
+    w = list(v)
+    for row in rows:
+        piv = next(i for i, c in enumerate(row[:width]) if c)
+        if w[piv]:
+            c = field.mul(w[piv], field.inv(row[piv]))
+            w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
+    return w
+
+
 def fq_rank_basis(field, vectors):
     """Row-reduce; returns (indices of independent input vectors, rref rows)."""
     basis, rref = [], []
     for idx, v in enumerate(vectors):
-        w = list(v)
-        for row in rref:
-            piv = next(i for i, c in enumerate(row) if c)
-            if w[piv]:
-                c = field.mul(w[piv], field.inv(row[piv]))
-                w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
+        w = _fq_reduce(field, rref, v)
         if any(w):
             basis.append(idx)
             rref.append(tuple(w))
     return basis, rref
-
-
-def fq_in_span(field, rref, v):
-    w = list(v)
-    for row in rref:
-        piv = next(i for i, c in enumerate(row) if c)
-        if w[piv]:
-            c = field.mul(w[piv], field.inv(row[piv]))
-            w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
-    return not any(w)
 
 
 def fq_all_vectors(field, n):
@@ -423,19 +419,6 @@ def type_one_in_neighbors(g):
     return out
 
 
-def triangle_set(g, s):
-    """Ed_1^triangle(e^s_{g W_s}): the type-1 edges e^1_{g alpha},
-    alpha in T_i for i <= s, sharing a 2-simplex and the terminus."""
-    r = len(g)
-    field = g[0][0].field
-    out = []
-    for i in range(1, s + 1):
-        for u in itertools.product(range(field.q), repeat=i - 1):
-            alpha = t_matrix(field, r, i, u)
-            out.append(edge_from_rep(mat_mul(g, alpha), 1))
-    return out
-
-
 # ----------------------------------------------------------------------
 # Iwasawa decomposition  GL_r(F_inf) = P F^x I^1  disjoint-union  P flip F^x I^1
 
@@ -596,12 +579,7 @@ def _fq_left_kernel_vector(field, rows):
     width = len(rows[0])
     rank_rows = []
     for v in aug:
-        w = list(v)
-        for row in rank_rows:
-            piv = next(i for i, c in enumerate(row[:width]) if c)
-            if w[piv]:
-                c = field.mul(w[piv], field.inv(row[piv]))
-                w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
+        w = _fq_reduce(field, rank_rows, v, width)
         if any(w[:width]):
             rank_rows.append(w)
         else:
@@ -632,16 +610,6 @@ class WeylType:
             raise ValueError("Weyl type must be weakly decreasing")
         if self.k[-1] != 0:
             raise ValueError("Weyl type must end in 0")
-
-
-def weyl_reduce(g):
-    """The unique k1 >= ... >= kr = 0 with
-    g in GL_r(A) diag(T^{k_i}) F^x GL_r(O)."""
-    M, _ = clear_denominators(g)
-    W, _ = weak_popov(M)
-    degs = sorted((max(int(p.deg) for p in row if not p.is_zero()) for row in W),
-                  reverse=True)
-    return WeylType(tuple(d - degs[-1] for d in degs))
 
 
 def reduce_y_transcript(y):
@@ -703,31 +671,34 @@ def extend_cochain(f, r, field):
     return Cochain(f, r, field)
 
 
+def _adapted_frame(L0rows, L1rows, r):
+    """(s, M0, M1, lower, comp) for the type-s edge ([L0], [L1]): the
+    canonical bases M0 > M1 >= pi M0, the indices of rows of M1 spanning
+    L1/(pi L0) = im(Cbar) for C = M1 M0^{-1}, and the indices of the
+    standard basis vectors of the M0 frame that complete im(Cbar) to
+    F_q^r."""
+    field = L0rows[0][0].field
+    _key, s, v0, v1 = edge_pair_key(L0rows, L1rows, r)
+    M0 = v0.rep
+    # rescale canonical L1 into M0 > M1 >= pi M0 as in edge_pair_key
+    t = (sum(v0.d) - sum(v1.d) + s) // r
+    M1 = mat_scale(v1.rep, RatF.pi_power(field, t))
+    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in mat_mul(M1, mat_inv(M0))]
+    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    basis, _ = fq_rank_basis(field, Cbar + units)
+    lower = [i for i in basis if i < r]
+    comp = [i - r for i in basis if i >= r]
+    return s, M0, M1, lower, comp
+
+
 def rep_from_lattice_pair(L0rows, L1rows, r):
     """g with e^s_g = ([L0],[L1]): g^{-1} is an adapted basis of L0 whose
     first s rows descend to a basis of L0/L1 and whose last r-s rows lie
     in L1 and span L1/(pi L0); then W_s g^{-1} is a basis of L1."""
     field = L0rows[0][0].field
-    key, s, v0, v1 = edge_pair_key(L0rows, L1rows, r)
-    M0 = v0.rep
-    # rescale canonical L1 into M0 > M1 >= pi M0 as in edge_pair_key
-    s0, s1 = sum(v0.d), sum(v1.d)
-    t = (s0 - s1 + s) // r
-    M1 = mat_scale(v1.rep, RatF.pi_power(field, t))
-    C = mat_mul(M1, mat_inv(M0))
-    Cbar = tuple(tuple(x.pi_coeff(0) for x in row) for row in C)
-    rows_idx, rref = fq_rank_basis(field, list(Cbar))
-    lower = [M1[i] for i in rows_idx]                      # span L1 / pi L0
-    # complete im(Cbar) to F_q^r by standard basis vectors of the M0 frame
-    upper = []
-    cur = list(rref)
-    for i in range(r):
-        e = tuple(1 if j == i else 0 for j in range(r))
-        if not fq_in_span(field, cur, e):
-            _, cur = fq_rank_basis(field, [tuple(row) for row in cur] + [e])
-            upper.append(M0[i])
-    B = tuple(upper + lower)
-    if len(upper) != s or len(B) != r:
+    s, M0, M1, lower, comp = _adapted_frame(L0rows, L1rows, r)
+    B = tuple([M0[i] for i in comp] + [M1[i] for i in lower])
+    if len(comp) != s or len(B) != r:
         raise AssertionError("adapted basis has wrong size")
     hB, _ = row_hnf(B, r)
     if lattice_key(hB) != lattice_key(M0):
@@ -783,18 +754,8 @@ def in_edges(v, s, field):
     """All type-s edges terminating at v, as lattice basis pairs
     (L0rows, L1rows): L0 = L + pi^{-1} W L, one per s-dimensional
     subspace W of L/pi L (so that dim L0/L = s)."""
-    M = v.rep
-    r = len(M)
-    out = []
-    pi_inv = RatF.pi_power(field, -1)
-    for W in fq_subspaces(field, r, s):
-        extra = []
-        for w in W:
-            lift = vec_mat(tuple(RatF(Poly.const(field, c)) for c in w), M)
-            extra.append(tuple(x * pi_inv for x in lift))
-        L0rows = tuple(M) + tuple(extra)
-        out.append((L0rows, M))
-    return out
+    return [(_flag_lattice(field, v.rep, W), v.rep)
+            for W in fq_subspaces(field, len(v.rep), s)]
 
 
 def edge_reverse(L0rows, L1rows, field):
@@ -804,32 +765,15 @@ def edge_reverse(L0rows, L1rows, field):
 
 def triangle_lattice_edges(L0rows, L1rows, r, field):
     """Type-1 edges (L0', L1) with L1 < L0' < L0, one per line of L0/L1."""
-    key, s, v0, v1 = edge_pair_key(L0rows, L1rows, r)
-    M0 = v0.rep
-    s0, s1 = sum(v0.d), sum(v1.d)
-    t = (s0 - s1 + s) // r
-    M1 = mat_scale(v1.rep, RatF.pi_power(field, t))
-    C = mat_mul(M1, mat_inv(M0))
-    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in C]
-    _, rref = fq_rank_basis(field, Cbar)
-    # complement basis of L0/L1 inside L0/piL0
-    comp = []
-    cur = list(rref)
-    for i in range(r):
-        e = tuple(1 if j == i else 0 for j in range(r))
-        if not fq_in_span(field, cur, e):
-            _, cur = fq_rank_basis(field, [tuple(x) for x in cur] + [e])
-            comp.append(e)
+    s, M0, M1, _lower, comp = _adapted_frame(L0rows, L1rows, r)
     assert len(comp) == s
+    # complement basis of L0/L1 inside L0/piL0
+    comp = [tuple(1 if j == i else 0 for j in range(r)) for i in comp]
     out = []
     for line in fq_line_reps(field, s):
-        v = [0] * r
-        for c, b in zip(line, comp):
-            if c:
-                v = [field.add(x, field.mul(c, y)) for x, y in zip(v, b)]
+        v = _combine(field, line, comp)
         lift = vec_mat(tuple(RatF(Poly.const(field, c)) for c in v), M0)
-        L0p = tuple(M1) + (lift,)
-        out.append((L0p, M1))
+        out.append((tuple(M1) + (lift,), M1))
     return out
 
 

@@ -12,24 +12,23 @@ error, 3 a verification or anchor mismatch.
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .building import mat_from_exps, type_one_in_neighbors
+from .building import WeylType, mat_from_exps, mat_scale, type_one_in_neighbors
 from .discriminant import (eval_on_mirabolic, eval_theta_on_edge,
                            p_delta_coefficient, p_delta_eval,
                            p_theta_coefficient, series_eval, theta_evaluator,
                            weyl_edge_value)
 from .eisenstein import (eisenstein_at, eisenstein_diagonal,
                          eisenstein_truncated_sum, identity_check_thm56)
-from .fields import get_field
-from .fourier import fourier_coefficient, poly_key
+from .fields import factor_prime_power, get_field
+from .fourier import fourier_coefficient
 from .oracle import DEFAULT_PREC, p_delta_direct, p_delta_on_p_point, \
     p_theta_direct
-from .poly import Poly, RatF, parse_poly
+from .poly import RatF, parse_poly
 from .units import (cusp_orbits, cuspidal_order, root_order_delta,
                     root_order_theta, sigma_det_check)
 from .verify import run_suite
@@ -43,31 +42,65 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------- parsing
 
+def _prime_power(text):
+    try:
+        q = int(text)
+        factor_prime_power(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a prime power") from None
+    return q
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
+
+
+def _parse_poly(field, text):
+    try:
+        return parse_poly(field, text)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _parse_ratf(field, text):
     """An element of F_q(T) as 'num' or 'num/den' in the poly syntax."""
     if "/" in text:
         num, den = text.split("/", 1)
-        return RatF(parse_poly(field, num), parse_poly(field, den))
-    return RatF(parse_poly(field, text))
+        return RatF(_parse_poly(field, num), _parse_poly(field, den))
+    return RatF(_parse_poly(field, text))
 
 
-def _parse_matrix(field, text):
-    """Rows separated by ';', entries by ','."""
+def _parse_matrix(field, text, r):
+    """An r x r matrix: rows separated by ';', entries by ','."""
     rows = []
     for row in text.split(";"):
         rows.append(tuple(_parse_ratf(field, e) for e in row.split(",")))
-    r = len(rows)
-    if any(len(row) != r for row in rows):
-        raise UsageError(f"matrix {text!r} is not square")
+    if len(rows) != r or any(len(row) != r for row in rows):
+        raise UsageError(f"matrix {text!r} is not {r}x{r} for --r {r}")
     return tuple(rows)
 
 
+def _rank_vector(vec, r, flag):
+    """vec, checked to have the r - 1 entries of a mirabolic coordinate."""
+    if len(vec) != r - 1:
+        raise UsageError(f"{flag} has {len(vec)} entries; --r {r} needs "
+                         f"{r - 1}")
+    return vec
+
+
 def _parse_ints(text):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{text!r} is not a list of integers") from None
 
 
 def _parse_polyvec(field, text):
-    return tuple(parse_poly(field, s) for s in text.split(","))
+    return tuple(_parse_poly(field, s) for s in text.split(","))
 
 
 def _parse_xvec(field, text):
@@ -120,7 +153,7 @@ def _emit(args, op, params, result, diagnostics=None, expected=None):
 
 def cmd_building_neighbors(args):
     field = get_field(args.q)
-    g = _parse_matrix(field, args.g) if args.g else \
+    g = _parse_matrix(field, args.g, args.r) if args.g else \
         mat_from_exps(field, (0,) * args.r)
     edges = type_one_in_neighbors(g)
     keys = sorted({str(e.key) for e in edges})
@@ -132,15 +165,18 @@ def cmd_building_neighbors(args):
 
 
 def cmd_building_weyl(args):
-    k = _parse_ints(args.k)
+    try:
+        k = WeylType(_parse_ints(args.k))
+    except ValueError as e:
+        raise UsageError(f"--k: {e}") from None
     val = weyl_edge_value(args.q, k)
-    return _emit(args, "building.weyl", {"k": list(k)}, val)
+    return _emit(args, "building.weyl", {"k": list(k.k)}, val)
 
 
 def cmd_fourier_coeff(args):
     field = get_field(args.q)
-    avec = _parse_polyvec(field, args.a)
-    yexps = _parse_ints(args.y)
+    avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
+    yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     if args.h == "oracle":
         if args.r != 2:
             raise UsageError("the oracle evaluator is wired for r = 2")
@@ -187,16 +223,17 @@ def cmd_eisenstein_klf(args):
 
 def cmd_delta_coeff(args):
     field = get_field(args.q)
-    avec = _parse_polyvec(field, args.a)
-    yexps = _parse_ints(args.y)
+    avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
+    yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     c = p_delta_coefficient(avec, yexps, args.r)
     return _emit(args, "delta.coeff", {"a": args.a, "y": list(yexps)}, c)
 
 
 def cmd_delta_eval(args):
     field = get_field(args.q)
-    yexps = _parse_ints(args.y)
-    x = _parse_xvec(field, args.x) if args.x else None
+    yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
+    x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x") \
+        if args.x else None
     if x is None:
         v = p_delta_eval(yexps, args.r, field)
     else:
@@ -206,9 +243,9 @@ def cmd_delta_eval(args):
 
 def cmd_theta_coeff(args):
     field = get_field(args.q)
-    n = parse_poly(field, args.n)
-    avec = _parse_polyvec(field, args.a)
-    yexps = _parse_ints(args.y)
+    n = _parse_poly(field, args.n)
+    avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
+    yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     c = p_theta_coefficient(n, avec, yexps, args.r)
     return _emit(args, "theta.coeff",
                  {"n": args.n, "a": args.a, "y": list(yexps)}, c)
@@ -216,30 +253,29 @@ def cmd_theta_coeff(args):
 
 def cmd_theta_eval(args):
     field = get_field(args.q)
-    n = parse_poly(field, args.n)
-    g = _parse_matrix(field, args.g)
+    n = _parse_poly(field, args.n)
+    g = _parse_matrix(field, args.g, args.r)
     h1 = theta_evaluator(n, field, args.r, bound=args.witness_bound)
     return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, h1(g))
 
 
 def cmd_theta_edge(args):
     field = get_field(args.q)
-    n = parse_poly(field, args.n)
-    g = _parse_matrix(field, args.g)
+    n = _parse_poly(field, args.n)
+    g = _parse_matrix(field, args.g, args.r)
     v = eval_theta_on_edge(n, g, bound=args.witness_bound)
     return _emit(args, "theta.edge", {"n": args.n, "g": args.g}, v)
 
 
 def cmd_oracle_pdelta(args):
     field = get_field(args.q)
-    g = _parse_matrix(field, args.g) if args.g else \
+    g = _parse_matrix(field, args.g, args.r) if args.g else \
         mat_from_exps(field, (0,) * args.r)
     v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, prec=args.prec)
     diag = {"deg_bound": args.deg_bound, "prec": args.prec,
             "certificate": "stabilized between consecutive truncation depths"}
     if args.check:
-        scale = RatF.one(field) / g[0][0]
-        gm = tuple(tuple(x * scale for x in row) for row in g)
+        gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = eval_on_mirabolic(gm, args.r, field)
         diag["series"] = series
         return _emit(args, "oracle.pdelta", {"g": args.g or "identity"},
@@ -249,8 +285,8 @@ def cmd_oracle_pdelta(args):
 
 def cmd_oracle_ptheta(args):
     field = get_field(args.q)
-    n = parse_poly(field, args.n)
-    g = _parse_matrix(field, args.g) if args.g else \
+    n = _parse_poly(field, args.n)
+    g = _parse_matrix(field, args.g, args.r) if args.g else \
         mat_from_exps(field, (0,) * args.r)
     v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound, prec=args.prec)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
@@ -276,7 +312,7 @@ def cmd_units_root_order(args):
     if args.n is None:
         return _emit(args, "units.root-order", {"series": "delta"},
                      root_order_delta(args.q))
-    n = parse_poly(field, args.n)
+    n = _parse_poly(field, args.n)
     rd = root_order_theta(n, args.r)
     return _emit(args, "units.root-order", {"n": args.n},
                  rd.max_root,
@@ -287,7 +323,7 @@ def cmd_units_root_order(args):
 
 def cmd_cusps_orbits(args):
     field = get_field(args.q)
-    n = parse_poly(field, args.n)
+    n = _parse_poly(field, args.n)
     rep = cusp_orbits(n, args.r)
     return _emit(args, "cusps.orbits", {"n": args.n},
                  rep.orbit_count,
@@ -297,7 +333,7 @@ def cmd_cusps_orbits(args):
 
 def cmd_cusps_order(args):
     field = get_field(args.q)
-    p = parse_poly(field, args.p)
+    p = _parse_poly(field, args.p)
     rep = cuspidal_order(p, args.r)
     expected = None
     if (args.q, args.r, str(p)) == (2, 3, "T"):
@@ -330,22 +366,23 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- wiring
 
-def _common(p, r_default=2):
-    p.add_argument("--q", type=int, default=2, help="base field size")
-    p.add_argument("--r", type=int, default=r_default, help="rank")
-    p.add_argument("--prec", type=int, default=DEFAULT_PREC,
+def _common(p):
+    p.add_argument("--q", type=_prime_power, default=2,
+                   help="base field size")
+    p.add_argument("--r", type=int, default=2, help="rank")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _oracle_options(p):
+    p.add_argument("--prec", type=_positive_int, default=DEFAULT_PREC,
                    help="series window width for the lattice-sum oracle")
-    p.add_argument("--deg-bound", type=int, default=6,
+    p.add_argument("--deg-bound", type=_positive_int, default=6,
                    help="lattice truncation depth for the oracle")
+
+
+def _witness_option(p):
     p.add_argument("--witness-bound", type=int, default=None,
                    help="search bound for theta witness vectors")
-    p.add_argument("--cache", action="store_true",
-                   help="reuse witness/orbit computations within the run")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; all computations are single-threaded")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for any randomized sampling")
 
 
 def build_parser():
@@ -355,13 +392,13 @@ def build_parser():
                     "Bruhat-Tits building of PGL_r over F_q((1/T)).")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(path, fn, r_default=2, configure=None):
+    def add(path, fn, configure=None):
         group, _, name = path.partition(" ")
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="subcommand", required=True)
         p = groups[group].add_parser(name)
-        _common(p, r_default)
+        _common(p)
         if configure:
             configure(p)
         p.set_defaults(fn=fn)
@@ -374,6 +411,7 @@ def build_parser():
         configure=lambda p: p.add_argument("--k", required=True,
                                            help="dominant type k1,..,kr"))
     add("fourier coeff", cmd_fourier_coeff, configure=lambda p: (
+        _oracle_options(p),
         p.add_argument("--h", choices=("builtin", "oracle"),
                        default="builtin"),
         p.add_argument("--a", required=True, help="polynomial vector"),
@@ -394,16 +432,20 @@ def build_parser():
         p.add_argument("--a", required=True),
         p.add_argument("--y", required=True)))
     add("theta eval", cmd_theta_eval, configure=lambda p: (
+        _witness_option(p),
         p.add_argument("--n", required=True),
         p.add_argument("--g", required=True)))
     add("theta edge", cmd_theta_edge, configure=lambda p: (
+        _witness_option(p),
         p.add_argument("--n", required=True),
         p.add_argument("--g", required=True)))
     add("oracle pdelta", cmd_oracle_pdelta, configure=lambda p: (
+        _oracle_options(p),
         p.add_argument("--g", default=None),
         p.add_argument("--check", action="store_true",
                        help="compare against the closed-form series")))
     add("oracle ptheta", cmd_oracle_ptheta, configure=lambda p: (
+        _oracle_options(p),
         p.add_argument("--n", required=True),
         p.add_argument("--g", default=None)))
     add("units det-sigma", cmd_units_det_sigma, configure=lambda p: (
@@ -429,8 +471,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.fn(args)
     except UsageError as e:

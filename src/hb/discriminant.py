@@ -16,14 +16,12 @@ the mirabolic coset when the element lies over the flipped cell.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CycRat, sigma, sigma_restricted
-from .building import (Iwasawa, edge_from_rep, flip_matrix, iwasawa_decompose,
-                       mat_identity, mat_inv, mat_mul, mat_scale, mat_vec,
-                       p_coordinates, reduce_y_transcript, vec_mat)
-from .fourier import dot, mval, poly_key, polys_up_to, table_support
+from .building import (edge_from_rep, iwasawa_decompose, mat_inv, mat_mul,
+                       mat_vec, p_coordinates, reduce_y_transcript, vec_mat)
+from .fourier import dot, mval, polys_up_to, table_support
 from .laurent import psi_ratf
 from .poly import Poly, RatF, poly_xgcd, vec_content
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 import sympy
 
 from .algebra import sigma
-from .fourier import mval, polys_up_to, table_support
-from .poly import Poly, monic_divisors, vec_content
+from .fourier import mval, polys_up_to
+from .poly import monic_divisors, vec_content
 
 X = sympy.Symbol("X")
 
@@ -140,12 +140,6 @@ class LogDeltaSymbol:
     """The formal quantity log Delta_{rank}(diag(T^{n_i}))."""
     rank: int
     yexps: tuple
-
-    def shifted(self):
-        """Symbol at y T^{-1} plus the explicit shift that eliminates it:
-        log Delta_k(y T^{-1}) = log Delta_k(y) + (q^k - 1) (in units of
-        the base-q logarithm, q implicit from context)."""
-        return LogDeltaSymbol(self.rank, tuple(n - 1 for n in self.yexps))
 
 
 @dataclass

@@ -150,7 +150,7 @@ class FF:
                 vb = _int_to_vec(b, p, n)
                 add[a * q + b] = _vec_to_int([(x + y) % p for x, y in zip(va, vb)], p)
         self._add = add
-        self._neg = [self.sub(0, a) for a in range(q)]
+        self._neg = [add[a * q:(a + 1) * q].index(0) for a in range(q)]
         inv = [0] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -163,9 +163,7 @@ class FF:
         return self._add[a * self.q + b]
 
     def sub(self, a, b):
-        va = _int_to_vec(a, self.p, self.n)
-        vb = _int_to_vec(b, self.p, self.n)
-        return _vec_to_int([(x - y) % self.p for x, y in zip(va, vb)], self.p)
+        return self._add[a * self.q + self._neg[b]]
 
     def neg(self, a):
         return self._neg[a]
@@ -177,9 +175,6 @@ class FF:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, k):
         if a == 0:
@@ -280,14 +275,3 @@ def embedding(small_q, big_q):
             acc = kb.add(kb.mul(acc, root), kb.from_int(c))
         table.append(acc)
     return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def degree_r_generator(q, r):
-    """A deterministic element of F_{q^r} of degree exactly r over F_q.
-
-    The smallest multiplicative generator works: it generates a group of
-    order q^r - 1, which no proper subfield contains.
-    """
-    kb = get_field(q ** r)
-    return kb.multiplicative_generator()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CycRat
-from .building import (mat_inv, ratf_from_pairs, reduce_y_transcript, vec_mat)
+from .building import mat_inv, ratf_from_pairs, vec_mat
 from .laurent import psi_ratf
 from .poly import Poly, RatF
 
@@ -144,58 +144,3 @@ def expand(tbl, xvec):
     for avec in support:
         total = total + tbl.entries[poly_key(avec)] * psi_ratf(dot(avec, xvec))
     return total
-
-
-def normalized_coefficient(h, avec, field):
-    """c_a(h) = |det y_a| q^{2(1-r)} h*(a, y_a), alpha_i = max(2, deg a_i + 2)."""
-    rm1 = len(avec)
-    alphas = tuple(max(2, int(a.deg) + 2) if not a.is_zero() else 2 for a in avec)
-    hstar = fourier_coefficient(h, avec, alphas, field)
-    q = field.q
-    return hstar * (Fraction(q) ** sum(alphas) * Fraction(1, q ** (2 * rm1)))
-
-
-def fourier_coefficient_general(h, avec, ymat, field):
-    """h*(a, y) for a general invertible y over F_q(T): reduce
-    y = gamma y0 kappa and use h*(a, gamma y0) = h*(a gamma^{-t}, y0)
-    (valid for left-GL(A)-invariant, right-GL(O)-invariant h)."""
-    gamma, yexps = reduce_y_transcript(ymat)
-    gamma_inv = mat_inv(gamma)
-    at = vec_mat(tuple(RatF(a) for a in avec),
-                 tuple(tuple(gamma_inv[j][i] for j in range(len(gamma_inv)))
-                       for i in range(len(gamma_inv))))
-    a_red = []
-    for x in at:
-        if not x.den.is_one():
-            raise ValueError("transported character left the polynomial ring")
-        a_red.append(x.num)
-    hprime = lambda u, _exps: h(vec_mat(u, gamma_inv), ymat)
-    return fourier_coefficient(hprime, tuple(a_red), yexps, field)
-
-
-@dataclass
-class ScalingCheckItem:
-    yexps: tuple
-    i: int
-    a: tuple
-    lhs: CycRat
-    rhs: CycRat
-    ok: bool
-
-
-def coefficient_harmonicity_check(tbl_family, yexps_list, field):
-    """The q^{-1}-scaling law h*(a, y d_i(T)) = q^{-1} h*(a, y) across a
-    family of tables; tbl_family maps an exponent tuple to a FourierTable."""
-    q = field.q
-    report = []
-    for yexps in yexps_list:
-        base = tbl_family(yexps)
-        for i in range(len(yexps)):
-            up = tuple(n + (1 if j == i else 0) for j, n in enumerate(yexps))
-            scaled = tbl_family(up)
-            for avec in table_support(field, yexps):
-                lhs = scaled.get(avec)
-                rhs = base.get(avec) * Fraction(1, q)
-                report.append(ScalingCheckItem(yexps, i, poly_key(avec),
-                                               lhs, rhs, lhs == rhs))
-    return report

@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 from .algebra import psi0
-from .fields import get_field
 
 DEFAULT_PREC = 40
 
@@ -66,26 +65,6 @@ class Laurent:
     @staticmethod
     def pi_power(field, k, c=1):
         return Laurent(field, k, (c,))
-
-    @staticmethod
-    def from_poly(p, into_field=None, embed=None):
-        """A polynomial in T as an exact Laurent polynomial in pi."""
-        field = into_field or p.field
-        cs = list(p.coeffs)
-        if embed:
-            cs = [embed[c] for c in cs]
-        return Laurent(field, -len(cs) + 1 if cs else 0, list(reversed(cs)))
-
-    @staticmethod
-    def from_ratf(x, prec):
-        """Truncated expansion of a rational function; exact when the
-        denominator is a T-power."""
-        fl = x.finite_laurent()
-        if fl is not None:
-            return Laurent.from_pairs(x.field, fl)
-        lo = int(x.ord_inf()) if not x.is_zero() else prec
-        cs = x.pi_coeffs(lo, prec)
-        return Laurent(x.field, lo, cs, prec)
 
     @staticmethod
     def from_pairs(field, pairs):
@@ -170,8 +149,6 @@ class Laurent:
             prec = min(a, b)
             if prec is math.inf:
                 prec = None
-            if prec is not None and not self.coeffs and not other.coeffs:
-                pass
         if not self.coeffs or not other.coeffs:
             # known-zero times something: zero to the computed precision
             return Laurent.zero(F, None if prec is None else int(prec))
@@ -261,10 +238,6 @@ class Laurent:
             out = out.frobenius()
         return out
 
-    def truncate(self, prec):
-        p = prec if self.prec is None else min(self.prec, prec)
-        return Laurent(self.field, self.val, self.coeffs, p)
-
     def __eq__(self, other):
         return (isinstance(other, Laurent) and self.field == other.field
                 and self.val == other.val and self.coeffs == other.coeffs
@@ -308,119 +281,10 @@ def _min_prec(a, b):
     return min(a, b)
 
 
-def psi(x):
-    """The additive character of F_infinity: psi(sum a_i pi^i) =
-    psi_0(Tr_{F_q/F_p}(a_1)).  Trivial on A and on pi^2 O_infinity."""
-    field = x.field
-    a1 = x.coeff(1)
-    return psi0(field.p, field.trace_to_prime(a1), q=field.q)
-
-
 def psi_ratf(x):
-    """psi of an exact rational function (expansion coefficient of pi^1)."""
+    """The additive character of F_infinity, psi(sum a_i pi^i) =
+    psi_0(Tr_{F_q/F_p}(a_1)), at an exact rational function.  Trivial on
+    A and on pi^2 O_infinity."""
     field = x.field
     a1 = x.pi_coeff(1)
     return psi0(field.p, field.trace_to_prime(a1), q=field.q)
-
-
-# -- matrices of Laurent values ----------------------------------------
-
-class LocalMatrix:
-    """Square matrix over F_{q^m}((pi)) with per-entry precision."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-
-    @property
-    def size(self):
-        return len(self.entries)
-
-    @property
-    def field(self):
-        return self.entries[0][0].field
-
-    @staticmethod
-    def identity(field, n):
-        return LocalMatrix([[Laurent.one(field) if i == j else Laurent.zero(field)
-                             for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other):
-        n = self.size
-        F = self.field
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Laurent.zero(F)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return LocalMatrix(out)
-
-    def det(self):
-        """Determinant by fraction-free cofactor expansion (r <= 4)."""
-        return _det(self.entries, self.field)
-
-    def abs_det(self):
-        """q^{-ord(det)} as an exact rational."""
-        d = self.det()
-        try:
-            o = d.ord()
-        except PrecisionError as exc:
-            raise PrecisionError(f"determinant valuation not certified: {exc}")
-        if o is math.inf:
-            raise ZeroDivisionError("matrix is singular")
-        return Fraction(self.field.q) ** (-o)
-
-    def inverse(self, prec=None):
-        """Gaussian elimination with minimum-valuation pivoting."""
-        n = self.size
-        F = self.field
-        a = [list(row) for row in self.entries]
-        inv = [[Laurent.one(F) if i == j else Laurent.zero(F) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv, best = None, math.inf
-            for i in range(col, n):
-                x = a[i][col]
-                if x.coeffs and x.val < best:
-                    piv, best = i, x.val
-            if piv is None:
-                raise PrecisionError(
-                    f"no certified pivot in column {col}; matrix singular within precision")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            pivinv = a[col][col].inverse(prec)
-            a[col] = [x * pivinv for x in a[col]]
-            inv[col] = [x * pivinv for x in inv[col]]
-            for i in range(n):
-                if i != col and a[i][col].coeffs:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-        return LocalMatrix(inv)
-
-    def __str__(self):
-        return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
-
-
-def _det(rows, field):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Laurent.zero(field)
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = rows[0][j] * _det(minor, field)
-        if sign < 0:
-            term = -term
-        total = total + term
-        sign = -sign
-    return total

@@ -18,11 +18,10 @@ base field arithmetic, which is what makes the cross-check meaningful.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import FF, embedding, get_field
 from .laurent import Laurent, PrecisionError
-from .poly import Poly, RatF
+from .poly import RatF
 
 DEFAULT_PREC = 80
 
@@ -36,25 +35,12 @@ def extension_field(q, r):
     return FF(base.p, base.n * r)
 
 
-def base_points(q, r, which=0):
-    """z0 = (eps^{r-1}, ..., eps, 1) for the (which+1)-th multiplicative
-    generator of F_{q^r}; any generator has degree exactly r over F_q."""
+def base_points(q, r):
+    """z0 = (eps^{r-1}, ..., eps, 1) for the smallest multiplicative
+    generator eps of F_{q^r}; any generator has degree exactly r over F_q."""
     big = extension_field(q, r)
-    gens = []
-    for a in range(2, big.q):
-        x, order = a, 1
-        while x != 1:
-            x = big.mul(x, a)
-            order += 1
-        if order == big.q - 1:
-            gens.append(a)
-            if len(gens) > which:
-                break
-    if len(gens) <= which:
-        raise ValueError("not enough generators")
-    eps = gens[which]
-    coords = [big.pow(eps, r - 1 - i) for i in range(r)]
-    return tuple(Laurent.const(big, c) for c in coords)
+    eps = big.multiplicative_generator()
+    return tuple(Laurent.const(big, big.pow(eps, r - 1 - i)) for i in range(r))
 
 
 def ratf_to_laurent(x, big, embed, prec):
@@ -242,25 +228,16 @@ def _adaptive(prec, body):
             attempt *= 2
 
 
-def p_delta_direct(g, q, r, D=6, prec=DEFAULT_PREC, which_generator=0):
+def p_delta_direct(g, q, r, D=6, prec=DEFAULT_PREC):
     """P1(Delta_r)(g) = log_q|Delta(g S z0)| - log_q|Delta(g z0)|,
     S = diag(T, 1, ..., 1) — valuations from truncated lattice sums."""
-    if r > 3:
-        raise ValueError("lattice sums are only tractable for r <= 3")
-    field = g[0][0].field
-    big = extension_field(q, r)
-    embed = embedding(q, big.q)
-    z0 = base_points(q, r, which_generator)
-    from .building import mat_mul
-    gS = mat_mul(g, s_matrix(field, r))
+    return _p_direct(None, g, q, r, D, prec)
 
-    def body(pr):
-        za = act(g, z0, big, embed, pr + 40)
-        zb = act(gS, z0, big, embed, pr + 40)
-        oa = _certified_ord(za, D, r, "Delta(g z0)", prec=pr)
-        ob = _certified_ord(zb, D, r, "Delta(g S z0)", prec=pr)
-        return oa - ob
-    return _adaptive(prec, body)
+
+def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC):
+    """P1(Theta_n)(g) = P1(Delta)(g) - P1(Delta_n)(g) with
+    Delta_n(z) = Delta(n z_1, z_2, ..., z_r)."""
+    return _p_direct(n, g, q, r, D, prec)
 
 
 def _n_star(n, z, big, embed, prec):
@@ -268,15 +245,14 @@ def _n_star(n, z, big, embed, prec):
     return (nl * z[0],) + z[1:]
 
 
-def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC, which_generator=0):
-    """P1(Theta_n)(g) = P1(Delta)(g) - P1(Delta_n)(g) with
-    Delta_n(z) = Delta(n z_1, z_2, ..., z_r)."""
+def _p_direct(n, g, q, r, D, prec):
+    """P1(Delta_r)(g) for n None, else P1(Theta_n)(g)."""
     if r > 3:
         raise ValueError("lattice sums are only tractable for r <= 3")
     field = g[0][0].field
     big = extension_field(q, r)
     embed = embedding(q, big.q)
-    z0 = base_points(q, r, which_generator)
+    z0 = base_points(q, r)
     from .building import mat_mul
     gS = mat_mul(g, s_matrix(field, r))
 
@@ -285,6 +261,8 @@ def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC, which_generator=0):
         zb = act(gS, z0, big, embed, pr + 40)
         oa = _certified_ord(za, D, r, "Delta(g z0)", prec=pr)
         ob = _certified_ord(zb, D, r, "Delta(g S z0)", prec=pr)
+        if n is None:
+            return oa - ob
         na = _certified_ord(_n_star(n, za, big, embed, pr + 40), D, r,
                             "Delta(n*g z0)", prec=pr)
         nb = _certified_ord(_n_star(n, zb, big, embed, pr + 40), D, r,

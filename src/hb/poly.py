@@ -10,10 +10,9 @@ deg(den) - deg(num) and finitely many 1/T-expansion coefficients can be
 extracted exactly by long division.
 """
 
+import itertools
 import math
 import re
-
-from .fields import get_field
 
 NEG_INF = -math.inf
 
@@ -62,9 +61,6 @@ class Poly:
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
 
     def lead(self):
         if not self.coeffs:
@@ -162,14 +158,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly(self.field, (0,) * k + self.coeffs)
-
-    def evaluate(self, x):
-        """Evaluate at a field element (integer code)."""
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def subs_T_inv_scaled(self):
         """Coefficients reversed: T^deg * self(1/T)."""
@@ -274,38 +262,23 @@ def _parse_coeff(field, text):
 
 # -- factorization and divisors ----------------------------------------
 
+def _monics(field, d):
+    """The monic polynomials of degree d, first coefficient fastest."""
+    for cs in itertools.product(range(field.q), repeat=d):
+        yield Poly(field, cs[::-1] + (1,))
+
+
 def monic_irreducibles(field, max_deg):
     """All monic irreducibles of degree <= max_deg, by (degree, coeffs)."""
-    out = []
-    for d in range(1, max_deg + 1):
-        for enc in range(field.q ** d):
-            cs = []
-            x = enc
-            for _ in range(d):
-                cs.append(x % field.q)
-                x //= field.q
-            f = Poly(field, cs + [1])
-            if is_irreducible(f):
-                out.append(f)
-    return out
+    return [f for d in range(1, max_deg + 1) for f in _monics(field, d)
+            if is_irreducible(f)]
 
 
 def is_irreducible(f):
     if f.deg < 1:
         return False
-    d = int(f.deg)
-    field = f.field
-    for dd in range(1, d // 2 + 1):
-        for enc in range(field.q ** dd):
-            cs = []
-            x = enc
-            for _ in range(dd):
-                cs.append(x % field.q)
-                x //= field.q
-            g = Poly(field, cs + [1])
-            if g.divides(f):
-                return False
-    return True
+    return not any(g.divides(f) for d in range(1, int(f.deg) // 2 + 1)
+                   for g in _monics(f.field, d))
 
 
 def factor_monic(f):
@@ -319,13 +292,7 @@ def factor_monic(f):
         if f.deg < 2 * d:
             out.append((f, 1))  # smallest divisor exceeds deg/2: irreducible
             break
-        for enc in range(f.field.q ** d):
-            cs = []
-            x = enc
-            for _ in range(d):
-                cs.append(x % f.field.q)
-                x //= f.field.q
-            g = Poly(f.field, cs + [1])
+        for g in _monics(f.field, d):
             mult = 0
             while g.divides(f):
                 f = f // g
@@ -412,10 +379,6 @@ class RatF:
     @staticmethod
     def one(field):
         return RatF(Poly.one(field))
-
-    @staticmethod
-    def from_poly(p):
-        return RatF(p)
 
     @staticmethod
     def pi_power(field, k):
@@ -511,9 +474,6 @@ class RatF:
     def is_integral(self):
         """Lies in O_infinity (ord >= 0)?"""
         return self.ord_inf() >= 0
-
-    def is_unit_integral(self):
-        return self.ord_inf() == 0
 
     def finite_laurent(self):
         """As a sorted tuple of (exponent, coeff) if self is a finite

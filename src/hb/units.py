@@ -10,12 +10,12 @@ vectors of (A/n)^r modulo the scalars F_q^x.
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .algebra import sigma_restricted
-from .fields import FF, embedding, get_field
+from .fields import FF, embedding
 from .poly import Poly, factor_monic, is_irreducible
 
 

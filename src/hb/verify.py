@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .algebra import CycRat
 from .building import (canonical_vertex, check_harmonic_def,
-                       check_harmonic_gl, const_matrix, extend_cochain,
-                       flip_matrix, mat_from_exps, mat_identity, mat_mul,
+                       check_harmonic_gl, extend_cochain, flip_matrix,
+                       mat_from_exps, mat_identity, mat_mul, mat_scale,
                        type_one_in_neighbors)
 from .discriminant import (eval_on_mirabolic, p_delta_coefficient,
                            p_delta_eval, series_eval, theta_evaluator,
@@ -24,8 +24,8 @@ from .discriminant import (eval_on_mirabolic, p_delta_coefficient,
 from .eisenstein import (eisenstein_at, eisenstein_truncated_sum,
                          identity_check_thm56)
 from .fields import get_field
-from .fourier import (FourierTable, PPoint, build_table, expand,
-                      fourier_coefficient, poly_key, table_support)
+from .fourier import (FourierTable, PPoint, expand, fourier_coefficient,
+                      poly_key, table_support)
 from .oracle import p_delta_direct, p_delta_on_p_point, p_theta_direct
 from .poly import Poly, RatF, parse_poly
 from .units import (cusp_orbits, cuspidal_order, gcd_sweep, root_order_delta,
@@ -129,7 +129,10 @@ def criterion_oracle_cross_check(D=6):
         edges = _sample_edges(field)
         for label, g in edges:
             direct = p_delta_direct(g, q, r, D=D)
-            series = eval_on_mirabolic(_scale_mirabolic(g, field), r, field)
+            # the samples are upper triangular: scaling the top-left
+            # entry to 1 puts them in the mirabolic
+            series = eval_on_mirabolic(
+                mat_scale(g, RatF.one(field) / g[0][0]), r, field)
             checks += 1
             if direct != series:
                 failures.append(("pDelta", label, direct, series))
@@ -145,15 +148,6 @@ def criterion_oracle_cross_check(D=6):
                     failures.append(("pTheta", str(n), label, direct, series))
         return checks, failures, {"edges": len(edges), "levels": 3}
     return _timed(2, "oracle cross-check", run)
-
-
-def _scale_mirabolic(g, field):
-    """Scale g by a power of T so its top-left entry is 1 (valid for the
-    diagonal/P-coset samples, which are upper triangular)."""
-    inv = g[0][0].inverse() if hasattr(g[0][0], "inverse") else None
-    c = g[0][0]
-    scale = RatF.one(field) / c
-    return tuple(tuple(x * scale for x in row) for row in g)
 
 
 # ---------------------------------------------------------------- 3

@@ -105,3 +105,61 @@ def test_oracle_pdelta_check(capsys):
     assert code == EXIT_OK
     assert doc["result"] == -4
     assert doc["match"] is True
+
+
+def _usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""          # no value for malformed input
+    assert "error" in captured.err
+    return captured.err
+
+
+def test_matrix_must_match_rank(capsys):
+    err = _usage_error(capsys, ["theta", "eval", "--q", "2", "--r", "2",
+                                "--n", "T", "--g", "1,0,0;0,1,0;0,0,1"])
+    assert "2x2" in err
+
+
+@pytest.mark.parametrize("a, y", [("T", "3"), ("T", "3,3"), ("T,1", "3")])
+def test_vectors_must_have_r_minus_1_entries(capsys, a, y):
+    _usage_error(capsys, ["delta", "coeff", "--q", "2", "--r", "3",
+                          "--a", a, "--y", y])
+
+
+def test_weyl_type_must_be_dominant(capsys):
+    err = _usage_error(capsys, ["building", "weyl", "--q", "2",
+                                "--k", "0,1"])
+    assert "decreasing" in err
+
+
+@pytest.mark.parametrize("flag", ["--deg-bound", "--prec"])
+def test_oracle_bounds_must_be_positive(capsys, flag):
+    _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2",
+                          flag, "0"])
+
+
+@pytest.mark.parametrize("n, y", [("T^^2", "2"), ("T", "two")])
+def test_unparseable_input(capsys, n, y):
+    _usage_error(capsys, ["theta", "coeff", "--q", "2", "--r", "2",
+                          "--n", n, "--a", "1", "--y", y])
+
+
+def test_q_must_be_a_prime_power(capsys):
+    err = _usage_error(capsys, ["delta", "coeff", "--q", "6", "--r", "2",
+                                "--a", "T", "--y", "3"])
+    assert "prime power" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["building", "weyl", "--k", "1,0", "--seed", "1"],
+    ["building", "weyl", "--k", "1,0", "--cache"],
+    ["building", "weyl", "--k", "1,0", "--threads", "2"],
+    ["delta", "coeff", "--a", "T", "--y", "3", "--prec", "40"],
+    ["cusps", "orbits", "--n", "T", "--deg-bound", "6"],
+    ["oracle", "pdelta", "--witness-bound", "3"],
+])
+def test_removed_flags_are_unknown(capsys, argv):
+    err = _usage_error(capsys, argv)
+    assert "unrecognized arguments" in err
