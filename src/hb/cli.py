@@ -17,7 +17,8 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .building import WeylType, mat_from_exps, mat_scale, type_one_in_neighbors
+from .building import (WeylType, mat_from_exps, mat_inv, mat_scale,
+                       type_one_in_neighbors)
 from .discriminant import (eval_on_mirabolic, eval_theta_on_edge,
                            p_delta_coefficient, p_delta_eval,
                            p_theta_coefficient, series_eval, theta_evaluator,
@@ -28,7 +29,7 @@ from .fields import factor_prime_power, get_field
 from .fourier import fourier_coefficient
 from .oracle import DEFAULT_PREC, p_delta_direct, p_delta_on_p_point, \
     p_theta_direct
-from .poly import RatF, parse_poly
+from .poly import RatF, factor_monic, parse_poly
 from .units import (cusp_orbits, cuspidal_order, root_order_delta,
                     root_order_theta, sigma_det_check)
 from .verify import run_suite
@@ -59,6 +60,13 @@ def _positive_int(text):
     return n
 
 
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def _parse_poly(field, text):
     try:
         return parse_poly(field, text)
@@ -81,6 +89,10 @@ def _parse_matrix(field, text, r):
         rows.append(tuple(_parse_ratf(field, e) for e in row.split(",")))
     if len(rows) != r or any(len(row) != r for row in rows):
         raise UsageError(f"matrix {text!r} is not {r}x{r} for --r {r}")
+    try:
+        mat_inv(rows)
+    except ZeroDivisionError:
+        raise UsageError(f"matrix {text!r} is singular") from None
     return tuple(rows)
 
 
@@ -90,6 +102,13 @@ def _rank_vector(vec, r, flag):
         raise UsageError(f"{flag} has {len(vec)} entries; --r {r} needs "
                          f"{r - 1}")
     return vec
+
+
+def _implied_rank(args, r, flag):
+    """Set args.r to the rank r that flag implies; --r may only repeat it."""
+    if args.r is not None and args.r != r:
+        raise UsageError(f"{flag} has rank {r} but --r is {args.r}")
+    args.r = r
 
 
 def _parse_ints(text):
@@ -105,6 +124,13 @@ def _parse_polyvec(field, text):
 
 def _parse_xvec(field, text):
     return tuple(_parse_ratf(field, s) for s in text.split(","))
+
+
+def _squarefree_level(field, text):
+    n = _parse_poly(field, text)
+    if n.is_zero() or any(m > 1 for _p, m in factor_monic(n)):
+        raise UsageError(f"level {text!r} is not squarefree")
+    return n
 
 
 # ---------------------------------------------------------------- output
@@ -169,6 +195,7 @@ def cmd_building_weyl(args):
         k = WeylType(_parse_ints(args.k))
     except ValueError as e:
         raise UsageError(f"--k: {e}") from None
+    _implied_rank(args, len(k.k), "--k")
     val = weyl_edge_value(args.q, k)
     return _emit(args, "building.weyl", {"k": list(k.k)}, val)
 
@@ -194,7 +221,13 @@ def cmd_fourier_coeff(args):
 
 def cmd_eisenstein_eval(args):
     nvec = _parse_ints(args.n)
-    s0 = Fraction(args.s)
+    _implied_rank(args, len(nvec), "--n")
+    try:
+        s0 = Fraction(args.s)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--s {args.s!r} is not a rational number") from None
+    if s0 <= 1:
+        raise UsageError(f"--s {s0}: the lattice sum needs s0 > 1")
     closed = eisenstein_at(nvec, args.q, s0)
     ts = eisenstein_truncated_sum(nvec, args.q, s0, args.N)
     diag = {"rational_function": str(eisenstein_diagonal(nvec, args.q)),
@@ -323,7 +356,7 @@ def cmd_units_root_order(args):
 
 def cmd_cusps_orbits(args):
     field = get_field(args.q)
-    n = _parse_poly(field, args.n)
+    n = _squarefree_level(field, args.n)
     rep = cusp_orbits(n, args.r)
     return _emit(args, "cusps.orbits", {"n": args.n},
                  rep.orbit_count,
@@ -366,10 +399,10 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- wiring
 
-def _common(p):
+def _common(p, rank_default):
     p.add_argument("--q", type=_prime_power, default=2,
                    help="base field size")
-    p.add_argument("--r", type=int, default=2, help="rank")
+    p.add_argument("--r", type=int, default=rank_default, help="rank")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -381,7 +414,7 @@ def _oracle_options(p):
 
 
 def _witness_option(p):
-    p.add_argument("--witness-bound", type=int, default=None,
+    p.add_argument("--witness-bound", type=_nonnegative_int, default=None,
                    help="search bound for theta witness vectors")
 
 
@@ -392,13 +425,13 @@ def build_parser():
                     "Bruhat-Tits building of PGL_r over F_q((1/T)).")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(path, fn, configure=None):
+    def add(path, fn, configure=None, rank_default=2):
         group, _, name = path.partition(" ")
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="subcommand", required=True)
         p = groups[group].add_parser(name)
-        _common(p)
+        _common(p, rank_default)
         if configure:
             configure(p)
         p.set_defaults(fn=fn)
@@ -407,7 +440,8 @@ def build_parser():
     add("building neighbors", cmd_building_neighbors,
         configure=lambda p: p.add_argument("--g", default=None,
                                            help="vertex rep 'a,b;c,d'"))
-    add("building weyl", cmd_building_weyl,
+    # the rank of these two is the length of --k / --n
+    add("building weyl", cmd_building_weyl, rank_default=None,
         configure=lambda p: p.add_argument("--k", required=True,
                                            help="dominant type k1,..,kr"))
     add("fourier coeff", cmd_fourier_coeff, configure=lambda p: (
@@ -416,10 +450,13 @@ def build_parser():
                        default="builtin"),
         p.add_argument("--a", required=True, help="polynomial vector"),
         p.add_argument("--y", required=True, help="diagonal exponents")))
-    add("eisenstein eval", cmd_eisenstein_eval, configure=lambda p: (
-        p.add_argument("--n", required=True, help="diagonal exponents"),
-        p.add_argument("--s", required=True, help="evaluation point s0 > 1"),
-        p.add_argument("--N", type=int, default=8, help="truncation terms")))
+    add("eisenstein eval", cmd_eisenstein_eval, rank_default=None,
+        configure=lambda p: (
+            p.add_argument("--n", required=True, help="diagonal exponents"),
+            p.add_argument("--s", required=True,
+                           help="evaluation point s0 > 1"),
+            p.add_argument("--N", type=int, default=8,
+                           help="truncation terms")))
     add("eisenstein check-klf-chain", cmd_eisenstein_klf)
     add("delta coeff", cmd_delta_coeff, configure=lambda p: (
         p.add_argument("--a", required=True),

@@ -8,7 +8,17 @@ built one F_q-basis vector at a time through
     e_{V + F_q w}(x) = e_V(x)^q - e_V(w)^{q-1} e_V(x),
 
 and the Drinfeld module coefficients follow from the functional equation
-exp(Tx) = phi_T(exp(x)).  The only convergence certificate is empirical
+exp(Tx) = phi_T(exp(x)).  The recursion needs the exact valuation of
+e_V(w) at each new w, and no point of V is ever listed for it: V is kept
+in a valuation-adapted F_q-basis u_1, ..., u_t (leading coefficients of
+equal-order u_i independent over F_q), greedy reduction finds the best
+approximant lambda* of w in V at d = ord(w - lambda*), and the product
+formula for e_V(w) / (linear coefficient of e_V) collapses to
+
+    ord(e_V(w) / alpha_0) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).
+
+A truncation depth D costs O((r(D+1))^2) series operations, not
+q^{r(D+1)}.  The only convergence certificate is empirical
 stabilization between truncation depths D-1 and D; the underlying theory
 provides no effective bound, and output is labeled accordingly.
 
@@ -18,18 +28,23 @@ base field arithmetic, which is what makes the cross-check meaningful.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import FF, embedding, get_field
 from .laurent import Laurent, PrecisionError
 from .poly import RatF
 
 DEFAULT_PREC = 80
+# exp_coefficients refuses lattices with more F_q-basis vectors r(D+1)
+# than this; its cost grows with the square of that number
+MAX_BASIS = 64
 
 
 class StabilizationError(RuntimeError):
     pass
 
 
+@lru_cache(maxsize=None)
 def extension_field(q, r):
     base = get_field(q)
     return FF(base.p, base.n * r)
@@ -69,6 +84,57 @@ def act(g, z, big, embed, prec):
     return tuple(out) + (Laurent.one(big),)
 
 
+class _Filtration:
+    """A valuation-adapted F_q-basis u_1, ..., u_t of a subspace V of
+    F_{q^r}((pi)): among the u_i of any one order, the leading
+    coefficients are F_q-independent in F_{q^r}, so that
+    ord(sum c_i u_i) = min{ord u_i : c_i != 0}."""
+
+    def __init__(self, big, q, cap):
+        self.big = big
+        self.q = q
+        self.cap = cap
+        # the nonzero F_q-scalars inside the extension
+        self.scalars = [c for c in range(1, big.q) if big.pow(c, q) == c]
+        self.orders = []
+        # order o -> {leading coefficient: the F_q-combination of the
+        # u_i of order o with that leading coefficient}; <= q^r entries
+        self.spans = {}
+
+    def reduce(self, w):
+        """w - lambda* for the best approximant lambda* of w in V: greedy
+        cancellation of leading terms, so the remainder has the largest
+        valuation in the coset w + V."""
+        while True:
+            vec = self.spans.get(w.ord(), {}).get(w.coeffs[0])
+            if vec is None:
+                return w
+            w = self.cap(w - vec)
+
+    def add(self, u):
+        """Extend the basis by a remainder u = reduce(u) not in V."""
+        big = self.big
+        o, lead = u.ord(), u.coeffs[0]
+        old = self.spans.get(o, {0: Laurent.zero(big)})
+        span = dict(old)
+        for c in self.scalars:
+            uc = u.scale(c)
+            for x, vec in old.items():
+                span[big.add(x, big.mul(c, lead))] = self.cap(vec + uc)
+        self.spans[o] = span
+        self.orders.append(o)
+
+    def product_ord(self, d):
+        """ord(w) + sum over nonzero lambda in V of (ord(w - lambda) -
+        ord lambda), for a w whose remainder against V has valuation d.
+        With mu = lambda - lambda*, ord(w - lambda) = min(d, ord mu), so
+        the sum is d - sum over nonzero mu with ord mu > d of
+        (ord mu - d) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1)."""
+        top = max(self.orders, default=d)
+        return d - sum(self.q ** sum(o >= k for o in self.orders) - 1
+                       for k in range(d + 1, top + 1))
+
+
 def exp_coefficients(z, D, K, prec=None):
     """Monic-normalized coefficients a_0 = 1, a_1, ..., a_K of x^{q^k}
     in e_V(x) / (linear coefficient of e_V) over the truncated lattice
@@ -89,7 +155,10 @@ def exp_coefficients(z, D, K, prec=None):
     recursion, one subtraction per step, and each is re-anchored at its
     exact valuation ord(w_m) + sum over nonzero lambda in V of
     (ord(w_m - lambda) - ord(lambda)) — the product formula for
-    e_V(w_m)/alpha_0 — maintained incrementally as the point set grows.
+    e_V(w_m)/alpha_0.  No point of V is ever listed: V is kept in a
+    valuation-adapted basis (_Filtration), each w_m keeps its remainder
+    against it, and the product-formula valuation follows in closed form
+    from the remainder's valuation and the orders of the basis.
     A window too narrow to reach the true valuation raises
     PrecisionError, which the callers turn into a precision retry."""
     big = z[0].field
@@ -122,41 +191,37 @@ def exp_coefficients(z, D, K, prec=None):
             raise AssertionError("leading coefficient lost at the anchor")
         return Laurent(big, t, coeffs, x.prec)
 
-    # nonzero F_q-scalars inside the extension
-    scalars = [c for c in range(1, big.q) if big.pow(c, q) == c]
-    if q ** (r * (D + 1)) > 300000:
-        raise ValueError("truncated lattice too large; reduce D")
+    if r * (D + 1) > MAX_BASIS:
+        raise ValueError(f"truncated lattice has {r * (D + 1)} basis "
+                         f"vectors, more than {MAX_BASIS}; reduce D")
     basis = [z[i] * Laurent.pi_power(big, -j)
              for i in range(r) for j in range(D + 1)]
     evals = [cap(w) for w in basis]   # ehat_V(w_m), exact at V = {0}
-    ords = [w.ord() for w in basis]   # their exact valuations
-    points = []                       # the nonzero points of V
+    rems = list(basis)                # w_m minus its best approximant in V
+    V = _Filtration(big, q, cap)
     coeffs = [Laurent.one(big)]
-    for t, w in enumerate(basis):
-        v = reanchor(evals[t], ords[t])
+    for t in range(len(basis)):
+        v = reanchor(evals[t], V.product_ord(rems[t].ord()))
         inv = v.inverse(width)
         rho = inv                                    # 1/v^{q-1}
         for _ in range(q - 2):
             rho = cap(rho * inv)
+        # new[k] reads only coeffs[k] and coeffs[k-1]: stop at index K
         new = [Laurent.one(big)]
-        for k in range(1, len(coeffs) + 1):
+        for k in range(1, min(len(coeffs), K) + 1):
             term = -(coeffs[k - 1].q_power(e) * rho)
             if k < len(coeffs):
                 term = coeffs[k] + term
             new.append(cap(term))
         coeffs = new
-        fresh = [cap(w.scale(c)) for c in scalars]
-        fresh += [cap(lam + wc) for lam, _ in points for wc in fresh[:len(scalars)]]
-        fresh = [(x, x.ord()) for x in fresh]
-        points.extend(fresh)
+        V.add(rems[t])
         # push the remaining evaluations through the recursion and
-        # advance their exact product-formula valuations
+        # re-anchor them at their product-formula valuations over the
+        # enlarged V
         for m in range(t + 1, len(basis)):
-            wm = basis[m]
+            rems[m] = V.reduce(rems[m])
             upd = evals[m] - evals[m].q_power(e) * rho
-            for lam, lam_ord in fresh:
-                ords[m] += (wm - lam).ord() - lam_ord
-            evals[m] = cap(reanchor(upd, ords[m]))
+            evals[m] = cap(reanchor(upd, V.product_ord(rems[m].ord())))
     return coeffs[:K + 1]
 
 

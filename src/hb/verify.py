@@ -120,14 +120,15 @@ def _sample_edges(field):
 
 
 def criterion_oracle_cross_check(D=6):
-    """Lattice-sum valuations versus the closed-form Fourier series,
-    q = 2, r = 2."""
+    """Lattice-sum valuations versus the closed-form Fourier series:
+    P1(Delta_2) and P1(Theta_n) at q = r = 2, plus the diagonal anchors
+    diag(1, ..., 1) and diag(T, 1, ..., 1) at (q, r) = (2, 3) and (3, 2)."""
     def run():
-        q, r = 2, 2
-        field = get_field(q)
         checks, failures = 0, []
-        edges = _sample_edges(field)
-        for label, g in edges:
+
+        def check_delta(label, g, q, r):
+            nonlocal checks
+            field = g[0][0].field
             direct = p_delta_direct(g, q, r, D=D)
             # the samples are upper triangular: scaling the top-left
             # entry to 1 puts them in the mirabolic
@@ -136,17 +137,30 @@ def criterion_oracle_cross_check(D=6):
             checks += 1
             if direct != series:
                 failures.append(("pDelta", label, direct, series))
+
+        field = get_field(2)
+        edges = _sample_edges(field)
+        for label, g in edges:
+            check_delta(label, g, 2, 2)
+        anchors = 0
+        for q, r in ((2, 3), (3, 2)):
+            for k in (0, 1):
+                exps = (k,) + (0,) * (r - 1)
+                check_delta(f"q={q},r={r},diag(T^{k},1,...)",
+                            mat_from_exps(get_field(q), exps), q, r)
+                anchors += 1
         levels = [parse_poly(field, s) for s in ("T", "T+1", "T^2+T+1")]
         theta_edges = edges[:4] + [edges[4], edges[8]]  # anchors + nonzero x
         for n in levels:
-            h1 = theta_evaluator(n, field, r)
+            h1 = theta_evaluator(n, field, 2)
             for label, g in theta_edges:
-                direct = p_theta_direct(n, g, q, r, D=D)
+                direct = p_theta_direct(n, g, 2, 2, D=D)
                 series = h1(g)
                 checks += 1
                 if direct != series:
                     failures.append(("pTheta", str(n), label, direct, series))
-        return checks, failures, {"edges": len(edges), "levels": 3}
+        return checks, failures, {"edges": len(edges), "levels": 3,
+                                  "wider_anchors": anchors}
     return _timed(2, "oracle cross-check", run)
 
 

@@ -163,3 +163,48 @@ def test_q_must_be_a_prime_power(capsys):
 def test_removed_flags_are_unknown(capsys, argv):
     err = _usage_error(capsys, argv)
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "pdelta", "--q", "2", "--r", "2"],
+    ["oracle", "ptheta", "--q", "2", "--r", "2", "--n", "T"],
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "T"],
+])
+def test_singular_matrix_is_a_usage_error(capsys, argv):
+    err = _usage_error(capsys, argv + ["--g", "1,1;1,1"])
+    assert "singular" in err
+
+
+def test_witness_bound_must_not_be_negative(capsys):
+    _usage_error(capsys, ["theta", "eval", "--q", "2", "--r", "2",
+                          "--n", "T", "--g", "0,1;1,0",
+                          "--witness-bound", "-1"])
+
+
+def test_cusp_level_must_be_squarefree(capsys):
+    err = _usage_error(capsys, ["cusps", "orbits", "--q", "2", "--r", "2",
+                                "--n", "T^2"])
+    assert "squarefree" in err
+
+
+@pytest.mark.parametrize("s0", ["1", "1/2", "-3"])
+def test_eisenstein_s0_must_exceed_one(capsys, s0):
+    _usage_error(capsys, ["eisenstein", "eval", "--q", "2", "--n", "0,0",
+                          "--s", s0])
+
+
+@pytest.mark.parametrize("argv, r", [
+    (["building", "weyl", "--q", "2", "--k", "2,1,0"], 3),
+    (["eisenstein", "eval", "--q", "2", "--n", "0,0,0", "--s", "2"], 3),
+    (["building", "weyl", "--q", "2", "--r", "4", "--k", "1,1,0,0"], 4),
+])
+def test_config_r_is_the_rank_of_the_input(capsys, argv, r):
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["config"]["r"] == r
+
+
+def test_rank_flag_must_agree_with_the_type(capsys):
+    err = _usage_error(capsys, ["building", "weyl", "--q", "2", "--r", "2",
+                                "--k", "2,1,0"])
+    assert "rank 3" in err

@@ -10,10 +10,11 @@ import pytest
 
 from hb.building import mat_from_exps
 from hb.fields import embedding, get_field
+from hb.fourier import PPoint
 from hb.laurent import Laurent
-from hb.oracle import (act, base_points, drinfeld_coeffs, exp_coefficients,
-                       extension_field, p_delta_direct, p_delta_on_p_point,
-                       p_theta_direct)
+from hb.oracle import (_Filtration, act, base_points, drinfeld_coeffs,
+                       exp_coefficients, extension_field, p_delta_direct,
+                       p_delta_on_p_point, p_theta_direct)
 from hb.poly import RatF, parse_poly
 
 F2 = get_field(2)
@@ -40,6 +41,38 @@ def test_exp_coefficients_rejects_huge_lattice():
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 80)
     with pytest.raises(ValueError):
         exp_coefficients(z, 50, 2)
+
+
+@pytest.mark.parametrize("yexp", [1, 3])
+@pytest.mark.parametrize("q, r, D", [(2, 2, 0), (2, 2, 1), (2, 2, 2),
+                                     (2, 2, 3), (3, 2, 1), (3, 2, 2),
+                                     (2, 3, 1), (2, 3, 2)])
+def test_closed_form_valuation_matches_listed_lattice(q, r, D, yexp):
+    # the adapted basis's d - sum_{k>d} (q^{#{o_i >= k}} - 1) against
+    # ord(w) + sum over the listed nonzero lambda of V_t of
+    # (ord(w - lambda) - ord lambda), for every prefix V_t and later w_m.
+    # At y = T^3 the first coordinate's leading term is x's, an F_q
+    # multiple of the last coordinate's, so the basis z_i T^j is not
+    # adapted and the greedy reduction has work to do.
+    field = get_field(q)
+    big = extension_field(q, r)
+    embed = embedding(q, big.q)
+    x = RatF.pi_power(field, 1) + RatF.pi_power(field, 2)
+    g = PPoint((x,) + (RatF.zero(field),) * (r - 2),
+               (yexp,) * (r - 1)).matrix(field)
+    z = act(g, base_points(q, r), big, embed, 60)
+    basis = [z[i] * Laurent.pi_power(big, -j)
+             for i in range(r) for j in range(D + 1)]
+    V = _Filtration(big, q, lambda x: x)
+    scalars = [0] + V.scalars
+    points = [Laurent.zero(big)]          # V_t, listed
+    for t in range(len(basis)):
+        for w in basis[t:]:
+            brute = w.ord() + sum((w - lam).ord() - lam.ord()
+                                  for lam in points[1:])
+            assert V.product_ord(V.reduce(w).ord()) == brute
+        V.add(V.reduce(basis[t]))
+        points = [lam + basis[t].scale(c) for c in scalars for lam in points]
 
 
 def test_drinfeld_coeffs_shape():
