@@ -29,7 +29,7 @@ from .fields import factor_prime_power, get_field
 from .fourier import fourier_coefficient
 from .oracle import DEFAULT_PREC, p_delta_direct, p_delta_on_p_point, \
     p_theta_direct
-from .poly import RatF, factor_monic, parse_poly
+from .poly import RatF, parse_poly
 from .units import (cusp_orbits, cuspidal_order, root_order_delta,
                     root_order_theta, sigma_det_check)
 from .verify import run_suite
@@ -53,18 +53,14 @@ def _prime_power(text):
     return q
 
 
-def _positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
-    return n
-
-
-def _nonnegative_int(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
-    return n
+def _int_at_least(lo):
+    """An argparse type for the integers >= lo."""
+    def parse(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{n} is below {lo}")
+        return n
+    return parse
 
 
 def _parse_poly(field, text):
@@ -104,13 +100,6 @@ def _rank_vector(vec, r, flag):
     return vec
 
 
-def _implied_rank(args, r, flag):
-    """Set args.r to the rank r that flag implies; --r may only repeat it."""
-    if args.r is not None and args.r != r:
-        raise UsageError(f"{flag} has rank {r} but --r is {args.r}")
-    args.r = r
-
-
 def _parse_ints(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -124,13 +113,6 @@ def _parse_polyvec(field, text):
 
 def _parse_xvec(field, text):
     return tuple(_parse_ratf(field, s) for s in text.split(","))
-
-
-def _squarefree_level(field, text):
-    n = _parse_poly(field, text)
-    if n.is_zero() or any(m > 1 for _p, m in factor_monic(n)):
-        raise UsageError(f"level {text!r} is not squarefree")
-    return n
 
 
 # ---------------------------------------------------------------- output
@@ -195,7 +177,7 @@ def cmd_building_weyl(args):
         k = WeylType(_parse_ints(args.k))
     except ValueError as e:
         raise UsageError(f"--k: {e}") from None
-    _implied_rank(args, len(k.k), "--k")
+    args.r = len(k.k)
     val = weyl_edge_value(args.q, k)
     return _emit(args, "building.weyl", {"k": list(k.k)}, val)
 
@@ -221,7 +203,7 @@ def cmd_fourier_coeff(args):
 
 def cmd_eisenstein_eval(args):
     nvec = _parse_ints(args.n)
-    _implied_rank(args, len(nvec), "--n")
+    args.r = len(nvec)
     try:
         s0 = Fraction(args.s)
     except (ValueError, ZeroDivisionError):
@@ -356,8 +338,11 @@ def cmd_units_root_order(args):
 
 def cmd_cusps_orbits(args):
     field = get_field(args.q)
-    n = _squarefree_level(field, args.n)
-    rep = cusp_orbits(n, args.r)
+    n = _parse_poly(field, args.n)
+    try:
+        rep = cusp_orbits(n, args.r)
+    except ValueError as e:     # a level that is not squarefree, or too big
+        raise UsageError(f"--n {args.n!r}: {e}") from None
     return _emit(args, "cusps.orbits", {"n": args.n},
                  rep.orbit_count,
                  {"total_states": rep.total,
@@ -399,22 +384,23 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- wiring
 
-def _common(p, rank_default):
+def _common(p, ranked):
     p.add_argument("--q", type=_prime_power, default=2,
                    help="base field size")
-    p.add_argument("--r", type=int, default=rank_default, help="rank")
+    if ranked:
+        p.add_argument("--r", type=int, default=2, help="rank")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _oracle_options(p):
-    p.add_argument("--prec", type=_positive_int, default=DEFAULT_PREC,
+    p.add_argument("--prec", type=_int_at_least(1), default=DEFAULT_PREC,
                    help="series window width for the lattice-sum oracle")
-    p.add_argument("--deg-bound", type=_positive_int, default=6,
+    p.add_argument("--deg-bound", type=_int_at_least(1), default=6,
                    help="lattice truncation depth for the oracle")
 
 
 def _witness_option(p):
-    p.add_argument("--witness-bound", type=_nonnegative_int, default=None,
+    p.add_argument("--witness-bound", type=_int_at_least(0), default=None,
                    help="search bound for theta witness vectors")
 
 
@@ -425,13 +411,13 @@ def build_parser():
                     "Bruhat-Tits building of PGL_r over F_q((1/T)).")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(path, fn, configure=None, rank_default=2):
+    def add(path, fn, configure=None, ranked=True):
         group, _, name = path.partition(" ")
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="subcommand", required=True)
         p = groups[group].add_parser(name)
-        _common(p, rank_default)
+        _common(p, ranked)
         if configure:
             configure(p)
         p.set_defaults(fn=fn)
@@ -440,8 +426,8 @@ def build_parser():
     add("building neighbors", cmd_building_neighbors,
         configure=lambda p: p.add_argument("--g", default=None,
                                            help="vertex rep 'a,b;c,d'"))
-    # the rank of these two is the length of --k / --n
-    add("building weyl", cmd_building_weyl, rank_default=None,
+    # these two take their rank from the length of --k / --n
+    add("building weyl", cmd_building_weyl, ranked=False,
         configure=lambda p: p.add_argument("--k", required=True,
                                            help="dominant type k1,..,kr"))
     add("fourier coeff", cmd_fourier_coeff, configure=lambda p: (
@@ -450,7 +436,7 @@ def build_parser():
                        default="builtin"),
         p.add_argument("--a", required=True, help="polynomial vector"),
         p.add_argument("--y", required=True, help="diagonal exponents")))
-    add("eisenstein eval", cmd_eisenstein_eval, rank_default=None,
+    add("eisenstein eval", cmd_eisenstein_eval, ranked=False,
         configure=lambda p: (
             p.add_argument("--n", required=True, help="diagonal exponents"),
             p.add_argument("--s", required=True,

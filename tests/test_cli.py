@@ -159,6 +159,8 @@ def test_q_must_be_a_prime_power(capsys):
     ["delta", "coeff", "--a", "T", "--y", "3", "--prec", "40"],
     ["cusps", "orbits", "--n", "T", "--deg-bound", "6"],
     ["oracle", "pdelta", "--witness-bound", "3"],
+    ["building", "weyl", "--k", "1,0", "--r", "2"],
+    ["eisenstein", "eval", "--n", "0,0", "--s", "2", "--r", "2"],
 ])
 def test_removed_flags_are_unknown(capsys, argv):
     err = _usage_error(capsys, argv)
@@ -196,15 +198,8 @@ def test_eisenstein_s0_must_exceed_one(capsys, s0):
 @pytest.mark.parametrize("argv, r", [
     (["building", "weyl", "--q", "2", "--k", "2,1,0"], 3),
     (["eisenstein", "eval", "--q", "2", "--n", "0,0,0", "--s", "2"], 3),
-    (["building", "weyl", "--q", "2", "--r", "4", "--k", "1,1,0,0"], 4),
 ])
 def test_config_r_is_the_rank_of_the_input(capsys, argv, r):
     code, doc = run_json(capsys, argv)
     assert code == EXIT_OK
     assert doc["config"]["r"] == r
-
-
-def test_rank_flag_must_agree_with_the_type(capsys):
-    err = _usage_error(capsys, ["building", "weyl", "--q", "2", "--r", "2",
-                                "--k", "2,1,0"])
-    assert "rank 3" in err
