@@ -311,7 +311,10 @@ def cmd_oracle_ptheta(args):
 def cmd_units_det_sigma(args):
     field = get_field(args.q)
     primes = _parse_polyvec(field, args.primes)
-    rep = sigma_det_check(primes, args.s)
+    try:
+        rep = sigma_det_check(primes, args.s)
+    except ValueError as e:     # not 1 to 3 distinct irreducibles
+        raise UsageError(f"--primes {args.primes!r}: {e}") from None
     code = _emit(args, "units.det-sigma",
                  {"primes": args.primes, "s": args.s},
                  {"det": rep.det, "magnitude_ok": rep.magnitude_ok,

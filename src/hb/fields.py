@@ -8,10 +8,18 @@ the required degree, so identical parameters always yield identical
 encodings.
 
 All fields used by the package are tiny (at most a few hundred elements),
-so full multiplication tables are precomputed.
+so full addition and multiplication tables are precomputed; the tables of
+F_{p^n}, n > 1, are built with Poly over F_p.
+
+FF also owns the coefficient-sequence kernel shared by Poly, RatF and
+Laurent: conv (products), add_at (shifted sums) and series_div (power
+series quotients).  These are the only loops that combine coefficient
+sequences, and no other module reads the a*q+b tables.
 """
 
 from functools import lru_cache
+
+from .poly import Poly, _monics, is_irreducible
 
 
 def is_prime(n):
@@ -40,62 +48,12 @@ def factor_prime_power(q):
     raise ValueError(f"{q} is not a prime power")
 
 
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fp_poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def _int_to_vec(x, p, n):
     v = []
     for _ in range(n):
         v.append(x % p)
         x //= p
     return v
-
-
-def _vec_to_int(v, p):
-    x = 0
-    for c in reversed(v):
-        x = x * p + c
-    return x
-
-
-def _is_irreducible_fp(f, p):
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p ** d):
-            g = _int_to_vec(enc, p, d) + [1]
-            # polynomial long division remainder
-            r = _fp_poly_mod(f, g, p)
-            if not r:
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -105,59 +63,37 @@ def smallest_irreducible(p, n):
     "Smallest" refers to the integer encoding of the low-degree
     coefficient vector, giving a deterministic Conway-style choice.
     """
-    if n == 1:
-        return (0, 1)  # the polynomial u
-    for enc in range(p ** n):
-        f = _int_to_vec(enc, p, n) + [1]
-        if _is_irreducible_fp(f, p):
-            return tuple(f)
-    raise RuntimeError("no irreducible found")  # unreachable
+    return next(f.coeffs for f in _monics(get_field(p), n) if is_irreducible(f))
 
 
 class FF:
     """The field F_{p^n} with tabulated arithmetic on integer codes."""
 
-    def __init__(self, p, n, modulus=None):
+    def __init__(self, p, n):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.n = n
-        self.q = p ** n
-        self.modulus = tuple(modulus) if modulus else smallest_irreducible(p, n)
-        if len(self.modulus) != n + 1 or self.modulus[-1] % p != 1:
-            raise ValueError("modulus must be monic of degree n")
-        if n > 1 and not _is_irreducible_fp(list(self.modulus), p):
-            raise ValueError("modulus is reducible")
-        self._build_tables()
-
-    def _build_tables(self):
-        q, p, n = self.q, self.p, self.n
-        mul = [0] * (q * q)
-        m = list(self.modulus)
-        for a in range(q):
-            va = _int_to_vec(a, p, n)
-            for b in range(a, q):
-                vb = _int_to_vec(b, p, n)
-                prod = _fp_poly_mod(_fp_poly_mul(va, vb, p), m, p) if a and b else []
-                c = _vec_to_int(prod + [0] * (n - len(prod)), p)
-                mul[a * q + b] = c
-                mul[b * q + a] = c
-        self._mul = mul
-        add = [0] * (q * q)
-        for a in range(q):
-            va = _int_to_vec(a, p, n)
-            for b in range(q):
-                vb = _int_to_vec(b, p, n)
-                add[a * q + b] = _vec_to_int([(x + y) % p for x, y in zip(va, vb)], p)
-        self._add = add
-        self._neg = [add[a * q:(a + 1) * q].index(0) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        self.q = q = p ** n
+        if n == 1:
+            self.modulus = (0, 1)  # u; Poly over F_p needs F_p's own tables
+            self._add = [(a + b) % p for a in range(p) for b in range(p)]
+            self._mul = [(a * b) % p for a in range(p) for b in range(p)]
+        else:
+            Fp = get_field(p)
+            self.modulus = smallest_irreducible(p, n)
+            m = Poly(Fp, self.modulus)
+            polys = [Poly(Fp, _int_to_vec(a, p, n)) for a in range(q)]
+            code = {f.coeffs: a for a, f in enumerate(polys)}
+            self._add, self._mul = add, mul = [0] * (q * q), [0] * (q * q)
+            for a, f in enumerate(polys):
+                for b in range(a, q):
+                    g = polys[b]
+                    add[a * q + b] = add[b * q + a] = code[(f + g).coeffs]
+                    mul[a * q + b] = mul[b * q + a] = code[(f * g % m).coeffs]
+        self._neg = [self._add[a * q:(a + 1) * q].index(0) for a in range(q)]
+        self._inv = [0] + [self._mul[a * q:(a + 1) * q].index(1)
+                           for a in range(1, q)]
 
     def add(self, a, b):
         return self._add[a * self.q + b]
@@ -225,14 +161,67 @@ class FF:
         return 1  # q = 2
 
     def find_root(self, coeffs):
-        """Smallest root in this field of sum coeffs[i] X^i (encoded ints)."""
+        """Smallest root in this field of sum coeffs[i] X^i (field codes)."""
         for a in self.elements():
             acc = 0
             for c in reversed(coeffs):
-                acc = self.add(self.mul(acc, a), c % self.p if isinstance(c, int) else c)
+                acc = self.add(self.mul(acc, a), c)
             if acc == 0:
                 return a
         return None
+
+    # -- coefficient sequences ------------------------------------------
+    def add_at(self, a, b, shift=0, n=None):
+        """a + x^shift * b as a coefficient list, cut to n entries."""
+        size = max(len(a), shift + len(b))
+        if n is not None and n < size:
+            size = max(n, 0)
+        out = list(a[:size])
+        out += [0] * (size - len(out))
+        add, q = self._add, self.q
+        for k, y in zip(range(shift, size), b):
+            out[k] = add[out[k] * q + y]
+        return out
+
+    def conv(self, a, b, n=None):
+        """The first n coefficients of a * b, all of them if n is None."""
+        if len(a) < len(b):
+            a, b = b, a
+        size = len(a) + len(b) - 1
+        if n is not None and n < size:
+            size = n
+        if size <= 0 or not b:
+            return []
+        mul, add, q = self._mul, self._add, self.q
+        if len(b) == 1:  # a scaling, the common case in the Fourier engine
+            row = b[0] * q
+            out = list(a[:size])
+            for k, x in enumerate(out):
+                out[k] = mul[row + x]
+            return out
+        out = [0] * size
+        for j, y in enumerate(b[:size]):
+            if y:
+                row = y * q
+                for k, x in zip(range(j, size), a):
+                    out[k] = add[out[k] * q + mul[row + x]]
+        return out
+
+    def series_div(self, num, den, n):
+        """The first n coefficients of the power series num / den."""
+        if n <= 0:
+            return []
+        inv0 = self.inv(den[0])
+        mul, add, neg, q = self._mul, self._add, self._neg, self.q
+        out = list(num[:n]) + [0] * (n - len(num))
+        tail = den[1:]
+        for k in range(n):
+            c = out[k] = mul[out[k] * q + inv0]
+            if c:
+                row = neg[c] * q  # out[k + j] -= c * den[j]
+                for j, d in zip(range(k + 1, n), tail):
+                    out[j] = add[out[j] * q + mul[row + d]]
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, FF)
@@ -264,7 +253,7 @@ def embedding(small_q, big_q):
         raise ValueError("no embedding")
     if ks.n == 1:
         return tuple(kb.from_int(c) for c in range(ks.p))
-    root = kb.find_root([c for c in ks.modulus])
+    root = kb.find_root([kb.from_int(c) for c in ks.modulus])
     if root is None:
         raise RuntimeError("modulus has no root in extension")
     table = []

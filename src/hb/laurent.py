@@ -5,6 +5,11 @@ field) for the exponents val, val+1, ... together with an absolute
 precision bound: the element is known modulo pi^prec.  prec = None means
 the value is an exactly known finite Laurent polynomial.
 
+The coefficient loops of +, * and inverse are FF.add_at, FF.conv and
+FF.series_div (see fields.py).  Each is asked for the coefficients below
+the precision bound only, so no coefficient past the window is built;
+this module tracks val and prec.
+
 The building and fourier modules work with exact values only (they use
 RatF for division-heavy linear algebra); inexact series appear in the
 delta oracle, where truncation is intrinsic.
@@ -117,19 +122,11 @@ class Laurent:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        F = self.field
         prec = _min_prec(self.prec, other.prec)
-        lo = min(self.val, other.val)
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        if prec is not None:
-            hi = min(hi, prec)
-        cs = [0] * max(hi - lo, 0)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                k = src.val + i
-                if k < hi:
-                    cs[k - lo] = F.add(cs[k - lo], c)
-        return Laurent(F, lo, cs, prec)
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        cs = self.field.add_at(a.coeffs, b.coeffs, b.val - a.val,
+                               None if prec is None else prec - a.val)
+        return Laurent(self.field, a.val, cs, prec)
 
     def __neg__(self):
         F = self.field
@@ -153,23 +150,7 @@ class Laurent:
             # known-zero times something: zero to the computed precision
             return Laurent.zero(F, None if prec is None else int(prec))
         lo = self.val + other.val
-        hi = self.val + len(self.coeffs) + other.val + len(other.coeffs) - 1
-        if prec is not None:
-            prec = int(prec)
-            hi = min(hi, prec)
-        cs = [0] * max(hi - lo, 0)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ka = self.val + i
-            if ka + other.val >= hi:
-                break
-            for j, b in enumerate(other.coeffs):
-                k = ka + other.val + j
-                if k >= hi:
-                    break
-                if b:
-                    cs[k - lo] = F.add(cs[k - lo], F.mul(a, b))
+        cs = F.conv(self.coeffs, other.coeffs, None if prec is None else prec - lo)
         return Laurent(F, lo, cs, prec)
 
     def scale(self, c):
@@ -198,45 +179,20 @@ class Laurent:
         else:
             rel = (prec if prec is not None else DEFAULT_PREC)
         rel = int(rel)
-        inv0 = F.inv(self.coeffs[0])
-        out = [0] * rel
-        out[0] = inv0
-        for k in range(1, rel):
-            acc = 0
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                if self.coeffs[j]:
-                    acc = F.add(acc, F.mul(self.coeffs[j], out[k - j]))
-            out[k] = F.neg(F.mul(inv0, acc))
-        return Laurent(F, -v, out, -v + rel)
+        return Laurent(F, -v, F.series_div((1,), self.coeffs, rel), -v + rel)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
-    def frobenius(self):
-        """x -> x^p (coefficientwise p-th power, exponents scaled by p)."""
-        F = self.field
-        p = F.p
-        if not self.coeffs:
-            return Laurent.zero(F, None if self.prec is None else self.prec * p)
-        pairs = [(p * (self.val + i), F.pow(c, p))
-                 for i, c in enumerate(self.coeffs) if c]
-        lo = p * self.val
-        hi = p * (self.val + len(self.coeffs) - 1) + 1
-        cs = [0] * (hi - lo)
-        for e, c in pairs:
-            cs[e - lo] = c
-        prec = None
-        if self.prec is not None:
-            prec = p * self.prec  # gaps: coefficients beyond are genuinely known 0? no:
-            # unknown tail pi^prec * u maps to pi^(p*prec) * u^p, so p*prec is safe
-        return Laurent(F, lo, cs, prec)
-
     def q_power(self, e):
-        """x -> x^(p^e)."""
-        out = self
-        for _ in range(e):
-            out = out.frobenius()
-        return out
+        """x -> x^(p^e): coefficientwise p^e-th power, exponents and the
+        precision bound scaled by p^e (an unknown tail pi^prec * u maps
+        to pi^(p^e prec) * u^(p^e))."""
+        F = self.field
+        k = F.p ** e
+        cs = [0] * (k * len(self.coeffs))
+        cs[::k] = [F.pow(c, k) for c in self.coeffs]
+        return Laurent(F, k * self.val, cs, None if self.prec is None else k * self.prec)
 
     def __eq__(self, other):
         return (isinstance(other, Laurent) and self.field == other.field

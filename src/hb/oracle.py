@@ -28,9 +28,8 @@ base field arithmetic, which is what makes the cross-check meaningful.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .fields import FF, embedding, get_field
+from .fields import embedding, get_field
 from .laurent import Laurent, PrecisionError
 from .poly import RatF
 
@@ -44,10 +43,9 @@ class StabilizationError(RuntimeError):
     pass
 
 
-@lru_cache(maxsize=None)
 def extension_field(q, r):
-    base = get_field(q)
-    return FF(base.p, base.n * r)
+    """F_{q^r}, the field of the base points."""
+    return get_field(q ** r)
 
 
 def base_points(q, r):

@@ -1,8 +1,11 @@
 """The polynomial ring A = F_q[T] and the rational function field F_q(T).
 
 Coefficients are stored low-to-high as integer codes of the coefficient
-field (see fields.py).  deg(0) is the sentinel -inf so that degree
-comparisons behave; call sites that exponentiate check for zero first.
+field.  The loops that add, multiply and power-series-divide coefficient
+sequences are FF.add_at, FF.conv and FF.series_div (see fields.py);
+Euclidean division is Poly.__divmod__.  deg(0) is the sentinel -inf so
+that degree comparisons behave; call sites that exponentiate check for
+zero first.
 
 RatF is an exact fraction num/den with den monic and gcd-reduced.  It
 doubles as the exact model of F_infinity = F_q((1/T)): ord at infinity is
@@ -76,14 +79,11 @@ class Poly:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        return Poly(self.field, self.field.add_at(self.coeffs, other.coeffs))
 
     def __neg__(self):
         F = self.field
@@ -93,16 +93,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+        return Poly(self.field, self.field.conv(self.coeffs, other.coeffs))
 
     def scale(self, c):
         F = self.field
@@ -443,30 +434,14 @@ class RatF:
         """
         if self.is_zero():
             return [0] * (hi - lo)
-        F = self.field
         v = self.ord_inf()
-        n_rev = self.num.subs_T_inv_scaled().coeffs  # power series in pi
-        d_rev = self.den.subs_T_inv_scaled().coeffs
         need = hi - v
         if need <= 0:
             return [0] * (hi - lo)
-        # power series division n_rev/d_rev to 'need' coefficients
-        inv0 = F.inv(d_rev[0])
-        series = []
-        rem = list(n_rev) + [0] * max(0, need - len(n_rev))
-        for k in range(need):
-            c = F.mul(rem[k], inv0)
-            series.append(c)
-            if c:
-                for j in range(1, len(d_rev)):
-                    if k + j < len(rem):
-                        rem[k + j] = F.sub(rem[k + j], F.mul(c, d_rev[j]))
         # series[i] is the coefficient of pi^(v+i)
-        out = []
-        for k in range(lo, hi):
-            i = k - v
-            out.append(series[i] if 0 <= i < len(series) else 0)
-        return out
+        series = self.field.series_div(self.num.subs_T_inv_scaled().coeffs,
+                                       self.den.subs_T_inv_scaled().coeffs, need)
+        return series[lo - v:] if lo >= v else [0] * (v - lo) + series
 
     def pi_coeff(self, k):
         return self.pi_coeffs(k, k + 1)[0]

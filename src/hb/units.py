@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import sigma_restricted
-from .fields import FF, embedding
+from .fields import embedding, get_field
 from .poly import Poly, factor_monic, is_irreducible
 
 
@@ -181,18 +181,9 @@ def _residue_fields(n):
     for p, m in factor_monic(n):
         if m != 1:
             raise ValueError("level must be squarefree")
-        Fp = FF(base.p, base.n * int(p.deg))
+        Fp = get_field(base.q ** int(p.deg))
         emb = embedding(base.q, Fp.q)
-        # a root of p in Fp: search (fields here are tiny)
-        root = None
-        for x in range(Fp.q):
-            acc, power = 0, 1
-            for c in p.coeffs:
-                acc = Fp.add(acc, Fp.mul(emb[c], power))
-                power = Fp.mul(power, x)
-            if acc == 0:
-                root = x
-                break
+        root = Fp.find_root([emb[c] for c in p.coeffs])
         if root is None:
             raise ValueError(f"{p} has no root in its residue field")
         comps.append((Fp, emb, root))

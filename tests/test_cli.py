@@ -189,6 +189,17 @@ def test_cusp_level_must_be_squarefree(capsys):
     assert "squarefree" in err
 
 
+@pytest.mark.parametrize("primes, reason", [
+    ("T,T", "distinct"),
+    ("T^2+T", "irreducible"),
+    ("T,T+1,T^2+T+1,T^3+T+1", "1 to 3"),
+])
+def test_det_sigma_primes_must_be_distinct_irreducibles(capsys, primes, reason):
+    err = _usage_error(capsys, ["units", "det-sigma", "--q", "2",
+                                "--primes", primes, "--s", "2"])
+    assert reason in err
+
+
 @pytest.mark.parametrize("s0", ["1", "1/2", "-3"])
 def test_eisenstein_s0_must_exceed_one(capsys, s0):
     _usage_error(capsys, ["eisenstein", "eval", "--q", "2", "--n", "0,0",
