@@ -239,7 +239,20 @@ def row_hnf(rows, r):
 
 
 def lattice_key(basis):
-    return tuple(tuple(x.finite_laurent() for x in row) for row in basis)
+    """A canonical basis as one flat tuple of ints: for each entry num/T^k,
+    k + 1, len(num), then num's coefficients.  Entries of a row_hnf basis
+    are finite Laurent polynomials in pi; any other entry is an error,
+    because a key that dropped it could not tell two lattices apart."""
+    out = []
+    for row in basis:
+        for x in row:
+            den, num = x.den.coeffs, x.num.coeffs
+            if any(den[:-1]):
+                raise ValueError(f"lattice key: entry {x} is not a Laurent polynomial in pi")
+            out.append(len(den))
+            out.append(len(num))
+            out.extend(num)
+    return tuple(out)
 
 
 def lattice_contains(A, B):
@@ -369,7 +382,8 @@ class OrientedEdge:
 
 def edge_pair_key(L0rows, L1rows, r):
     """Canonical key of the edge ([L0], [L1]): canonicalize L0 with min
-    pivot 0, then rescale L1's canonical basis into L0 > L1 >= pi L0."""
+    pivot 0, then rescale L1's canonical basis into L0 > L1 >= pi L0.
+    The key is the two bases' lattice keys, concatenated."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
     v1 = vertex_from_lattice(L1rows, r)
@@ -390,7 +404,7 @@ def edge_pair_key(L0rows, L1rows, r):
     if not lattice_contains(H1, pi_big):
         raise ValueError("lattices are not adjacent")
     stype = s1 + r * t - s0
-    return (lattice_key(v0.rep), lattice_key(H1)), stype, v0, v1
+    return lattice_key(v0.rep) + lattice_key(H1), stype, v0, v1
 
 
 def edge_from_rep(g, s):

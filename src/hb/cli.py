@@ -164,12 +164,19 @@ def cmd_building_neighbors(args):
     g = _parse_matrix(field, args.g, args.r) if args.g else \
         mat_from_exps(field, (0,) * args.r)
     edges = type_one_in_neighbors(g)
-    keys = sorted({str(e.key) for e in edges})
+    distinct = {e.key: e for e in edges}
+    shown = sorted(f"{_basis_text(e.origin.rep)} -> {_basis_text(e.terminus.rep)}"
+                   for e in distinct.values())
     return _emit(args, "building.neighbors",
                  {"g": args.g or "identity"},
-                 {"count": len(edges), "distinct": len(keys)},
+                 {"count": len(edges), "distinct": len(distinct)},
                  {"expected_count": (args.q ** args.r - 1) // (args.q - 1),
-                  "keys": keys[:20]})
+                  "edges": shown[:20]})
+
+
+def _basis_text(rows):
+    """A canonical basis as text, rows separated by ';' as in --g."""
+    return "; ".join(", ".join(str(x) for x in row) for row in rows)
 
 
 def cmd_building_weyl(args):

@@ -96,8 +96,7 @@ class Poly:
         return Poly(self.field, self.field.conv(self.coeffs, other.coeffs))
 
     def scale(self, c):
-        F = self.field
-        return Poly(F, [F.mul(c, x) for x in self.coeffs])
+        return Poly(self.field, self.field.conv(self.coeffs, (c,)))
 
     def __divmod__(self, other):
         if other.is_zero():
@@ -340,8 +339,30 @@ def vec_content(avec):
 
 # -- rational functions ------------------------------------------------
 
+def _reduce_over_monomial(num, den):
+    """num / (c T^k) in lowest terms, num nonzero: the gcd is T^j, j the
+    smaller of k and the number of low-order zero coefficients of num,
+    so no Euclidean division is needed."""
+    F = num.field
+    cs = num.coeffs
+    k = len(den.coeffs) - 1
+    j = 0
+    while j < k and not cs[j]:
+        j += 1
+    if j:
+        num = Poly(F, cs[j:])
+    c = den.coeffs[-1]
+    if c != 1:
+        num = num.scale(F.inv(c))
+    elif not j:
+        return num, den
+    return num, Poly.monomial(F, k - j)
+
+
 class RatF:
-    """Exact element of F_q(T), reduced, denominator monic."""
+    """Exact element of F_q(T), reduced, denominator monic.  Immutable:
+    nothing assigns num or den after __init__, so arithmetic may return
+    an operand itself (x + 0, x * 1, x * 0)."""
 
     __slots__ = ("num", "den")
 
@@ -353,13 +374,15 @@ class RatF:
         if not _reduced:
             if num.is_zero():
                 den = Poly.one(num.field)
-            else:
+            elif any(den.coeffs[:-1]):
                 g = poly_gcd(num, den)
                 if not g.is_one():
                     num, den = num // g, den // g
                 if not den.is_monic():
                     c = num.field.inv(den.lead())
                     num, den = num.scale(c), den.scale(c)
+            elif den.coeffs != (1,):
+                num, den = _reduce_over_monomial(num, den)
         self.num = num
         self.den = den
 
@@ -385,6 +408,9 @@ class RatF:
     def is_zero(self):
         return self.num.is_zero()
 
+    def is_one(self):
+        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
+
     def ord_inf(self):
         """Valuation at infinity; ord(T) = -1.  +inf for zero."""
         if self.num.is_zero():
@@ -400,15 +426,25 @@ class RatF:
         return Fraction(self.field.q) ** (-o)
 
     def __add__(self, other):
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
         return RatF(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
+        if not other.num.coeffs:
+            return self
         return RatF(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self):
         return RatF(-self.num, self.den, _reduced=True)
 
     def __mul__(self, other):
+        if not self.num.coeffs or other.is_one():
+            return self
+        if not other.num.coeffs or self.is_one():
+            return other
         return RatF(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):

@@ -2,13 +2,16 @@
 
 import itertools
 
-from hb.building import (canonical_vertex, edge_from_rep, flip_matrix,
-                         in_p_coset, iwasawa_decompose, mat_from_exps,
+import pytest
+
+from hb.building import (canonical_vertex, edge_from_rep, edge_pair_key,
+                         flip_matrix, in_edges, in_p_coset,
+                         iwasawa_decompose, lattice_key, mat_from_exps,
                          mat_identity, mat_inv, mat_mul,
                          type_one_in_neighbors, upper_triangularize,
                          w_matrix)
 from hb.fields import get_field
-from hb.poly import RatF
+from hb.poly import Poly, RatF
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -46,6 +49,41 @@ def test_neighbors_invariant_under_homothety():
     keys2 = {e.key for e in
              type_one_in_neighbors(mat_from_exps(F2, (2, 1)))}
     assert keys1 == keys2
+
+
+def _reference_key(v0, v1):
+    """An edge as its two canonical bases, each entry a sorted tuple of
+    (exponent of pi, coefficient) pairs."""
+    return tuple(tuple(x.finite_laurent() for x in row)
+                 for v in (v0, v1) for row in v.rep)
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def test_edge_keys_agree_with_laurent_reference(q, r):
+    field = get_field(q)
+    keyed = []
+    # (1, 0, ...) and (2, 1, ...) are one vertex, so equal keys occur
+    for exps in ((0,) * r, (1,) + (0,) * (r - 1), (2,) + (1,) * (r - 1)):
+        g = mat_from_exps(field, exps)
+        for e in (type_one_in_neighbors(g)
+                  + type_one_in_neighbors(mat_mul(flip_matrix(field, r), g))):
+            keyed.append((e.key, _reference_key(e.origin, e.terminus)))
+        v = canonical_vertex(g)
+        for s in range(1, r):
+            for L0, L1 in in_edges(v, s, field):
+                key, _s, v0, v1 = edge_pair_key(L0, L1, r)
+                keyed.append((key, _reference_key(v0, v1)))
+    for (k1, ref1), (k2, ref2) in itertools.combinations(keyed, 2):
+        assert (k1 == k2) == (ref1 == ref2)
+    assert len({k for k, _ in keyed}) < len(keyed)
+
+
+def test_lattice_key_rejects_entry_that_is_not_laurent():
+    one, zero = RatF.one(F2), RatF.zero(F2)
+    for den in ((1, 1), (1, 0, 1)):
+        x = RatF(Poly.one(F2), Poly(F2, den))
+        with pytest.raises(ValueError):
+            lattice_key(((one, x), (zero, one)))
 
 
 def test_edge_from_rep_connects_adjacent_classes():

@@ -37,6 +37,14 @@ def test_neighbors_count(capsys):
     assert doc["diagnostics"]["expected_count"] == 4
 
 
+def test_neighbors_render_edges_from_bases(capsys):
+    code, doc = run_json(capsys, ["building", "neighbors", "--q", "2",
+                                  "--r", "2"])
+    assert code == EXIT_OK
+    assert doc["result"] == {"count": 3, "distinct": 3}
+    assert "1, 1; 0, (1)/(T) -> 1, 0; 0, 1" in doc["diagnostics"]["edges"]
+
+
 def test_delta_coeff(capsys):
     code, doc = run_json(capsys, ["delta", "coeff", "--q", "2", "--r", "2",
                                   "--a", "T", "--y", "3"])

@@ -1,15 +1,18 @@
-"""Property tests of the coefficient arithmetic: the FF sequence kernel
-against schoolbook loops, Poly division and xgcd, the RatF field laws,
-and the soundness of Laurent precision windows against exact RatF
-expansions."""
+"""Property tests of the exact arithmetic: the FF field axioms, the FF
+sequence kernel against schoolbook loops, Poly division and xgcd, the
+RatF field laws and the RatF fast paths against the general route, the
+CycRat ring laws, and the soundness of Laurent precision windows against
+exact RatF expansions."""
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import hb.poly
+from hb.algebra import CycRat
 from hb.fields import get_field
 from hb.laurent import Laurent, PrecisionError
-from hb.poly import Poly, RatF, poly_xgcd
+from hb.poly import Poly, RatF, poly_gcd, poly_xgcd
 
 QS = (2, 3, 4, 5, 7, 8, 9)
 MAX_DEG = 4
@@ -43,6 +46,31 @@ def poly_pairs(draw):
 def ratf_triples(draw):
     F = draw(fields)
     return draw(ratfs(F)), draw(ratfs(F)), draw(ratfs(F, nonzero=True))
+
+
+@st.composite
+def element_triples(draw):
+    F = draw(fields)
+    x, y, z = (draw(st.integers(0, F.q - 1)) for _ in range(3))
+    return F, x, y, z
+
+
+@given(element_triples())
+def test_field_axioms(args):
+    F, x, y, z = args
+    add, mul = F.add, F.mul
+    assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, 0) == x and mul(x, 1) == x and mul(x, 0) == 0
+    assert add(x, F.neg(x)) == 0
+    assert F.sub(x, y) == add(x, F.neg(y))
+    if x:
+        assert mul(x, F.inv(x)) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(x)
 
 
 @st.composite
@@ -109,6 +137,95 @@ def test_ratf_field_laws(xyz):
     assert x + (-x) == zero and x - y == x + (-y)
     assert z * (one / z) == one
     assert (x / z) * z == x
+
+
+def general_reduction(num, den):
+    """num/den in lowest terms with a monic denominator, by Euclid."""
+    if num.is_zero():
+        return num, Poly.one(num.field)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    c = num.field.inv(den.lead())
+    return num.scale(c), den.scale(c)
+
+
+@st.composite
+def over_monomials(draw):
+    """(num, c*T^k) with num nonzero and often divisible by a power of T."""
+    F = draw(fields)
+    zeros = draw(st.integers(0, 7))
+    num = draw(polys(F, nonzero=True)).shift(zeros)
+    k = draw(st.integers(0, 6))
+    c = draw(st.integers(1, F.q - 1))
+    return num, Poly.monomial(F, k, c)
+
+
+@given(over_monomials())
+def test_monomial_denominator_matches_euclid(nd):
+    num, den = nd
+    x = RatF(num, den)
+    assert (x.num, x.den) == general_reduction(num, den)
+
+
+def test_monomial_denominator_skips_euclid(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+    monkeypatch.setattr(hb.poly, "poly_gcd", counting_gcd)
+    for q in QS:
+        F = get_field(q)
+        for k in range(7):
+            for c in range(1, q):
+                RatF(Poly(F, (0, 0, 1, c)), Poly.monomial(F, k, c))
+    assert calls == []
+    RatF(Poly.one(F), Poly(F, (1, 1)))       # a general denominator
+    assert len(calls) == 1
+
+
+def general_add(x, y):
+    return RatF(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def general_mul(x, y):
+    return RatF(x.num * y.num, x.den * y.den)
+
+
+@st.composite
+def ratf_with_units(draw):
+    F = draw(fields)
+    return draw(ratfs(F)), RatF.zero(F), RatF.one(F)
+
+
+@given(ratf_with_units())
+def test_zero_and_one_operands_match_general_path(args):
+    x, zero, one = args
+    assert x + zero == general_add(x, zero) and zero + x == general_add(zero, x)
+    assert x - zero == general_add(x, -zero) and zero - x == general_add(zero, -x)
+    assert x * one == general_mul(x, one) and one * x == general_mul(one, x)
+    assert x * zero == general_mul(x, zero) and zero * x == general_mul(zero, x)
+
+
+@st.composite
+def cycrat_triples(draw):
+    q = draw(st.sampled_from(QS))
+    p = get_field(q).p
+    coords = st.lists(st.integers(-20, 20), min_size=p - 1, max_size=p - 1)
+    return tuple(CycRat(p, q, draw(coords), q ** draw(st.integers(0, 3)))
+                 for _ in range(3))
+
+
+@given(cycrat_triples())
+def test_cycrat_ring_laws(xyz):
+    x, y, z = xyz
+    zero, one = CycRat.zero(x.p, x.q), CycRat.one(x.p, x.q)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and (x * zero).is_zero()
+    assert (x + (-x)).is_zero() and x - y == x + (-y)
 
 
 def window(x, prec):
