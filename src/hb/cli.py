@@ -217,8 +217,11 @@ def cmd_eisenstein_eval(args):
         raise UsageError(f"--s {args.s!r} is not a rational number") from None
     if s0 <= 1:
         raise UsageError(f"--s {s0}: the lattice sum needs s0 > 1")
-    closed = eisenstein_at(nvec, args.q, s0)
-    ts = eisenstein_truncated_sum(nvec, args.q, s0, args.N)
+    try:
+        closed = eisenstein_at(nvec, args.q, s0)
+        ts = eisenstein_truncated_sum(nvec, args.q, s0, args.N)
+    except ValueError as e:     # r*s0 or s0*sum(n) is not an integer
+        raise UsageError(f"--s {s0}: {e}") from None
     diag = {"rational_function": str(eisenstein_diagonal(nvec, args.q)),
             "truncated_sum": ts.value, "tail_bound": ts.tail_bound,
             "terms": ts.terms,
@@ -362,7 +365,10 @@ def cmd_cusps_orbits(args):
 def cmd_cusps_order(args):
     field = get_field(args.q)
     p = _parse_poly(field, args.p)
-    rep = cuspidal_order(p, args.r)
+    try:
+        rep = cuspidal_order(p, args.r)
+    except ValueError as e:     # a reducible level
+        raise UsageError(f"--p {args.p!r}: {e}") from None
     expected = None
     if (args.q, args.r, str(p)) == (2, 3, "T"):
         expected = 3

@@ -18,13 +18,99 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .algebra import sigma
 from .fourier import mval, polys_up_to
 from .poly import monic_divisors, vec_content
 
-X = sympy.Symbol("X")
+
+# ----------------------------------------------------------------------
+# Q(X); a polynomial is a trimmed tuple of Fractions, low degree first
+
+def _trim(c):
+    return tuple(c[:max((i + 1 for i, x in enumerate(c) if x), default=0)])
+
+
+def _pmul(a, b):
+    return tuple(sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1),
+                                                      min(k + 1, len(a))))
+                 for k in range(len(a) + len(b) - 1))
+
+
+def _pdivmod(a, b):                     # b != 0
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quo))):
+        quo[k] = c = rem[k + len(b) - 1] / b[-1]
+        rem[k:k + len(b)] = [u - c * y for u, y in zip(rem[k:], b)]
+    return tuple(quo), _trim(rem[:len(b) - 1])
+
+
+class QX:
+    """An element of Q(X): num/den in lowest terms, den monic."""
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(1,)):
+        num, den = (_trim([Fraction(x) for x in p]) for p in (num, den))
+        if not den:
+            raise ZeroDivisionError("QX with a zero denominator")
+        g, b = den, num                 # Euclid: g = gcd(num, den)
+        while b:
+            g, b = b, _pdivmod(g, b)[1]
+        g = tuple(x * den[-1] / g[-1] for x in g)   # so that den/g is monic
+        self.num, self.den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+
+    @staticmethod
+    def monomial(k):
+        """X^k for any integer k."""
+        return QX((0,) * k + (1,)) if k >= 0 else QX((1,), (0,) * -k + (1,))
+
+    @staticmethod
+    def _match(x):
+        return x if isinstance(x, QX) else QX((x,))
+
+    def __add__(self, other):
+        o = QX._match(other)
+        return QX([x + y for x, y in itertools.zip_longest(
+            _pmul(self.num, o.den), _pmul(o.num, self.den), fillvalue=0)],
+            _pmul(self.den, o.den))
+
+    def __mul__(self, other):
+        o = QX._match(other)
+        return QX(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    def __truediv__(self, other):
+        return self * (1 / QX._match(other))
+
+    def __rtruediv__(self, other):
+        return QX(self.den, self.num) * other
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __eq__(self, other):
+        return isinstance(other, (QX, int, Fraction)) and not (self - other).num
+
+    def __call__(self, x):
+        """The exact value at a rational X."""
+        num, den = (sum(c * Fraction(x) ** k for k, c in enumerate(p))
+                    for p in (self.num, self.den))
+        return num / den
+
+    def __str__(self):
+        def text(c):
+            terms = (f"{x}" if k == 0 else
+                     {1: "", -1: "-"}.get(x, f"{x}*") + f"X**{k}"
+                     for k, x in reversed(list(enumerate(c))) if x)
+            return " + ".join(terms).replace("+ -", "- ") or "0"
+        num = text(self.num)
+        return num if self.den == (1,) else f"({num})/({text(self.den)})"
 
 
 def _qpow_exact(q, exponent):
@@ -36,23 +122,22 @@ def _qpow_exact(q, exponent):
     return Fraction(q) ** int(e)
 
 
+def _diagonal_closed_form(nvec, q, xpow):
+    """E_r(diag(T^{n_1}, ..., T^{n_r}), s) with X^k = q^{-ks} as xpow(k)."""
+    r, m, sn = len(nvec), max(0, *(-n for n in nvec)), sum(nvec)
+    return xpow(-sn) * (Fraction(q) ** (sn + r + r * m) * xpow(r * m)
+                        / (1 - q ** r * xpow(r))
+                        - xpow(r * m) / (1 - xpow(r)))
+
+
 def eisenstein_diagonal(nvec, q):
-    """E_r(diag(T^{n_1}, ..., T^{n_r}), s) as a rational function of
-    X = q^{-s}."""
-    r = len(nvec)
-    m = max(0, max(-n for n in nvec))
-    sn = sum(nvec)
-    Q = sympy.Integer(q)
-    expr = X ** (-sn) * (Q ** sn * Q ** r * Q ** (r * m) * X ** (r * m)
-                         / (1 - Q ** r * X ** r)
-                         - X ** (r * m) / (1 - X ** r))
-    return sympy.cancel(sympy.together(expr))
+    """E_r(diag(T^{n_1}, ..., T^{n_r}), s) as a QX in X = q^{-s}."""
+    return _diagonal_closed_form(nvec, q, QX.monomial)
 
 
 def eisenstein_at(nvec, q, s0):
-    """Exact value at s = s0 (rational away from the poles s = 0, 1)."""
-    val = eisenstein_diagonal(nvec, q).subs(X, sympy.Rational(Fraction(q) ** -Fraction(s0)))
-    return Fraction(sympy.Rational(val))
+    """Exact value at s = s0 > 1 (ValueError unless r*s0, s0*sum(n) in Z)."""
+    return _diagonal_closed_form(nvec, q, lambda k: _qpow_exact(q, -k * s0))
 
 
 @dataclass
@@ -86,19 +171,6 @@ def eisenstein_truncated_sum(nvec, q, s0, N):
     return TruncatedSum(value=total, tail_bound=tail, terms=N + 1)
 
 
-def sigma_in_x(avec, q, r):
-    """sigma(r-1-rs, a) as a rational function of X."""
-    Q = sympy.Integer(q)
-    content = vec_content(avec)
-    if content.is_zero():
-        return 1 / (1 - Q ** r * X ** r)
-    total = sympy.Integer(0)
-    for c in monic_divisors(content):
-        d = int(c.deg)
-        total += Q ** ((r - 1) * d) * X ** (r * d)
-    return total
-
-
 @dataclass(frozen=True)
 class RecursiveEisenstein:
     """The tagged summand |det y|^{s/(1-r)} E_{r-1}(y, rs/(r-1))."""
@@ -109,27 +181,25 @@ class RecursiveEisenstein:
 @dataclass
 class ZeroCoefficient:
     recursive: RecursiveEisenstein
-    explicit: object  # sympy expression in X
+    explicit: QX
 
 
 def eisenstein_fourier(avec, yexps, q, r):
-    """E_r*(a, y, s) for diagonal y: a rational function of X when
-    a != 0 (zero when m(a, y) <= 1), a ZeroCoefficient pair when a = 0."""
-    Q = sympy.Integer(q)
-    sn = sum(yexps)
-    dets1 = Q ** (-sn) * X ** (-sn)       # |det y|^{s-1}
-    base = Q ** (r - 1) * X ** r          # q^{r-1-rs}
-    if all(a.is_zero() for a in avec):
-        explicit = dets1 * (Q ** r - Q ** (r - 1)) * sigma_in_x(avec, q, r) \
-            / (1 - base)
+    """E_r*(a, y, s) for diagonal y: a QX when a != 0 (zero when
+    m(a, y) <= 1), a ZeroCoefficient pair when a = 0."""
+    X, sn, content = QX.monomial, sum(yexps), vec_content(avec)
+    # |det y|^{s-1} (q^r - q^{r-1}) / (1 - q^{r-1-rs}), times sigma(r-1-rs, a)
+    scale = Fraction(q) ** -sn * X(-sn) * (q ** r - q ** (r - 1)) \
+        / (1 - q ** (r - 1) * X(r))
+    if content.is_zero():                   # sigma(r-1-rs, 0) = 1/(1 - q^{r-rs})
         return ZeroCoefficient(RecursiveEisenstein(r - 1, tuple(yexps)),
-                               sympy.cancel(sympy.together(explicit)))
+                               scale / (1 - q ** r * X(r)))
     m = mval(avec, yexps)
     if m <= 1:
-        return sympy.Integer(0)
-    expr = dets1 * (Q ** r - Q ** (r - 1)) * sigma_in_x(avec, q, r) \
-        * (1 - base ** (m - 1)) / (1 - base)
-    return sympy.cancel(sympy.together(expr))
+        return QX(())
+    sig = sum(q ** ((r - 1) * int(c.deg)) * X(r * int(c.deg))
+              for c in monic_divisors(content))
+    return scale * sig * (1 - q ** ((r - 1) * (m - 1)) * X(r * (m - 1)))
 
 
 # ----------------------------------------------------------------------

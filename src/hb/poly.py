@@ -330,10 +330,11 @@ def poly_xgcd(a, b):
 
 def vec_content(avec):
     """Monic gcd of the entries of a PolyVec (zero if all entries zero)."""
-    field = avec[0].field
-    g = Poly.zero(field)
+    g = Poly.zero(avec[0].field)
     for a in avec:
         g = poly_gcd(g, a)
+        if g.is_one():
+            break
     return g
 
 

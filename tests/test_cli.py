@@ -1,9 +1,14 @@
 """Command-line interface: document shape and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hb.cli
 from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -62,6 +67,14 @@ def test_eisenstein_anchor_match(capsys):
     assert doc["diagnostics"]["within_tail"] is True
 
 
+def test_eisenstein_eval_is_exact_at_a_half_integer(capsys):
+    code, doc = run_json(capsys, ["eisenstein", "eval", "--q", "2",
+                                  "--n", "0,0", "--s", "3/2"])
+    assert code == EXIT_OK
+    assert doc["result"] == "48/7"
+    assert doc["diagnostics"]["within_tail"] is True
+
+
 def test_cusps_order_anchor(capsys):
     code, doc = run_json(capsys, ["cusps", "order", "--q", "3", "--r", "2",
                                   "--p", "T^3+T^2+2"])
@@ -91,12 +104,15 @@ def test_usage_error_exit_code(capsys):
     assert code == EXIT_USAGE
 
 
-def test_internal_error_exit_code(capsys):
-    # reducible level for the cuspidal order -> exit 1, message on stderr
-    code = main(["cusps", "order", "--q", "2", "--r", "2", "--p", "T^2+T"])
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # an unexpected exception -> exit 1, message on stderr
+    def broken(p, r):
+        raise RuntimeError("broken")
+    monkeypatch.setattr(hb.cli, "cuspidal_order", broken)
+    code = main(["cusps", "order", "--q", "2", "--r", "2", "--p", "T"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "error" in err
+    assert "error" in err and "broken" in err
 
 
 def test_theta_eval_matrix_argument(capsys):
@@ -212,6 +228,29 @@ def test_det_sigma_primes_must_be_distinct_irreducibles(capsys, primes, reason):
 def test_eisenstein_s0_must_exceed_one(capsys, s0):
     _usage_error(capsys, ["eisenstein", "eval", "--q", "2", "--n", "0,0",
                           "--s", s0])
+
+
+def test_eisenstein_exponents_must_be_integral(capsys):
+    # r*s0 = 5/2 is not an integer, so q^{-r s0} is not rational
+    err = _usage_error(capsys, ["eisenstein", "eval", "--q", "2",
+                                "--n", "0,0", "--s", "5/4"])
+    assert "integral" in err
+
+
+def test_cusp_order_level_must_be_irreducible(capsys):
+    err = _usage_error(capsys, ["cusps", "order", "--q", "2", "--r", "2",
+                                "--p", "T^2+T"])
+    assert "irreducible" in err
+
+
+def test_cli_import_does_not_load_sympy():
+    src = str(Path(hb.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hb.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("argv, r", [

@@ -12,7 +12,7 @@ import hb.poly
 from hb.algebra import CycRat
 from hb.fields import get_field
 from hb.laurent import Laurent, PrecisionError
-from hb.poly import Poly, RatF, poly_gcd, poly_xgcd
+from hb.poly import Poly, RatF, poly_gcd, poly_xgcd, vec_content
 
 QS = (2, 3, 4, 5, 7, 8, 9)
 MAX_DEG = 4
@@ -182,6 +182,33 @@ def test_monomial_denominator_skips_euclid(monkeypatch):
     assert calls == []
     RatF(Poly.one(F), Poly(F, (1, 1)))       # a general denominator
     assert len(calls) == 1
+
+
+@st.composite
+def poly_vectors(draw):
+    F = draw(fields)
+    return draw(st.lists(polys(F), min_size=1, max_size=5))
+
+
+@given(poly_vectors())
+def test_vec_content_is_the_full_gcd_fold(vec):
+    g = Poly.zero(vec[0].field)
+    for a in vec:
+        g = poly_gcd(g, a)
+    assert vec_content(vec) == g
+
+
+def test_vec_content_stops_at_one(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+    monkeypatch.setattr(hb.poly, "poly_gcd", counting_gcd)
+    F = get_field(3)
+    T = Poly.monomial(F, 1)
+    assert vec_content((T, T + Poly.one(F), T, T)).is_one()
+    assert len(calls) == 2
 
 
 def general_add(x, y):
