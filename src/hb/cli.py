@@ -70,6 +70,15 @@ def _parse_poly(field, text):
         raise UsageError(str(e)) from None
 
 
+def _parse_level(field, text, flag="--n"):
+    """A level: a monic, hence nonzero, polynomial."""
+    n = _parse_poly(field, text)
+    if not n.is_monic():
+        raise UsageError(f"{flag} {text!r}: a level must be a nonzero "
+                         "monic polynomial")
+    return n
+
+
 def _parse_ratf(field, text):
     """An element of F_q(T) as 'num' or 'num/den' in the poly syntax."""
     if "/" in text:
@@ -257,18 +266,20 @@ def cmd_delta_coeff(args):
 def cmd_delta_eval(args):
     field = get_field(args.q)
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
-    x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x") \
-        if args.x else None
-    if x is None:
-        v = p_delta_eval(yexps, args.r, field)
-    else:
+    if args.x:
+        x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
         v = series_eval(x, yexps, args.r, field)
+    elif all(n <= 1 for n in yexps):
+        v = p_delta_eval(yexps, args.r, field)
+    else:   # no --x: the value at x = 0
+        v = series_eval((RatF.zero(field),) * (args.r - 1), yexps, args.r,
+                        field)
     return _emit(args, "delta.eval", {"x": args.x, "y": list(yexps)}, v)
 
 
 def cmd_theta_coeff(args):
     field = get_field(args.q)
-    n = _parse_poly(field, args.n)
+    n = _parse_level(field, args.n)
     avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     c = p_theta_coefficient(n, avec, yexps, args.r)
@@ -278,7 +289,7 @@ def cmd_theta_coeff(args):
 
 def cmd_theta_eval(args):
     field = get_field(args.q)
-    n = _parse_poly(field, args.n)
+    n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r)
     h1 = theta_evaluator(n, field, args.r, bound=args.witness_bound)
     return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, h1(g))
@@ -286,7 +297,7 @@ def cmd_theta_eval(args):
 
 def cmd_theta_edge(args):
     field = get_field(args.q)
-    n = _parse_poly(field, args.n)
+    n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r)
     v = eval_theta_on_edge(n, g, bound=args.witness_bound)
     return _emit(args, "theta.edge", {"n": args.n, "g": args.g}, v)
@@ -310,7 +321,7 @@ def cmd_oracle_pdelta(args):
 
 def cmd_oracle_ptheta(args):
     field = get_field(args.q)
-    n = _parse_poly(field, args.n)
+    n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r) if args.g else \
         mat_from_exps(field, (0,) * args.r)
     v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound, prec=args.prec)
@@ -340,7 +351,7 @@ def cmd_units_root_order(args):
     if args.n is None:
         return _emit(args, "units.root-order", {"series": "delta"},
                      root_order_delta(args.q))
-    n = _parse_poly(field, args.n)
+    n = _parse_level(field, args.n)
     rd = root_order_theta(n, args.r)
     return _emit(args, "units.root-order", {"n": args.n},
                  rd.max_root,
@@ -351,7 +362,7 @@ def cmd_units_root_order(args):
 
 def cmd_cusps_orbits(args):
     field = get_field(args.q)
-    n = _parse_poly(field, args.n)
+    n = _parse_level(field, args.n)
     try:
         rep = cusp_orbits(n, args.r)
     except ValueError as e:     # a level that is not squarefree, or too big
@@ -364,7 +375,7 @@ def cmd_cusps_orbits(args):
 
 def cmd_cusps_order(args):
     field = get_field(args.q)
-    p = _parse_poly(field, args.p)
+    p = _parse_level(field, args.p, "--p")
     try:
         rep = cuspidal_order(p, args.r)
     except ValueError as e:     # a reducible level
@@ -404,7 +415,8 @@ def _common(p, ranked):
     p.add_argument("--q", type=_prime_power, default=2,
                    help="base field size")
     if ranked:
-        p.add_argument("--r", type=int, default=2, help="rank")
+        p.add_argument("--r", type=_int_at_least(2), default=2,
+                       help="rank")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -464,7 +476,8 @@ def build_parser():
         p.add_argument("--a", required=True),
         p.add_argument("--y", required=True)))
     add("delta eval", cmd_delta_eval, configure=lambda p: (
-        p.add_argument("--x", default=None, help="x vector, e.g. '1/T,0'"),
+        p.add_argument("--x", default=None,
+                       help="x vector, e.g. '1/T,0' (0 if omitted)"),
         p.add_argument("--y", required=True)))
     add("theta coeff", cmd_theta_coeff, configure=lambda p: (
         p.add_argument("--n", required=True, help="level polynomial"),

@@ -14,12 +14,25 @@ F_{p^n}, n > 1, are built with Poly over F_p.
 FF also owns the coefficient-sequence kernel shared by Poly, RatF and
 Laurent: conv (products), add_at (shifted sums) and series_div (power
 series quotients).  These are the only loops that combine coefficient
-sequences, and no other module reads the a*q+b tables.
+sequences, and no other module reads the a*q+b tables.  Short products
+run a loop over those tables; once both operands have PACK_MIN
+coefficients, conv packs them into Python ints and lets one big-int
+product do the work (Kronecker substitution), and long quotients use
+Newton iteration on top of it.  Both routes are exact.
 """
 
 from functools import lru_cache
 
 from .poly import Poly, _monics, is_irreducible
+
+
+# conv multiplies by Kronecker substitution (_conv_packed) once both
+# operands, cut to the output, have at least this many coefficients;
+# shorter ones use the table loop
+PACK_MIN = 12
+# series_div switches from long division to Newton iteration past this
+# many output coefficients
+NEWTON_MIN = 32
 
 
 def is_prime(n):
@@ -54,6 +67,18 @@ def _int_to_vec(x, p, n):
         v.append(x % p)
         x //= p
     return v
+
+
+def _scaled(c, p):
+    """The byte table v -> c v mod p."""
+    return bytes(c * v % p for v in range(256))
+
+
+def _bytesum(parts, length, table):
+    """The bytewise sum of equal-length byte strings whose sums stay
+    below 256, mapped through a byte table."""
+    total = sum(int.from_bytes(x, "little") for x in parts)
+    return total.to_bytes(length, "little").translate(table)
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +119,11 @@ class FF:
         self._neg = [self._add[a * q:(a + 1) * q].index(0) for a in range(q)]
         self._inv = [0] + [self._mul[a * q:(a + 1) * q].index(1)
                            for a in range(1, q)]
+        self._frob = {}         # e -> table of x^(p^e)
+        # bytes hold the codes and every slot sum of _conv_packed
+        self._packable = p < 32 and q <= 256
+        self._packings = {}     # slot width -> tables of _conv_packed
+        self._fold = []
 
     def add(self, a, b):
         return self._add[a * self.q + b]
@@ -129,7 +159,16 @@ class FF:
 
     def frob(self, a):
         """x -> x^p."""
-        return self.pow(a, self.p)
+        return self.frobenius(1)[a]
+
+    def frobenius(self, e):
+        """The table of x -> x^(p^e), built on first use."""
+        e %= self.n
+        table = self._frob.get(e)
+        if table is None:
+            k = self.p ** e
+            table = self._frob[e] = [self.pow(a, k) for a in range(self.q)]
+        return table
 
     def from_int(self, c):
         """Embed the prime field: integer c mod p."""
@@ -192,6 +231,8 @@ class FF:
             size = n
         if size <= 0 or not b:
             return []
+        if len(b) >= PACK_MIN and size >= PACK_MIN and self._packable:
+            return self._conv_packed(a[:size], b[:size], size)
         mul, add, q = self._mul, self._add, self.q
         if len(b) == 1:  # a scaling, the common case in the Fourier engine
             row = b[0] * q
@@ -207,10 +248,88 @@ class FF:
                     out[k] = add[out[k] * q + mul[row + x]]
         return out
 
+    def _conv_packed(self, a, b, size):
+        """conv by Kronecker substitution.  A code is the polynomial
+        sum d_i t^i of its F_p-digits, so a sequence sum c_k x^k is a
+        polynomial in x and t, and t = 2^(8w), x = 2^(8w(2n-1)) make it
+        one Python int: a single big-int product forms every sum of
+        digit products at once.  A w-byte slot holds a sum of at most
+        n min(len) products of two digits, which fixes w.  The slots
+        are then reduced mod p and the t-degrees >= n folded through the
+        modulus, each step a few passes over bytes."""
+        p, m = self.p, 2 * self.n - 1
+        top = (p - 1) ** 2 * self.n * min(len(a), len(b))
+        w = (top.bit_length() + 7) // 8
+        pack, weights = self._packing(w)
+        x = int.from_bytes(b"".join([pack[c] for c in a]), "little")
+        y = int.from_bytes(b"".join([pack[c] for c in b]), "little")
+        end = size * m * w
+        raw = (x * y).to_bytes((len(a) + len(b) - 1) * m * w, "little")
+        # a slot's value mod p is sum_j byte_j * 256^j mod p
+        modp = weights[0][1]
+        digits = _bytesum([raw[j:end:w].translate(t) for j, t in weights],
+                          size * m, modp)
+        if m == 1:
+            return list(digits)
+        # output digit i is sum_s R[s][i] d_s mod p, R[s] the digits of
+        # u^s reduced by the modulus
+        planes = [digits[s::m] for s in range(m)]
+        codes = sum(int.from_bytes(_bytesum(
+            [planes[s].translate(t) for s, t in terms], size, place), "little")
+            for terms, place in self._fold)
+        return list(codes.to_bytes(size, "little"))
+
+    def _packing(self, w):
+        """The tables of _conv_packed for w-byte slots, built on first use:
+        code -> its block of 2n - 1 slots (its n digits, then n - 1 empty
+        slots for the higher t-degrees of a product), and, for each byte
+        position j whose weight 256^j is nonzero mod p, the map
+        byte -> byte * 256^j mod p (j = 0 first: reduction mod p).  The
+        first call also builds the fold: for each output digit i, the
+        maps d -> d R[s][i] mod p for the nonzero R[s][i], and the map
+        v -> (v mod p) p^i that places the digit in the code."""
+        tables = self._packings.get(w)
+        if tables is None:
+            p, n, m = self.p, self.n, 2 * self.n - 1
+            pad = bytes((m - n) * w)
+            pack = [b"".join(d.to_bytes(w, "little")
+                             for d in _int_to_vec(c, p, n)) + pad
+                    for c in range(self.q)]
+            weights = [(j, _scaled(pow(256, j, p), p)) for j in range(w)
+                       if pow(256, j, p)]
+            tables = self._packings[w] = pack, weights
+            if not self._fold and m > 1:
+                u, q = [1], self.q
+                for _ in range(m - 1):
+                    u.append(self._mul[u[-1] * q + p])   # u has code p
+                R = [_int_to_vec(c, p, n) for c in u]
+                self._fold = [([(s, _scaled(R[s][i], p)) for s in range(m)
+                                if R[s][i]],
+                               bytes(v % p * p ** i for v in range(256)))
+                              for i in range(n)]
+        return tables
+
     def series_div(self, num, den, n):
         """The first n coefficients of the power series num / den."""
         if n <= 0:
             return []
+        if n <= NEWTON_MIN or len(den) < PACK_MIN:
+            return self._series_div_loop(num, den, n)
+        # Newton: an inverse g of den mod x^k gives one mod x^2k as
+        # g - x^k g e, where den g = 1 + x^k e mod x^2k
+        neg = self._neg
+        k = NEWTON_MIN
+        inv = self._series_div_loop((1,), den, k)
+        while k < n:
+            k2 = min(2 * k, n)
+            err = self.conv(den[:k2], inv, k2)[k:]
+            inv += [neg[c] for c in self.conv(inv, err, k2 - k)]
+            inv += [0] * (k2 - len(inv))
+            k = k2
+        out = self.conv(num, inv, n)
+        return out + [0] * (n - len(out))
+
+    def _series_div_loop(self, num, den, n):
         inv0 = self.inv(den[0])
         mul, add, neg, q = self._mul, self._add, self._neg, self.q
         out = list(num[:n]) + [0] * (n - len(num))

@@ -129,8 +129,9 @@ class Laurent:
         return Laurent(self.field, a.val, cs, prec)
 
     def __neg__(self):
-        F = self.field
-        return Laurent(F, self.val, [F.neg(c) for c in self.coeffs], self.prec)
+        neg = self.field._neg
+        return Laurent(self.field, self.val, [neg[c] for c in self.coeffs],
+                       self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -157,7 +158,7 @@ class Laurent:
         F = self.field
         if c == 0:
             return Laurent.zero(F, self.prec)
-        return Laurent(F, self.val, [F.mul(c, x) for x in self.coeffs], self.prec)
+        return Laurent(F, self.val, F.conv(self.coeffs, (c,)), self.prec)
 
     def shift(self, k):
         """Multiply by pi^k."""
@@ -190,8 +191,9 @@ class Laurent:
         to pi^(p^e prec) * u^(p^e))."""
         F = self.field
         k = F.p ** e
+        frob = F.frobenius(e)
         cs = [0] * (k * len(self.coeffs))
-        cs[::k] = [F.pow(c, k) for c in self.coeffs]
+        cs[::k] = [frob[c] for c in self.coeffs]
         return Laurent(F, k * self.val, cs, None if self.prec is None else k * self.prec)
 
     def __eq__(self, other):

@@ -329,12 +329,17 @@ def poly_xgcd(a, b):
 
 
 def vec_content(avec):
-    """Monic gcd of the entries of a PolyVec (zero if all entries zero)."""
-    g = Poly.zero(avec[0].field)
-    for a in avec:
-        g = poly_gcd(g, a)
+    """Monic gcd of the entries of a PolyVec (zero if all entries zero):
+    the fold starts at the first nonzero entry, made monic, skips zero
+    entries and stops at 1."""
+    nonzero = [a for a in avec if a.coeffs]
+    if not nonzero:
+        return Poly.zero(avec[0].field)
+    g = nonzero[0].monic()
+    for a in nonzero[1:]:
         if g.is_one():
             break
+        g = poly_gcd(g, a)
     return g
 
 

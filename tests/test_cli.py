@@ -10,6 +10,10 @@ import pytest
 
 import hb.cli
 from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from hb.discriminant import eval_on_mirabolic
+from hb.fields import get_field
+from hb.fourier import PPoint
+from hb.poly import RatF
 
 
 def run(capsys, argv):
@@ -261,3 +265,37 @@ def test_config_r_is_the_rank_of_the_input(capsys, argv, r):
     code, doc = run_json(capsys, argv)
     assert code == EXIT_OK
     assert doc["config"]["r"] == r
+
+
+@pytest.mark.parametrize("argv", [
+    ["cusps", "orbits", "--q", "2", "--r", "1", "--n", "T"],
+    ["building", "neighbors", "--q", "2", "--r", "0"],
+])
+def test_rank_must_be_at_least_two(capsys, argv):
+    err = _usage_error(capsys, argv)
+    assert "below 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "coeff", "--q", "3", "--r", "2", "--n", "2T", "--a", "1",
+     "--y", "2"],
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "0", "--g", "1,0;0,1"],
+    ["theta", "edge", "--q", "3", "--r", "2", "--n", "2T", "--g", "1,0;0,1"],
+    ["oracle", "ptheta", "--q", "3", "--r", "2", "--n", "2T"],
+    ["units", "root-order", "--q", "3", "--r", "2", "--n", "0"],
+    ["cusps", "orbits", "--q", "3", "--r", "2", "--n", "2T"],
+    ["cusps", "order", "--q", "3", "--r", "2", "--p", "2T"],
+])
+def test_level_must_be_monic(capsys, argv):
+    err = _usage_error(capsys, argv)
+    assert "monic" in err
+
+
+def test_delta_eval_without_x_is_the_value_at_zero(capsys):
+    F2 = get_field(2)
+    want = eval_on_mirabolic(PPoint((RatF.zero(F2),), (2,)).matrix(F2), 2, F2)
+    assert want == 1
+    code, doc = run_json(capsys, ["delta", "eval", "--q", "2", "--r", "2",
+                                  "--y", "2"])
+    assert code == EXIT_OK
+    assert doc["result"] == want

@@ -5,7 +5,7 @@ CycRat ring laws, and the soundness of Laurent precision windows against
 exact RatF expansions."""
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hb.poly
@@ -108,6 +108,41 @@ def test_kernel_matches_schoolbook(args):
     assert (F.conv(quo, den, m) + [0] * m)[:m] == (list(a) + [0] * m)[:m]
 
 
+# the oracle's extension fields F_{q^r} besides those in QS
+LONG_QS = QS + (16, 27, 49)
+
+
+@st.composite
+def long_sequences(draw, F):
+    """Operands long enough to cross PACK_MIN and NEWTON_MIN.  Half of
+    them are all q - 1, whose F_p-digits are all p - 1, so that every
+    slot of the packed product holds its largest possible sum."""
+    rng = draw(st.randoms(use_true_random=False))
+    top = draw(st.booleans())
+
+    def seq(length):
+        return [F.q - 1 if top else rng.randrange(F.q) for _ in range(length)]
+    a, b = seq(draw(st.integers(0, 400))), seq(draw(st.integers(0, 400)))
+    den = [draw(st.integers(1, F.q - 1))] + seq(draw(st.integers(0, 200)))
+    return a, b, den, draw(st.none() | st.integers(-1, 800))
+
+
+@pytest.mark.parametrize("q", LONG_QS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_packed_kernel_matches_schoolbook(q, data):
+    F = get_field(q)
+    a, b, den, n = data.draw(long_sequences(F))
+    _, prod = schoolbook(F, a, b, 0)
+    cut = len(prod) if n is None else max(n, 0)
+    assert F.conv(a, b, n) == prod[:cut]
+    m = min(len(a) + 40, 200) if n is None else max(min(n, 200), 0)
+    quo = F.series_div(a, den, m)
+    assert len(quo) == m
+    _, back = schoolbook(F, quo, den[:m], 0)
+    assert (back + [0] * m)[:m] == (list(a) + [0] * m)[:m]
+
+
 @given(poly_pairs())
 def test_divmod_identity(ab):
     a, b = ab
@@ -208,7 +243,10 @@ def test_vec_content_stops_at_one(monkeypatch):
     F = get_field(3)
     T = Poly.monomial(F, 1)
     assert vec_content((T, T + Poly.one(F), T, T)).is_one()
-    assert len(calls) == 2
+    assert calls == [(T, T + Poly.one(F))]   # no gcd(0, T), none after 1
+    calls.clear()
+    assert vec_content((Poly.zero(F), T.scale(2), Poly.zero(F))) == T
+    assert calls == []
 
 
 def general_add(x, y):
@@ -326,6 +364,19 @@ def powered(draw):
     x = draw(ratfs(F))
     e = draw(st.integers(0, 2 if F.p <= 3 else 1))
     return x, draw(precs), e
+
+
+@given(powered())
+def test_q_power_is_the_coefficientwise_pow(args):
+    x, px, e = args
+    F, k = x.field, x.field.p ** e
+    w = window(x, px)
+    y = w.q_power(e)
+    spread = [0] * (k * len(w.coeffs))
+    spread[::k] = [F.pow(c, k) for c in w.coeffs]
+    assert y == Laurent(F, k * w.val, spread,
+                        None if w.prec is None else k * w.prec)
+    assert F.frobenius(e) == [F.pow(c, k) for c in F.elements()]
 
 
 @given(powered())

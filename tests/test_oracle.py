@@ -9,6 +9,7 @@ plain equality failures.
 import pytest
 
 from hb.building import mat_from_exps
+from hb.discriminant import eval_on_mirabolic
 from hb.fields import embedding, get_field
 from hb.fourier import PPoint
 from hb.laurent import Laurent
@@ -108,3 +109,12 @@ def test_theta_values():
 def test_rank_guard():
     with pytest.raises(ValueError):
         p_delta_direct(mat_from_exps(F2, (0, 0, 0, 0)), 2, 4)
+
+
+def test_rank_three_mirabolic_point_matches_series():
+    # operands here are long enough for the packed conv and Newton
+    # series_div paths of the coefficient kernel
+    pi = RatF.pi_power(F2, 1)
+    g = PPoint((pi, pi), (2, 2)).matrix(F2)
+    assert eval_on_mirabolic(g, 3, F2) == -2
+    assert p_delta_direct(g, 2, 3, D=4) == -2
