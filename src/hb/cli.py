@@ -27,8 +27,8 @@ from .eisenstein import (eisenstein_at, eisenstein_diagonal,
                          eisenstein_truncated_sum, identity_check_thm56)
 from .fields import factor_prime_power, get_field
 from .fourier import fourier_coefficient
-from .oracle import DEFAULT_PREC, p_delta_direct, p_delta_on_p_point, \
-    p_theta_direct
+from .oracle import (DEFAULT_PREC, MAX_BASIS, MAX_RANK, p_delta_direct,
+                     p_delta_on_p_point, p_theta_direct)
 from .poly import RatF, parse_poly
 from .units import (cusp_orbits, cuspidal_order, root_order_delta,
                     root_order_theta, sigma_det_check)
@@ -107,6 +107,18 @@ def _rank_vector(vec, r, flag):
         raise UsageError(f"{flag} has {len(vec)} entries; --r {r} needs "
                          f"{r - 1}")
     return vec
+
+
+def _oracle_range(args):
+    """The rank and --deg-bound limits of the lattice-sum oracle."""
+    if args.r > MAX_RANK:
+        raise UsageError(f"--r {args.r}: lattice sums are only tractable "
+                         f"for r <= {MAX_RANK}")
+    n = args.r * (args.deg_bound + 1)
+    if n > MAX_BASIS:
+        raise UsageError(f"--deg-bound {args.deg_bound}: the truncated "
+                         f"lattice has {n} basis vectors at --r {args.r}, "
+                         f"more than {MAX_BASIS}")
 
 
 def _parse_ints(text):
@@ -205,6 +217,7 @@ def cmd_fourier_coeff(args):
     if args.h == "oracle":
         if args.r != 2:
             raise UsageError("the oracle evaluator is wired for r = 2")
+        _oracle_range(args)
         h = lambda u, ye: p_delta_on_p_point(u, ye, args.q, args.r,
                                              D=args.deg_bound,
                                              prec=args.prec)
@@ -304,9 +317,16 @@ def cmd_theta_edge(args):
 
 
 def cmd_oracle_pdelta(args):
+    _oracle_range(args)
     field = get_field(args.q)
     g = _parse_matrix(field, args.g, args.r) if args.g else \
         mat_from_exps(field, (0,) * args.r)
+    # the series reads only the upper triangle of g / g[0][0]; an
+    # invertible upper triangular g has g[0][0] != 0
+    if args.check and any(not g[i][j].is_zero()
+                          for i in range(args.r) for j in range(i)):
+        raise UsageError(f"--check needs an upper triangular --g; "
+                         f"{args.g!r} is not")
     v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, prec=args.prec)
     diag = {"deg_bound": args.deg_bound, "prec": args.prec,
             "certificate": "stabilized between consecutive truncation depths"}
@@ -320,6 +340,7 @@ def cmd_oracle_pdelta(args):
 
 
 def cmd_oracle_ptheta(args):
+    _oracle_range(args)
     field = get_field(args.q)
     n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r) if args.g else \

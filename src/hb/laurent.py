@@ -31,27 +31,20 @@ class Laurent:
     __slots__ = ("field", "val", "coeffs", "prec")
 
     def __init__(self, field, val, coeffs, prec=None):
-        coeffs = list(coeffs)
-        # strip leading zeros
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            val += 1
-        if prec is None:
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-        else:
-            # discard coefficients at or beyond the precision bound
-            if val + len(coeffs) > prec:
-                coeffs = coeffs[:max(prec - val, 0)]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if not coeffs:
-                val = prec
-        if not coeffs and prec is None:
-            val = 0
+        # keep coeffs[lo:hi]: below the precision bound, from the first
+        # through the last nonzero coefficient
+        hi = len(coeffs)
+        if prec is not None and val + hi > prec:
+            hi = max(prec - val, 0)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
         self.field = field
-        self.val = val
-        self.coeffs = tuple(coeffs)
+        self.val = val + lo if hi else (0 if prec is None else prec)
+        self.coeffs = (tuple(coeffs) if not lo and hi == len(coeffs)
+                       else tuple(coeffs[lo:hi]))
         self.prec = prec
 
     # -- constructors ---------------------------------------------------

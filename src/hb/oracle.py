@@ -27,6 +27,7 @@ formulas: it shares no code path with the discriminant module beyond the
 base field arithmetic, which is what makes the cross-check meaningful.
 """
 
+import copy
 from dataclasses import dataclass
 
 from .fields import embedding, get_field
@@ -34,6 +35,8 @@ from .laurent import Laurent, PrecisionError
 from .poly import RatF
 
 DEFAULT_PREC = 80
+# lattice sums are refused above this rank
+MAX_RANK = 3
 # exp_coefficients refuses lattices with more F_q-basis vectors r(D+1)
 # than this; its cost grows with the square of that number
 MAX_BASIS = 64
@@ -122,6 +125,14 @@ class _Filtration:
         self.spans[o] = span
         self.orders.append(o)
 
+    def copy(self):
+        """An independent copy.  add() replaces spans[o] and never
+        changes it, so the span dicts themselves can be shared."""
+        twin = copy.copy(self)
+        twin.orders = list(self.orders)
+        twin.spans = dict(self.spans)
+        return twin
+
     def product_ord(self, d):
         """ord(w) + sum over nonzero lambda in V of (ord(w - lambda) -
         ord lambda), for a w whose remainder against V has valuation d.
@@ -135,10 +146,12 @@ class _Filtration:
 
 def exp_coefficients(z, D, K, prec=None):
     """Monic-normalized coefficients a_0 = 1, a_1, ..., a_K of x^{q^k}
-    in e_V(x) / (linear coefficient of e_V) over the truncated lattice
-    V = {sum a_i z_i : deg a_i <= D}, built one F_q-basis vector at a
-    time by the subspace recursion divided through by its new linear
-    coefficient:
+    in e_V(x) / (linear coefficient of e_V) over the truncated lattices
+    V = {sum a_i z_i : deg a_i <= D - 1} and {... : deg a_i <= D}, as
+    the pair (depth D - 1 list, depth D list).  Past dim V the lists are
+    padded with exact zeros, since a_k = 0 there.  Each V is built one
+    F_q-basis vector at a time by the subspace recursion divided through
+    by its new linear coefficient:
 
         ehat'(x) = ehat(x) - ehat(x)^q / v^{q-1},    v = ehat(w).
 
@@ -157,6 +170,13 @@ def exp_coefficients(z, D, K, prec=None):
     valuation-adapted basis (_Filtration), each w_m keeps its remainder
     against it, and the product-formula valuation follows in closed form
     from the remainder's valuation and the orders of the basis.
+
+    Depth D adds the basis in the order z_0 T^0..T^D, z_1 T^0..T^D, ...;
+    depth D - 1 in the same order with every z_i T^D left out.  Both
+    orders open with z_0 T^0..T^{D-1}: those D steps run once, carrying
+    the evaluations at every depth-D vector, and then the state forks.
+    A carried evaluation depends only on the steps taken so far, so each
+    list is the one a separate run at its depth would give.
     A window too narrow to reach the true valuation raises
     PrecisionError, which the callers turn into a precision retry."""
     big = z[0].field
@@ -189,38 +209,53 @@ def exp_coefficients(z, D, K, prec=None):
             raise AssertionError("leading coefficient lost at the anchor")
         return Laurent(big, t, coeffs, x.prec)
 
+    def extend(coeffs, V, evals, rems, order, start, stop):
+        """Add the basis vectors order[start:stop] to V, carrying the
+        evaluations at every vector after them in order; returns the
+        new coefficient list (the input list is not changed)."""
+        for pos in range(start, stop):
+            t = order[pos]
+            v = reanchor(evals[t], V.product_ord(rems[t].ord()))
+            inv = v.inverse(width)
+            rho = inv                                    # 1/v^{q-1}
+            for _ in range(q - 2):
+                rho = cap(rho * inv)
+            # new[k] reads only coeffs[k] and coeffs[k-1]: stop at index K
+            new = [Laurent.one(big)]
+            for k in range(1, min(len(coeffs), K) + 1):
+                term = -(coeffs[k - 1].q_power(e) * rho)
+                if k < len(coeffs):
+                    term = coeffs[k] + term
+                new.append(cap(term))
+            coeffs = new
+            V.add(rems[t])
+            # push the later evaluations through the recursion and
+            # re-anchor them at their product-formula valuations over
+            # the enlarged V
+            for m in order[pos + 1:]:
+                rems[m] = V.reduce(rems[m])
+                upd = evals[m] - evals[m].q_power(e) * rho
+                evals[m] = cap(reanchor(upd, V.product_ord(rems[m].ord())))
+        return coeffs
+
+    def padded(coeffs):
+        return coeffs[:K + 1] + [Laurent.zero(big)] * (K + 1 - len(coeffs))
+
     if r * (D + 1) > MAX_BASIS:
         raise ValueError(f"truncated lattice has {r * (D + 1)} basis "
                          f"vectors, more than {MAX_BASIS}; reduce D")
     basis = [z[i] * Laurent.pi_power(big, -j)
              for i in range(r) for j in range(D + 1)]
+    deep = list(range(len(basis)))
+    shallow = [m for m in deep if m % (D + 1) < D]
     evals = [cap(w) for w in basis]   # ehat_V(w_m), exact at V = {0}
     rems = list(basis)                # w_m minus its best approximant in V
     V = _Filtration(big, q, cap)
-    coeffs = [Laurent.one(big)]
-    for t in range(len(basis)):
-        v = reanchor(evals[t], V.product_ord(rems[t].ord()))
-        inv = v.inverse(width)
-        rho = inv                                    # 1/v^{q-1}
-        for _ in range(q - 2):
-            rho = cap(rho * inv)
-        # new[k] reads only coeffs[k] and coeffs[k-1]: stop at index K
-        new = [Laurent.one(big)]
-        for k in range(1, min(len(coeffs), K) + 1):
-            term = -(coeffs[k - 1].q_power(e) * rho)
-            if k < len(coeffs):
-                term = coeffs[k] + term
-            new.append(cap(term))
-        coeffs = new
-        V.add(rems[t])
-        # push the remaining evaluations through the recursion and
-        # re-anchor them at their product-formula valuations over the
-        # enlarged V
-        for m in range(t + 1, len(basis)):
-            rems[m] = V.reduce(rems[m])
-            upd = evals[m] - evals[m].q_power(e) * rho
-            evals[m] = cap(reanchor(upd, V.product_ord(rems[m].ord())))
-    return coeffs[:K + 1]
+    coeffs = extend([Laurent.one(big)], V, evals, rems, deep, 0, D)
+    prev = extend(coeffs, V.copy(), list(evals), list(rems),
+                  shallow, D, len(shallow))
+    coeffs = extend(coeffs, V, evals, rems, deep, D, len(deep))
+    return padded(prev), padded(coeffs)
 
 
 @dataclass
@@ -232,16 +267,23 @@ class DrinfeldCoeffs:
 
 
 def drinfeld_coeffs(z, D, r, K=None, prec=None):
-    """g_1..g_K of phi_T = Tx + g_1 x^q + ... for the lattice of z, from
-    the triangular solve of exp(Tx) = phi_T(exp(x))."""
-    big = z[0].field
-    e = big.n // r
+    """g_1..g_K of phi_T = Tx + g_1 x^q + ... for the lattice of z at
+    truncation depths D - 1 and D (a pair of DrinfeldCoeffs), from one
+    exp_coefficients recursion."""
     if K is None:
         K = r + 1
-    a = exp_coefficients(z, D, K, prec=prec)
-    gs = []
+    prev, a = exp_coefficients(z, D, K, prec=prec)
+    return _solve_g(prev, D - 1, r), _solve_g(a, D, r)
+
+
+def _solve_g(a, D, r):
+    """The triangular solve of exp(Tx) = phi_T(exp(x)) for g_1..g_K,
+    given the exp coefficients a_0..a_K of the depth-D lattice."""
+    big = a[0].field
+    e = big.n // r
     q = big.p ** e
-    for k in range(1, K + 1):
+    gs = []
+    for k in range(1, len(a)):
         tq = Laurent.from_pairs(big, [(-q ** k, 1), (-1, big.neg(1))])  # T^{q^k} - T
         acc = a[k] * tq
         for i in range(1, k):
@@ -249,16 +291,10 @@ def drinfeld_coeffs(z, D, r, K=None, prec=None):
         gs.append(acc)
     # beyond index r the recursion must give 0: functional-equation residual
     residual = None
-    for k in range(r + 1, K + 1):
-        res = gs[k - 1]
+    for res in gs[r:]:
         bound = res._lower_bound()
         residual = bound if residual is None else min(residual, bound)
     return DrinfeldCoeffs(g=tuple(gs[:r]), a=tuple(a), D=D, residual_ord=residual)
-
-
-def _delta_ord(z, D, r, prec=None):
-    dc = drinfeld_coeffs(z, D, r, prec=prec)
-    return dc.g[r - 1].ord(), dc
 
 
 def s_matrix(field, r):
@@ -269,8 +305,8 @@ def s_matrix(field, r):
 
 def _certified_ord(z, D, r, what, prec=None):
     """ord Delta at depths D-1 and D; stabilization is the certificate."""
-    o_prev, _ = _delta_ord(z, D - 1, r, prec=prec)
-    o, dc = _delta_ord(z, D, r, prec=prec)
+    prev, dc = drinfeld_coeffs(z, D, r, prec=prec)
+    o_prev, o = prev.g[r - 1].ord(), dc.g[r - 1].ord()
     if o_prev != o:
         raise StabilizationError(
             f"{what}: ord(Delta) moved from {o_prev} to {o} between "
@@ -310,8 +346,9 @@ def _n_star(n, z, big, embed, prec):
 
 def _p_direct(n, g, q, r, D, prec):
     """P1(Delta_r)(g) for n None, else P1(Theta_n)(g)."""
-    if r > 3:
-        raise ValueError("lattice sums are only tractable for r <= 3")
+    if r > MAX_RANK:
+        raise ValueError(f"lattice sums are only tractable for "
+                         f"r <= {MAX_RANK}")
     field = g[0][0].field
     big = extension_field(q, r)
     embed = embedding(q, big.q)

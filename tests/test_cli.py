@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hb.cli
-from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from hb.cli import EXIT_ERROR, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
@@ -166,6 +166,50 @@ def test_weyl_type_must_be_dominant(capsys):
 def test_oracle_bounds_must_be_positive(capsys, flag):
     _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2",
                           flag, "0"])
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["oracle", "pdelta", "--q", "2", "--r", "4"], "r <= 3"),
+    (["oracle", "ptheta", "--q", "2", "--r", "4", "--n", "T"], "r <= 3"),
+    (["oracle", "pdelta", "--q", "2", "--r", "2", "--deg-bound", "40"],
+     "82 basis vectors"),
+    (["oracle", "ptheta", "--q", "2", "--r", "3", "--n", "T",
+      "--deg-bound", "21"], "66 basis vectors"),
+    (["fourier", "coeff", "--q", "2", "--r", "2", "--h", "oracle",
+      "--a", "1", "--y", "2", "--deg-bound", "40"], "82 basis vectors"),
+])
+def test_oracle_range_is_a_usage_error(capsys, argv, needle):
+    assert needle in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("g", ["1,0;1,1", "0,1;1,0"])
+def test_oracle_check_needs_upper_triangular_g(capsys, g):
+    # the series reads only the upper triangle: "1,0;1,1" printed a false
+    # mismatch, "0,1;1,0" divided by its zero corner
+    err = _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2",
+                                "--g", g, "--check"])
+    assert "upper triangular" in err
+
+
+@pytest.mark.parametrize("r, want", [(2, -2), (3, -4)])
+def test_oracle_at_depth_one(capsys, r, want):
+    # depth 0 has r basis vectors, so a_{r+1} = 0 exactly
+    code, doc = run_json(capsys, ["oracle", "pdelta", "--q", "2",
+                                  "--r", str(r), "--deg-bound", "1",
+                                  "--check"])
+    assert code == EXIT_OK
+    assert doc["result"] == want
+    assert doc["match"] is True
+
+
+def test_oracle_at_depth_one_may_not_stabilize(capsys):
+    code = main(["oracle", "ptheta", "--q", "2", "--r", "2", "--n", "T",
+                 "--deg-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert "StabilizationError" in captured.err
+    assert "increase --deg-bound" in captured.err
 
 
 @pytest.mark.parametrize("n, y", [("T^^2", "2"), ("T", "two")])

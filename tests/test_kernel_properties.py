@@ -1,8 +1,9 @@
 """Property tests of the exact arithmetic: the FF field axioms, the FF
 sequence kernel against schoolbook loops, Poly division and xgcd, the
 RatF field laws and the RatF fast paths against the general route, the
-CycRat ring laws, and the soundness of Laurent precision windows against
-exact RatF expansions."""
+CycRat ring laws, the soundness of Laurent precision windows against
+exact RatF expansions, and the Laurent constructor against its earlier
+version."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -385,3 +386,66 @@ def test_laurent_q_power_is_sound(args):
     k = x.field.p ** e
     exact = RatF(x.num.pow(k), x.den.pow(k))
     assert_certified(window(x, px).q_power(e), exact)
+
+
+def reference_laurent_init(val, coeffs, prec):
+    """The Laurent constructor's normalization as it was written before
+    the single-pass version: strip leading zeros one at a time, then cut
+    at prec and strip trailing zeros.  Returns (val, coeffs, prec)."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        val += 1
+    if prec is None:
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+    else:
+        if val + len(coeffs) > prec:
+            coeffs = coeffs[:max(prec - val, 0)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if not coeffs:
+            val = prec
+    if not coeffs and prec is None:
+        val = 0
+    return val, tuple(coeffs), prec
+
+
+@st.composite
+def raw_series(draw):
+    """(field, val, coeffs, prec) with runs of leading and trailing zeros
+    and prec None, below val, inside the coefficients or past them."""
+    F = draw(fields)
+    val = draw(st.integers(-6, 6))
+    body = draw(st.lists(st.integers(0, F.q - 1), max_size=8))
+    coeffs = ([0] * draw(st.integers(0, 4)) + body
+              + [0] * draw(st.integers(0, 4)))
+    if draw(st.booleans()):
+        coeffs = tuple(coeffs)
+    prec = draw(st.one_of(st.none(),
+                          st.integers(val - 4, val + len(coeffs) + 4)))
+    return F, val, coeffs, prec
+
+
+@given(raw_series())
+def test_laurent_init_matches_reference(args):
+    F, val, coeffs, prec = args
+    x = Laurent(F, val, coeffs, prec)
+    assert (x.val, x.coeffs, x.prec) == reference_laurent_init(val, coeffs,
+                                                               prec)
+    assert type(x.coeffs) is tuple
+    assert x.coeffs == () or (x.coeffs[0] and x.coeffs[-1])
+
+
+def test_laurent_init_edge_cases():
+    F = get_field(3)
+    zero = Laurent(F, 5, [0, 0, 0])
+    assert (zero.val, zero.coeffs, zero.prec) == (0, (), None)
+    zero = Laurent(F, 5, [0, 0, 0], 9)
+    assert (zero.val, zero.coeffs, zero.prec) == (9, (), 9)
+    # prec is an absolute exponent: pi^3 and beyond are cut, even after
+    # leading zeros move val up
+    x = Laurent(F, -1, [0, 0, 1, 2, 1, 2], 3)
+    assert (x.val, x.coeffs, x.prec) == (1, (1, 2), 3)
+    x = Laurent(F, 0, [0, 0, 0, 1], 2)
+    assert (x.val, x.coeffs, x.prec) == (2, (), 2)

@@ -12,10 +12,10 @@ from hb.building import mat_from_exps
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import embedding, get_field
 from hb.fourier import PPoint
-from hb.laurent import Laurent
-from hb.oracle import (_Filtration, act, base_points, drinfeld_coeffs,
-                       exp_coefficients, extension_field, p_delta_direct,
-                       p_delta_on_p_point, p_theta_direct)
+from hb.laurent import Laurent, PrecisionError
+from hb.oracle import (StabilizationError, _Filtration, act, base_points,
+                       drinfeld_coeffs, exp_coefficients, extension_field,
+                       p_delta_direct, p_delta_on_p_point, p_theta_direct)
 from hb.poly import RatF, parse_poly
 
 F2 = get_field(2)
@@ -31,9 +31,70 @@ def test_exp_coefficients_are_normalized():
     big = extension_field(2, 2)
     embed = embedding(2, big.q)
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 80)
-    a = exp_coefficients(z, 3, 3, prec=80)
-    assert a[0] == Laurent.one(big)
-    assert len(a) == 4
+    prev, a = exp_coefficients(z, 3, 3, prec=80)
+    for coeffs in (prev, a):
+        assert coeffs[0] == Laurent.one(big)
+        assert len(coeffs) == 4
+        assert all(not c.is_exact() for c in coeffs[1:])
+
+
+def _fork_points(q, r):
+    """z for one diagonal point and one mirabolic point with x != 0."""
+    field = get_field(q)
+    big = extension_field(q, r)
+    embed = embedding(q, big.q)
+    pi = RatF.pi_power(field, 1)
+    mirabolic = PPoint((pi,) + (RatF.zero(field),) * (r - 2),
+                       (2,) * (r - 1)).matrix(field)
+    for g in (mat_from_exps(field, (1,) + (0,) * (r - 1)), mirabolic):
+        yield act(g, base_points(q, r), big, embed, 120)
+
+
+def _fields(coeffs):
+    return [(a.val, a.coeffs, a.prec) for a in coeffs]
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def test_fork_gives_the_shallower_depth_exactly(q, r):
+    # the depth D - 1 list of the depth-D call, whose recursion shares its
+    # first D steps with depth D and then forks, is the depth D - 1 list
+    # of the depth-(D - 1) call, where that depth takes the unforked path
+    # (a window of 80 collapses at q = 3, D = 4 on the mirabolic point)
+    for z in _fork_points(q, r):
+        for D in range(1, 5):
+            prev, _ = exp_coefficients(z, D, r + 1, prec=160)
+            _, same = exp_coefficients(z, D - 1, r + 1, prec=160)
+            assert _fields(prev) == _fields(same)
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_fork_raises_the_same_precision_error(q, r, D):
+    # a window of 2 collapses at depth 1 and beyond on the mirabolic point
+    z = list(_fork_points(q, r))[1]
+    messages = []
+    for depth in (D, D - 1):
+        with pytest.raises(PrecisionError) as err:
+            exp_coefficients(z, depth, r + 1, prec=2)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_shallower_depth_is_padded_with_exact_zeros():
+    # depth 0 has r basis vectors, so a_k = 0 exactly for k > r
+    z = next(_fork_points(2, 2))
+    prev, a = exp_coefficients(z, 1, 4, prec=80)
+    assert [c.is_certified_zero() for c in prev] == [False] * 3 + [True] * 2
+    assert not any(c.is_certified_zero() for c in a)
+    prev, _ = exp_coefficients(z, 0, 2, prec=80)
+    assert prev == [Laurent.one(prev[0].field)] + [Laurent.zero(
+        prev[0].field)] * 2
+
+
+def test_depth_one_at_the_identity_and_off_it():
+    assert p_delta_direct(mat_from_exps(F2, (0, 0)), 2, 2, D=1) == -2
+    with pytest.raises(StabilizationError, match="increase --deg-bound"):
+        p_delta_direct(mat_from_exps(F2, (1, 0)), 2, 2, D=1)
 
 
 def test_exp_coefficients_rejects_huge_lattice():
@@ -80,9 +141,12 @@ def test_drinfeld_coeffs_shape():
     big = extension_field(2, 2)
     embed = embedding(2, big.q)
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 120)
-    dc = drinfeld_coeffs(z, 4, 2, prec=80)
-    assert len(dc.g) == 2
-    assert dc.g[1].ord() is not None
+    prev, dc = drinfeld_coeffs(z, 4, 2, prec=80)
+    assert (prev.D, dc.D) == (3, 4)
+    for c in (prev, dc):
+        assert len(c.g) == 2
+        assert len(c.a) == 4
+        assert c.g[1].ord() is not None
 
 
 def test_delta_valuation_doubles_along_apartment():
