@@ -18,7 +18,7 @@ Conventions fixed here (the underlying papers fix none):
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly, RatF, poly_gcd
@@ -341,13 +341,6 @@ def m_matrix(field, r, s, u):
     return tuple(rows)
 
 
-def pi_block_diag(field, r, s):
-    """diag(pi I_s, I_{r-s})."""
-    return tuple(tuple((RatF.pi_power(field, 1) if i < s else RatF.one(field))
-                       if i == j else RatF.zero(field) for j in range(r))
-                 for i in range(r))
-
-
 def flip_matrix(field, r):
     """[[0, I_{r-1}], [1, 0]]."""
     zero, one = RatF.zero(field), RatF.one(field)
@@ -367,11 +360,18 @@ def const_matrix(field, entries):
 
 @dataclass(frozen=True)
 class OrientedEdge:
-    g: tuple      # coset rep in GL_r / K^x I^s
+    """The type-s edge ([L0], [L1]), canonicalized once.  origin and
+    terminus are the canonical vertices; M1 is the terminus basis rescaled
+    into M0 > M1 >= pi M0 for M0 = origin.rep, and C = M1 M0^{-1}; the key
+    is the lattice keys of M0 and M1, concatenated.  g is a coset rep with
+    e^s_g = the edge when the edge was built from one, else None."""
     s: int
     origin: Vertex
     terminus: Vertex
-    key: tuple = dc_field(default=None, compare=False)
+    M1: tuple
+    C: tuple
+    key: tuple
+    g: tuple = None
 
     def __eq__(self, other):
         return isinstance(other, OrientedEdge) and self.key == other.key
@@ -380,44 +380,35 @@ class OrientedEdge:
         return hash(self.key)
 
 
-def edge_pair_key(L0rows, L1rows, r):
-    """Canonical key of the edge ([L0], [L1]): canonicalize L0 with min
-    pivot 0, then rescale L1's canonical basis into L0 > L1 >= pi L0.
-    The key is the two bases' lattice keys, concatenated."""
+def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
+    """The edge ([L0], [L1]).  With s0, s1 the pivot valuation sums of the
+    canonical bases, the type is s = (s1 - s0) mod r (0: not adjacent) and
+    pi^t with t = (s - s1 + s0) / r rescales L1 into L0 > L1 >= pi L0."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
     v1 = vertex_from_lattice(L1rows, r)
     s0, s1 = sum(v0.d), sum(v1.d)
-    # find shift t with 0 < (s1 + r t) - s0 < r  (the edge type)
-    t = None
-    for cand in range(-(abs(s1 - s0) // r + 2), abs(s1 - s0) // r + 3):
-        stype = s1 + r * cand - s0
-        if 0 < stype < r:
-            t = cand
-            break
-    if t is None:
+    s = (s1 - s0) % r
+    if s == 0:
         raise ValueError("lattices are not adjacent (type 0 or r)")
-    H1 = mat_scale(v1.rep, RatF.pi_power(field, t))
-    if not lattice_contains(v0.rep, H1):
+    M1 = mat_scale(v1.rep, RatF.pi_power(field, (s - s1 + s0) // r))
+    C = mat_mul(M1, mat_inv(v0.rep))
+    if not (mat_is_integral(C) and
+            lattice_contains(M1, mat_scale(v0.rep, RatF.pi_power(field, 1)))):
         raise ValueError("lattices are not adjacent")
-    pi_big = mat_scale(v0.rep, RatF.pi_power(field, 1))
-    if not lattice_contains(H1, pi_big):
-        raise ValueError("lattices are not adjacent")
-    stype = s1 + r * t - s0
-    return lattice_key(v0.rep) + lattice_key(H1), stype, v0, v1
+    return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1, C=C,
+                        key=lattice_key(v0.rep) + lattice_key(M1), g=g)
 
 
 def edge_from_rep(g, s):
     """The type-s edge e^s_g, from [Lambda_0 g^{-1}] to [Lambda_0 W_s g^{-1}]."""
     r = len(g)
-    field = g[0][0].field
     ginv = mat_inv(g)
-    origin_rows = ginv
-    term_rows = mat_mul(w_matrix(field, r, s), ginv)
-    key, stype, v0, v1 = edge_pair_key(origin_rows, term_rows, r)
-    if stype != s:
-        raise ValueError(f"rep/type mismatch: got type {stype}, declared {s}")
-    return OrientedEdge(g=g, s=s, origin=v0, terminus=v1, key=key)
+    edge = edge_from_lattice_pair(
+        ginv, mat_mul(w_matrix(g[0][0].field, r, s), ginv), r, g=g)
+    if edge.s != s:
+        raise ValueError(f"rep/type mismatch: got type {edge.s}, declared {s}")
+    return edge
 
 
 def type_one_in_neighbors(g):
@@ -474,14 +465,6 @@ def upper_triangularize(g):
             if not t[i][j].is_zero():
                 addmul_col(j, i, t[i][j] / t[i][i])
     return tuple(tuple(row) for row in t), tuple(tuple(row) for row in kp)
-
-
-def in_p_coset(g):
-    """g in P F^x I^1 iff the first column of g^{-1} attains its minimum
-    valuation strictly in row 1."""
-    col = [row[0] for row in mat_inv(g)]
-    o0 = col[0].ord_inf()
-    return all(o0 < x.ord_inf() for x in col[1:])
 
 
 def is_in_I1(k):
@@ -655,13 +638,15 @@ class Cochain:
 
     def eval_rep(self, g, s):
         """h(e^s_g)."""
-        edge = edge_from_rep(g, s)
-        return self.eval_edge(edge)
+        return self.eval_edge(edge_from_rep(g, s))
 
     def eval_edge(self, edge):
+        """h(e^s_g) = sum_{i<=s} f(g W_s^{-1} W_i); an edge without a coset
+        rep g takes the one its adapted basis gives."""
         if edge.key in self.cache:
             return self.cache[edge.key]
-        base = mat_mul(edge.g, mat_inv(w_matrix(self.field, self.r, edge.s)))
+        g = edge.g if edge.g is not None else rep_from_lattice_pair(edge)
+        base = mat_mul(g, mat_inv(w_matrix(self.field, self.r, edge.s)))
         total = Fraction(0)
         for i in range(1, edge.s + 1):
             total += self.f(mat_mul(base, w_matrix(self.field, self.r, i)))
@@ -669,58 +654,43 @@ class Cochain:
         return total
 
     def eval_lattice_pair(self, L0rows, L1rows):
-        """h on the edge ([L0], [L1]) given by explicit bases with
-        L0 > L1 >= pi L0."""
-        key, s, v0, v1 = edge_pair_key(L0rows, L1rows, self.r)
-        if key in self.cache:
-            return self.cache[key]
-        g = rep_from_lattice_pair(L0rows, L1rows, self.r)
-        edge = edge_from_rep(g, s)
-        if edge.key != key:
-            raise AssertionError("reconstructed edge disagrees with lattice pair")
-        return self.eval_edge(edge)
+        """h on the edge ([L0], [L1]) given by explicit bases."""
+        return self.eval_edge(edge_from_lattice_pair(L0rows, L1rows, self.r))
 
 
 def extend_cochain(f, r, field):
     return Cochain(f, r, field)
 
 
-def _adapted_frame(L0rows, L1rows, r):
-    """(s, M0, M1, lower, comp) for the type-s edge ([L0], [L1]): the
-    canonical bases M0 > M1 >= pi M0, the indices of rows of M1 spanning
-    L1/(pi L0) = im(Cbar) for C = M1 M0^{-1}, and the indices of the
-    standard basis vectors of the M0 frame that complete im(Cbar) to
-    F_q^r."""
-    field = L0rows[0][0].field
-    _key, s, v0, v1 = edge_pair_key(L0rows, L1rows, r)
-    M0 = v0.rep
-    # rescale canonical L1 into M0 > M1 >= pi M0 as in edge_pair_key
-    t = (sum(v0.d) - sum(v1.d) + s) // r
-    M1 = mat_scale(v1.rep, RatF.pi_power(field, t))
-    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in mat_mul(M1, mat_inv(M0))]
+def _adapted_frame(edge):
+    """(lower, comp) for the edge with bases M0 > M1 >= pi M0: the indices
+    of rows of M1 spanning L1/(pi L0) = im(Cbar), Cbar = C mod pi, and the
+    indices of the standard basis vectors of the M0 frame that complete
+    im(Cbar) to F_q^r, s of them."""
+    r = len(edge.C)
+    field = edge.M1[0][0].field
+    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in edge.C]
     units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
     basis, _ = fq_rank_basis(field, Cbar + units)
-    lower = [i for i in basis if i < r]
     comp = [i - r for i in basis if i >= r]
-    return s, M0, M1, lower, comp
-
-
-def rep_from_lattice_pair(L0rows, L1rows, r):
-    """g with e^s_g = ([L0],[L1]): g^{-1} is an adapted basis of L0 whose
-    first s rows descend to a basis of L0/L1 and whose last r-s rows lie
-    in L1 and span L1/(pi L0); then W_s g^{-1} is a basis of L1."""
-    field = L0rows[0][0].field
-    s, M0, M1, lower, comp = _adapted_frame(L0rows, L1rows, r)
-    B = tuple([M0[i] for i in comp] + [M1[i] for i in lower])
-    if len(comp) != s or len(B) != r:
+    if len(comp) != edge.s:
         raise AssertionError("adapted basis has wrong size")
-    hB, _ = row_hnf(B, r)
-    if lattice_key(hB) != lattice_key(M0):
+    return [i for i in basis if i < r], comp
+
+
+def rep_from_lattice_pair(edge):
+    """g with e^s_g = edge: g^{-1} = B is an adapted basis of L0 whose
+    first s rows descend to a basis of L0/L1 and whose last r-s rows lie
+    in L1 and span L1/(pi L0).  hnf(B) = M0 and hnf(W_s B) = M1 make
+    (B, W_s B) a basis pair of the edge, so e^s_g has the edge's key."""
+    r, s = len(edge.M1), edge.s
+    M0, M1 = edge.origin.rep, edge.M1
+    lower, comp = _adapted_frame(edge)
+    B = tuple([M0[i] for i in comp] + [M1[i] for i in lower])
+    if lattice_key(row_hnf(B, r)[0]) != lattice_key(M0):
         raise AssertionError("adapted basis spans the wrong lattice")
-    WB = mat_mul(w_matrix(field, r, s), B)
-    hWB, _ = row_hnf(WB, r)
-    hM1, _ = row_hnf(M1, r)
-    if lattice_key(hWB) != lattice_key(hM1):
+    WB = mat_mul(w_matrix(M1[0][0].field, r, s), B)
+    if lattice_key(row_hnf(WB, r)[0]) != lattice_key(M1):
         raise AssertionError("adapted basis does not refine to L1")
     return mat_inv(B)
 
@@ -749,7 +719,8 @@ def check_harmonic_gl(h1, g):
             lhs = Fraction(0)
             for u in itertools.product(range(field.q), repeat=s - 1):
                 lhs += h1(mat_mul(g, m_matrix(field, r, s, u)))
-            rhs = h1(mat_mul(g, pi_block_diag(field, r, s)))
+            pi_s = mat_from_exps(field, (-1,) * s + (0,) * (r - s))
+            rhs = h1(mat_mul(g, pi_s))
             res = lhs - rhs
             items.append(CheckItem(f"A_{s}", res, res == 0))
         except Exception as exc:  # unreachable coset etc.
@@ -777,24 +748,35 @@ def edge_reverse(L0rows, L1rows, field):
     return L1rows, mat_scale(L0rows, RatF.pi_power(field, 1))
 
 
-def triangle_lattice_edges(L0rows, L1rows, r, field):
+def triangle_lattice_edges(edge, field):
     """Type-1 edges (L0', L1) with L1 < L0' < L0, one per line of L0/L1."""
-    s, M0, M1, _lower, comp = _adapted_frame(L0rows, L1rows, r)
-    assert len(comp) == s
+    r = len(edge.M1)
+    M0, M1 = edge.origin.rep, edge.M1
     # complement basis of L0/L1 inside L0/piL0
-    comp = [tuple(1 if j == i else 0 for j in range(r)) for i in comp]
+    comp = [tuple(1 if j == i else 0 for j in range(r))
+            for i in _adapted_frame(edge)[1]]
     out = []
-    for line in fq_line_reps(field, s):
+    for line in fq_line_reps(field, edge.s):
         v = _combine(field, line, comp)
         lift = vec_mat(tuple(RatF(Poly.const(field, c)) for c in v), M0)
-        out.append((tuple(M1) + (lift,), M1))
+        out.append((M1 + (lift,), M1))
     return out
+
+
+def _flags(field, r):
+    """Flags U1 < U0 < F_q^r with 0 < dim U1 < dim U0 < r, as pairs of
+    coordinate bases (U0, U1)."""
+    for d0 in range(2, r):
+        for U0 in fq_subspaces(field, r, d0):
+            for d1 in range(1, d0):
+                for U1sub in fq_subspaces(field, d0, d1):
+                    yield U0, [_combine(field, coeffs, U0) for coeffs in U1sub]
 
 
 def check_harmonic_def(h, v, field, max_flags=None):
     """Definition-level harmonicity of the Cochain h at the vertex v:
     antisymmetry, vanishing type-s in-sums, triangle sums, and pointed
-    2-simplex additivity."""
+    2-simplex additivity on the first max_flags flags (all by default)."""
     r = len(v.rep)
     items = []
     M = v.rep
@@ -809,35 +791,19 @@ def check_harmonic_def(h, v, field, max_flags=None):
             anti = val + h.eval_lattice_pair(*rev)
             if s == 1 or len(items) < 200:
                 items.append(CheckItem(f"antisym type {s}", anti, anti == 0))
-            tri = sum((h.eval_lattice_pair(*e)
-                       for e in triangle_lattice_edges(L0, L1, r, field)),
-                      Fraction(0))
+            tri_edges = triangle_lattice_edges(
+                edge_from_lattice_pair(L0, L1, r), field)
+            tri = sum((h.eval_lattice_pair(*e) for e in tri_edges), Fraction(0))
             items.append(CheckItem(f"triangle type {s}", tri - val, tri == val))
         items.append(CheckItem(f"in-sum type {s}", total, total == 0))
     # (4) pointed 2-simplices: flags U1 < U0 < F_q^r in the v-frame
-    if r >= 3:
-        count = 0
-        for d0 in range(2, r):
-            for U0 in fq_subspaces(field, r, d0):
-                for d1 in range(1, d0):
-                    for U1sub in fq_subspaces(field, d0, d1):
-                        U1 = [_combine(field, coeffs, U0) for coeffs in U1sub]
-                        L0 = _flag_lattice(field, M, U0)
-                        L1 = _flag_lattice(field, M, U1)
-                        a = h.eval_lattice_pair(L0, L1)
-                        b = h.eval_lattice_pair(L1, M)
-                        c = h.eval_lattice_pair(L0, M)
-                        items.append(CheckItem("simplex additivity", a + b - c,
-                                               a + b == c))
-                        count += 1
-                        if max_flags and count >= max_flags:
-                            break
-                    if max_flags and count >= max_flags:
-                        break
-                if max_flags and count >= max_flags:
-                    break
-            if max_flags and count >= max_flags:
-                break
+    for U0, U1 in itertools.islice(_flags(field, r), max_flags or None):
+        L0 = _flag_lattice(field, M, U0)
+        L1 = _flag_lattice(field, M, U1)
+        a = h.eval_lattice_pair(L0, L1)
+        b = h.eval_lattice_pair(L1, M)
+        c = h.eval_lattice_pair(L0, M)
+        items.append(CheckItem("simplex additivity", a + b - c, a + b == c))
     return items
 
 

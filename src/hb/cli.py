@@ -7,7 +7,9 @@ with --format text) of the shape
 
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
-error, 3 a verification or anchor mismatch.
+error (including an oracle value that did not stabilize at --deg-bound,
+or whose series window still collapsed at 16 times --prec), 3 a
+verification or anchor mismatch.
 """
 
 import argparse
@@ -19,16 +21,16 @@ from fractions import Fraction
 from . import __version__
 from .building import (WeylType, mat_from_exps, mat_inv, mat_scale,
                        type_one_in_neighbors)
-from .discriminant import (eval_on_mirabolic, eval_theta_on_edge,
-                           p_delta_coefficient, p_delta_eval,
-                           p_theta_coefficient, series_eval, theta_evaluator,
-                           weyl_edge_value)
+from .discriminant import (eval_on_mirabolic, p_delta_coefficient,
+                           p_delta_eval, p_theta_coefficient, series_eval,
+                           theta_evaluator, weyl_edge_value)
 from .eisenstein import (eisenstein_at, eisenstein_diagonal,
                          eisenstein_truncated_sum, identity_check_thm56)
 from .fields import factor_prime_power, get_field
 from .fourier import fourier_coefficient
-from .oracle import (DEFAULT_PREC, MAX_BASIS, MAX_RANK, p_delta_direct,
-                     p_delta_on_p_point, p_theta_direct)
+from .laurent import PrecisionError
+from .oracle import (DEFAULT_PREC, MAX_BASIS, MAX_RANK, StabilizationError,
+                     p_delta_direct, p_delta_on_p_point, p_theta_direct)
 from .poly import RatF, parse_poly
 from .units import (cusp_orbits, cuspidal_order, root_order_delta,
                     root_order_theta, sigma_det_check)
@@ -308,14 +310,6 @@ def cmd_theta_eval(args):
     return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, h1(g))
 
 
-def cmd_theta_edge(args):
-    field = get_field(args.q)
-    n = _parse_level(field, args.n)
-    g = _parse_matrix(field, args.g, args.r)
-    v = eval_theta_on_edge(n, g, bound=args.witness_bound)
-    return _emit(args, "theta.edge", {"n": args.n, "g": args.g}, v)
-
-
 def cmd_oracle_pdelta(args):
     _oracle_range(args)
     field = get_field(args.q)
@@ -508,10 +502,6 @@ def build_parser():
         _witness_option(p),
         p.add_argument("--n", required=True),
         p.add_argument("--g", required=True)))
-    add("theta edge", cmd_theta_edge, configure=lambda p: (
-        _witness_option(p),
-        p.add_argument("--n", required=True),
-        p.add_argument("--g", required=True)))
     add("oracle pdelta", cmd_oracle_pdelta, configure=lambda p: (
         _oracle_options(p),
         p.add_argument("--g", default=None),
@@ -548,6 +538,12 @@ def main(argv=None):
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (StabilizationError, PrecisionError) as e:
+        # the oracle certified no value at this --deg-bound or --prec; a
+        # StabilizationError already names the option to raise
+        hint = "; increase --prec" if isinstance(e, PrecisionError) else ""
+        print(f"usage error: {type(e).__name__}: {e}{hint}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -297,12 +297,6 @@ def _solve_g(a, D, r):
     return DrinfeldCoeffs(g=tuple(gs[:r]), a=tuple(a), D=D, residual_ord=residual)
 
 
-def s_matrix(field, r):
-    return tuple(tuple((RatF.pi_power(field, -1) if i == 0 else RatF.one(field))
-                       if i == j else RatF.zero(field) for j in range(r))
-                 for i in range(r))
-
-
 def _certified_ord(z, D, r, what, prec=None):
     """ord Delta at depths D-1 and D; stabilization is the certificate."""
     prev, dc = drinfeld_coeffs(z, D, r, prec=prec)
@@ -353,8 +347,8 @@ def _p_direct(n, g, q, r, D, prec):
     big = extension_field(q, r)
     embed = embedding(q, big.q)
     z0 = base_points(q, r)
-    from .building import mat_mul
-    gS = mat_mul(g, s_matrix(field, r))
+    from .building import mat_from_exps, mat_mul
+    gS = mat_mul(g, mat_from_exps(field, (1,) + (0,) * (r - 1)))
 
     def body(pr):
         za = act(g, z0, big, embed, pr + 40)

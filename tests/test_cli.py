@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import hb.cli
-from hb.cli import EXIT_ERROR, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
+from hb.laurent import PrecisionError
 from hb.poly import RatF
 
 
@@ -206,10 +207,21 @@ def test_oracle_at_depth_one_may_not_stabilize(capsys):
     code = main(["oracle", "ptheta", "--q", "2", "--r", "2", "--n", "T",
                  "--deg-bound", "1"])
     captured = capsys.readouterr()
-    assert code == EXIT_ERROR
+    assert code == EXIT_USAGE
     assert captured.out == ""
     assert "StabilizationError" in captured.err
     assert "increase --deg-bound" in captured.err
+
+
+def test_oracle_window_collapse_is_a_usage_error(capsys, monkeypatch):
+    # a window that still collapses at 16x --prec is reported like an
+    # unsettled depth: the user has an option to change
+    def collapse(*args, **kwargs):
+        raise PrecisionError("coefficient of pi^9 unknown (prec 8)")
+    monkeypatch.setattr(hb.cli, "p_delta_direct", collapse)
+    err = _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2"])
+    assert "PrecisionError" in err
+    assert "increase --prec" in err
 
 
 @pytest.mark.parametrize("n, y", [("T^^2", "2"), ("T", "two")])
@@ -324,7 +336,7 @@ def test_rank_must_be_at_least_two(capsys, argv):
     ["theta", "coeff", "--q", "3", "--r", "2", "--n", "2T", "--a", "1",
      "--y", "2"],
     ["theta", "eval", "--q", "2", "--r", "2", "--n", "0", "--g", "1,0;0,1"],
-    ["theta", "edge", "--q", "3", "--r", "2", "--n", "2T", "--g", "1,0;0,1"],
+    ["theta", "eval", "--q", "3", "--r", "2", "--n", "2T", "--g", "1,0;0,1"],
     ["oracle", "ptheta", "--q", "3", "--r", "2", "--n", "2T"],
     ["units", "root-order", "--q", "3", "--r", "2", "--n", "0"],
     ["cusps", "orbits", "--q", "3", "--r", "2", "--n", "2T"],
