@@ -1,11 +1,18 @@
-"""Cyclotomic rationals, the additive character psi_0, and divisor sums.
+"""Cyclotomic rationals, the character sum of the Fourier layer, and
+divisor sums.
 
 CycRat models Q(zeta_p) elements whose denominator is a power of q: an
 integer vector of length p-1 in the power basis 1, zeta, ..., zeta^{p-2}
 over a common q-power denominator.  That is exactly where the values of
 psi and all Fourier coefficients live.
 
-sigma and sigma_restricted are the divisor sums
+psi_sum is the one character sum: sum c psi(x) over (c, x) pairs, with
+psi(x) = psi_0(Tr a_1(x)) for the pi^1-coefficient a_1 of x.  The c are
+summed in p buckets by that trace, and bucket t is multiplied by zeta^t
+once.
+
+divisor_degrees counts the monic common divisors of a vector by degree,
+and sigma reads the divisor sums off those counts:
 
     sigma(s, a) = sum over monic c | a of |c|^s          (a != 0)
     sigma(s, 0) = 1/(1 - q^{1+s})
@@ -13,13 +20,14 @@ sigma and sigma_restricted are the divisor sums
     sigma_n(s, a) = sigma(s, a) - |n|^s sigma(s, a/n)    (0 if n does not divide a)
     sigma_n(s, 0) = (1 - |n|^s) sigma(s, 0)
 
-evaluated at integer s only; the symbolic-s versions live in eisenstein.
+evaluated at integer s only; eisenstein reads the same counts in Q(X).
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .poly import monic_divisors, vec_content
+from .poly import factor_monic, vec_content
 
 
 class PoleError(ArithmeticError):
@@ -161,35 +169,49 @@ def psi0(p, x, q=None):
     return CycRat(p, q, num)
 
 
-def sigma(s, avec):
-    """Divisor sum over monic common divisors of the vector avec."""
-    field = avec[0].field
-    q = field.q
+def psi_sum(terms, field):
+    """sum of c psi(x) over the (c, x) pairs, x exact in F_q(T) and c a
+    rational or a CycRat."""
+    p, q = field.p, field.q
+    buckets = [0] * p
+    for c, x in terms:
+        buckets[field.trace_to_prime(x.pi_coeff(1))] += c
+    total = CycRat.zero(p, q)
+    for t, b in enumerate(buckets):
+        total = total + psi0(p, t, q) * b
+    return total
+
+
+def divisor_degrees(avec, level=None):
+    """{d: number of monic common divisors of avec of degree d that the
+    level does not divide}, zero counts dropped; None if avec is zero."""
+    if level is not None and not level.is_monic():
+        raise ValueError("level n must be monic")
     content = vec_content(avec)
     if content.is_zero():
+        return None
+    counts = Counter({0: 1})
+    for f, mult in factor_monic(content):
+        step = Counter()
+        for d, k in counts.items():
+            for j in range(mult + 1):
+                step[d + j * int(f.deg)] += k
+        counts = step
+    if level is not None and level.divides(content):
+        for d, k in divisor_degrees((content // level,)).items():
+            counts[d + int(level.deg)] -= k
+    return {d: k for d, k in counts.items() if k}
+
+
+def sigma(s, avec, level=None):
+    """sigma(s, a), or sigma_n(s, a) for the monic level n."""
+    q = Fraction(avec[0].field.q)
+    counts = divisor_degrees(avec, level)
+    if counts is None:
         if s == -1:
             raise PoleError("sigma(s, 0) has a pole at s = -1")
-        return Fraction(1, 1) / (1 - Fraction(q) ** (1 + s))
-    total = Fraction(0)
-    for c in monic_divisors(content):
-        total += Fraction(q) ** (s * int(c.deg))
-    return total
-
-
-def sigma_restricted(n, s, avec):
-    """sigma_n: divisor sum over monic c | avec with n not dividing c."""
-    if n.is_zero():
-        raise ValueError("level n must be nonzero")
-    if not n.is_monic():
-        raise ValueError("level n must be monic")
-    field = avec[0].field
-    q = field.q
-    content = vec_content(avec)
-    if content.is_zero():
-        ns = Fraction(q) ** (s * int(n.deg))
-        return (1 - ns) * sigma(s, avec)
-    total = Fraction(0)
-    for c in monic_divisors(content):
-        if not n.divides(c):
-            total += Fraction(q) ** (s * int(c.deg))
-    return total
+        total = 1 / (1 - q ** (1 + s))
+        if level is not None:
+            total *= 1 - q ** (s * int(level.deg))
+        return total
+    return sum((k * q ** (s * d) for d, k in counts.items()), Fraction(0))

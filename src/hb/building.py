@@ -736,10 +736,10 @@ def check_harmonic_gl(h1, g):
 
 
 def in_edges(v, s, field):
-    """All type-s edges terminating at v, as lattice basis pairs
-    (L0rows, L1rows): L0 = L + pi^{-1} W L, one per s-dimensional
-    subspace W of L/pi L (so that dim L0/L = s)."""
-    return [(_flag_lattice(field, v.rep, W), v.rep)
+    """All type-s edges terminating at v, as lattice basis pairs with
+    their subspace (L0rows, L1rows, W): L0 = L + pi^{-1} W L, one per
+    s-dimensional subspace W of L/pi L (so that dim L0/L = s)."""
+    return [(_flag_lattice(field, v.rep, W), v.rep, W)
             for W in fq_subspaces(field, len(v.rep), s)]
 
 
@@ -748,19 +748,12 @@ def edge_reverse(L0rows, L1rows, field):
     return L1rows, mat_scale(L0rows, RatF.pi_power(field, 1))
 
 
-def triangle_lattice_edges(edge, field):
-    """Type-1 edges (L0', L1) with L1 < L0' < L0, one per line of L0/L1."""
-    r = len(edge.M1)
-    M0, M1 = edge.origin.rep, edge.M1
-    # complement basis of L0/L1 inside L0/piL0
-    comp = [tuple(1 if j == i else 0 for j in range(r))
-            for i in _adapted_frame(edge)[1]]
-    out = []
-    for line in fq_line_reps(field, edge.s):
-        v = _combine(field, line, comp)
-        lift = vec_mat(tuple(RatF(Poly.const(field, c)) for c in v), M0)
-        out.append((M1 + (lift,), M1))
-    return out
+def triangle_lattice_edges(field, M, W):
+    """Type-1 edges (L0', L) with L < L0' < L0 for the in-edge
+    (L0, L) = (L + pi^{-1} W, L), L with basis M: L0' = L + pi^{-1} w,
+    one per line w of W."""
+    return [(_flag_lattice(field, M, [_combine(field, line, W)]), M)
+            for line in fq_line_reps(field, len(W))]
 
 
 def _flags(field, r):
@@ -782,18 +775,17 @@ def check_harmonic_def(h, v, field, max_flags=None):
     M = v.rep
     # (1) + (2) + (3)
     for s in range(1, r):
-        edges = in_edges(v, s, field)
         total = Fraction(0)
-        for L0, L1 in edges:
+        for L0, L1, W in in_edges(v, s, field):
             val = h.eval_lattice_pair(L0, L1)
             total += val
             rev = edge_reverse(L0, L1, field)
             anti = val + h.eval_lattice_pair(*rev)
             if s == 1 or len(items) < 200:
                 items.append(CheckItem(f"antisym type {s}", anti, anti == 0))
-            tri_edges = triangle_lattice_edges(
-                edge_from_lattice_pair(L0, L1, r), field)
-            tri = sum((h.eval_lattice_pair(*e) for e in tri_edges), Fraction(0))
+            tri = sum((h.eval_lattice_pair(*e)
+                       for e in triangle_lattice_edges(field, M, W)),
+                      Fraction(0))
             items.append(CheckItem(f"triangle type {s}", tri - val, tri == val))
         items.append(CheckItem(f"in-sum type {s}", total, total == 0))
     # (4) pointed 2-simplices: flags U1 < U0 < F_q^r in the v-frame

@@ -22,8 +22,7 @@ from . import __version__
 from .building import (WeylType, mat_from_exps, mat_inv, mat_scale,
                        type_one_in_neighbors)
 from .discriminant import (eval_on_mirabolic, p_delta_coefficient,
-                           p_delta_eval, p_theta_coefficient, series_eval,
-                           theta_evaluator, weyl_edge_value)
+                           series_eval, theta_evaluator, weyl_edge_value)
 from .eisenstein import (eisenstein_at, eisenstein_diagonal,
                          eisenstein_truncated_sum, identity_check_thm56)
 from .fields import factor_prime_power, get_field
@@ -283,12 +282,9 @@ def cmd_delta_eval(args):
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     if args.x:
         x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
-        v = series_eval(x, yexps, args.r, field)
-    elif all(n <= 1 for n in yexps):
-        v = p_delta_eval(yexps, args.r, field)
     else:   # no --x: the value at x = 0
-        v = series_eval((RatF.zero(field),) * (args.r - 1), yexps, args.r,
-                        field)
+        x = (RatF.zero(field),) * (args.r - 1)
+    v = series_eval(x, yexps, args.r, field)
     return _emit(args, "delta.eval", {"x": args.x, "y": list(yexps)}, v)
 
 
@@ -297,7 +293,7 @@ def cmd_theta_coeff(args):
     n = _parse_level(field, args.n)
     avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
-    c = p_theta_coefficient(n, avec, yexps, args.r)
+    c = p_delta_coefficient(avec, yexps, args.r, level=n)
     return _emit(args, "theta.coeff",
                  {"n": args.n, "a": args.a, "y": list(yexps)}, c)
 

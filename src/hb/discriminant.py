@@ -6,8 +6,11 @@ Both families share one coefficient shape,
     h*(a, y) = (q^r - 1)(q - 1) q^{r-1} |det y|^{-1} . S(r-1, a),
 
 with S the divisor sum sigma for Delta and sigma_n for Theta_n; the
-a = 0 value is the same expression with sigma(r-1, 0) = (1 - q^r)^{-1}.
-Coefficients vanish for a != 0 with m(a, y) <= 1.
+a = 0 value is the same expression with sigma(r-1, 0) = (1 - q^r)^{-1}
+and sigma_n(r-1, 0) = (1 - |n|^{r-1}) sigma(r-1, 0).  Coefficients
+vanish for a != 0 with m(a, y) <= 1.  Every function here that takes
+`level` computes P1(Delta_r) for level None and P1(Theta_n) for the
+monic level n.
 
 Values are finite character sums over the coefficient support;
 evaluation at an arbitrary group element goes through the Iwasawa
@@ -18,41 +21,24 @@ the mirabolic coset when the element lies over the flipped cell.
 import itertools
 from fractions import Fraction
 
-from .algebra import CycRat, sigma, sigma_restricted
+from .algebra import psi_sum, sigma
 from .building import (edge_from_rep, iwasawa_decompose, mat_inv, mat_mul,
                        mat_vec, p_coordinates, reduce_y_transcript, vec_mat)
 from .fourier import dot, mval, polys_up_to, table_support
-from .laurent import psi_ratf
 from .poly import Poly, RatF, poly_xgcd, vec_content
 
 
-def p_delta_coefficient(avec, yexps, r):
-    """P1(Delta_r)*(a, y) for y = diag(T^{n_i})."""
-    field = avec[0].field
-    q = field.q
+def p_delta_coefficient(avec, yexps, r, level=None):
+    """P1(Delta_r)*(a, y), or P1(Theta_level)*(a, y), for y = diag(T^{n_i})."""
+    q = avec[0].field.q
+    if not all(a.is_zero() for a in avec) and mval(avec, yexps) <= 1:
+        return Fraction(0)
     det_inv = Fraction(q) ** (-sum(yexps))
-    if all(a.is_zero() for a in avec):
-        s = Fraction(1, 1 - q ** r)
-    else:
-        if mval(avec, yexps) <= 1:
-            return Fraction(0)
-        s = sigma(r - 1, avec)
-    return (q ** r - 1) * (q - 1) * q ** (r - 1) * det_inv * s
+    return (q ** r - 1) * (q - 1) * q ** (r - 1) * det_inv \
+        * sigma(r - 1, avec, level)
 
 
-def p_theta_coefficient(n, avec, yexps, r):
-    """P1(Theta_n)*(a, y); the level-n divisor sum replaces sigma."""
-    field = avec[0].field
-    q = field.q
-    det_inv = Fraction(q) ** (-sum(yexps))
-    if not all(a.is_zero() for a in avec):
-        if mval(avec, yexps) <= 1:
-            return Fraction(0)
-    s = sigma_restricted(n, r - 1, avec)
-    return (q ** r - 1) * (q - 1) * q ** (r - 1) * det_inv * s
-
-
-def p_delta_eval(yexps, r, field, x=None):
+def p_delta_eval(yexps, r, field):
     """P1(Delta_r)(x, y) when every n_i <= 1: only a = 0 contributes."""
     if any(n > 1 for n in yexps):
         raise ValueError("closed form needs all n_i <= 1")
@@ -70,16 +56,9 @@ def series_eval(xvec, yexps, r, field, level=None):
     """The finite Fourier sum of P1(Delta_r) (level None) or
     P1(Theta_level) at (x, y).  The cyclotomic parts must cancel; a
     non-rational total signals a character-convention bug."""
-    q, p = field.q, field.p
-    total = CycRat.zero(p, q)
-    for avec in table_support(field, yexps):
-        if level is None:
-            c = p_delta_coefficient(avec, yexps, r)
-        else:
-            c = p_theta_coefficient(level, avec, yexps, r)
-        if c == 0:
-            continue
-        total = total + psi_ratf(dot(avec, xvec)) * c
+    coeffs = ((p_delta_coefficient(a, yexps, r, level), a)
+              for a in table_support(field, yexps))
+    total = psi_sum(((c, dot(a, xvec)) for c, a in coeffs if c), field)
     rat = total.rational()
     if rat is None:
         raise ArithmeticError(f"non-rational cochain value {total}; "

@@ -18,9 +18,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import sigma
+from .algebra import divisor_degrees, sigma
 from .fourier import mval, polys_up_to
-from .poly import monic_divisors, vec_content
 
 
 # ----------------------------------------------------------------------
@@ -187,18 +186,18 @@ class ZeroCoefficient:
 def eisenstein_fourier(avec, yexps, q, r):
     """E_r*(a, y, s) for diagonal y: a QX when a != 0 (zero when
     m(a, y) <= 1), a ZeroCoefficient pair when a = 0."""
-    X, sn, content = QX.monomial, sum(yexps), vec_content(avec)
+    X, sn, counts = QX.monomial, sum(yexps), divisor_degrees(avec)
     # |det y|^{s-1} (q^r - q^{r-1}) / (1 - q^{r-1-rs}), times sigma(r-1-rs, a)
     scale = Fraction(q) ** -sn * X(-sn) * (q ** r - q ** (r - 1)) \
         / (1 - q ** (r - 1) * X(r))
-    if content.is_zero():                   # sigma(r-1-rs, 0) = 1/(1 - q^{r-rs})
+    if counts is None:                      # sigma(r-1-rs, 0) = 1/(1 - q^{r-rs})
         return ZeroCoefficient(RecursiveEisenstein(r - 1, tuple(yexps)),
                                scale / (1 - q ** r * X(r)))
     m = mval(avec, yexps)
     if m <= 1:
         return QX(())
-    sig = sum(q ** ((r - 1) * int(c.deg)) * X(r * int(c.deg))
-              for c in monic_divisors(content))
+    # |c|^{r-1-rs} = q^{(r-1) d} X^{r d} for deg c = d
+    sig = sum(k * q ** ((r - 1) * d) * X(r * d) for d, k in counts.items())
     return scale * sig * (1 - q ** ((r - 1) * (m - 1)) * X(r * (m - 1)))
 
 

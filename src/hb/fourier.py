@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CycRat
-from .building import mat_inv, ratf_from_pairs, vec_mat
-from .laurent import psi_ratf
+from .algebra import psi_sum
+from .building import ratf_from_pairs
 from .poly import Poly, RatF
 
 
@@ -64,24 +63,13 @@ class FourierTable:
     yexps: tuple
     entries: dict  # poly_key(a) -> CycRat
 
-    def get(self, avec):
-        k = poly_key(avec)
-        if k not in self.entries:
-            raise KeyError(f"coefficient missing for a = {[str(a) for a in avec]}")
-        return self.entries[k]
 
-
-def mval(avec, y):
-    """Largest m with a (y^t)^{-1} in (pi^m O)^{r-1}; +inf iff a = 0.
-    y is a diagonal exponent tuple or an exact RatF matrix."""
+def mval(avec, yexps):
+    """Largest m with a (y^t)^{-1} in (pi^m O)^{r-1} for y = diag(T^{n_i});
+    +inf iff a = 0."""
     if all(a.is_zero() for a in avec):
         return float("inf")
-    if isinstance(y, tuple) and isinstance(y[0], int):
-        return min(n - int(a.deg) for n, a in zip(y, avec) if not a.is_zero())
-    field = avec[0].field
-    yt = tuple(tuple(y[j][i] for j in range(len(y))) for i in range(len(y)))
-    row = vec_mat(tuple(RatF(a) for a in avec), mat_inv(yt))
-    return min(int(x.ord_inf()) for x in row if not x.is_zero())
+    return min(n - int(a.deg) for n, a in zip(yexps, avec) if not a.is_zero())
 
 
 def _grid_depth(avec, yexps):
@@ -108,21 +96,14 @@ def dot(avec, xvec):
     return acc
 
 
-def _as_cyc(v, p, q):
-    return v if isinstance(v, CycRat) else CycRat.from_rational(p, q, v)
-
-
 def fourier_coefficient(h, avec, yexps, field):
     """h*(a, y) for diagonal y = diag(T^{n_i})."""
-    q, p = field.q, field.p
     rm1 = len(yexps)
     M = _grid_depth(avec, yexps)
     neg_a = tuple(-a for a in avec)
-    total = CycRat.zero(p, q)
-    for u in u_grid(field, M, rm1):
-        val = _as_cyc(h(u, yexps), p, q)
-        total = total + val * psi_ratf(dot(neg_a, u))
-    return total * Fraction(1, q ** ((M - 1) * rm1))
+    total = psi_sum(((h(u, yexps), dot(neg_a, u))
+                     for u in u_grid(field, M, rm1)), field)
+    return total * Fraction(1, field.q ** ((M - 1) * rm1))
 
 
 def build_table(h, yexps, field):
@@ -140,7 +121,5 @@ def expand(tbl, xvec):
     if missing:
         raise KeyError("table incomplete; missing "
                        + ", ".join(str([str(p) for p in a]) for a in missing))
-    total = CycRat.zero(field.p, field.q)
-    for avec in support:
-        total = total + tbl.entries[poly_key(avec)] * psi_ratf(dot(avec, xvec))
-    return total
+    return psi_sum(((tbl.entries[poly_key(a)], dot(a, xvec)) for a in support),
+                   field)

@@ -11,14 +11,13 @@ the precision bound only, so no coefficient past the window is built;
 this module tracks val and prec.
 
 The building and fourier modules work with exact values only (they use
-RatF for division-heavy linear algebra); inexact series appear in the
-delta oracle, where truncation is intrinsic.
+RatF for division-heavy linear algebra, and the additive character psi
+is read off exact RatF values by algebra.psi_sum); inexact series appear
+in the delta oracle, where truncation is intrinsic.
 """
 
 import math
 from fractions import Fraction
-
-from .algebra import psi0
 
 DEFAULT_PREC = 40
 
@@ -231,11 +230,3 @@ def _min_prec(a, b):
         return a
     return min(a, b)
 
-
-def psi_ratf(x):
-    """The additive character of F_infinity, psi(sum a_i pi^i) =
-    psi_0(Tr_{F_q/F_p}(a_1)), at an exact rational function.  Trivial on
-    A and on pi^2 O_infinity."""
-    field = x.field
-    a1 = x.pi_coeff(1)
-    return psi0(field.p, field.trace_to_prime(a1), q=field.q)

@@ -7,6 +7,9 @@ Euclidean division is Poly.__divmod__.  deg(0) is the sentinel -inf so
 that degree comparisons behave; call sites that exponentiate check for
 zero first.
 
+factor_monic factors by trial division; algebra.divisor_degrees builds
+the divisor counts of every divisor sum from its prime powers.
+
 RatF is an exact fraction num/den with den monic and gcd-reduced.  It
 doubles as the exact model of F_infinity = F_q((1/T)): ord at infinity is
 deg(den) - deg(num) and finitely many 1/T-expansion coefficients can be
@@ -291,18 +294,6 @@ def factor_monic(f):
                 out.append((g, mult))
         d += 1
     return out
-
-
-def monic_divisors(a):
-    """All monic divisors of a, sorted by (degree, coefficient tuple)."""
-    if a.is_zero():
-        raise ValueError("divisors of zero undefined")
-    divs = [Poly.one(a.field)]
-    for p, mult in factor_monic(a):
-        powers = [p.pow(k) for k in range(mult + 1)]
-        divs = [d * pk for d in divs for pk in powers]
-    divs.sort(key=lambda d: (d.deg, d.coeffs))
-    return divs
 
 
 def poly_gcd(a, b):

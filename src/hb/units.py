@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import sigma_restricted
+from .algebra import sigma
 from .fields import embedding, get_field
 from .poly import Poly, factor_monic, is_irreducible
 
@@ -84,7 +84,7 @@ def sigma_det_check(primes, s):
             if mask >> i & 1:
                 d = d * primes[i]
         divisors.append(d)
-    M = [[sigma_restricted(mp, s, (m,)) for mp in divisors] for m in divisors]
+    M = [[sigma(s, (m,), mp) for mp in divisors] for m in divisors]
     det = _bareiss_det(M)
     deg_n = sum(int(p.deg) for p in primes)
     expected = Fraction(q) ** (deg_n * s * (2 ** (k - 1) - 1))

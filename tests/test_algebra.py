@@ -1,12 +1,13 @@
 """Cyclotomic rationals, the additive character, and divisor sums."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from hb.algebra import CycRat, PoleError, psi0, sigma, sigma_restricted
+from hb.algebra import CycRat, PoleError, divisor_degrees, psi0, sigma
 from hb.fields import get_field
-from hb.poly import Poly, parse_poly
+from hb.poly import Poly, is_irreducible, parse_poly, vec_content
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -75,11 +76,58 @@ def test_sigma_restricted_drops_multiples():
     a = parse_poly(F2, "T^2+T")
     # divisors of T^2+T: 1, T, T+1, T^2+T; those not divisible by T
     # contribute 1 + 2^s
-    assert sigma_restricted(t, 1, (a,)) == 3
-    assert sigma_restricted(t, 1, (parse_poly(F2, "T+1"),)) == 3
+    assert sigma(1, (a,), t) == 3
+    assert sigma(1, (parse_poly(F2, "T+1"),), t) == 3
 
 
 def test_sigma_restricted_at_zero():
     t = parse_poly(F3, "T")
     z = (Poly.zero(F3),)
-    assert sigma_restricted(t, 1, z) == (1 - 3) * sigma(1, z)
+    assert sigma(1, z, t) == (1 - 3) * sigma(1, z)
+
+
+def _brute_divisor_degrees(avec, level=None):
+    """Count, by degree, every monic c of degree <= the largest entry
+    degree that divides each entry and is not divisible by the level."""
+    field = avec[0].field
+    top = max(int(a.deg) for a in avec if not a.is_zero())
+    counts = {}
+    for d in range(top + 1):
+        for cs in itertools.product(range(field.q), repeat=d):
+            c = Poly(field, cs + (1,))
+            if all(c.divides(a) for a in avec) \
+                    and not (level is not None and level.divides(c)):
+                counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_divisor_degrees_match_brute_force(q):
+    field = get_field(q)
+    P = lambda text: parse_poly(field, text)
+    zero = Poly.zero(field)
+    vectors = [(P("1"),), (P("T^3"),), (P("T^3+T^2"),),
+               (P("T^2+T"), P("T^3+T")), (zero, P("T^4+T^2")),
+               (P("T^2") * P("T+1") * P("T+1"), zero, P("T^3+T^2"))]
+    # levels that divide some contents, one that divides none (no
+    # content has an irreducible factor of degree 3), and each content
+    nondivisor = next(_irreducibles_of_degree(field, 3))
+    for avec in vectors:
+        content = vec_content(avec)
+        for level in (None, P("T"), P("T+1"), nondivisor, content):
+            got = divisor_degrees(avec, level)
+            assert got == _brute_divisor_degrees(avec, level), (avec, level)
+    for level in (None, P("T")):
+        assert divisor_degrees((zero, zero), level) is None
+    # the level equal to the content removes the content alone
+    assert divisor_degrees((P("T^2+T"),), P("T^2+T")) == {0: 1, 1: 2}
+    assert divisor_degrees((P("1"),), P("1")) == {}
+    with pytest.raises(ValueError):
+        divisor_degrees((P("T"),), zero)
+
+
+def _irreducibles_of_degree(field, d):
+    for cs in itertools.product(range(field.q), repeat=d):
+        f = Poly(field, cs + (1,))
+        if is_irreducible(f):
+            yield f

@@ -72,7 +72,7 @@ def test_edge_keys_agree_with_laurent_reference(q, r):
             keyed.append((e.key, _reference_key(e.origin, e.terminus)))
         v = canonical_vertex(g)
         for s in range(1, r):
-            for L0, L1 in in_edges(v, s, field):
+            for L0, L1, _W in in_edges(v, s, field):
                 e = edge_from_lattice_pair(L0, L1, r)
                 keyed.append((e.key, _reference_key(e.origin, e.terminus)))
     for (k1, ref1), (k2, ref2) in itertools.combinations(keyed, 2):
@@ -141,10 +141,9 @@ def _edges_around(field, r):
     for exps in itertools.product(range(3), repeat=r):
         v = canonical_vertex(mat_from_exps(field, exps))
         for s in range(1, r):
-            for L0, L1 in in_edges(v, s, field):
+            for L0, L1, W in in_edges(v, s, field):
                 out += [(L0, L1), edge_reverse(L0, L1, field)]
-                out += triangle_lattice_edges(
-                    edge_from_lattice_pair(L0, L1, r), field)
+                out += triangle_lattice_edges(field, L1, W)
     return out
 
 
@@ -182,7 +181,7 @@ def test_lattice_pair_lookup_canonicalizes_once(monkeypatch, q, r, s):
     monkeypatch.setattr(building, "row_hnf", counted)
     h = Cochain(lambda g: Fraction(0), r, field)
     v = canonical_vertex(mat_from_exps(field, (1,) + (0,) * (r - 1)))
-    L0, L1 = in_edges(v, s, field)[-1]
+    L0, L1, _W = in_edges(v, s, field)[-1]
     h.eval_lattice_pair(L0, L1)
     assert len(calls) <= 5           # a miss: 2 to canonicalize, 2 checks
     del calls[:]

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from hb.building import flip_matrix, mat_from_exps, mat_mul
 from hb.discriminant import (eval_on_mirabolic, p_delta_coefficient,
-                             p_delta_eval, p_theta_coefficient, series_eval,
-                             theta_evaluator, weyl_edge_value)
+                             p_delta_eval, series_eval, theta_evaluator,
+                             weyl_edge_value)
 from hb.fields import get_field
 from hb.fourier import PPoint
 from hb.poly import Poly, RatF, parse_poly
@@ -61,7 +61,7 @@ def test_theta_coefficient_subtracts_level():
     one = Poly.one(F2)
     # level-T coefficient at a = 1 equals the Delta coefficient (T
     # cannot divide a unit divisor)
-    assert p_theta_coefficient(t, (one,), (2,), 2) \
+    assert p_delta_coefficient((one,), (2,), 2, level=t) \
         == p_delta_coefficient((one,), (2,), 2)
 
 

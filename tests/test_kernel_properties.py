@@ -1,16 +1,19 @@
 """Property tests of the exact arithmetic: the FF field axioms, the FF
 sequence kernel against schoolbook loops, Poly division and xgcd, the
 RatF field laws and the RatF fast paths against the general route, the
-CycRat ring laws, the soundness of Laurent precision windows against
-exact RatF expansions, and the Laurent constructor against its earlier
+CycRat ring laws, the trace-bucketed character sum psi_sum against a
+per-term sum, the soundness of Laurent precision windows against exact
+RatF expansions, and the Laurent constructor against its earlier
 version."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hb.poly
-from hb.algebra import CycRat
+from hb.algebra import CycRat, psi0, psi_sum
 from hb.fields import get_field
 from hb.laurent import Laurent, PrecisionError
 from hb.poly import Poly, RatF, poly_gcd, poly_xgcd, vec_content
@@ -292,6 +295,31 @@ def test_cycrat_ring_laws(xyz):
     assert x * (y + z) == x * y + x * z
     assert x + zero == x and x * one == x and (x * zero).is_zero()
     assert (x + (-x)).is_zero() and x - y == x + (-y)
+
+
+@st.composite
+def psi_terms(draw):
+    """A field of q in {2, 3, 4, 9} and (c, x) pairs: c a Fraction or a
+    CycRat over a q-power denominator, x an exact rational function."""
+    F = get_field(draw(st.sampled_from((2, 3, 4, 9))))
+    p, q = F.p, F.q
+    rationals = st.builds(lambda n, k: Fraction(n, q ** k),
+                          st.integers(-20, 20), st.integers(0, 3))
+    cycrats = st.builds(lambda cs, k: CycRat(p, q, cs, q ** k),
+                        st.lists(st.integers(-20, 20), min_size=p - 1,
+                                 max_size=p - 1), st.integers(0, 3))
+    terms = draw(st.lists(st.tuples(st.one_of(rationals, cycrats), ratfs(F)),
+                          max_size=12))
+    return F, terms
+
+
+@given(psi_terms())
+def test_psi_sum_matches_per_term_sum(args):
+    F, terms = args
+    want = CycRat.zero(F.p, F.q)
+    for c, x in terms:
+        want = want + psi0(F.p, F.trace_to_prime(x.pi_coeff(1)), F.q) * c
+    assert psi_sum(terms, F) == want
 
 
 def window(x, prec):
