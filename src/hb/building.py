@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RatF, poly_gcd
+from .poly import Poly, RatF, poly_gcd, ratf_from_pairs
 
 
 # ----------------------------------------------------------------------
@@ -117,18 +117,6 @@ def ratf_trunc_below(x, bound):
         return RatF.zero(x.field)
     cs = x.pi_coeffs(lo, bound)
     return ratf_from_pairs(x.field, [(lo + i, c) for i, c in enumerate(cs) if c])
-
-
-def ratf_from_pairs(field, pairs):
-    """sum c * pi^e as an exact rational function."""
-    if not pairs:
-        return RatF.zero(field)
-    emax = max(e for e, _ in pairs)
-    shift = max(emax, 0)
-    num = Poly.zero(field)
-    for e, c in pairs:
-        num = num + Poly.monomial(field, shift - e, c)
-    return RatF(num, Poly.monomial(field, shift))
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +595,12 @@ class WeylType:
             raise ValueError("Weyl type must be weakly decreasing")
         if self.k[-1] != 0:
             raise ValueError("Weyl type must end in 0")
+
+
+def weyl_edge_value(q, k):
+    """P(Delta_r) on the Weyl-chamber edge at k = (k_1 >= ... >= k_r = 0)."""
+    kt = k.k if hasattr(k, "k") else tuple(k)
+    return -(q - 1) * q ** ((len(kt) - 1) * (kt[0] + 1) - sum(kt[1:]))
 
 
 def reduce_y_transcript(y):

@@ -10,6 +10,11 @@ published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound,
 or whose series window still collapsed at 16 times --prec), 3 a
 verification or anchor mismatch.
+
+Each query is one cold process, so the module imports only the base
+arithmetic layers; every command imports its own layer when it runs,
+and `build_parser` configures only the leaf subcommand named on the
+command line.
 """
 
 import argparse
@@ -19,23 +24,13 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import __version__
-from .building import (WeylType, mat_from_exps, mat_inv, mat_scale,
-                       type_one_in_neighbors)
-from .discriminant import (eval_on_mirabolic, p_delta_coefficient,
-                           series_eval, theta_evaluator, weyl_edge_value)
-from .eisenstein import (eisenstein_at, eisenstein_diagonal,
-                         eisenstein_truncated_sum, identity_check_thm56)
 from .fields import factor_prime_power, get_field
-from .fourier import fourier_coefficient
-from .laurent import PrecisionError
-from .oracle import (DEFAULT_PREC, MAX_BASIS, MAX_RANK, StabilizationError,
-                     p_delta_direct, p_delta_on_p_point, p_theta_direct)
+from .laurent import PrecisionError, StabilizationError
 from .poly import RatF, parse_poly
-from .units import (cusp_orbits, cuspidal_order, root_order_delta,
-                    root_order_theta, sigma_det_check)
-from .verify import run_suite
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
+# fourier coeff refuses u-grids (pi O / pi^M O)^(r-1) with more points
+MAX_GRID = 2 ** 10
 
 
 class UsageError(ValueError):
@@ -65,6 +60,9 @@ def _int_at_least(lo):
 
 
 def _parse_poly(field, text):
+    if not text.strip():
+        raise UsageError("a polynomial is empty; write 0 for the zero "
+                         "polynomial")
     try:
         return parse_poly(field, text)
     except ValueError as e:
@@ -90,6 +88,7 @@ def _parse_ratf(field, text):
 
 def _parse_matrix(field, text, r):
     """An r x r matrix: rows separated by ';', entries by ','."""
+    from .building import mat_inv
     rows = []
     for row in text.split(";"):
         rows.append(tuple(_parse_ratf(field, e) for e in row.split(",")))
@@ -111,7 +110,11 @@ def _rank_vector(vec, r, flag):
 
 
 def _oracle_range(args):
-    """The rank and --deg-bound limits of the lattice-sum oracle."""
+    """The rank and --deg-bound limits of the lattice-sum oracle; also
+    fills in the oracle's default --prec."""
+    from .oracle import DEFAULT_PREC, MAX_BASIS, MAX_RANK
+    if args.prec is None:
+        args.prec = DEFAULT_PREC
     if args.r > MAX_RANK:
         raise UsageError(f"--r {args.r}: lattice sums are only tractable "
                          f"for r <= {MAX_RANK}")
@@ -120,6 +123,17 @@ def _oracle_range(args):
         raise UsageError(f"--deg-bound {args.deg_bound}: the truncated "
                          f"lattice has {n} basis vectors at --r {args.r}, "
                          f"more than {MAX_BASIS}")
+
+
+def _grid_range(q, avec, yexps):
+    """The size limit of fourier coeff's u-grid, checked before any of
+    it is built: q^((M-1)(r-1)) points at grid depth M."""
+    from .fourier import grid_depth
+    e = (grid_depth(avec, yexps) - 1) * len(yexps)
+    # q >= 2, so q^e > MAX_GRID once e reaches its bit length
+    if e >= MAX_GRID.bit_length() or q ** e > MAX_GRID:
+        raise UsageError(f"--a and --y need a u-grid of q^{e} points, "
+                         f"more than {MAX_GRID}")
 
 
 def _parse_ints(text):
@@ -182,8 +196,9 @@ def _emit(args, op, params, result, diagnostics=None, expected=None):
 # ---------------------------------------------------------------- commands
 
 def cmd_building_neighbors(args):
+    from .building import mat_from_exps, type_one_in_neighbors
     field = get_field(args.q)
-    g = _parse_matrix(field, args.g, args.r) if args.g else \
+    g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     edges = type_one_in_neighbors(g)
     distinct = {e.key: e for e in edges}
@@ -202,6 +217,7 @@ def _basis_text(rows):
 
 
 def cmd_building_weyl(args):
+    from .building import WeylType, weyl_edge_value
     try:
         k = WeylType(_parse_ints(args.k))
     except ValueError as e:
@@ -212,13 +228,17 @@ def cmd_building_weyl(args):
 
 
 def cmd_fourier_coeff(args):
+    from .discriminant import p_delta_coefficient, series_eval
+    from .fourier import fourier_coefficient
     field = get_field(args.q)
     avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
+    _grid_range(args.q, avec, yexps)
     if args.h == "oracle":
         if args.r != 2:
             raise UsageError("the oracle evaluator is wired for r = 2")
         _oracle_range(args)
+        from .oracle import p_delta_on_p_point
         h = lambda u, ye: p_delta_on_p_point(u, ye, args.q, args.r,
                                              D=args.deg_bound,
                                              prec=args.prec)
@@ -232,6 +252,8 @@ def cmd_fourier_coeff(args):
 
 
 def cmd_eisenstein_eval(args):
+    from .eisenstein import (eisenstein_at, eisenstein_diagonal,
+                             eisenstein_truncated_sum)
     nvec = _parse_ints(args.n)
     args.r = len(nvec)
     try:
@@ -260,6 +282,7 @@ def cmd_eisenstein_eval(args):
 
 
 def cmd_eisenstein_klf(args):
+    from .eisenstein import identity_check_thm56
     items = identity_check_thm56()
     bad = [i for i in items if not i.ok]
     code = _emit(args, "eisenstein.check-klf-chain", {},
@@ -270,6 +293,7 @@ def cmd_eisenstein_klf(args):
 
 
 def cmd_delta_coeff(args):
+    from .discriminant import p_delta_coefficient
     field = get_field(args.q)
     avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
@@ -278,9 +302,10 @@ def cmd_delta_coeff(args):
 
 
 def cmd_delta_eval(args):
+    from .discriminant import series_eval
     field = get_field(args.q)
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
-    if args.x:
+    if args.x is not None:
         x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
     else:   # no --x: the value at x = 0
         x = (RatF.zero(field),) * (args.r - 1)
@@ -289,6 +314,7 @@ def cmd_delta_eval(args):
 
 
 def cmd_theta_coeff(args):
+    from .discriminant import p_delta_coefficient
     field = get_field(args.q)
     n = _parse_level(field, args.n)
     avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
@@ -299,6 +325,7 @@ def cmd_theta_coeff(args):
 
 
 def cmd_theta_eval(args):
+    from .discriminant import theta_evaluator
     field = get_field(args.q)
     n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r)
@@ -307,9 +334,11 @@ def cmd_theta_eval(args):
 
 
 def cmd_oracle_pdelta(args):
+    from .building import mat_from_exps, mat_scale
+    from .oracle import p_delta_direct
     _oracle_range(args)
     field = get_field(args.q)
-    g = _parse_matrix(field, args.g, args.r) if args.g else \
+    g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     # the series reads only the upper triangle of g / g[0][0]; an
     # invertible upper triangular g has g[0][0] != 0
@@ -321,6 +350,7 @@ def cmd_oracle_pdelta(args):
     diag = {"deg_bound": args.deg_bound, "prec": args.prec,
             "certificate": "stabilized between consecutive truncation depths"}
     if args.check:
+        from .discriminant import eval_on_mirabolic
         gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = eval_on_mirabolic(gm, args.r, field)
         diag["series"] = series
@@ -330,10 +360,12 @@ def cmd_oracle_pdelta(args):
 
 
 def cmd_oracle_ptheta(args):
+    from .building import mat_from_exps
+    from .oracle import p_theta_direct
     _oracle_range(args)
     field = get_field(args.q)
     n = _parse_level(field, args.n)
-    g = _parse_matrix(field, args.g, args.r) if args.g else \
+    g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound, prec=args.prec)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
@@ -341,6 +373,7 @@ def cmd_oracle_ptheta(args):
 
 
 def cmd_units_det_sigma(args):
+    from .units import sigma_det_check
     field = get_field(args.q)
     primes = _parse_polyvec(field, args.primes)
     try:
@@ -358,6 +391,7 @@ def cmd_units_det_sigma(args):
 
 
 def cmd_units_root_order(args):
+    from .units import root_order_delta, root_order_theta
     field = get_field(args.q)
     if args.n is None:
         return _emit(args, "units.root-order", {"series": "delta"},
@@ -372,6 +406,7 @@ def cmd_units_root_order(args):
 
 
 def cmd_cusps_orbits(args):
+    from .units import cusp_orbits
     field = get_field(args.q)
     n = _parse_level(field, args.n)
     try:
@@ -385,6 +420,7 @@ def cmd_cusps_orbits(args):
 
 
 def cmd_cusps_order(args):
+    from .units import cuspidal_order
     field = get_field(args.q)
     p = _parse_level(field, args.p, "--p")
     try:
@@ -402,6 +438,7 @@ def cmd_cusps_order(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
     level = "quick" if args.quick else "full"
     reports = run_suite(level=level)
     result = [{"criterion": rep.number, "name": rep.name,
@@ -432,7 +469,7 @@ def _common(p, ranked):
 
 
 def _oracle_options(p):
-    p.add_argument("--prec", type=_int_at_least(1), default=DEFAULT_PREC,
+    p.add_argument("--prec", type=_int_at_least(1), default=None,
                    help="series window width for the lattice-sum oracle")
     p.add_argument("--deg-bound", type=_int_at_least(1), default=6,
                    help="lattice truncation depth for the oracle")
@@ -443,89 +480,108 @@ def _witness_option(p):
                    help="search bound for theta witness vectors")
 
 
-def build_parser():
+# (path, command, configure, ranked) for every leaf subcommand, in the
+# order of the help output; building weyl and eisenstein eval take their
+# rank from the length of --k / --n
+LEAVES = (
+    ("building neighbors", cmd_building_neighbors,
+     lambda p: p.add_argument("--g", default=None,
+                              help="vertex rep 'a,b;c,d'"), True),
+    ("building weyl", cmd_building_weyl,
+     lambda p: p.add_argument("--k", required=True,
+                              help="dominant type k1,..,kr"), False),
+    ("fourier coeff", cmd_fourier_coeff, lambda p: (
+        _oracle_options(p),
+        p.add_argument("--h", choices=("builtin", "oracle"),
+                       default="builtin"),
+        p.add_argument("--a", required=True, help="polynomial vector"),
+        p.add_argument("--y", required=True, help="diagonal exponents")),
+     True),
+    ("eisenstein eval", cmd_eisenstein_eval, lambda p: (
+        p.add_argument("--n", required=True, help="diagonal exponents"),
+        p.add_argument("--s", required=True, help="evaluation point s0 > 1"),
+        p.add_argument("--N", type=int, default=8, help="truncation terms")),
+     False),
+    ("eisenstein check-klf-chain", cmd_eisenstein_klf, None, True),
+    ("delta coeff", cmd_delta_coeff, lambda p: (
+        p.add_argument("--a", required=True),
+        p.add_argument("--y", required=True)), True),
+    ("delta eval", cmd_delta_eval, lambda p: (
+        p.add_argument("--x", default=None,
+                       help="x vector, e.g. '1/T,0' (0 if omitted)"),
+        p.add_argument("--y", required=True)), True),
+    ("theta coeff", cmd_theta_coeff, lambda p: (
+        p.add_argument("--n", required=True, help="level polynomial"),
+        p.add_argument("--a", required=True),
+        p.add_argument("--y", required=True)), True),
+    ("theta eval", cmd_theta_eval, lambda p: (
+        _witness_option(p),
+        p.add_argument("--n", required=True),
+        p.add_argument("--g", required=True)), True),
+    ("oracle pdelta", cmd_oracle_pdelta, lambda p: (
+        _oracle_options(p),
+        p.add_argument("--g", default=None),
+        p.add_argument("--check", action="store_true",
+                       help="compare against the closed-form series")), True),
+    ("oracle ptheta", cmd_oracle_ptheta, lambda p: (
+        _oracle_options(p),
+        p.add_argument("--n", required=True),
+        p.add_argument("--g", default=None)), True),
+    ("units det-sigma", cmd_units_det_sigma, lambda p: (
+        p.add_argument("--primes", required=True,
+                       help="comma-separated distinct irreducibles"),
+        p.add_argument("--s", type=int, required=True)), True),
+    ("units root-order", cmd_units_root_order,
+     lambda p: p.add_argument("--n", default=None,
+                              help="level (omit for Delta)"), True),
+    ("cusps orbits", cmd_cusps_orbits,
+     lambda p: p.add_argument("--n", required=True), True),
+    ("cusps order", cmd_cusps_order,
+     lambda p: p.add_argument("--p", required=True,
+                              help="irreducible level"), True),
+    ("verify all", cmd_verify,
+     lambda p: p.add_argument("--quick", action="store_true"), True),
+)
+
+
+def build_parser(argv=None):
+    """The hb parser.  When argv begins with a leaf path such as
+    'fourier coeff', only that leaf is built, and the subcommand lists
+    get the metavars the full parser derives, so help and error output
+    stay the same.  Any other argv gets the full parser."""
     top = argparse.ArgumentParser(
         prog="hb",
         description="Exact harmonic-cochain computations on the "
                     "Bruhat-Tits building of PGL_r over F_q((1/T)).")
-    sub = top.add_subparsers(dest="command", required=True)
+    path = " ".join(argv[:2]) if argv else None
+    leaves = [leaf for leaf in LEAVES if leaf[0] == path] or LEAVES
+    full = leaves is LEAVES
 
-    def add(path, fn, configure=None, ranked=True):
-        group, _, name = path.partition(" ")
+    def metavar(names):
+        return None if full else "{" + ",".join(dict.fromkeys(names)) + "}"
+
+    paths = [leaf[0].split() for leaf in LEAVES]
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar=metavar(g for g, _ in paths))
+    groups = {}
+    for leaf_path, fn, configure, ranked in leaves:
+        group, name = leaf_path.split()
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
-                dest="subcommand", required=True)
+                dest="subcommand", required=True,
+                metavar=metavar(n for g, n in paths if g == group))
         p = groups[group].add_parser(name)
         _common(p, ranked)
         if configure:
             configure(p)
         p.set_defaults(fn=fn)
-
-    groups = {}
-    add("building neighbors", cmd_building_neighbors,
-        configure=lambda p: p.add_argument("--g", default=None,
-                                           help="vertex rep 'a,b;c,d'"))
-    # these two take their rank from the length of --k / --n
-    add("building weyl", cmd_building_weyl, ranked=False,
-        configure=lambda p: p.add_argument("--k", required=True,
-                                           help="dominant type k1,..,kr"))
-    add("fourier coeff", cmd_fourier_coeff, configure=lambda p: (
-        _oracle_options(p),
-        p.add_argument("--h", choices=("builtin", "oracle"),
-                       default="builtin"),
-        p.add_argument("--a", required=True, help="polynomial vector"),
-        p.add_argument("--y", required=True, help="diagonal exponents")))
-    add("eisenstein eval", cmd_eisenstein_eval, ranked=False,
-        configure=lambda p: (
-            p.add_argument("--n", required=True, help="diagonal exponents"),
-            p.add_argument("--s", required=True,
-                           help="evaluation point s0 > 1"),
-            p.add_argument("--N", type=int, default=8,
-                           help="truncation terms")))
-    add("eisenstein check-klf-chain", cmd_eisenstein_klf)
-    add("delta coeff", cmd_delta_coeff, configure=lambda p: (
-        p.add_argument("--a", required=True),
-        p.add_argument("--y", required=True)))
-    add("delta eval", cmd_delta_eval, configure=lambda p: (
-        p.add_argument("--x", default=None,
-                       help="x vector, e.g. '1/T,0' (0 if omitted)"),
-        p.add_argument("--y", required=True)))
-    add("theta coeff", cmd_theta_coeff, configure=lambda p: (
-        p.add_argument("--n", required=True, help="level polynomial"),
-        p.add_argument("--a", required=True),
-        p.add_argument("--y", required=True)))
-    add("theta eval", cmd_theta_eval, configure=lambda p: (
-        _witness_option(p),
-        p.add_argument("--n", required=True),
-        p.add_argument("--g", required=True)))
-    add("oracle pdelta", cmd_oracle_pdelta, configure=lambda p: (
-        _oracle_options(p),
-        p.add_argument("--g", default=None),
-        p.add_argument("--check", action="store_true",
-                       help="compare against the closed-form series")))
-    add("oracle ptheta", cmd_oracle_ptheta, configure=lambda p: (
-        _oracle_options(p),
-        p.add_argument("--n", required=True),
-        p.add_argument("--g", default=None)))
-    add("units det-sigma", cmd_units_det_sigma, configure=lambda p: (
-        p.add_argument("--primes", required=True,
-                       help="comma-separated distinct irreducibles"),
-        p.add_argument("--s", type=int, required=True)))
-    add("units root-order", cmd_units_root_order,
-        configure=lambda p: p.add_argument("--n", default=None,
-                                           help="level (omit for Delta)"))
-    add("cusps orbits", cmd_cusps_orbits,
-        configure=lambda p: p.add_argument("--n", required=True))
-    add("cusps order", cmd_cusps_order,
-        configure=lambda p: p.add_argument("--p", required=True,
-                                           help="irreducible level"))
-    add("verify all", cmd_verify,
-        configure=lambda p: p.add_argument("--quick", action="store_true"))
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -38,20 +38,6 @@ def p_delta_coefficient(avec, yexps, r, level=None):
         * sigma(r - 1, avec, level)
 
 
-def p_delta_eval(yexps, r, field):
-    """P1(Delta_r)(x, y) when every n_i <= 1: only a = 0 contributes."""
-    if any(n > 1 for n in yexps):
-        raise ValueError("closed form needs all n_i <= 1")
-    q = field.q
-    return -(q - 1) * Fraction(q) ** (r - 1 - sum(yexps))
-
-
-def weyl_edge_value(q, k):
-    """P(Delta_r) on the Weyl-chamber edge at k = (k_1 >= ... >= k_r = 0)."""
-    kt = k.k if hasattr(k, "k") else tuple(k)
-    return -(q - 1) * q ** ((len(kt) - 1) * (kt[0] + 1) - sum(kt[1:]))
-
-
 def series_eval(xvec, yexps, r, field, level=None):
     """The finite Fourier sum of P1(Delta_r) (level None) or
     P1(Theta_level) at (x, y).  The cyclotomic parts must cancel; a

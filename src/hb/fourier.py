@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import psi_sum
-from .building import ratf_from_pairs
-from .poly import Poly, RatF
+from .poly import Poly, RatF, ratf_from_pairs
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ def mval(avec, yexps):
     return min(n - int(a.deg) for n, a in zip(yexps, avec) if not a.is_zero())
 
 
-def _grid_depth(avec, yexps):
+def grid_depth(avec, yexps):
     m = max(max(yexps), 1)
     degs = [int(a.deg) for a in avec if not a.is_zero()]
     if degs:
@@ -99,7 +98,7 @@ def dot(avec, xvec):
 def fourier_coefficient(h, avec, yexps, field):
     """h*(a, y) for diagonal y = diag(T^{n_i})."""
     rm1 = len(yexps)
-    M = _grid_depth(avec, yexps)
+    M = grid_depth(avec, yexps)
     neg_a = tuple(-a for a in avec)
     total = psi_sum(((h(u, yexps), dot(neg_a, u))
                      for u in u_grid(field, M, rm1)), field)

@@ -26,6 +26,11 @@ class PrecisionError(ArithmeticError):
     pass
 
 
+class StabilizationError(RuntimeError):
+    """A lattice-sum value that did not settle between two truncation
+    depths (raised by the oracle)."""
+
+
 class Laurent:
     __slots__ = ("field", "val", "coeffs", "prec")
 

@@ -31,7 +31,7 @@ import copy
 from dataclasses import dataclass
 
 from .fields import embedding, get_field
-from .laurent import Laurent, PrecisionError
+from .laurent import Laurent, PrecisionError, StabilizationError
 from .poly import RatF
 
 DEFAULT_PREC = 80
@@ -40,10 +40,6 @@ MAX_RANK = 3
 # exp_coefficients refuses lattices with more F_q-basis vectors r(D+1)
 # than this; its cost grows with the square of that number
 MAX_BASIS = 64
-
-
-class StabilizationError(RuntimeError):
-    pass
 
 
 def extension_field(q, r):

@@ -500,3 +500,15 @@ class RatF:
 
     def __repr__(self):
         return f"RatF({self})"
+
+
+def ratf_from_pairs(field, pairs):
+    """sum c * pi^e as an exact rational function."""
+    if not pairs:
+        return RatF.zero(field)
+    emax = max(e for e, _ in pairs)
+    shift = max(emax, 0)
+    num = Poly.zero(field)
+    for e, c in pairs:
+        num = num + Poly.monomial(field, shift - e, c)
+    return RatF(num, Poly.monomial(field, shift))

@@ -17,10 +17,9 @@ from .algebra import CycRat
 from .building import (canonical_vertex, check_harmonic_def,
                        check_harmonic_gl, extend_cochain, flip_matrix,
                        mat_from_exps, mat_identity, mat_mul, mat_scale,
-                       type_one_in_neighbors)
+                       type_one_in_neighbors, weyl_edge_value)
 from .discriminant import (eval_on_mirabolic, p_delta_coefficient,
-                           p_delta_eval, series_eval, theta_evaluator,
-                           weyl_edge_value)
+                           series_eval, theta_evaluator)
 from .eisenstein import (eisenstein_at, eisenstein_truncated_sum,
                          identity_check_thm56)
 from .fields import get_field
@@ -68,10 +67,11 @@ def criterion_weyl_values():
         for q in (2, 3, 4):
             field = get_field(q)
             for r in (2, 3, 4):
-                v = p_delta_eval((1,) * (r - 1), r, field)
+                x0 = (RatF.zero(field),) * (r - 1)
+                v = series_eval(x0, (1,) * (r - 1), r, field)
                 checks += 1
                 if v != -(q - 1):
-                    failures.append(("pDeltaEval(0,T I)", q, r, v))
+                    failures.append(("P1(Delta)(0, T I)", q, r, v))
                 seen = set()
                 for kt in _weyl_types(r, 3):
                     if kt in seen:
@@ -83,7 +83,6 @@ def criterion_weyl_values():
                     # independent route: diag(T^{k_i}) scaled into the
                     # mirabolic cell is (x, y) = (0, diag(T^{k_i - k_1}))
                     yexps = tuple(k - kt[0] for k in kt[1:])
-                    x0 = (RatF.zero(field),) * (r - 1)
                     s = series_eval(x0, yexps, r, field)
                     checks += 2
                     if w != expected:

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import hb.cli
-from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+import hb.fourier
+import hb.oracle
+import hb.units
+from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, main
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
@@ -113,7 +116,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     # an unexpected exception -> exit 1, message on stderr
     def broken(p, r):
         raise RuntimeError("broken")
-    monkeypatch.setattr(hb.cli, "cuspidal_order", broken)
+    monkeypatch.setattr(hb.units, "cuspidal_order", broken)
     code = main(["cusps", "order", "--q", "2", "--r", "2", "--p", "T"])
     err = capsys.readouterr().err
     assert code == 1
@@ -134,6 +137,7 @@ def test_oracle_pdelta_check(capsys):
     assert code == EXIT_OK
     assert doc["result"] == -4
     assert doc["match"] is True
+    assert doc["diagnostics"]["prec"] == 80     # the oracle's default
 
 
 def _usage_error(capsys, argv):
@@ -218,7 +222,7 @@ def test_oracle_window_collapse_is_a_usage_error(capsys, monkeypatch):
     # unsettled depth: the user has an option to change
     def collapse(*args, **kwargs):
         raise PrecisionError("coefficient of pi^9 unknown (prec 8)")
-    monkeypatch.setattr(hb.cli, "p_delta_direct", collapse)
+    monkeypatch.setattr(hb.oracle, "p_delta_direct", collapse)
     err = _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2"])
     assert "PrecisionError" in err
     assert "increase --prec" in err
@@ -355,3 +359,64 @@ def test_delta_eval_without_x_is_the_value_at_zero(capsys):
                                   "--y", "2"])
     assert code == EXIT_OK
     assert doc["result"] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "coeff", "--q", "2", "--r", "2", "--a=", "--y", "3"],
+    ["theta", "coeff", "--q", "2", "--r", "2", "--n", "T", "--a=",
+     "--y", "3"],
+    ["theta", "coeff", "--q", "2", "--r", "3", "--n", "T", "--a", "T,",
+     "--y", "3,3"],
+    ["fourier", "coeff", "--q", "2", "--r", "4", "--a", "T,,1",
+     "--y", "3,3,3"],
+    ["units", "det-sigma", "--q", "2", "--primes", "T,", "--s", "2"],
+    ["cusps", "order", "--q", "2", "--r", "2", "--p="],
+    ["delta", "eval", "--q", "2", "--r", "2", "--y", "2", "--x="],
+    ["delta", "eval", "--q", "2", "--r", "2", "--y", "2", "--x", "1/"],
+    ["building", "neighbors", "--q", "2", "--r", "2", "--g="],
+])
+def test_empty_polynomial_is_a_usage_error(capsys, argv):
+    # an empty text or list entry used to be read as the zero polynomial
+    assert "empty" in _usage_error(capsys, argv)
+
+
+def test_explicit_zero_polynomial_stays_valid(capsys):
+    code, doc = run_json(capsys, ["delta", "coeff", "--q", "2", "--r", "2",
+                                  "--a", "0", "--y", "3"])
+    assert code == EXIT_OK
+    assert doc["result"] == "-1/4"
+    code, doc = run_json(capsys, ["theta", "coeff", "--q", "2", "--r", "3",
+                                  "--n", "T", "--a", "0,0", "--y", "1,1"])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["--h", "oracle", "--a", "1", "--y", "200"],
+    ["--a", "1", "--y", "12"],
+    ["--a", "T^11", "--y", "1"],
+    ["--q", "3", "--r", "3", "--a", "1,1", "--y", "5,5"],
+    ["--a", "1", "--y", str(10 ** 12)],
+])
+def test_fourier_grid_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused before the grid, the coefficient or the evaluator is touched
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the grid cap must come first")
+    for name in ("u_grid", "fourier_coefficient"):
+        monkeypatch.setattr(hb.fourier, name, untouchable)
+    err = _usage_error(capsys, ["fourier", "coeff", "--q", "2", "--r", "2",
+                                *argv])
+    assert f"more than {MAX_GRID}" in err
+
+
+def test_fourier_grid_at_the_cap_is_computed(capsys, monkeypatch):
+    # q^((M-1)(r-1)) = 2^10 points at --a T^9, --y 1: exactly the cap
+    assert MAX_GRID == 2 ** 10
+    seen = []
+    real = hb.fourier.u_grid
+    monkeypatch.setattr(hb.fourier, "u_grid",
+                        lambda *args: seen.append(args) or real(*args))
+    code, doc = run_json(capsys, ["fourier", "coeff", "--q", "2", "--r", "2",
+                                  "--a", "T^9", "--y", "1"])
+    assert code == EXIT_OK
+    assert seen[0][1:] == (11, 1)
+    assert doc["result"] == str(doc["diagnostics"]["closed_form"])

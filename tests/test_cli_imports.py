@@ -1,0 +1,102 @@
+"""Cold start of the CLI: each query is one fresh process, so `hb.cli`
+loads only the base arithmetic layers and each command imports its own;
+and the parser built for one leaf subcommand prints the same help and
+errors as the full parser."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hb.cli import LEAVES, build_parser
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _loaded(argv=None):
+    """The hb modules a fresh process holds after `import hb.cli` and,
+    given argv, one `main(argv)`, which must exit 0."""
+    lines = ["import contextlib, io, json, sys", "import hb.cli",
+             "status = 0"]
+    if argv is not None:
+        lines += ["with contextlib.redirect_stdout(io.StringIO()):",
+                  f"    status = hb.cli.main({argv!r})"]
+    lines.append("print(json.dumps([status, sorted(m for m in sys.modules "
+                 "if m.startswith('hb.'))]))")
+    code = "\n".join(lines)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    status, modules = json.loads(out)
+    assert status == 0
+    return {m.split(".")[1] for m in modules}
+
+
+def test_cli_import_loads_only_the_base_layers():
+    # none of building, discriminant, fourier, algebra, eisenstein,
+    # oracle, units or verify
+    assert _loaded() == {"cli", "fields", "laurent", "poly"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["building", "weyl", "--q", "2", "--k", "2,1,0"], {"discriminant"}),
+    (["units", "root-order", "--q", "3", "--r", "2", "--n", "T"],
+     {"building"}),
+    (["cusps", "order", "--q", "3", "--r", "2", "--p", "T^3+T^2+2"],
+     {"building"}),
+    (["eisenstein", "eval", "--q", "2", "--n", "0,0", "--s", "2"],
+     {"building", "oracle"}),
+    (["fourier", "coeff", "--q", "2", "--r", "2", "--h", "builtin",
+      "--a", "T", "--y", "3"], {"oracle"}),
+])
+def test_a_command_loads_only_its_layers(argv, absent):
+    assert not _loaded(argv) & absent
+
+
+def _output(argv, parser):
+    """Exit status, stdout and stderr of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            status = None
+        except SystemExit as e:
+            status = e.code
+    return status, out.getvalue(), err.getvalue()
+
+
+PATHS = [leaf[0].split() for leaf in LEAVES]
+
+
+@pytest.mark.parametrize("path", PATHS, ids=" ".join)
+def test_leaf_parser_help_matches_full_parser(path):
+    argv = path + ["--help"]
+    leaf = _output(argv, build_parser(argv))
+    assert leaf[0] == 0 and leaf[1].startswith(f"usage: hb {' '.join(path)}")
+    assert leaf == _output(argv, build_parser())
+
+
+@pytest.mark.parametrize("tail", [["--bogus"], ["--q", "6"], ["--r"],
+                                  ["--format", "xml"]], ids=" ".join)
+@pytest.mark.parametrize("path", PATHS, ids=" ".join)
+def test_leaf_parser_errors_match_full_parser(path, tail):
+    argv = path + tail
+    leaf = _output(argv, build_parser(argv))
+    assert leaf[0] == 2 and "error" in leaf[2]
+    assert leaf == _output(argv, build_parser())
+
+
+@pytest.mark.parametrize("argv", [None, [], ["--help"], ["fourier"],
+                                  ["fourier", "--help"], ["fourier", "coef"],
+                                  ["nonsense", "coeff"]], ids=str)
+def test_other_argv_gets_the_full_parser(argv):
+    parser = build_parser(argv)
+    for path in PATHS:
+        got = _output(path + ["--help"], parser)
+        assert got[0] == 0
+        assert got == _output(path + ["--help"], build_parser())

@@ -2,10 +2,9 @@
 
 from fractions import Fraction
 
-from hb.building import flip_matrix, mat_from_exps, mat_mul
+from hb.building import flip_matrix, mat_from_exps, mat_mul, weyl_edge_value
 from hb.discriminant import (eval_on_mirabolic, p_delta_coefficient,
-                             p_delta_eval, series_eval, theta_evaluator,
-                             weyl_edge_value)
+                             series_eval, theta_evaluator)
 from hb.fields import get_field
 from hb.fourier import PPoint
 from hb.poly import Poly, RatF, parse_poly
@@ -18,7 +17,8 @@ def test_identity_edge_value():
     # [PAPER] P1(Delta_r) at the standard edge is -(q-1)
     for q, field in ((2, F2), (3, F3)):
         for r in (2, 3, 4):
-            assert p_delta_eval((1,) * (r - 1), r, field) == -(q - 1)
+            x0 = (RatF.zero(field),) * (r - 1)
+            assert series_eval(x0, (1,) * (r - 1), r, field) == -(q - 1)
 
 
 def test_weyl_chamber_formula():

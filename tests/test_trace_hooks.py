@@ -7,7 +7,20 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import hb.cli  # noqa: F401  (loads every hb module the tracer patches)
+# every hb module the tracer patches or rebinds in, loaded up front: the
+# CLI imports its layers only when a command runs
+import hb.algebra  # noqa: F401
+import hb.building  # noqa: F401
+import hb.cli  # noqa: F401
+import hb.discriminant  # noqa: F401
+import hb.eisenstein  # noqa: F401
+import hb.fields  # noqa: F401
+import hb.fourier  # noqa: F401
+import hb.laurent  # noqa: F401
+import hb.oracle  # noqa: F401
+import hb.poly  # noqa: F401
+import hb.units  # noqa: F401
+import hb.verify  # noqa: F401
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
