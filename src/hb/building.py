@@ -145,17 +145,12 @@ def fq_rank_basis(field, vectors):
     return basis, rref
 
 
-def fq_all_vectors(field, n):
-    return itertools.product(range(field.q), repeat=n)
-
-
 def fq_subspaces(field, n, d):
     """All d-dimensional subspaces of F_q^n as RREF basis tuples."""
     if d == 0:
         return [()]
     out = []
     for pivots in itertools.combinations(range(n), d):
-        free = [[] for _ in range(d)]
         slots = []
         for i in range(d):
             for j in range(n):
@@ -173,12 +168,7 @@ def fq_subspaces(field, n, d):
 
 def fq_line_reps(field, n):
     """One representative per line in F_q^n (first nonzero entry 1)."""
-    out = []
-    for v in fq_all_vectors(field, n):
-        nz = next((i for i, c in enumerate(v) if c), None)
-        if nz is not None and v[nz] == 1:
-            out.append(v)
-    return out
+    return [row for (row,) in fq_subspaces(field, n, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -598,9 +588,9 @@ class WeylType:
 
 
 def weyl_edge_value(q, k):
-    """P(Delta_r) on the Weyl-chamber edge at k = (k_1 >= ... >= k_r = 0)."""
-    kt = k.k if hasattr(k, "k") else tuple(k)
-    return -(q - 1) * q ** ((len(kt) - 1) * (kt[0] + 1) - sum(kt[1:]))
+    """P(Delta_r) on the Weyl-chamber edge at the tuple
+    k = (k_1 >= ... >= k_r = 0)."""
+    return -(q - 1) * q ** ((len(k) - 1) * (k[0] + 1) - sum(k[1:]))
 
 
 def reduce_y_transcript(y):

@@ -31,6 +31,8 @@ from .poly import RatF, parse_poly
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
 # fourier coeff refuses u-grids (pi O / pi^M O)^(r-1) with more points
 MAX_GRID = 2 ** 10
+# delta eval refuses coefficient supports with more a-vectors
+MAX_SUPPORT = 2 ** 10
 
 
 class UsageError(ValueError):
@@ -125,15 +127,19 @@ def _oracle_range(args):
                          f"more than {MAX_BASIS}")
 
 
+def _size_cap(q, e, cap, what):
+    """Refuse q^e items above cap, without forming q^e for a huge e."""
+    # q >= 2, so q^e > cap once e reaches its bit length
+    if e >= cap.bit_length() or q ** e > cap:
+        raise UsageError(f"{what} of q^{e} points, more than {cap}")
+
+
 def _grid_range(q, avec, yexps):
     """The size limit of fourier coeff's u-grid, checked before any of
     it is built: q^((M-1)(r-1)) points at grid depth M."""
     from .fourier import grid_depth
-    e = (grid_depth(avec, yexps) - 1) * len(yexps)
-    # q >= 2, so q^e > MAX_GRID once e reaches its bit length
-    if e >= MAX_GRID.bit_length() or q ** e > MAX_GRID:
-        raise UsageError(f"--a and --y need a u-grid of q^{e} points, "
-                         f"more than {MAX_GRID}")
+    _size_cap(q, (grid_depth(avec, yexps) - 1) * len(yexps), MAX_GRID,
+              "--a and --y need a u-grid")
 
 
 def _parse_ints(text):
@@ -223,7 +229,7 @@ def cmd_building_weyl(args):
     except ValueError as e:
         raise UsageError(f"--k: {e}") from None
     args.r = len(k.k)
-    val = weyl_edge_value(args.q, k)
+    val = weyl_edge_value(args.q, k.k)
     return _emit(args, "building.weyl", {"k": list(k.k)}, val)
 
 
@@ -305,6 +311,9 @@ def cmd_delta_eval(args):
     from .discriminant import series_eval
     field = get_field(args.q)
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
+    # the support: the q^(sum max(n_i - 1, 0)) a with deg a_i <= n_i - 2
+    _size_cap(args.q, sum(max(n - 1, 0) for n in yexps), MAX_SUPPORT,
+              "--y needs a coefficient support")
     if args.x is not None:
         x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
     else:   # no --x: the value at x = 0

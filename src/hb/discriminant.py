@@ -101,7 +101,6 @@ def _unimodular_to_e1(cvec):
 
 def _in_p_cell_column(g_inv, cvec):
     """Does g^{-1} c have its strict minimal valuation in coordinate 1?"""
-    field = cvec[0].field
     w = mat_vec(g_inv, tuple(RatF(x) for x in cvec))
     if w[0].is_zero():
         return False
@@ -109,9 +108,9 @@ def _in_p_cell_column(g_inv, cvec):
     return all(x.is_zero() or x.ord_inf() > o0 for x in w[1:])
 
 
-def find_witnesses(n, g, bound=None, count=1):
-    """gamma in Gamma_0(n) with gamma g in P F^x I^1, as a list of up to
-    `count` distinct witnesses.  gamma is found through the first column
+def find_witnesses(n, g, bound=None):
+    """gamma in Gamma_0(n) with gamma g in P F^x I^1, as a one-element
+    list [(gamma, c)].  gamma is found through the first column
     c = gamma^{-1} e1, which must satisfy c_i = n c_i' for i >= 2 and
     have unit content; the membership test is the valuation criterion on
     g^{-1} c.  Deterministic degree-bounded enumeration."""
@@ -121,7 +120,6 @@ def find_witnesses(n, g, bound=None, count=1):
         bound = int(n.deg) + 2
     g_inv = mat_inv(g)
     dn = int(n.deg)
-    found = []
     seen_cols = set()
     for D in range(bound + 1):
         top = polys_up_to(field, D)
@@ -153,13 +151,8 @@ def find_witnesses(n, g, bound=None, count=1):
             # safety: delta really is a Gamma_0(n) element with column c
             for i in range(r):
                 assert delta[i][0] == RatF(cvec[i])
-            gamma = U
-            found.append((gamma, cvec))
-            if len(found) >= count:
-                return found
-    if not found:
-        raise WitnessError(f"no Gamma_0({n}) witness within degree bound {bound}")
-    return found
+            return [(U, cvec)]
+    raise WitnessError(f"no Gamma_0({n}) witness within degree bound {bound}")
 
 
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
@@ -175,7 +168,7 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:
-        gamma, _c = find_witnesses(n, g, bound=bound, count=1)[0]
+        gamma, _c = find_witnesses(n, g, bound=bound)[0]
         iw2 = iwasawa_decompose(mat_mul(gamma, g))
         if iw2.w != "identity":
             raise AssertionError("witness failed to reach the mirabolic cell")

@@ -17,7 +17,6 @@ in the delta oracle, where truncation is intrinsic.
 """
 
 import math
-from fractions import Fraction
 
 DEFAULT_PREC = 40
 
@@ -65,8 +64,8 @@ class Laurent:
         return Laurent(field, 0, (c,))
 
     @staticmethod
-    def pi_power(field, k, c=1):
-        return Laurent(field, k, (c,))
+    def pi_power(field, k):
+        return Laurent(field, k, (1,))
 
     @staticmethod
     def from_pairs(field, pairs):
@@ -97,12 +96,6 @@ class Laurent:
             return math.inf
         raise PrecisionError(
             f"element is zero modulo pi^{self.prec}; valuation not certified")
-
-    def absvalue(self):
-        o = self.ord()
-        if o is math.inf:
-            return Fraction(0)
-        return Fraction(self.field.q) ** (-o)
 
     def coeff(self, k):
         """Coefficient of pi^k; PrecisionError if k is beyond the window."""

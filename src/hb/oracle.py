@@ -8,12 +8,16 @@ built one F_q-basis vector at a time through
     e_{V + F_q w}(x) = e_V(x)^q - e_V(w)^{q-1} e_V(x),
 
 and the Drinfeld module coefficients follow from the functional equation
-exp(Tx) = phi_T(exp(x)).  The recursion needs the exact valuation of
-e_V(w) at each new w, and no point of V is ever listed for it: V is kept
-in a valuation-adapted F_q-basis u_1, ..., u_t (leading coefficients of
-equal-order u_i independent over F_q), greedy reduction finds the best
-approximant lambda* of w in V at d = ord(w - lambda*), and the product
-formula for e_V(w) / (linear coefficient of e_V) collapses to
+exp(Tx) = phi_T(exp(x)).  Delta is the top coefficient g_r of
+phi_T = T + g_1 tau + ... + g_r tau^r, and the triangular solve for
+g_1..g_r reads only the exp coefficients a_0..a_r.
+
+The recursion needs the exact valuation of e_V(w) at each new w, and no
+point of V is ever listed for it: V is kept in a valuation-adapted
+F_q-basis u_1, ..., u_t (leading coefficients of equal-order u_i
+independent over F_q), greedy reduction finds the best approximant
+lambda* of w in V at d = ord(w - lambda*), and the product formula for
+e_V(w) / (linear coefficient of e_V) collapses to
 
     ord(e_V(w) / alpha_0) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).
 
@@ -28,7 +32,6 @@ base field arithmetic, which is what makes the cross-check meaningful.
 """
 
 import copy
-from dataclasses import dataclass
 
 from .fields import embedding, get_field
 from .laurent import Laurent, PrecisionError, StabilizationError
@@ -254,49 +257,36 @@ def exp_coefficients(z, D, K, prec=None):
     return padded(prev), padded(coeffs)
 
 
-@dataclass
-class DrinfeldCoeffs:
-    g: tuple          # g_1..g_K
-    a: tuple          # exp coefficients a_0..a_K
-    D: int
-    residual_ord: object  # valuation lower bound of the functional-equation residual beyond index r
+def drinfeld_coeffs(z, D, r, prec=None):
+    """g_1..g_r of phi_T = Tx + g_1 x^q + ... + g_r x^{q^r} for the
+    lattice of z at truncation depths D - 1 and D (a pair of tuples),
+    from one exp_coefficients recursion.  g_k reads only a_0..a_k, so
+    the exp coefficients stop at a_r."""
+    prev, a = exp_coefficients(z, D, r, prec=prec)
+    return _solve_g(prev, r), _solve_g(a, r)
 
 
-def drinfeld_coeffs(z, D, r, K=None, prec=None):
-    """g_1..g_K of phi_T = Tx + g_1 x^q + ... for the lattice of z at
-    truncation depths D - 1 and D (a pair of DrinfeldCoeffs), from one
-    exp_coefficients recursion."""
-    if K is None:
-        K = r + 1
-    prev, a = exp_coefficients(z, D, K, prec=prec)
-    return _solve_g(prev, D - 1, r), _solve_g(a, D, r)
-
-
-def _solve_g(a, D, r):
-    """The triangular solve of exp(Tx) = phi_T(exp(x)) for g_1..g_K,
-    given the exp coefficients a_0..a_K of the depth-D lattice."""
+def _solve_g(a, r):
+    """The triangular solve of exp(Tx) = phi_T(exp(x)) for g_1..g_r,
+    given the exp coefficients a_0..a_r of one truncated lattice."""
     big = a[0].field
     e = big.n // r
     q = big.p ** e
     gs = []
-    for k in range(1, len(a)):
+    for k in range(1, r + 1):
         tq = Laurent.from_pairs(big, [(-q ** k, 1), (-1, big.neg(1))])  # T^{q^k} - T
         acc = a[k] * tq
         for i in range(1, k):
             acc = acc - gs[i - 1] * a[k - i].q_power(e * i)
         gs.append(acc)
-    # beyond index r the recursion must give 0: functional-equation residual
-    residual = None
-    for res in gs[r:]:
-        bound = res._lower_bound()
-        residual = bound if residual is None else min(residual, bound)
-    return DrinfeldCoeffs(g=tuple(gs[:r]), a=tuple(a), D=D, residual_ord=residual)
+    return tuple(gs)
 
 
 def _certified_ord(z, D, r, what, prec=None):
-    """ord Delta at depths D-1 and D; stabilization is the certificate."""
-    prev, dc = drinfeld_coeffs(z, D, r, prec=prec)
-    o_prev, o = prev.g[r - 1].ord(), dc.g[r - 1].ord()
+    """ord Delta = ord g_r at depths D-1 and D; stabilization is the
+    certificate."""
+    prev, g = drinfeld_coeffs(z, D, r, prec=prec)
+    o_prev, o = prev[r - 1].ord(), g[r - 1].ord()
     if o_prev != o:
         raise StabilizationError(
             f"{what}: ord(Delta) moved from {o_prev} to {o} between "

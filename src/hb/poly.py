@@ -7,8 +7,9 @@ Euclidean division is Poly.__divmod__.  deg(0) is the sentinel -inf so
 that degree comparisons behave; call sites that exponentiate check for
 zero first.
 
-factor_monic factors by trial division; algebra.divisor_degrees builds
-the divisor counts of every divisor sum from its prime powers.
+factor_monic factors by trial division, the one such loop: is_irreducible
+reads its factorization, and algebra.divisor_degrees builds the divisor
+counts of every divisor sum from its prime powers.
 
 RatF is an exact fraction num/den with den monic and gcd-reduced.  It
 doubles as the exact model of F_infinity = F_q((1/T)): ord at infinity is
@@ -47,10 +48,6 @@ class Poly:
         return Poly(field, (c,))
 
     @staticmethod
-    def T(field):
-        return Poly(field, (0, 1))
-
-    @staticmethod
     def monomial(field, k, c=1):
         return Poly(field, (0,) * k + (c,))
 
@@ -75,10 +72,6 @@ class Poly:
 
     def coeff(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def absvalue(self):
-        """|a| = q^deg(a), with |0| = 0."""
-        return 0 if self.is_zero() else self.field.q ** self.deg
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
@@ -244,12 +237,8 @@ def _parse_coeff(field, text):
         mult = int(head) % field.p
     if text.startswith("u"):
         j = int(text[2:]) if text.startswith("u^") else 1
-        base = field.p ** j if j < field.n else None
-        if base is None:
-            # reduce u^j mod the modulus
-            u = field.p % field.q
-            base = field.pow(u, j)
-        return field.mul(field.from_int(mult), base)
+        # u is the code p (0 over a prime field); pow reduces u^j
+        return field.mul(field.from_int(mult), field.pow(field.p % field.q, j))
     return field.from_int(int(text) * mult)
 
 
@@ -268,10 +257,7 @@ def monic_irreducibles(field, max_deg):
 
 
 def is_irreducible(f):
-    if f.deg < 1:
-        return False
-    return not any(g.divides(f) for d in range(1, int(f.deg) // 2 + 1)
-                   for g in _monics(f.field, d))
+    return f.deg >= 1 and factor_monic(f) == [(f.monic(), 1)]
 
 
 def factor_monic(f):
@@ -413,14 +399,6 @@ class RatF:
         if self.num.is_zero():
             return math.inf
         return self.den.deg - self.num.deg
-
-    def absvalue(self):
-        """|x| = q^{-ord(x)} as an exact integer or Fraction-compatible value."""
-        from fractions import Fraction
-        if self.is_zero():
-            return Fraction(0)
-        o = self.ord_inf()
-        return Fraction(self.field.q) ** (-o)
 
     def __add__(self, other):
         if not other.num.coeffs:

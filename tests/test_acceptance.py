@@ -3,6 +3,8 @@ asserted alongside the checks.  Each test is a thin wrapper over the
 corresponding driver in hb.verify so that `hb verify all` and the test
 suite can never drift apart."""
 
+from math import comb
+
 import pytest
 
 from hb import verify
@@ -16,6 +18,17 @@ def _assert_green(rep, checks, budget_seconds):
     assert rep.seconds < budget_seconds, \
         f"criterion {rep.number} took {rep.seconds:.1f}s " \
         f"(budget {budget_seconds}s)"
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_weyl_types_are_each_dominant_type_once(r):
+    # the dominant k_1 >= ... >= k_{r-1} >= 0 with k_1 <= 3 are the
+    # multisets of r - 1 values from {0, 1, 2, 3}
+    types = list(verify._weyl_types(r, 3))
+    assert len(types) == len(set(types)) == comb(r + 2, r - 1)
+    for k in types:
+        assert len(k) == r and k[-1] == 0 and k[0] <= 3
+        assert all(a >= b for a, b in zip(k, k[1:]))
 
 
 def test_criterion_01_weyl_chamber_values():

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import hb.cli
+import hb.discriminant
 import hb.fourier
 import hb.oracle
 import hb.units
-from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, main
+from hb.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, MAX_SUPPORT,
+                    main)
+from hb.building import weyl_edge_value
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
@@ -420,3 +423,57 @@ def test_fourier_grid_at_the_cap_is_computed(capsys, monkeypatch):
     assert code == EXIT_OK
     assert seen[0][1:] == (11, 1)
     assert doc["result"] == str(doc["diagnostics"]["closed_form"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "2", "--r", "2", "--y", "40"],
+    ["--q", "2", "--r", "2", "--y", "12"],
+    ["--q", "3", "--r", "3", "--y", "20,20"],
+    ["--q", "2", "--r", "3", "--y", "6,7", "--x", "1/T,0"],
+    ["--q", "2", "--r", "2", "--y", str(10 ** 12)],
+])
+def test_delta_eval_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused before the coefficient support or the series is touched
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the support cap must come first")
+    for name in ("series_eval", "table_support"):
+        monkeypatch.setattr(hb.discriminant, name, untouchable)
+    err = _usage_error(capsys, ["delta", "eval", *argv])
+    assert f"more than {MAX_SUPPORT}" in err
+
+
+def test_delta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
+    # deg a <= 9 at --y 11: q^10 = 2^10 a-vectors, exactly the cap
+    assert MAX_SUPPORT == 2 ** 10
+    seen = []
+    real = hb.discriminant.table_support
+    monkeypatch.setattr(hb.discriminant, "table_support",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    code, doc = run_json(capsys, ["delta", "eval", "--q", "2", "--r", "2",
+                                  "--y", "11"])
+    assert code == EXIT_OK
+    assert len(seen[0]) == MAX_SUPPORT
+    F2 = get_field(2)
+    assert doc["result"] == eval_on_mirabolic(
+        PPoint((RatF.zero(F2),), (11,)).matrix(F2), 2, F2)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--q", "2", "--r", "2", "--y", "-1"], (2, (1, 0))),
+    (["--q", "2", "--r", "2", "--y", "-1", "--x", "1/T"], (2, (1, 0))),
+    (["--q", "3", "--r", "3", "--y=-1,-2"], (3, (2, 1, 0))),
+    (["--q", "2", "--r", "3", "--y=0,-1"], (2, (1, 1, 0))),
+])
+def test_delta_eval_at_nonpositive_exponents(capsys, argv, want):
+    # (0, diag(T^{k_i - k_1})) is the Weyl-chamber edge of type k moved
+    # into the mirabolic cell, as in criterion 1
+    code, doc = run_json(capsys, ["delta", "eval", *argv])
+    assert code == EXIT_OK
+    assert doc["result"] == weyl_edge_value(*want)
+
+
+def test_negative_exponent_list_needs_the_equals_form(capsys):
+    # argparse reads a separate "-1,-2" as an option, not as --y's value
+    err = _usage_error(capsys, ["delta", "eval", "--q", "3", "--r", "3",
+                                "--y", "-1,-2"])
+    assert "expected one argument" in err

@@ -68,6 +68,20 @@ def test_fork_gives_the_shallower_depth_exactly(q, r):
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def test_fewer_coefficients_are_a_prefix(q, r):
+    # a_k reads only a_{k-1} and a_k of the step before, so asking for
+    # a_0..a_r (all that the solve for g_1..g_r reads) gives exactly the
+    # first r + 1 coefficients of a longer run, at both depths
+    for z in _fork_points(q, r):
+        for D in range(1, 5):
+            short = exp_coefficients(z, D, r, prec=160)
+            long = exp_coefficients(z, D, r + 1, prec=160)
+            for s, l in zip(short, long):
+                assert len(s) == r + 1
+                assert _fields(s) == _fields(l[:r + 1])
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_fork_raises_the_same_precision_error(q, r, D):
     # a window of 2 collapses at depth 1 and beyond on the mirabolic point
@@ -141,12 +155,13 @@ def test_drinfeld_coeffs_shape():
     big = extension_field(2, 2)
     embed = embedding(2, big.q)
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 120)
-    prev, dc = drinfeld_coeffs(z, 4, 2, prec=80)
-    assert (prev.D, dc.D) == (3, 4)
-    for c in (prev, dc):
-        assert len(c.g) == 2
-        assert len(c.a) == 4
-        assert c.g[1].ord() is not None
+    prev, g = drinfeld_coeffs(z, 4, 2, prec=80)
+    for gs in (prev, g):
+        assert isinstance(gs, tuple)
+        assert len(gs) == 2                  # g_1, g_2 = Delta
+        assert all(not c.is_exact() for c in gs)
+        assert gs[1].ord() is not None
+    assert prev[1].ord() == g[1].ord()       # stabilized at depths 3, 4
 
 
 def test_delta_valuation_doubles_along_apartment():

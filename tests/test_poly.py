@@ -75,7 +75,6 @@ def test_ratf_ord_and_absvalue():
     assert RatF.pi_power(F3, 5).ord_inf() == 5
     assert RatF(parse_poly(F3, "T^2+1")).ord_inf() == -2
     assert RatF.zero(F3).ord_inf() == math.inf
-    assert RatF(parse_poly(F3, "T")).absvalue() == 3
 
 
 def test_pi_coeffs_geometric_series():
