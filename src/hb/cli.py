@@ -29,10 +29,9 @@ from .laurent import PrecisionError, StabilizationError
 from .poly import RatF, parse_poly
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
-# fourier coeff refuses u-grids (pi O / pi^M O)^(r-1) with more points
+# fourier coeff refuses u-grids (pi O / pi^M O)^(r-1) with more points;
+# the support cap of every series value is discriminant.MAX_SUPPORT
 MAX_GRID = 2 ** 10
-# delta eval refuses coefficient supports with more a-vectors
-MAX_SUPPORT = 2 ** 10
 
 
 class UsageError(ValueError):
@@ -127,19 +126,25 @@ def _oracle_range(args):
                          f"more than {MAX_BASIS}")
 
 
-def _size_cap(q, e, cap, what):
-    """Refuse q^e items above cap, without forming q^e for a huge e."""
-    # q >= 2, so q^e > cap once e reaches its bit length
-    if e >= cap.bit_length() or q ** e > cap:
-        raise UsageError(f"{what} of q^{e} points, more than {cap}")
-
-
 def _grid_range(q, avec, yexps):
     """The size limit of fourier coeff's u-grid, checked before any of
     it is built: q^((M-1)(r-1)) points at grid depth M."""
-    from .fourier import grid_depth
-    _size_cap(q, (grid_depth(avec, yexps) - 1) * len(yexps), MAX_GRID,
-              "--a and --y need a u-grid")
+    from .fourier import grid_depth, over_cap
+    e = (grid_depth(avec, yexps) - 1) * len(yexps)
+    if over_cap(q, e, MAX_GRID):
+        raise UsageError(f"--a and --y need a u-grid of q^{e} points, "
+                         f"more than {MAX_GRID}")
+
+
+def _support_range(series):
+    """series(), with a coefficient support above the cap refused as a
+    usage error; the support of a group element's value is known only
+    once the element is reduced into the mirabolic cell."""
+    from .discriminant import SupportError
+    try:
+        return series()
+    except SupportError as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_ints(text):
@@ -308,12 +313,10 @@ def cmd_delta_coeff(args):
 
 
 def cmd_delta_eval(args):
-    from .discriminant import series_eval
+    from .discriminant import check_support, series_eval
     field = get_field(args.q)
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
-    # the support: the q^(sum max(n_i - 1, 0)) a with deg a_i <= n_i - 2
-    _size_cap(args.q, sum(max(n - 1, 0) for n in yexps), MAX_SUPPORT,
-              "--y needs a coefficient support")
+    _support_range(lambda: check_support(args.q, yexps))
     if args.x is not None:
         x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
     else:   # no --x: the value at x = 0
@@ -339,7 +342,8 @@ def cmd_theta_eval(args):
     n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r)
     h1 = theta_evaluator(n, field, args.r, bound=args.witness_bound)
-    return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, h1(g))
+    return _emit(args, "theta.eval", {"n": args.n, "g": args.g},
+                 _support_range(lambda: h1(g)))
 
 
 def cmd_oracle_pdelta(args):
@@ -355,13 +359,14 @@ def cmd_oracle_pdelta(args):
                           for i in range(args.r) for j in range(i)):
         raise UsageError(f"--check needs an upper triangular --g; "
                          f"{args.g!r} is not")
+    if args.check:   # the series first: it may refuse the support
+        from .discriminant import eval_on_mirabolic
+        gm = mat_scale(g, RatF.one(field) / g[0][0])
+        series = _support_range(lambda: eval_on_mirabolic(gm, args.r, field))
     v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, prec=args.prec)
     diag = {"deg_bound": args.deg_bound, "prec": args.prec,
             "certificate": "stabilized between consecutive truncation depths"}
     if args.check:
-        from .discriminant import eval_on_mirabolic
-        gm = mat_scale(g, RatF.one(field) / g[0][0])
-        series = eval_on_mirabolic(gm, args.r, field)
         diag["series"] = series
         return _emit(args, "oracle.pdelta", {"g": args.g or "identity"},
                      v, diag, expected=series)

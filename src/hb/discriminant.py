@@ -10,7 +10,9 @@ a = 0 value is the same expression with sigma(r-1, 0) = (1 - q^r)^{-1}
 and sigma_n(r-1, 0) = (1 - |n|^{r-1}) sigma(r-1, 0).  Coefficients
 vanish for a != 0 with m(a, y) <= 1.  Every function here that takes
 `level` computes P1(Delta_r) for level None and P1(Theta_n) for the
-monic level n.
+monic level n.  The nonzero coefficients of one (field, y, r, level)
+are built once into a memoized table, which every value at that y
+reads, whatever its x.
 
 Values are finite character sums over the coefficient support;
 evaluation at an arbitrary group element goes through the Iwasawa
@@ -20,12 +22,20 @@ the mirabolic coset when the element lies over the flipped cell.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import psi_sum, sigma
 from .building import (edge_from_rep, iwasawa_decompose, mat_inv, mat_mul,
                        mat_vec, p_coordinates, reduce_y_transcript, vec_mat)
-from .fourier import dot, mval, polys_up_to, table_support
+from .fourier import dot, mval, over_cap, polys_up_to, table_support
 from .poly import Poly, RatF, poly_xgcd, vec_content
+
+# no coefficient table is built over a support of more a-vectors
+MAX_SUPPORT = 2 ** 10
+
+
+class SupportError(ValueError):
+    """A coefficient support of more than MAX_SUPPORT a-vectors."""
 
 
 def p_delta_coefficient(avec, yexps, r, level=None):
@@ -38,13 +48,34 @@ def p_delta_coefficient(avec, yexps, r, level=None):
         * sigma(r - 1, avec, level)
 
 
+def check_support(q, yexps):
+    """Refuse a support of q^(sum max(n_i - 1, 0)) a-vectors above
+    MAX_SUPPORT, before any of it is built."""
+    e = sum(max(n - 1, 0) for n in yexps)
+    if over_cap(q, e, MAX_SUPPORT):
+        raise SupportError(f"y = {tuple(yexps)} needs a coefficient support "
+                           f"of q^{e} points, more than {MAX_SUPPORT}")
+
+
+# room for every y that a sweep of the harmonicity checks meets (89 in
+# 40 blocks of the benchmark), and at most 128 * MAX_SUPPORT pairs
+@lru_cache(maxsize=128)
+def coefficient_table(field, yexps, r, level):
+    """The nonzero (P1*(a, y), a) pairs over the support at y =
+    diag(T^{n_i}), yexps a tuple; one table per key.  A support above
+    MAX_SUPPORT raises SupportError before any of it is built."""
+    check_support(field.q, yexps)
+    coeffs = ((p_delta_coefficient(a, yexps, r, level), a)
+              for a in table_support(field, yexps))
+    return tuple((c, a) for c, a in coeffs if c)
+
+
 def series_eval(xvec, yexps, r, field, level=None):
     """The finite Fourier sum of P1(Delta_r) (level None) or
     P1(Theta_level) at (x, y).  The cyclotomic parts must cancel; a
     non-rational total signals a character-convention bug."""
-    coeffs = ((p_delta_coefficient(a, yexps, r, level), a)
-              for a in table_support(field, yexps))
-    total = psi_sum(((c, dot(a, xvec)) for c, a in coeffs if c), field)
+    table = coefficient_table(field, tuple(yexps), r, level)
+    total = psi_sum(((c, dot(a, xvec)) for c, a in table), field)
     rat = total.rational()
     if rat is None:
         raise ArithmeticError(f"non-rational cochain value {total}; "

@@ -50,6 +50,12 @@ def polys_up_to(field, d):
             itertools.product(range(field.q), repeat=d + 1)]
 
 
+def over_cap(q, e, cap):
+    """Is q^e above cap?  Decided without forming q^e for a huge e."""
+    # q >= 2, so q^e > cap once e reaches cap's bit length
+    return e >= cap.bit_length() or q ** e > cap
+
+
 def table_support(field, yexps):
     """All a-vectors with deg a_i <= n_i - 2."""
     axes = [polys_up_to(field, n - 2) for n in yexps]
@@ -106,6 +112,8 @@ def fourier_coefficient(h, avec, yexps, field):
 
 
 def build_table(h, yexps, field):
+    """The table map h -> h*: every coefficient of h over the support at
+    y, as a FourierTable that expand reads back."""
     entries = {}
     for avec in table_support(field, yexps):
         entries[poly_key(avec)] = fourier_coefficient(h, avec, yexps, field)

@@ -250,12 +250,6 @@ def _monics(field, d):
         yield Poly(field, cs[::-1] + (1,))
 
 
-def monic_irreducibles(field, max_deg):
-    """All monic irreducibles of degree <= max_deg, by (degree, coeffs)."""
-    return [f for d in range(1, max_deg + 1) for f in _monics(field, d)
-            if is_irreducible(f)]
-
-
 def is_irreducible(f):
     return f.deg >= 1 and factor_monic(f) == [(f.monic(), 1)]
 

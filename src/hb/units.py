@@ -18,6 +18,9 @@ from .algebra import sigma
 from .fields import embedding, get_field
 from .poly import Poly, factor_monic, is_irreducible
 
+# cusp_orbits refuses orbit spaces with more states than this
+MAX_CUSP_STATES = 200_000
+
 
 # ----------------------------------------------------------------------
 # the divisor-sum determinant
@@ -201,18 +204,22 @@ def _canonical(state, comps, base):
     return best
 
 
-def cusp_orbits(n, r, cap=200000):
+def cusp_orbits(n, r):
     """Orbits of the primitive vectors (prod (F_p^r - 0)) / F_q^x under
     the reduction of Gamma_0(n): transvections e_{ij}(b) away from the
     below-diagonal first column, diag(u, 1, ..., 1, u^{-1}) for units u
-    of A/n, and diag(eps, 1, ..., 1) for eps in F_q^x."""
+    of A/n, and diag(eps, 1, ..., 1) for eps in F_q^x.  An orbit space
+    of more than MAX_CUSP_STATES states is refused before any state is
+    listed."""
     base = n.field
     comps = _residue_fields(n)
     total = 1
     for F, _, _ in comps:
         total *= F.q ** r - 1
-    if total // (base.q - 1) > cap:
-        raise ValueError("orbit space too large; reduce q, r, or deg n")
+    count = total // (base.q - 1)
+    if count > MAX_CUSP_STATES:
+        raise ValueError(f"orbit space of {count} states, more than "
+                         f"{MAX_CUSP_STATES}; reduce q, r or deg n")
 
     residues = list(itertools.product(*[range(F.q) for F, _, _ in comps]))
     units = [t for t in residues if all(x != 0 for x in t)]
@@ -269,7 +276,7 @@ def cusp_orbits(n, r, cap=200000):
         for F, _, _ in comps]
     states = {_canonical(s, comps, base)
               for s in itertools.product(*nonzero)}
-    assert len(states) == total // (base.q - 1)
+    assert len(states) == count
 
     seen = set()
     sizes = []

@@ -13,10 +13,9 @@ import hb.discriminant
 import hb.fourier
 import hb.oracle
 import hb.units
-from hb.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, MAX_SUPPORT,
-                    main)
+from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, main
 from hb.building import weyl_edge_value
-from hb.discriminant import eval_on_mirabolic
+from hb.discriminant import MAX_SUPPORT, eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
 from hb.laurent import PrecisionError
@@ -456,6 +455,50 @@ def test_delta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
     F2 = get_field(2)
     assert doc["result"] == eval_on_mirabolic(
         PPoint((RatF.zero(F2),), (11,)).matrix(F2), 2, F2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
+     "--g", "1,0;0,T^14"],
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "T+1",
+     "--g", "1,0;0,T^40"],
+    ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1,0;0,T^14",
+     "--check"],
+])
+def test_series_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    # the support is known once g is reduced into the mirabolic cell;
+    # it is refused there, before the support, the series or the oracle
+    # is touched
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the support cap must come first")
+    for name in ("table_support", "psi_sum"):
+        monkeypatch.setattr(hb.discriminant, name, untouchable)
+    monkeypatch.setattr(hb.oracle, "p_delta_direct", untouchable)
+    err = _usage_error(capsys, argv)
+    assert f"more than {MAX_SUPPORT}" in err
+
+
+def test_theta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
+    # y = T^11 on this edge: q^10 = 2^10 a-vectors, exactly the cap
+    seen = []
+    real = hb.discriminant.table_support
+    monkeypatch.setattr(hb.discriminant, "table_support",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    code, doc = run_json(capsys, ["theta", "eval", "--q", "2", "--r", "2",
+                                  "--n", "T", "--g", "1,0;0,T^11"])
+    assert code == EXIT_OK
+    assert [len(s) for s in seen] == [MAX_SUPPORT]
+    assert doc["result"] == 1024
+
+
+def test_cusp_orbit_cap_is_a_usage_error(capsys, monkeypatch):
+    # (T)(T+1)(T^4+T+1) at q = 2, r = 3: 7 * 7 * 4095 = 200655 states
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the state cap must come first")
+    monkeypatch.setattr(hb.units, "_canonical", untouchable)
+    err = _usage_error(capsys, ["cusps", "orbits", "--q", "2", "--r", "3",
+                                "--n", "T^6+T^5+T^3+T"])
+    assert f"200655 states, more than {hb.units.MAX_CUSP_STATES}" in err
 
 
 @pytest.mark.parametrize("argv, want", [

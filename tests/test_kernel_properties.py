@@ -1,8 +1,8 @@
 """Property tests of the exact arithmetic: the FF field axioms, the FF
 sequence kernel against schoolbook loops, Poly division and xgcd, the
 RatF field laws and the RatF fast paths against the general route, the
-CycRat ring laws, the trace-bucketed character sum psi_sum against a
-per-term sum, the soundness of Laurent precision windows against exact
+CycRat ring laws, the trace-bucketed character sum psi_sum and the
+memoized series_eval each against a per-term sum, the soundness of Laurent precision windows against exact
 RatF expansions, and the Laurent constructor against its earlier
 version."""
 
@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 import hb.poly
 from hb.algebra import CycRat, psi0, psi_sum
+from hb.discriminant import coefficient_table, p_delta_coefficient, series_eval
 from hb.fields import get_field
+from hb.fourier import table_support
 from hb.laurent import Laurent, PrecisionError
-from hb.poly import Poly, RatF, poly_gcd, poly_xgcd, vec_content
+from hb.poly import (Poly, RatF, parse_poly, poly_gcd, poly_xgcd,
+                     ratf_from_pairs, vec_content)
 
 QS = (2, 3, 4, 5, 7, 8, 9)
 MAX_DEG = 4
@@ -320,6 +323,51 @@ def test_psi_sum_matches_per_term_sum(args):
     for c, x in terms:
         want = want + psi0(F.p, F.trace_to_prime(x.pi_coeff(1)), F.q) * c
     assert psi_sum(terms, F) == want
+
+
+LEVELS = (None, "T", "T+1", "T^2+T+1")
+
+
+@st.composite
+def series_points(draw):
+    """(field, y, r, level, x): q in {2, 3, 4}, r in {2, 3}, a level of
+    LEVELS, exponents n_i in -1..3, and each x_i a pi-series
+    sum c_k pi^k (k >= 1) or a sum with pi^k down to k = -2, of negative
+    valuation when such a term is nonzero."""
+    F = get_field(draw(st.sampled_from((2, 3, 4))))
+    r = draw(st.sampled_from((2, 3)))
+    text = draw(st.sampled_from(LEVELS))
+    level = None if text is None else parse_poly(F, text)
+    yexps = tuple(draw(st.lists(st.integers(-1, 3), min_size=r - 1,
+                                max_size=r - 1)))
+    lowest = draw(st.sampled_from((1, -2)))
+    x = tuple(ratf_from_pairs(F, draw(st.lists(
+                  st.tuples(st.integers(lowest, 4),
+                            st.integers(0, F.q - 1)), max_size=4)))
+              for _ in range(r - 1))
+    return F, yexps, r, level, x
+
+
+@given(series_points())
+def test_series_eval_matches_per_term_sum(args):
+    F, yexps, r, level, x = args
+    want = CycRat.zero(F.p, F.q)
+    nonzero = []
+    for a in table_support(F, yexps):
+        c = p_delta_coefficient(a, yexps, r, level)
+        ax = RatF.zero(F)
+        for ai, xi in zip(a, x):
+            ax = ax + RatF(ai) * xi
+        want = want + psi0(F.p, F.trace_to_prime(ax.pi_coeff(1)), F.q) * c
+        if c:
+            nonzero.append((c, a))
+    assert want.rational() is not None
+    assert series_eval(x, yexps, r, F, level) == want.rational()
+    # one table per key, holding exactly the nonzero coefficients
+    table = coefficient_table(F, yexps, r, level)
+    assert coefficient_table(F, yexps, r, level) is table
+    assert list(table) == nonzero
+    assert all(c != 0 for c, _ in table)
 
 
 def window(x, prec):

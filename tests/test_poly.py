@@ -1,13 +1,14 @@
 """Polynomials over F_q and exact rational functions."""
 
+import itertools
 import math
 
 import pytest
 
 from hb.algebra import divisor_degrees
 from hb.fields import get_field
-from hb.poly import (Poly, RatF, factor_monic, is_irreducible,
-                     monic_irreducibles, parse_poly, poly_gcd, vec_content)
+from hb.poly import (Poly, RatF, factor_monic, is_irreducible, parse_poly,
+                     poly_gcd, vec_content)
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -26,6 +27,13 @@ def test_division_with_remainder():
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.deg < b.deg or r.is_zero()
+
+
+def monic_irreducibles(field, max_deg):
+    """All monic irreducibles of degree <= max_deg, by degree."""
+    monics = (Poly(field, cs + (1,)) for d in range(1, max_deg + 1)
+              for cs in itertools.product(range(field.q), repeat=d))
+    return [f for f in monics if is_irreducible(f)]
 
 
 def test_irreducibles_count():

@@ -5,11 +5,12 @@ from math import gcd
 
 import pytest
 
+import hb.units
 from hb.fields import get_field
 from hb.poly import parse_poly
-from hb.units import (character_order, cusp_orbits, cuspidal_order,
-                      gcd_sweep, root_order_delta, root_order_theta,
-                      sigma_det_check)
+from hb.units import (MAX_CUSP_STATES, character_order, cusp_orbits,
+                      cuspidal_order, gcd_sweep, root_order_delta,
+                      root_order_theta, sigma_det_check)
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -81,6 +82,31 @@ def test_cusp_orbit_counts():
             rep = cusp_orbits(n, r)
             assert rep.orbit_count == 2 ** s
             assert sum(rep.orbit_sizes) == rep.total
+
+
+class Enumerated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("q, r, level, states", [
+    (2, 2, "T^9+T^5+T^4+T^2+T", 196605),   # T (T^8+T^4+T^3+T+1): 3 * 65535
+    (2, 3, "T^6+T^5+T^3+T", 200655),       # T (T+1) (T^4+T+1): 7 * 7 * 4095
+])
+def test_cusp_orbit_state_cap(monkeypatch, q, r, level, states):
+    # the count is checked before any state is listed: a level just
+    # under MAX_CUSP_STATES reaches the enumeration, which is cut at its
+    # first state; the one just over never gets there
+    def enumerated(*args):
+        raise Enumerated
+    monkeypatch.setattr(hb.units, "_canonical", enumerated)
+    n = parse_poly(get_field(q), level)
+    if states <= MAX_CUSP_STATES:
+        with pytest.raises(Enumerated):
+            cusp_orbits(n, r)
+    else:
+        with pytest.raises(ValueError, match=f"{states} states, more than "
+                                             f"{MAX_CUSP_STATES}"):
+            cusp_orbits(n, r)
 
 
 def test_cusp_orbits_rejects_square_level():
