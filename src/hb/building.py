@@ -15,6 +15,12 @@ Conventions fixed here (the underlying papers fix none):
     [Lambda_0 W_s g^{-1}] where W_s = [[0, I_{r-s}], [pi I_s, 0]];
   * F_q elements are ordered by the integer encoding of their
     F_p-coordinate vectors.
+
+One elimination per coset: the Hermite basis H of [Lambda_0 g^{-1}] also
+gives the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi,
+t = H^{-1} up to the same power), and two canonical bases M0, M1 span
+adjacent lattices iff C = M1 M0^{-1} is integral with C mod pi of the
+right rank, read off the same F_q reduction that frames the edge.
 """
 
 import itertools
@@ -233,11 +239,6 @@ def lattice_key(basis):
     return tuple(out)
 
 
-def lattice_contains(A, B):
-    """O-span(A rows) contains O-span(B rows)?"""
-    return mat_is_integral(mat_mul(B, mat_inv(A)))
-
-
 @dataclass(frozen=True)
 class Vertex:
     """Canonical representative of a lattice homothety class."""
@@ -340,14 +341,18 @@ def const_matrix(field, entries):
 class OrientedEdge:
     """The type-s edge ([L0], [L1]), canonicalized once.  origin and
     terminus are the canonical vertices; M1 is the terminus basis rescaled
-    into M0 > M1 >= pi M0 for M0 = origin.rep, and C = M1 M0^{-1}; the key
-    is the lattice keys of M0 and M1, concatenated.  g is a coset rep with
-    e^s_g = the edge when the edge was built from one, else None."""
+    into M0 > M1 >= pi M0 for M0 = origin.rep.  With Cbar = M1 M0^{-1} mod
+    pi, lower indexes rows of M1 spanning L1/(pi L0) = im(Cbar), and comp
+    the s standard basis vectors of the M0 frame that complete im(Cbar)
+    to F_q^r.  The key is the lattice keys of M0 and M1, concatenated.  g
+    is a coset rep with e^s_g = the edge when the edge was built from one,
+    else None."""
     s: int
     origin: Vertex
     terminus: Vertex
     M1: tuple
-    C: tuple
+    lower: tuple
+    comp: tuple
     key: tuple
     g: tuple = None
 
@@ -361,7 +366,10 @@ class OrientedEdge:
 def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
     """The edge ([L0], [L1]).  With s0, s1 the pivot valuation sums of the
     canonical bases, the type is s = (s1 - s0) mod r (0: not adjacent) and
-    pi^t with t = (s - s1 + s0) / r rescales L1 into L0 > L1 >= pi L0."""
+    pi^t with t = (s - s1 + s0) / r rescales L1 into L0 > L1 >= pi L0.
+    Then C = M1 M0^{-1} has ord det C = s, so L0 > L1 >= pi L0 holds iff C
+    is integral and C mod pi has rank r - s: every elementary divisor of
+    C is then 1 or pi."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
     v1 = vertex_from_lattice(L1rows, r)
@@ -371,10 +379,16 @@ def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
         raise ValueError("lattices are not adjacent (type 0 or r)")
     M1 = mat_scale(v1.rep, RatF.pi_power(field, (s - s1 + s0) // r))
     C = mat_mul(M1, mat_inv(v0.rep))
-    if not (mat_is_integral(C) and
-            lattice_contains(M1, mat_scale(v0.rep, RatF.pi_power(field, 1)))):
-        raise ValueError("lattices are not adjacent")
-    return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1, C=C,
+    if not mat_is_integral(C):
+        raise ValueError("lattices are not adjacent: L1 is not in L0")
+    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in C]
+    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    basis, _ = fq_rank_basis(field, Cbar + units)
+    comp = tuple(i - r for i in basis if i >= r)
+    if len(comp) != s:
+        raise ValueError("lattices are not adjacent: pi L0 is not in L1")
+    return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1,
+                        lower=tuple(i for i in basis if i < r), comp=comp,
                         key=lattice_key(v0.rep) + lattice_key(M1), g=g)
 
 
@@ -413,48 +427,17 @@ class Iwasawa:
     kappa: tuple    # element of I^1
 
 
-def upper_triangularize(g):
-    """g kp = t with t upper triangular, kp in GL_r(O) (column operations
-    with integral multipliers, min-valuation pivoting)."""
-    r = len(g)
-    field = g[0][0].field
-    t = [list(row) for row in g]
-    kp = [list(row) for row in mat_identity(field, r)]
-
-    def swap_cols(a, b):
-        for row in t:
-            row[a], row[b] = row[b], row[a]
-        for row in kp:
-            row[a], row[b] = row[b], row[a]
-
-    def addmul_col(dst, src, m):
-        for row in t:
-            row[dst] = row[dst] - m * row[src]
-        for row in kp:
-            row[dst] = row[dst] - m * row[src]
-
-    for i in range(r - 1, -1, -1):
-        cand = [j for j in range(i + 1) if not t[i][j].is_zero()]
-        best = min(int(t[i][j].ord_inf()) for j in cand)
-        jstar = next(j for j in cand if int(t[i][j].ord_inf()) == best)
-        if jstar != i:
-            swap_cols(jstar, i)
-        for j in range(i):
-            if not t[i][j].is_zero():
-                addmul_col(j, i, t[i][j] / t[i][i])
-    return tuple(tuple(row) for row in t), tuple(tuple(row) for row in kp)
-
-
 def is_in_I1(k):
-    """Membership in the parahoric I^1 (exact)."""
+    """Membership in the parahoric I^1 (exact): k integral, its first
+    column below the diagonal in pi O, and det k in O^x, i.e. k mod pi of
+    rank r."""
     r = len(k)
     if not mat_is_integral(k):
         return False
     if any(k[i][0].ord_inf() < 1 for i in range(1, r)):
         return False
-    # det must be a unit of O
-    _, d = row_hnf(k, r)
-    return sum(d) == 0
+    kbar = [tuple(x.pi_coeff(0) for x in row) for row in k]
+    return len(fq_rank_basis(k[0][0].field, kbar)[0]) == r
 
 
 def is_in_P(m):
@@ -464,11 +447,18 @@ def is_in_P(m):
     return all(m[i][0].is_zero() for i in range(1, r))
 
 
-def iwasawa_decompose(g):
+def iwasawa_decompose(g, basis):
+    """g = scalar p w kappa, with basis the Hermite basis of [Lambda_0 g^{-1}]
+    (canonical_vertex(g).rep).  basis = u g^{-1} up to a power of pi, u in
+    GL_r(O); so with a the least valuation of an entry of basis g,
+    g = t kappa0 for kappa0 = pi^{-a} basis g in GL_r(O) and the upper
+    triangular t = pi^a basis^{-1}."""
     r = len(g)
     field = g[0][0].field
-    t, kp = upper_triangularize(g)
-    kappa0 = mat_inv(kp)                      # g = t * kappa0, kappa0 in GL_r(O)
+    Hg = mat_mul(basis, g)
+    a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
+    kappa0 = mat_scale(Hg, RatF.pi_power(field, -a))
+    t = mat_scale(mat_inv(basis), RatF.pi_power(field, a))
     ell = [kappa0[i][0].pi_coeff(0) for i in range(r)]
     alpha = t[0][0]
     alpha_inv = RatF.one(field) / alpha
@@ -479,15 +469,9 @@ def iwasawa_decompose(g):
         # constant B in P(F_q) with last column ell, so that
         # g = (t B) flip (flip^{-1} B^{-1} kappa0)
         piv = next(i for i in range(1, r) if ell[i])
-        cols = []
-        used = [i for i in range(1, r) if i != piv]
-        for k in used:
-            cols.append([1 if i == k else 0 for i in range(r)])
-        cols.append(list(ell))
-        Bent = [[cols[j][i] for j in range(r - 1)] for i in range(r)]
-        for i in range(r):
-            Bent[i] = ([1 if i == 0 else 0] + Bent[i])
-        B = const_matrix(field, Bent)
+        cols = [[int(i == k) for i in range(r)] for k in range(r)
+                if k != piv] + [ell]
+        B = const_matrix(field, [[col[i] for col in cols] for i in range(r)])
         tB = mat_mul(t, B)
         p = mat_scale(tB, alpha_inv)
         kappa = mat_mul(mat_inv(flip_matrix(field, r)),
@@ -646,22 +630,6 @@ def extend_cochain(f, r, field):
     return Cochain(f, r, field)
 
 
-def _adapted_frame(edge):
-    """(lower, comp) for the edge with bases M0 > M1 >= pi M0: the indices
-    of rows of M1 spanning L1/(pi L0) = im(Cbar), Cbar = C mod pi, and the
-    indices of the standard basis vectors of the M0 frame that complete
-    im(Cbar) to F_q^r, s of them."""
-    r = len(edge.C)
-    field = edge.M1[0][0].field
-    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in edge.C]
-    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    basis, _ = fq_rank_basis(field, Cbar + units)
-    comp = [i - r for i in basis if i >= r]
-    if len(comp) != edge.s:
-        raise AssertionError("adapted basis has wrong size")
-    return [i for i in basis if i < r], comp
-
-
 def rep_from_lattice_pair(edge):
     """g with e^s_g = edge: g^{-1} = B is an adapted basis of L0 whose
     first s rows descend to a basis of L0/L1 and whose last r-s rows lie
@@ -669,8 +637,7 @@ def rep_from_lattice_pair(edge):
     (B, W_s B) a basis pair of the edge, so e^s_g has the edge's key."""
     r, s = len(edge.M1), edge.s
     M0, M1 = edge.origin.rep, edge.M1
-    lower, comp = _adapted_frame(edge)
-    B = tuple([M0[i] for i in comp] + [M1[i] for i in lower])
+    B = tuple([M0[i] for i in edge.comp] + [M1[i] for i in edge.lower])
     if lattice_key(row_hnf(B, r)[0]) != lattice_key(M0):
         raise AssertionError("adapted basis spans the wrong lattice")
     WB = mat_mul(w_matrix(M1[0][0].field, r, s), B)

@@ -8,7 +8,8 @@ with --format text) of the shape
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound,
-or whose series window still collapsed at 16 times --prec), 3 a
+or whose series window still collapsed at 16 times --prec, and a theta
+value with no Gamma_0(n) witness within --witness-bound), 3 a
 verification or anchor mismatch.
 
 Each query is one cold process, so the module imports only the base
@@ -337,13 +338,16 @@ def cmd_theta_coeff(args):
 
 
 def cmd_theta_eval(args):
-    from .discriminant import theta_evaluator
+    from .discriminant import WitnessError, theta_evaluator
     field = get_field(args.q)
     n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r)
     h1 = theta_evaluator(n, field, args.r, bound=args.witness_bound)
-    return _emit(args, "theta.eval", {"n": args.n, "g": args.g},
-                 _support_range(lambda: h1(g)))
+    try:
+        value = _support_range(lambda: h1(g))
+    except WitnessError as e:
+        raise UsageError(f"WitnessError: {e}; increase --witness-bound") from None
+    return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, value)
 
 
 def cmd_oracle_pdelta(args):

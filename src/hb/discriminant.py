@@ -25,8 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import psi_sum, sigma
-from .building import (edge_from_rep, iwasawa_decompose, mat_inv, mat_mul,
-                       mat_vec, p_coordinates, reduce_y_transcript, vec_mat)
+from .building import (canonical_vertex, edge_from_rep, iwasawa_decompose,
+                       mat_inv, mat_mul, mat_vec, p_coordinates,
+                       reduce_y_transcript, vec_mat)
 from .fourier import dot, mval, over_cap, polys_up_to, table_support
 from .poly import Poly, RatF, poly_xgcd, vec_content
 
@@ -187,25 +188,26 @@ def find_witnesses(n, g, bound=None):
 
 
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
-    """P1(Theta_n)(g) for arbitrary invertible g over F_q(T)."""
+    """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The type-1
+    edge of g gives both the memo key and the Hermite basis that the
+    Iwasawa decomposition reads."""
     field = g[0][0].field
     r = len(g)
-    key = None
-    if _cache is not None:
-        key = edge_from_rep(g, 1).key
-        if key in _cache:
-            return _cache[key]
-    iw = iwasawa_decompose(g)
+    edge = edge_from_rep(g, 1)
+    if _cache is not None and edge.key in _cache:
+        return _cache[edge.key]
+    iw = iwasawa_decompose(g, edge.origin.rep)
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:
         gamma, _c = find_witnesses(n, g, bound=bound)[0]
-        iw2 = iwasawa_decompose(mat_mul(gamma, g))
+        gg = mat_mul(gamma, g)
+        iw2 = iwasawa_decompose(gg, canonical_vertex(gg).rep)
         if iw2.w != "identity":
             raise AssertionError("witness failed to reach the mirabolic cell")
         val = eval_on_mirabolic(iw2.p, r, field, level=n)
     if _cache is not None:
-        _cache[key] = val
+        _cache[edge.key] = val
     return val
 
 

@@ -208,9 +208,9 @@ def cusp_orbits(n, r):
     """Orbits of the primitive vectors (prod (F_p^r - 0)) / F_q^x under
     the reduction of Gamma_0(n): transvections e_{ij}(b) away from the
     below-diagonal first column, diag(u, 1, ..., 1, u^{-1}) for units u
-    of A/n, and diag(eps, 1, ..., 1) for eps in F_q^x.  An orbit space
-    of more than MAX_CUSP_STATES states is refused before any state is
-    listed."""
+    of A/n, and diag(eps, 1, ..., 1) for eps in F_q^x; the search applies
+    a small generating set of that group.  An orbit space of more than
+    MAX_CUSP_STATES states is refused before any state is listed."""
     base = n.field
     comps = _residue_fields(n)
     total = 1
@@ -220,9 +220,6 @@ def cusp_orbits(n, r):
     if count > MAX_CUSP_STATES:
         raise ValueError(f"orbit space of {count} states, more than "
                          f"{MAX_CUSP_STATES}; reduce q, r or deg n")
-
-    residues = list(itertools.product(*[range(F.q) for F, _, _ in comps]))
-    units = [t for t in residues if all(x != 0 for x in t)]
 
     def transvection(i, j, beta):
         def act(state):
@@ -256,19 +253,19 @@ def cusp_orbits(n, r):
             return tuple(out)
         return act
 
+    # generators of the same group: transvections at an F_p-basis of
+    # each residue field (codes p^j), a generator of each F_p^x, and one
+    # of F_q^x
+    zeros, ones = (0,) * len(comps), (1,) * len(comps)
     gens = []
-    for i in range(r):
-        for j in range(r):
-            if i == j or (j == 0 and i >= 1):
-                continue
-            for beta in residues:
-                if all(b == 0 for b in beta):
-                    continue
-                gens.append(transvection(i, j, beta))
-    for u in units:
-        gens.append(torus(u))
-    for eps in range(2, base.q):
-        gens.append(scalar_first(eps))
+    for c, (F, _, _) in enumerate(comps):
+        for k in range(F.n):
+            beta = zeros[:c] + (F.p ** k,) + zeros[c + 1:]
+            gens += [transvection(i, j, beta) for i in range(r) for j in range(r)
+                     if i != j and not (j == 0 and i >= 1)]
+        gens.append(torus(ones[:c] + (F.multiplicative_generator(),) + ones[c + 1:]))
+    if base.q > 2:
+        gens.append(scalar_first(base.multiplicative_generator()))
 
     nonzero = [
         [v for v in itertools.product(range(F.q), repeat=r)

@@ -4,14 +4,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hb import building
 from hb.building import (Cochain, canonical_vertex, edge_from_lattice_pair,
                          edge_from_rep, edge_reverse, flip_matrix, in_edges,
-                         iwasawa_decompose, lattice_key, mat_from_exps,
-                         mat_identity, mat_inv, mat_mul, rep_from_lattice_pair,
+                         is_in_I1, is_in_P, iwasawa_decompose, lattice_key,
+                         mat_from_exps, mat_identity, mat_inv,
+                         mat_is_integral, mat_mul, mat_scale, p_coordinates,
+                         rep_from_lattice_pair, row_hnf,
                          triangle_lattice_edges, type_one_in_neighbors,
-                         upper_triangularize, w_matrix)
+                         vertex_from_lattice, w_matrix)
 from hb.fields import get_field
 from hb.poly import Poly, RatF
 
@@ -94,30 +98,47 @@ def test_edge_from_rep_connects_adjacent_classes():
     assert e.key is not None
 
 
+def _shear(field, r, x):
+    """I + x E_12."""
+    rows = [list(row) for row in mat_identity(field, r)]
+    rows[0][1] = x
+    return tuple(tuple(row) for row in rows)
+
+
+def _iwasawa_samples(field, r):
+    """Reps in both cells, the flipped ones with x = 0 and x != 0."""
+    pi = RatF.pi_power(field, 1)
+    flip = flip_matrix(field, r)
+    diag = mat_from_exps(field, (1, 0, 2)[:r])
+    samples = [mat_identity(field, r), flip,
+               mat_from_exps(field, (2,) + (0,) * (r - 1)),
+               mat_mul(flip, diag), mat_mul(diag, flip)]
+    for x in (pi, pi + pi * pi, RatF.pi_power(field, -1)):
+        u = _shear(field, r, x)
+        samples += [u, mat_mul(u, flip), mat_mul(mat_mul(u, diag), flip),
+                    mat_mul(mat_mul(u, flip), diag)]
+    return samples
+
+
 def test_iwasawa_decompose_reassembles():
-    samples = [mat_identity(F2, 2), flip_matrix(F2, 2),
-               mat_from_exps(F2, (2, 0)),
-               mat_mul(flip_matrix(F2, 2), mat_from_exps(F2, (1, 0)))]
-    x = RatF.pi_power(F2, 1)
-    p = ((RatF.one(F2), x), (RatF.zero(F2), RatF.one(F2)))
-    samples.append(p)
-    samples.append(mat_mul(p, flip_matrix(F2, 2)))
-    from hb.building import mat_scale
-    for g in samples:
-        iw = iwasawa_decompose(g)
-        W = mat_identity(F2, 2) if iw.w == "identity" else flip_matrix(F2, 2)
-        rec = mat_scale(mat_mul(mat_mul(iw.p, W), iw.kappa), iw.scalar)
-        assert rec == tuple(tuple(row) for row in g)
-
-
-def test_upper_triangularize_preserves_coset():
-    g = mat_mul(flip_matrix(F3, 3), mat_from_exps(F3, (1, 0, 2)))
-    u, k = upper_triangularize(g)
-    # u = g k with k integral of unit determinant, u upper triangular
-    assert mat_mul(g, k) == u
-    for i in range(3):
-        for j in range(i):
-            assert u[i][j].is_zero()
+    # g = scalar p w kappa with p mirabolic and kappa in I^1; in the
+    # identity cell g kappa^{-1} = scalar p is upper triangular
+    for field, r in ((F2, 2), (F3, 3)):
+        flip = flip_matrix(field, r)
+        cells = []
+        for g in _iwasawa_samples(field, r):
+            iw = iwasawa_decompose(g, canonical_vertex(g).rep)
+            assert is_in_P(iw.p) and is_in_I1(iw.kappa)
+            W = mat_identity(field, r) if iw.w == "identity" else flip
+            rec = mat_scale(mat_mul(mat_mul(iw.p, W), iw.kappa), iw.scalar)
+            assert rec == tuple(tuple(row) for row in g)
+            if iw.w == "identity":
+                t = mat_mul(g, mat_inv(iw.kappa))
+                assert all(t[i][j].is_zero() for i in range(r) for j in range(i))
+            x, _y = p_coordinates(iw.p)
+            cells.append((iw.w, any(not c.is_zero() for c in x)))
+        assert ("flip", True) in cells and ("identity", True) in cells
+        assert ("flip", False) in cells
 
 
 def test_w_matrix_shape():
@@ -130,8 +151,8 @@ def test_w_matrix_shape():
 
 
 def test_iwasawa_detects_cells():
-    assert iwasawa_decompose(mat_identity(F2, 2)).w == "identity"
-    assert iwasawa_decompose(flip_matrix(F2, 2)).w == "flip"
+    for g, cell in ((mat_identity(F2, 2), "identity"), (flip_matrix(F2, 2), "flip")):
+        assert iwasawa_decompose(g, canonical_vertex(g).rep).w == cell
 
 
 def _edges_around(field, r):
@@ -187,3 +208,88 @@ def test_lattice_pair_lookup_canonicalizes_once(monkeypatch, q, r, s):
     del calls[:]
     h.eval_lattice_pair(L0, L1)
     assert len(calls) == 2           # a hit canonicalizes and looks up
+
+
+def _adjacency_by_inversion(L0rows, L1rows, r):
+    """(s, key) of the edge ([L0], [L1]) found by testing containment
+    L0 > pi^t L1 > pi L0 with two inversions for each t, or None."""
+    field = L0rows[0][0].field
+    v0, v1 = vertex_from_lattice(L0rows, r), vertex_from_lattice(L1rows, r)
+    M0 = v0.rep
+    for t in range(-r - 3, r + 4):
+        M1 = mat_scale(v1.rep, RatF.pi_power(field, t))
+        s = sum(v1.d) + r * t - sum(v0.d)
+        if (0 < s < r and mat_is_integral(mat_mul(M1, mat_inv(M0)))
+                and mat_is_integral(mat_mul(mat_scale(M0, RatF.pi_power(field, 1)),
+                                            mat_inv(M1)))):
+            return s, lattice_key(M0) + lattice_key(M1)
+    return None
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def test_adjacency_by_rank_agrees_with_inversion(q, r):
+    # adjacent pairs; then each pair with one row of L1 scaled by pi or
+    # pi^2 (of any type, adjacent or not; row and power cycle with the
+    # pair), and (L1, pi^2 L1) of type 0
+    field = get_field(q)
+    pi2 = RatF.pi_power(field, 2)
+    pairs = _edges_around(field, r)
+    adjacent = len(pairs)
+    for n, (L0, L1) in enumerate(pairs[:adjacent]):
+        i, c = n // 2 % r, RatF.pi_power(field, 1 + n % 2)
+        far = [list(row) for row in L1]
+        far[i] = [x * c for x in far[i]]
+        pairs.append((L0, tuple(tuple(row) for row in far)))
+        pairs.append((L1, mat_scale(L1, pi2)))
+    outcomes, reasons = [], set()
+    for n, (L0, L1) in enumerate(pairs):
+        ref = _adjacency_by_inversion(L0, L1, r)
+        if ref is None:
+            with pytest.raises(ValueError) as info:
+                edge_from_lattice_pair(L0, L1, r)
+            reasons.add(str(info.value))
+        else:
+            e = edge_from_lattice_pair(L0, L1, r)
+            assert (e.s, e.key) == ref
+        outcomes.append((n < adjacent, ref is None))
+    assert (True, False) in outcomes and (False, True) in outcomes
+    assert all(not far for near, far in outcomes if near)
+    # at r = 2 an integral C with ord det C = 1 has rank 1 mod pi; above,
+    # the rank, not only the type, rejects some pairs
+    assert ("lattices are not adjacent: pi L0 is not in L1" in reasons) == (r > 2)
+
+
+def _integral_entry(field, c):
+    """(c0 + c1 pi + c2 pi^2) / (1 + c3 pi): integral, not always Laurent."""
+    pi = RatF.pi_power(field, 1)
+    num = RatF.zero(field)
+    for k, ck in enumerate(c[:3]):
+        if ck:
+            num = num + RatF(Poly.const(field, ck)) * RatF.pi_power(field, k)
+    den = RatF.one(field) + (RatF(Poly.const(field, c[3])) * pi if c[3] else RatF.zero(field))
+    return num / den
+
+
+@given(st.data())
+def test_is_in_I1_agrees_with_hermite_determinant(data):
+    q = data.draw(st.sampled_from((2, 3)))
+    r = data.draw(st.sampled_from((2, 3)))
+    field = get_field(q)
+    coeff = st.lists(st.integers(0, q - 1), min_size=4, max_size=4)
+    k = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            c = data.draw(coeff)
+            if i and not j and data.draw(st.booleans()):
+                c[0] = 0       # lands in pi O more often than chance
+            row.append(_integral_entry(field, c))
+        k.append(tuple(row))
+    k = tuple(k)
+    try:
+        unit_det = sum(row_hnf(k, r)[1]) == 0
+    except ValueError:           # singular
+        unit_det = False
+    expected = (mat_is_integral(k) and unit_det
+                and all(k[i][0].ord_inf() >= 1 for i in range(1, r)))
+    assert is_in_I1(k) == expected

@@ -219,6 +219,20 @@ def test_oracle_at_depth_one_may_not_stabilize(capsys):
     assert "increase --deg-bound" in captured.err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["--q", "2", "--r", "3", "--n", "T", "--g", "0,T^4,0;0,T^8,1;1,0,0"], 3),
+    (["--q", "2", "--r", "2", "--n", "T", "--g", "0,1;1,0",
+      "--witness-bound", "0"], 0),
+])
+def test_missing_theta_witness_is_a_usage_error(capsys, argv, bound):
+    # a flipped-cell g with no Gamma_0(n) witness within the bound (the
+    # default is deg n + 2) prints no value and names the option to raise
+    err = _usage_error(capsys, ["theta", "eval", *argv])
+    assert "WitnessError" in err
+    assert f"degree bound {bound}" in err
+    assert "increase --witness-bound" in err
+
+
 def test_oracle_window_collapse_is_a_usage_error(capsys, monkeypatch):
     # a window that still collapses at 16x --prec is reported like an
     # unsettled depth: the user has an option to change

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from hb.building import flip_matrix, mat_from_exps, mat_mul, weyl_edge_value
+from hb.building import (flip_matrix, m_matrix, mat_from_exps, mat_identity,
+                         mat_mul, w_matrix, weyl_edge_value)
 from hb.discriminant import (eval_on_mirabolic, p_delta_coefficient,
                              series_eval, theta_evaluator)
 from hb.fields import get_field
@@ -93,3 +94,107 @@ def test_theta_evaluator_deeper_vertex():
     h1 = theta_evaluator(n, F2, 2)
     g = mat_mul(mat_from_exps(F2, (1, 0)), flip_matrix(F2, 2))
     assert h1(g) == h1(g)
+
+
+# Theta_n values over both Iwasawa cells: (q, r, level, exps, flip, shear,
+# product, value).  g = u(x) D P with D = diag(T^exps) for flip 0,
+# flip D for flip 1 and D flip for flip 2; u(x) = I + x E_12 with x the
+# shear-th of 0, pi, pi^2, pi + pi^2; P = I for (), W_s for (s,) and
+# M_s(u) for (s, u).  Values as computed before the Iwasawa factor was
+# read off the Hermite basis.
+GOLDEN_THETA = [
+    (2, 2, "T", (0, 0), 0, 1, (2, (0,)), 1),
+    (2, 2, "T", (1, 1), 0, 3, (1, ()), 1),
+    (2, 2, "T", (1, 1), 1, 0, (2, (1,)), 1),
+    (2, 2, "T", (1, 1), 1, 2, (1,), 1),
+    (2, 2, "T", (1, 0), 2, 0, (2, (1,)), 2),
+    (2, 2, "T", (0, 1), 2, 1, (1, ()), -1),
+    (2, 2, "T", (0, 1), 2, 3, (1,), -1),
+    (2, 2, "T", (1, 1), 1, 3, (2,), -1),
+    (2, 2, "T+1", (0, 1), 0, 1, (1,), -1),
+    (2, 2, "T+1", (0, 1), 0, 3, (2, (0,)), -1),
+    (2, 2, "T+1", (1, 1), 1, 0, (2,), -1),
+    (2, 2, "T+1", (0, 0), 1, 2, (1,), 1),
+    (2, 2, "T+1", (1, 1), 2, 0, (2, (0,)), -2),
+    (2, 2, "T+1", (1, 0), 2, 1, (1,), 2),
+    (2, 2, "T+1", (0, 1), 2, 3, (2, (0,)), -1),
+    (2, 2, "T+1", (1, 0), 1, 3, (1,), -1),
+    (2, 3, "T", (1, 1, 1), 0, 1, (3,), 12),
+    (2, 3, "T", (1, 0, 0), 0, 3, (3, (0, 0)), 12),
+    (2, 3, "T", (1, 0, 0), 1, 0, (3, (0, 0)), -2),
+    (2, 3, "T", (0, 0, 1), 1, 2, (2, (1,)), 5),
+    (2, 3, "T", (0, 1, 1), 2, 0, (), -4),
+    (2, 3, "T", (0, 1, 0), 2, 1, (3, (0, 0)), -2),
+    (2, 3, "T", (0, 1, 1), 2, 3, (3, (0, 1)), -1),
+    (2, 3, "T", (1, 0, 0), 1, 3, (1, ()), -2),
+    (2, 3, "T+1", (0, 1, 1), 0, 1, (), 3),
+    (2, 3, "T+1", (1, 0, 0), 0, 3, (1,), -16),
+    (2, 3, "T+1", (1, 1, 1), 1, 0, (2, (0,)), -4),
+    (2, 3, "T+1", (1, 1, 1), 1, 2, (2, (0,)), -4),
+    (2, 3, "T+1", (1, 1, 0), 2, 0, (), -4),
+    (2, 3, "T+1", (0, 0, 1), 2, 1, (3, (1, 0)), -2),
+    (2, 3, "T+1", (0, 0, 1), 2, 3, (3, (1, 1)), -2),
+    (2, 3, "T+1", (1, 1, 0), 1, 3, (2, (1,)), 6),
+    (3, 2, "T", (1, 1), 0, 1, (), 12),
+    (3, 2, "T", (1, 1), 0, 3, (), 12),
+    (3, 2, "T", (0, 1), 1, 0, (1, ()), -36),
+    (3, 2, "T", (0, 0), 1, 2, (2, (2,)), 4),
+    (3, 2, "T", (0, 0), 2, 0, (), -4),
+    (3, 2, "T", (1, 0), 2, 1, (2,), -12),
+    (3, 2, "T", (0, 0), 2, 3, (1,), 4),
+    (3, 2, "T", (0, 0), 1, 3, (2, (0,)), -12),
+    (3, 2, "T+1", (1, 0), 0, 1, (2, (2,)), 12),
+    (3, 2, "T+1", (0, 1), 0, 3, (2, (0,)), -4),
+    (3, 2, "T+1", (0, 0), 1, 0, (), -4),
+    (3, 2, "T+1", (0, 0), 1, 2, (1,), 4),
+    (3, 2, "T+1", (0, 1), 2, 0, (1, ()), -4),
+    (3, 2, "T+1", (0, 0), 2, 1, (2,), -4),
+    (3, 2, "T+1", (1, 1), 2, 3, (2,), -4),
+    (3, 2, "T+1", (0, 1), 1, 3, (2, (2,)), 12),
+    (3, 3, "T", (1, 1, 0), 0, 1, (1, ()), 48),
+    (3, 3, "T", (1, 1, 0), 0, 3, (3, (1, 0)), 48),
+    (3, 3, "T", (0, 0, 1), 1, 0, (3, (0, 0)), -12),
+    (3, 3, "T", (0, 0, 1), 1, 2, (3, (1, 1)), -12),
+    (3, 3, "T", (1, 0, 1), 2, 0, (3, (0, 1)), -108),
+    (3, 3, "T", (0, 1, 0), 2, 1, (3, (1, 2)), -12),
+    (3, 3, "T", (0, 0, 1), 2, 3, (3, (0, 0)), -12),
+    (3, 3, "T", (1, 1, 1), 1, 3, (2, (2,)), 16),
+    (3, 3, "T+1", (1, 1, 1), 0, 1, (3, (1, 2)), 16),
+    (3, 3, "T+1", (0, 1, 0), 0, 3, (3, (2, 2)), 40),
+    (3, 3, "T+1", (1, 0, 0), 1, 0, (1, ()), -12),
+    (3, 3, "T+1", (1, 1, 0), 1, 2, (3, (2, 0)), 48),
+    (3, 3, "T+1", (0, 1, 1), 2, 0, (2, (1,)), -4),
+    (3, 3, "T+1", (1, 1, 1), 2, 1, (2, (2,)), 16),
+    (3, 3, "T+1", (1, 0, 0), 2, 3, (2, (1,)), 144),
+    (3, 3, "T+1", (1, 1, 1), 1, 3, (3, (0, 2)), -36),
+]
+
+
+def _golden_rep(field, r, exps, flip, shear, product):
+    g = mat_from_exps(field, exps)
+    if flip == 1:
+        g = mat_mul(flip_matrix(field, r), g)
+    elif flip == 2:
+        g = mat_mul(g, flip_matrix(field, r))
+    pi = RatF.pi_power(field, 1)
+    x = (RatF.zero(field), pi, pi * pi, pi + pi * pi)[shear]
+    u = [list(row) for row in mat_identity(field, r)]
+    u[0][1] = x
+    g = mat_mul(tuple(tuple(row) for row in u), g)
+    if len(product) == 1:
+        g = mat_mul(g, w_matrix(field, r, product[0]))
+    elif product:
+        g = mat_mul(g, m_matrix(field, r, *product))
+    return g
+
+
+def test_theta_values_pinned_across_both_cells():
+    evaluators = {}
+    for q, r, level, exps, flip, shear, product, value in GOLDEN_THETA:
+        field = get_field(q)
+        key = (q, r, level)
+        if key not in evaluators:
+            evaluators[key] = theta_evaluator(parse_poly(field, level), field, r)
+        g = _golden_rep(field, r, exps, flip, shear, product)
+        assert evaluators[key](g) == value, (q, r, level, exps, flip, shear, product)
+    assert {row[4] for row in GOLDEN_THETA} == {0, 1, 2}

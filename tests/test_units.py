@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import gcd
 
+import itertools
+
 import pytest
 
 import hb.units
@@ -82,6 +84,59 @@ def test_cusp_orbit_counts():
             rep = cusp_orbits(n, r)
             assert rep.orbit_count == 2 ** s
             assert sum(rep.orbit_sizes) == rep.total
+
+
+def _orbit_sizes_full_generators(n, r):
+    """Orbit sizes by a search that applies every element e_ij(beta),
+    beta in A/n, every unit torus diag(u, 1, ..., 1, u^{-1}) and every
+    diag(eps, 1, ..., 1), eps in F_q^x."""
+    base = n.field
+    comps = hb.units._residue_fields(n)
+    canon = hb.units._canonical
+
+    def act(state, i, j, beta, u, eps):
+        out = []
+        for (F, emb, _), b, x, vec in zip(comps, beta, u, state):
+            new = list(vec)
+            new[i] = F.add(new[i], F.mul(b, vec[j]))
+            new[0] = F.mul(F.mul(x, emb[eps]), new[0])
+            new[r - 1] = F.mul(F.inv(x), new[r - 1])
+            out.append(tuple(new))
+        return tuple(out)
+
+    residues = list(itertools.product(*[range(F.q) for F, _, _ in comps]))
+    ones = (1,) * len(comps)
+    moves = [(i, j, beta, ones, 1) for i in range(r) for j in range(r)
+             if i != j and not (j == 0 and i >= 1) for beta in residues]
+    moves += [(0, 1, (0,) * len(comps), u, 1) for u in residues if all(u)]
+    moves += [(0, 1, (0,) * len(comps), ones, eps) for eps in range(1, base.q)]
+    nonzero = [[v for v in itertools.product(range(F.q), repeat=r) if any(v)]
+               for F, _, _ in comps]
+    left = {canon(s, comps, base) for s in itertools.product(*nonzero)}
+    sizes = []
+    while left:
+        frontier = [left.pop()]
+        size = 0
+        while frontier:
+            s = frontier.pop()
+            size += 1
+            for m in moves:
+                t = canon(act(s, *m), comps, base)
+                if t in left:
+                    left.remove(t)
+                    frontier.append(t)
+        sizes.append(size)
+    return tuple(sorted(sizes))
+
+
+@pytest.mark.parametrize("q, level, r", [
+    (2, "T^2+T", 2), (2, "T^2+T+1", 3), (2, "T^4+T", 2), (2, "T^3+T^2+T", 3),
+    (2, "T^3+T+1", 2),
+    (3, "T^2+1", 2), (3, "T^2+T", 3), (4, "T", 3), (4, "T^2+T", 2),
+])
+def test_cusp_orbits_match_the_full_generator_search(q, level, r):
+    n = parse_poly(get_field(q), level)
+    assert cusp_orbits(n, r).orbit_sizes == _orbit_sizes_full_generators(n, r)
 
 
 class Enumerated(Exception):
