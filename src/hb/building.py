@@ -26,6 +26,7 @@ right rank, read off the same F_q reduction that frames the edge.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import Poly, RatF, poly_gcd, ratf_from_pairs
 
@@ -249,6 +250,10 @@ class Vertex:
     def key(self):
         return lattice_key(self.rep)
 
+    @cached_property
+    def inv(self):          # for the edge's C and the Iwasawa factor t
+        return mat_inv(self.rep)
+
     def __eq__(self, other):
         return isinstance(other, Vertex) and self.key == other.key
 
@@ -346,7 +351,7 @@ class OrientedEdge:
     the s standard basis vectors of the M0 frame that complete im(Cbar)
     to F_q^r.  The key is the lattice keys of M0 and M1, concatenated.  g
     is a coset rep with e^s_g = the edge when the edge was built from one,
-    else None."""
+    and ginv its inverse; else both are None."""
     s: int
     origin: Vertex
     terminus: Vertex
@@ -354,7 +359,8 @@ class OrientedEdge:
     lower: tuple
     comp: tuple
     key: tuple
-    g: tuple = None
+    g: tuple
+    ginv: tuple
 
     def __eq__(self, other):
         return isinstance(other, OrientedEdge) and self.key == other.key
@@ -369,7 +375,7 @@ def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
     pi^t with t = (s - s1 + s0) / r rescales L1 into L0 > L1 >= pi L0.
     Then C = M1 M0^{-1} has ord det C = s, so L0 > L1 >= pi L0 holds iff C
     is integral and C mod pi has rank r - s: every elementary divisor of
-    C is then 1 or pi."""
+    C is then 1 or pi.  A coset rep g comes with L0rows = g^{-1}."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
     v1 = vertex_from_lattice(L1rows, r)
@@ -378,7 +384,7 @@ def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
     if s == 0:
         raise ValueError("lattices are not adjacent (type 0 or r)")
     M1 = mat_scale(v1.rep, RatF.pi_power(field, (s - s1 + s0) // r))
-    C = mat_mul(M1, mat_inv(v0.rep))
+    C = mat_mul(M1, v0.inv)
     if not mat_is_integral(C):
         raise ValueError("lattices are not adjacent: L1 is not in L0")
     Cbar = [tuple(x.pi_coeff(0) for x in row) for row in C]
@@ -389,7 +395,8 @@ def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
         raise ValueError("lattices are not adjacent: pi L0 is not in L1")
     return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1,
                         lower=tuple(i for i in basis if i < r), comp=comp,
-                        key=lattice_key(v0.rep) + lattice_key(M1), g=g)
+                        key=lattice_key(v0.rep) + lattice_key(M1), g=g,
+                        ginv=None if g is None else L0rows)
 
 
 def edge_from_rep(g, s):
@@ -447,18 +454,18 @@ def is_in_P(m):
     return all(m[i][0].is_zero() for i in range(1, r))
 
 
-def iwasawa_decompose(g, basis):
-    """g = scalar p w kappa, with basis the Hermite basis of [Lambda_0 g^{-1}]
-    (canonical_vertex(g).rep).  basis = u g^{-1} up to a power of pi, u in
-    GL_r(O); so with a the least valuation of an entry of basis g,
-    g = t kappa0 for kappa0 = pi^{-a} basis g in GL_r(O) and the upper
-    triangular t = pi^a basis^{-1}."""
+def iwasawa_decompose(g, vertex):
+    """g = scalar p w kappa, with vertex the canonical vertex
+    [Lambda_0 g^{-1}] (canonical_vertex(g)).  Its Hermite basis H is
+    u g^{-1} up to a power of pi, u in GL_r(O); so with a the least
+    valuation of an entry of H g, g = t kappa0 for kappa0 = pi^{-a} H g
+    in GL_r(O) and the upper triangular t = pi^a H^{-1}."""
     r = len(g)
     field = g[0][0].field
-    Hg = mat_mul(basis, g)
+    Hg = mat_mul(vertex.rep, g)
     a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
     kappa0 = mat_scale(Hg, RatF.pi_power(field, -a))
-    t = mat_scale(mat_inv(basis), RatF.pi_power(field, a))
+    t = mat_scale(vertex.inv, RatF.pi_power(field, a))
     ell = [kappa0[i][0].pi_coeff(0) for i in range(r)]
     alpha = t[0][0]
     alpha_inv = RatF.one(field) / alpha

@@ -488,7 +488,7 @@ def _common(p, ranked):
 
 def _oracle_options(p):
     p.add_argument("--prec", type=_int_at_least(1), default=None,
-                   help="series window width for the lattice-sum oracle")
+                   help="series window scale for the lattice-sum oracle")
     p.add_argument("--deg-bound", type=_int_at_least(1), default=6,
                    help="lattice truncation depth for the oracle")
 

@@ -140,17 +140,16 @@ def _in_p_cell_column(g_inv, cvec):
     return all(x.is_zero() or x.ord_inf() > o0 for x in w[1:])
 
 
-def find_witnesses(n, g, bound=None):
+def find_witnesses(n, g_inv, bound=None):
     """gamma in Gamma_0(n) with gamma g in P F^x I^1, as a one-element
-    list [(gamma, c)].  gamma is found through the first column
-    c = gamma^{-1} e1, which must satisfy c_i = n c_i' for i >= 2 and
-    have unit content; the membership test is the valuation criterion on
-    g^{-1} c.  Deterministic degree-bounded enumeration."""
-    field = g[0][0].field
-    r = len(g)
+    list [(gamma, c)], given g^{-1}.  gamma is found through the first
+    column c = gamma^{-1} e1, which must satisfy c_i = n c_i' for i >= 2
+    and have unit content; the membership test is the valuation criterion
+    on g^{-1} c.  Deterministic degree-bounded enumeration."""
+    field = g_inv[0][0].field
+    r = len(g_inv)
     if bound is None:
         bound = int(n.deg) + 2
-    g_inv = mat_inv(g)
     dn = int(n.deg)
     seen_cols = set()
     for D in range(bound + 1):
@@ -189,20 +188,20 @@ def find_witnesses(n, g, bound=None):
 
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
     """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The type-1
-    edge of g gives both the memo key and the Hermite basis that the
-    Iwasawa decomposition reads."""
+    edge of g gives the memo key, the Hermite basis that the Iwasawa
+    decomposition reads and the g^{-1} that the witness search reads."""
     field = g[0][0].field
     r = len(g)
     edge = edge_from_rep(g, 1)
     if _cache is not None and edge.key in _cache:
         return _cache[edge.key]
-    iw = iwasawa_decompose(g, edge.origin.rep)
+    iw = iwasawa_decompose(g, edge.origin)
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:
-        gamma, _c = find_witnesses(n, g, bound=bound)[0]
+        gamma, _c = find_witnesses(n, edge.ginv, bound=bound)[0]
         gg = mat_mul(gamma, g)
-        iw2 = iwasawa_decompose(gg, canonical_vertex(gg).rep)
+        iw2 = iwasawa_decompose(gg, canonical_vertex(gg))
         if iw2.w != "identity":
             raise AssertionError("witness failed to reach the mirabolic cell")
         val = eval_on_mirabolic(iw2.p, r, field, level=n)

@@ -26,6 +26,10 @@ q^{r(D+1)}.  The only convergence certificate is empirical
 stabilization between truncation depths D-1 and D; the underlying theory
 provides no effective bound, and output is labeled accordingly.
 
+Series carry their precision, so a window too narrow for a valuation
+raises PrecisionError, never a wrong value: each lattice behind a value
+starts narrow and doubles only its own window, up to 16 times prec.
+
 This is deliberately independent of the closed-form coefficient
 formulas: it shares no code path with the discriminant module beyond the
 base field arithmetic, which is what makes the cross-check meaningful.
@@ -38,6 +42,8 @@ from .laurent import Laurent, PrecisionError, StabilizationError
 from .poly import RatF
 
 DEFAULT_PREC = 80
+# a lattice's first series window is prec // NARROW (see _p_direct)
+NARROW = 8
 # lattice sums are refused above this rank
 MAX_RANK = 3
 # exp_coefficients refuses lattices with more F_q-basis vectors r(D+1)
@@ -177,7 +183,8 @@ def exp_coefficients(z, D, K, prec=None):
     A carried evaluation depends only on the steps taken so far, so each
     list is the one a separate run at its depth would give.
     A window too narrow to reach the true valuation raises
-    PrecisionError, which the callers turn into a precision retry."""
+    PrecisionError; _p_direct then retries this lattice alone at twice
+    the window."""
     big = z[0].field
     # the F_q-structure: q = p^e where e = (extension degree)/r is not
     # recoverable from big alone; infer from the rank instead
@@ -282,31 +289,6 @@ def _solve_g(a, r):
     return tuple(gs)
 
 
-def _certified_ord(z, D, r, what, prec=None):
-    """ord Delta = ord g_r at depths D-1 and D; stabilization is the
-    certificate."""
-    prev, g = drinfeld_coeffs(z, D, r, prec=prec)
-    o_prev, o = prev[r - 1].ord(), g[r - 1].ord()
-    if o_prev != o:
-        raise StabilizationError(
-            f"{what}: ord(Delta) moved from {o_prev} to {o} between "
-            f"truncation depths {D-1} and {D}; increase --deg-bound")
-    return o
-
-
-def _adaptive(prec, body):
-    """Rerun with doubled series precision when a certified window
-    collapses; the lattice depth D is never touched here."""
-    attempt = prec
-    while True:
-        try:
-            return body(attempt)
-        except PrecisionError:
-            if attempt >= 16 * prec:
-                raise
-            attempt *= 2
-
-
 def p_delta_direct(g, q, r, D=6, prec=DEFAULT_PREC):
     """P1(Delta_r)(g) = log_q|Delta(g S z0)| - log_q|Delta(g z0)|,
     S = diag(T, 1, ..., 1) — valuations from truncated lattice sums."""
@@ -317,11 +299,6 @@ def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC):
     """P1(Theta_n)(g) = P1(Delta)(g) - P1(Delta_n)(g) with
     Delta_n(z) = Delta(n z_1, z_2, ..., z_r)."""
     return _p_direct(n, g, q, r, D, prec)
-
-
-def _n_star(n, z, big, embed, prec):
-    nl = ratf_to_laurent(RatF(n), big, embed, prec)
-    return (nl * z[0],) + z[1:]
 
 
 def _p_direct(n, g, q, r, D, prec):
@@ -336,19 +313,36 @@ def _p_direct(n, g, q, r, D, prec):
     from .building import mat_from_exps, mat_mul
     gS = mat_mul(g, mat_from_exps(field, (1,) + (0,) * (r - 1)))
 
-    def body(pr):
-        za = act(g, z0, big, embed, pr + 40)
-        zb = act(gS, z0, big, embed, pr + 40)
-        oa = _certified_ord(za, D, r, "Delta(g z0)", prec=pr)
-        ob = _certified_ord(zb, D, r, "Delta(g S z0)", prec=pr)
-        if n is None:
-            return oa - ob
-        na = _certified_ord(_n_star(n, za, big, embed, pr + 40), D, r,
-                            "Delta(n*g z0)", prec=pr)
-        nb = _certified_ord(_n_star(n, zb, big, embed, pr + 40), D, r,
-                            "Delta(n*g S z0)", prec=pr)
-        return (oa - ob) - (na - nb)
-    return _adaptive(prec, body)
+    def certified_ord(h, level, what):
+        """ord g_r at depths D-1 and D on h z0 (z_1 times level, if any),
+        certified by stabilization, at this lattice's own window: prec //
+        NARROW, doubled on PrecisionError up to 16 prec; act 40 wider."""
+        pr = max(prec // NARROW, 1)
+        while True:
+            try:
+                z = act(h, z0, big, embed, pr + 40)
+                if level is not None:
+                    z = (ratf_to_laurent(RatF(level), big, embed, pr + 40)
+                         * z[0],) + z[1:]
+                prev, top = drinfeld_coeffs(z, D, r, prec=pr)
+                o_prev, o = prev[r - 1].ord(), top[r - 1].ord()
+                break
+            except PrecisionError:
+                if pr >= 16 * prec:
+                    raise
+                pr = min(2 * pr, 16 * prec)
+        if o_prev != o:
+            raise StabilizationError(
+                f"{what}: ord(Delta) moved from {o_prev} to {o} between "
+                f"truncation depths {D-1} and {D}; increase --deg-bound")
+        return o
+
+    oa = certified_ord(g, None, "Delta(g z0)")
+    ob = certified_ord(gS, None, "Delta(g S z0)")
+    if n is None:
+        return oa - ob
+    return (oa - ob) - (certified_ord(g, n, "Delta(n*g z0)")
+                        - certified_ord(gS, n, "Delta(n*g S z0)"))
 
 
 def p_delta_on_p_point(x, yexps, q, r, D=6, prec=DEFAULT_PREC):

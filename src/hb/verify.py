@@ -112,15 +112,16 @@ def _sample_edges(field):
 
 def criterion_oracle_cross_check():
     """Lattice-sum valuations versus the closed-form Fourier series:
-    P1(Delta_2) and P1(Theta_n) at q = r = 2, plus the diagonal anchors
-    diag(1, ..., 1) and diag(T, 1, ..., 1) at (q, r) = (2, 3) and (3, 2)."""
+    P1(Delta_2) and P1(Theta_n) at q = r = 2, the diagonal anchors
+    diag(1, ..., 1) and diag(T, 1, ..., 1) at (q, r) = (2, 3) and (3, 2),
+    and mirabolic points with x != 0 at r = 3, q in {2, 3}."""
     def run():
         checks, failures = 0, []
 
-        def check_delta(label, g, q, r):
+        def check_delta(label, g, q, r, D):
             nonlocal checks
             field = g[0][0].field
-            direct = p_delta_direct(g, q, r, D=6)
+            direct = p_delta_direct(g, q, r, D=D)
             # the samples are upper triangular: scaling the top-left
             # entry to 1 puts them in the mirabolic
             series = eval_on_mirabolic(
@@ -132,14 +133,28 @@ def criterion_oracle_cross_check():
         field = get_field(2)
         edges = _sample_edges(field)
         for label, g in edges:
-            check_delta(label, g, 2, 2)
+            check_delta(label, g, 2, 2, 6)
         anchors = 0
         for q, r in ((2, 3), (3, 2)):
             for k in (0, 1):
                 exps = (k,) + (0,) * (r - 1)
                 check_delta(f"q={q},r={r},diag(T^{k},1,...)",
-                            mat_from_exps(get_field(q), exps), q, r)
+                            mat_from_exps(get_field(q), exps), q, r, 6)
                 anchors += 1
+        rank3 = 0
+        for q in (2, 3):
+            fq = get_field(q)
+            pi, pi2 = RatF.pi_power(fq, 1), RatF.pi_power(fq, 2)
+            for y in ((1, 1), (2, 1), (2, 2)):
+                for xl, x in (("pi,0", (pi, RatF.zero(fq))),
+                              ("pi,pi", (pi, pi)), ("pi^2,pi", (pi2, pi))):
+                    # left out: y = (2, 2), x = (pi, pi) takes 0.7 s at
+                    # q = 2, and its window collapses at q = 3
+                    if y == (2, 2) and xl == "pi,pi":
+                        continue
+                    check_delta(f"q={q},r=3,P(x=({xl}),n={y})",
+                                PPoint(x, y).matrix(fq), q, 3, 5)
+                    rank3 += 1
         levels = [parse_poly(field, s) for s in ("T", "T+1", "T^2+T+1")]
         theta_edges = edges[:4] + [edges[4], edges[8]]  # anchors + nonzero x
         for n in levels:
@@ -151,7 +166,8 @@ def criterion_oracle_cross_check():
                 if direct != series:
                     failures.append(("pTheta", str(n), label, direct, series))
         return checks, failures, {"edges": len(edges), "levels": 3,
-                                  "wider_anchors": anchors}
+                                  "wider_anchors": anchors,
+                                  "rank3_points": rank3}
     return _timed(2, "oracle cross-check", run)
 
 

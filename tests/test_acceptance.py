@@ -42,11 +42,13 @@ def test_criterion_02_oracle_cross_check():
     # lattice-sum oracle vs closed-form series at >= 20 edges including
     # the four diagonal anchors and >= 10 points with x != 0, plus
     # Theta_n for three levels, plus diag(1,..,1) and diag(T,1,..,1) at
-    # (q, r) = (2, 3) and (3, 2)
+    # (q, r) = (2, 3) and (3, 2), plus 16 mirabolic points with x != 0 at
+    # r = 3
     rep = verify.criterion_oracle_cross_check()
     assert rep.notes["edges"] >= 20
     assert rep.notes["wider_anchors"] == 4
-    _assert_green(rep, 43, 15 * 60)
+    assert rep.notes["rank3_points"] == 16
+    _assert_green(rep, 59, 15 * 60)
 
 
 @pytest.mark.slow

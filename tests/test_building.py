@@ -127,7 +127,7 @@ def test_iwasawa_decompose_reassembles():
         flip = flip_matrix(field, r)
         cells = []
         for g in _iwasawa_samples(field, r):
-            iw = iwasawa_decompose(g, canonical_vertex(g).rep)
+            iw = iwasawa_decompose(g, canonical_vertex(g))
             assert is_in_P(iw.p) and is_in_I1(iw.kappa)
             W = mat_identity(field, r) if iw.w == "identity" else flip
             rec = mat_scale(mat_mul(mat_mul(iw.p, W), iw.kappa), iw.scalar)
@@ -152,7 +152,7 @@ def test_w_matrix_shape():
 
 def test_iwasawa_detects_cells():
     for g, cell in ((mat_identity(F2, 2), "identity"), (flip_matrix(F2, 2), "flip")):
-        assert iwasawa_decompose(g, canonical_vertex(g).rep).w == cell
+        assert iwasawa_decompose(g, canonical_vertex(g)).w == cell
 
 
 def _edges_around(field, r):

@@ -233,6 +233,32 @@ def test_missing_theta_witness_is_a_usage_error(capsys, argv, bound):
     assert "increase --witness-bound" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--r", "2", "--g", "T,0;0,1", "--deg-bound", "6"], -4),
+    (["--r", "2", "--g", "1,1/T;0,1/T^2", "--deg-bound", "5"], -8),
+    (["--r", "3", "--deg-bound", "3"], -4),
+    (["--r", "2", "--g", "1,1/T;0,1/T^3", "--deg-bound", "6"], None),
+    (["--r", "3", "--g", "1,1/T,1/T;0,1/T^2,0;0,0,1/T^2",
+      "--deg-bound", "4"], None),
+])
+def test_oracle_at_prec_one(capsys, argv, want):
+    # every window runs from 1 up to 16: a value that certifies is the
+    # one at the default --prec; one that does not asks for more --prec
+    argv = ["oracle", "pdelta", "--q", "2", *argv]
+    code = main(argv + ["--prec", "1"])
+    captured = capsys.readouterr()
+    if want is None:
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "increase --prec" in captured.err
+        return
+    assert code == EXIT_OK
+    assert json.loads(captured.out)["result"] == want
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["result"] == want
+
+
 def test_oracle_window_collapse_is_a_usage_error(capsys, monkeypatch):
     # a window that still collapses at 16x --prec is reported like an
     # unsettled depth: the user has an option to change

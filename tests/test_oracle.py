@@ -6,7 +6,11 @@ acceptance cross-check); they are stored so regressions surface as
 plain equality failures.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hb.building import mat_from_exps
 from hb.discriminant import eval_on_mirabolic
@@ -16,7 +20,7 @@ from hb.laurent import Laurent, PrecisionError
 from hb.oracle import (StabilizationError, _Filtration, act, base_points,
                        drinfeld_coeffs, exp_coefficients, extension_field,
                        p_delta_direct, p_delta_on_p_point, p_theta_direct)
-from hb.poly import RatF, parse_poly
+from hb.poly import Poly, RatF, parse_poly
 
 F2 = get_field(2)
 
@@ -197,3 +201,98 @@ def test_rank_three_mirabolic_point_matches_series():
     g = PPoint((pi, pi), (2, 2)).matrix(F2)
     assert eval_on_mirabolic(g, 3, F2) == -2
     assert p_delta_direct(g, 2, 3, D=4) == -2
+
+
+def _workload_edge(q, fam, k, xterms):
+    """diag(T^k, 1), or the mirabolic point with y = T^k and x the sum
+    of c pi^d over xterms (x = 0 for P0)."""
+    field = get_field(q)
+    if fam == "diag":
+        return mat_from_exps(field, (k, 0))
+    x = RatF.zero(field)
+    for d, c in xterms:
+        x = x + RatF.pi_power(field, d) * RatF(Poly.const(field, c))
+    return PPoint((x,), (k,)).matrix(field)
+
+
+# [DERIVED] on edges shaped like the oracle workload's, where most
+# lattices certify at a narrow window: (q, D, family, k, x terms, value)
+WORKLOAD_DELTA = [
+    (2, 4, "diag", 0, (), -2), (2, 4, "diag", 3, (), -16),
+    (2, 4, "P", 1, ((1, 1),), -1), (2, 4, "P", 3, ((1, 1), (2, 1)), -1),
+    (2, 4, "P0", -1, (), -4), (2, 4, "P0", 3, (), 5),
+    (2, 5, "diag", 1, (), -4), (2, 5, "P", 2, ((1, 1),), -2),
+    (2, 5, "P", 3, ((2, 1),), -4), (2, 5, "P0", 2, (), 1),
+    (2, 6, "diag", 2, (), -8), (2, 6, "P0", -1, (), -4),
+    (2, 7, "diag", 0, (), -2),
+    (3, 3, "diag", 0, (), -6), (3, 3, "diag", 2, (), -54),
+    (3, 3, "P", 1, ((1, 1),), -2), (3, 3, "P", 2, ((1, 2), (2, 1)), -6),
+    (3, 3, "P0", -1, (), -18), (3, 3, "P0", 2, (), 10),
+    (3, 4, "diag", 1, (), -18), (3, 4, "P", 2, ((1, 1),), -6),
+]
+
+# (level, family, k, x terms, value) at q = 2, D = 4
+WORKLOAD_THETA = [
+    ("T", "diag", 0, (), 2), ("T", "diag", 1, (), 4),
+    ("T", "P", 2, ((1, 1),), -1), ("T", "P", 3, ((1, 1), (2, 1)), 1),
+    ("T", "P0", 3, (), 4),
+    ("T+1", "diag", 0, (), 2), ("T+1", "diag", 1, (), 4),
+    ("T+1", "P", 2, ((1, 1),), -1), ("T+1", "P", 3, ((1, 1), (2, 1)), -2),
+    ("T+1", "P0", 3, (), 4),
+    ("T^2+T+1", "diag", 0, (), 6), ("T^2+T+1", "diag", 1, (), 12),
+    ("T^2+T+1", "P", 2, ((1, 1),), 0),
+    ("T^2+T+1", "P", 3, ((1, 1), (2, 1)), 0),
+    ("T^2+T+1", "P0", 3, (), 6),
+]
+
+
+@pytest.mark.parametrize("q, D, fam, k, xterms, want", WORKLOAD_DELTA)
+def test_workload_delta_values_pinned(q, D, fam, k, xterms, want):
+    assert p_delta_direct(_workload_edge(q, fam, k, xterms), q, 2, D=D) \
+        == want
+
+
+@pytest.mark.parametrize("level, fam, k, xterms, want", WORKLOAD_THETA)
+def test_workload_theta_values_pinned(level, fam, k, xterms, want):
+    n = parse_poly(F2, level)
+    assert p_theta_direct(n, _workload_edge(2, fam, k, xterms), 2, 2,
+                          D=4) == want
+
+
+@lru_cache(maxsize=None)
+def _point(q, r, which, pr):
+    """z at act precision pr for diag(T, 1, ...) (which = 0), or for the
+    mirabolic point with x_1 = pi + pi^2 and y = T^which I."""
+    field = get_field(q)
+    big = extension_field(q, r)
+    embed = embedding(q, big.q)
+    pi = RatF.pi_power(field, 1)
+    if which == 0:
+        g = mat_from_exps(field, (1,) + (0,) * (r - 1))
+    else:
+        g = PPoint((pi + RatF.pi_power(field, 2),)
+                   + (RatF.zero(field),) * (r - 2),
+                   (which,) * (r - 1)).matrix(field)
+    return act(g, base_points(q, r), big, embed, pr)
+
+
+@lru_cache(maxsize=None)
+def _default_ords(q, r, which, D):
+    prev, g = drinfeld_coeffs(_point(q, r, which, 200), D, r)
+    return prev[r - 1].ord(), g[r - 1].ord()
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.integers(0, 3),
+       st.integers(1, 4), st.integers(1, 40))
+def test_narrow_window_certifies_or_raises(qr, which, D, window):
+    # a window that returns a value returns the true ord g_r at both
+    # depths: a narrow window may only fail, never mislead
+    q, r = qr
+    want = _default_ords(q, r, which, D)
+    try:
+        prev, g = drinfeld_coeffs(_point(q, r, which, window + 40), D, r,
+                                  prec=window)
+        got = prev[r - 1].ord(), g[r - 1].ord()
+    except PrecisionError:
+        return
+    assert got == want
