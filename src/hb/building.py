@@ -141,6 +141,25 @@ def _fq_reduce(field, rows, v, width=None):
     return w
 
 
+def fq_mat_inv(field, entries):
+    """The inverse of an invertible square matrix of F_q codes, by
+    Gauss-Jordan elimination over F_q."""
+    n = len(entries)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(entries)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        c = field.inv(rows[col][col])
+        rows[col] = [field.mul(c, x) for x in rows[col]]
+        for i in range(n):
+            c = rows[i][col]
+            if i != col and c:
+                rows[i] = [field.sub(x, field.mul(c, y))
+                           for x, y in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def fq_rank_basis(field, vectors):
     """Row-reduce; returns (indices of independent input vectors, rref rows)."""
     basis, rref = [], []
@@ -281,7 +300,8 @@ def canonical_vertex(g):
 # standard matrices
 
 def w_matrix(field, r, s):
-    """W_s = [[0, I_{r-s}], [pi I_s, 0]]; W_r = pi I_r."""
+    """W_s = [[0, I_{r-s}], [pi I_s, 0]]; W_r = pi I_r.  W_s W_{r-s} =
+    pi I_r, so W_s^{-1} = pi^{-1} W_{r-s} (w_inverse)."""
     zero = RatF.zero(field)
     one = RatF.one(field)
     pi = RatF.pi_power(field, 1)
@@ -291,6 +311,11 @@ def w_matrix(field, r, s):
     for i in range(s):
         rows.append(tuple(pi if j == i else zero for j in range(r)))
     return tuple(rows)
+
+
+def w_inverse(field, r, s):
+    """W_s^{-1} = pi^{-1} W_{r-s}."""
+    return mat_scale(w_matrix(field, r, r - s), RatF.pi_power(field, -1))
 
 
 def t_matrix(field, r, i, u):
@@ -326,7 +351,8 @@ def m_matrix(field, r, s, u):
 
 
 def flip_matrix(field, r):
-    """[[0, I_{r-1}], [1, 0]]."""
+    """[[0, I_{r-1}], [1, 0]], a permutation matrix: its inverse is its
+    transpose."""
     zero, one = RatF.zero(field), RatF.one(field)
     rows = [tuple(one if j == i + 1 else zero for j in range(r)) for i in range(r - 1)]
     rows.append(tuple(one if j == 0 else zero for j in range(r)))
@@ -478,11 +504,12 @@ def iwasawa_decompose(g, vertex):
         piv = next(i for i in range(1, r) if ell[i])
         cols = [[int(i == k) for i in range(r)] for k in range(r)
                 if k != piv] + [ell]
-        B = const_matrix(field, [[col[i] for col in cols] for i in range(r)])
-        tB = mat_mul(t, B)
+        entries = [[col[i] for col in cols] for i in range(r)]
+        tB = mat_mul(t, const_matrix(field, entries))
         p = mat_scale(tB, alpha_inv)
-        kappa = mat_mul(mat_inv(flip_matrix(field, r)),
-                        mat_mul(mat_inv(B), kappa0))
+        flip_inv = tuple(zip(*flip_matrix(field, r)))
+        kappa = mat_mul(flip_inv, mat_mul(
+            const_matrix(field, fq_mat_inv(field, entries)), kappa0))
         res = Iwasawa(p=p, w="flip", scalar=alpha, kappa=kappa)
     if not is_in_P(res.p):
         raise AssertionError("Iwasawa p-part left the mirabolic")
@@ -519,7 +546,7 @@ def weak_popov(M):
                 raise ValueError("matrix is singular over F_q(T)")
             degs.append(dmax)
         lc = [tuple(p.coeff(degs[i]) for p in row) for i, row in enumerate(W)]
-        combo = _fq_left_kernel_vector(field, lc)
+        combo = fq_left_kernel_vector(field, lc)
         if combo is None:
             break
         support = [i for i, c in enumerate(combo) if c]
@@ -538,7 +565,7 @@ def weak_popov(M):
     return [tuple(row) for row in W], [tuple(row) for row in U]
 
 
-def _fq_left_kernel_vector(field, rows):
+def fq_left_kernel_vector(field, rows):
     """A nonzero c with sum c_i rows_i = 0, or None if rows independent."""
     n = len(rows)
     aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -621,7 +648,7 @@ class Cochain:
         if edge.key in self.cache:
             return self.cache[edge.key]
         g = edge.g if edge.g is not None else rep_from_lattice_pair(edge)
-        base = mat_mul(g, mat_inv(w_matrix(self.field, self.r, edge.s)))
+        base = mat_mul(g, w_inverse(self.field, self.r, edge.s))
         total = Fraction(0)
         for i in range(1, edge.s + 1):
             total += self.f(mat_mul(base, w_matrix(self.field, self.r, i)))

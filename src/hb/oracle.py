@@ -1,9 +1,13 @@
 """Valuations of the Drinfeld discriminant from first principles.
 
-Everything here is computed inside F_{q^r}((pi)) with truncated series:
-the A-lattice Lambda_z = A z_1 + ... + A z_r is cut off at coefficient
-degree D, the polynomial e_V(x) = prod_{lambda in V}(x - lambda) is
-built one F_q-basis vector at a time through
+Everything here is computed inside F_{q^r}((pi)) with truncated series.
+The basis z_1, ..., z_r of the A-lattice Lambda_z = A z_1 + ... + A z_r
+is first reduced over A = F_q[T] (reduce_basis), so that
+|sum a_i z_i| = max_i |a_i z_i|; the lattice is then cut off to a ball,
+V = {sum a_i z_i : deg a_i <= D + ord z_i - max_j ord z_j}, anchored at
+the smallest basis vector, which keeps at most r(D+1) of the F_q-basis
+vectors z_i T^j.  The polynomial e_V(x) = prod_{lambda in V}(x - lambda)
+is built one F_q-basis vector at a time through
 
     e_{V + F_q w}(x) = e_V(x)^q - e_V(w)^{q-1} e_V(x),
 
@@ -21,10 +25,11 @@ e_V(w) / (linear coefficient of e_V) collapses to
 
     ord(e_V(w) / alpha_0) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).
 
-A truncation depth D costs O((r(D+1))^2) series operations, not
-q^{r(D+1)}.  The only convergence certificate is empirical
-stabilization between truncation depths D-1 and D; the underlying theory
-provides no effective bound, and output is labeled accordingly.
+A ball of n basis vectors costs O(n^2 + nK) series operations for the
+exp coefficients a_0..a_K, not q^n.  The only convergence certificate is
+empirical stabilization between truncation depths D-1 and D; the
+underlying theory provides no effective bound, and output is labeled
+accordingly.
 
 Series carry their precision, so a window too narrow for a valuation
 raises PrecisionError, never a wrong value: each lattice behind a value
@@ -36,7 +41,9 @@ base field arithmetic, which is what makes the cross-check meaningful.
 """
 
 import copy
+from functools import lru_cache
 
+from .building import fq_left_kernel_vector, mat_from_exps, mat_mul
 from .fields import embedding, get_field
 from .laurent import Laurent, PrecisionError, StabilizationError
 from .poly import RatF
@@ -46,8 +53,9 @@ DEFAULT_PREC = 80
 NARROW = 8
 # lattice sums are refused above this rank
 MAX_RANK = 3
-# exp_coefficients refuses lattices with more F_q-basis vectors r(D+1)
-# than this; its cost grows with the square of that number
+# exp_coefficients refuses balls with more F_q-basis vectors than this
+# (a ball of depth D has at most r(D+1)); its cost grows with the square
+# of that number
 MAX_BASIS = 64
 
 
@@ -88,6 +96,55 @@ def act(g, z, big, embed, prec):
     jfac = rows[-1].inverse(prec)
     out = [x * jfac for x in rows[:-1]]
     return tuple(out) + (Laurent.one(big),)
+
+
+@lru_cache(maxsize=None)
+def _fq_coordinates(q, r):
+    """The F_q-linear injection x -> (Tr(x eps^k))_{k < r} of F_{q^r}
+    into F_q^r (Tr the trace to F_q, eps the generator of base_points),
+    tabulated on the codes of F_{q^r}; its values are codes of F_{q^r}
+    that lie in F_q."""
+    big = extension_field(q, r)
+    eps = big.multiplicative_generator()
+
+    def trace(x):
+        acc = 0
+        for j in range(r):
+            acc = big.add(acc, big.pow(x, q ** j))
+        return acc
+    return tuple(tuple(trace(big.mul(x, big.pow(eps, k))) for k in range(r))
+                 for x in range(big.q))
+
+
+def reduce_basis(z, q):
+    """A reduced basis of the A-lattice A z_1 + ... + A z_r: the leading
+    coefficients of the z_i, aligned by powers of T, are F_q-independent
+    in F_{q^r}, so that ord(sum a_i z_i) = min_i (ord z_i - deg a_i) for
+    any polynomials a_i.  While they are dependent, sum c_i lead(z_i) =
+    0 with c_i in F_q (an F_q elimination on their coordinates), the
+    largest z_j with c_j != 0 becomes
+
+        sum_i c_i T^{ord z_i - ord z_j} z_i,
+
+    a unimodular change that cancels its leading term (Lenstra's
+    reduction over F_q[T], "Factoring multivariate polynomials over
+    finite fields", J. Comput. Syst. Sci. 30, 1985).  The lattice, and
+    with it Delta, is unchanged.  A cancellation that runs out of known
+    coefficients raises PrecisionError."""
+    big = z[0].field
+    coords = _fq_coordinates(q, len(z))
+    z = list(z)
+    while True:
+        ords = [x.ord() for x in z]
+        c = fq_left_kernel_vector(big, [coords[x.coeffs[0]] for x in z])
+        if c is None:
+            return tuple(z)
+        j = min((i for i, ci in enumerate(c) if ci), key=ords.__getitem__)
+        w = Laurent.zero(big)
+        for i, ci in enumerate(c):
+            if ci:
+                w = w + z[i].scale(ci).shift(ords[j] - ords[i])
+        z[j] = w
 
 
 class _Filtration:
@@ -152,9 +209,14 @@ class _Filtration:
 def exp_coefficients(z, D, K, prec=None):
     """Monic-normalized coefficients a_0 = 1, a_1, ..., a_K of x^{q^k}
     in e_V(x) / (linear coefficient of e_V) over the truncated lattices
-    V = {sum a_i z_i : deg a_i <= D - 1} and {... : deg a_i <= D}, as
-    the pair (depth D - 1 list, depth D list).  Past dim V the lists are
-    padded with exact zeros, since a_k = 0 there.  Each V is built one
+    V = {sum a_i z_i : deg a_i <= d_i - 1} and {... : deg a_i <= d_i},
+    d_i = D + ord z_i - max_j ord z_j, as the pair (depth D - 1 list,
+    depth D list).  On a reduced basis (reduce_basis) these are the
+    points of the lattice in the balls of radius |T^{D-1} z_s| and
+    |T^D z_s|, z_s the smallest z_i; a z_i with d_i < 0 contributes
+    nothing, so V has at most r(D + 1) basis vectors z_i T^j, and fewer
+    unless all z_i have one order.  Past dim V the lists are padded with
+    exact zeros, since a_k = 0 there.  Each V is built one
     F_q-basis vector at a time by the subspace recursion divided through
     by its new linear coefficient:
 
@@ -176,10 +238,17 @@ def exp_coefficients(z, D, K, prec=None):
     against it, and the product-formula valuation follows in closed form
     from the remainder's valuation and the orders of the basis.
 
-    Depth D adds the basis in the order z_0 T^0..T^D, z_1 T^0..T^D, ...;
-    depth D - 1 in the same order with every z_i T^D left out.  Both
-    orders open with z_0 T^0..T^{D-1}: those D steps run once, carrying
-    the evaluations at every depth-D vector, and then the state forks.
+    A step costs one inverse, q - 2 products for 1/v^{q-1}, about K
+    products and q-powers for the coefficients, and one q-power, product
+    and greedy reduction for each later basis vector's evaluation, all
+    at the window prec: so n basis vectors cost O(n^2 + nK) series
+    operations.
+
+    Depth D adds the basis deepest z_i first (ties in index order), each
+    as z_i T^0..T^{d_i}; depth D - 1 in the same order with every
+    z_i T^{d_i} left out.  Both orders open with T^0..T^{D-1} times the
+    deepest z_i, whose depth is D: those D steps run once, carrying the
+    evaluations at every depth-D vector, and then the state forks.
     A carried evaluation depends only on the steps taken so far, so each
     list is the one a separate run at its depth would give.
     A window too narrow to reach the true valuation raises
@@ -247,13 +316,19 @@ def exp_coefficients(z, D, K, prec=None):
     def padded(coeffs):
         return coeffs[:K + 1] + [Laurent.zero(big)] * (K + 1 - len(coeffs))
 
-    if r * (D + 1) > MAX_BASIS:
-        raise ValueError(f"truncated lattice has {r * (D + 1)} basis "
-                         f"vectors, more than {MAX_BASIS}; reduce D")
-    basis = [z[i] * Laurent.pi_power(big, -j)
-             for i in range(r) for j in range(D + 1)]
+    ords = [x.ord() for x in z]
+    depth = [D + o - max(ords) for o in ords]
+    size = sum(d + 1 for d in depth if d >= 0)
+    if size > MAX_BASIS:
+        raise ValueError(f"truncated lattice has {size} basis vectors, "
+                         f"more than {MAX_BASIS}; reduce D")
+    basis, shallow = [], []
+    for i in sorted(range(r), key=lambda i: -depth[i]):
+        for j in range(depth[i] + 1):
+            if j < depth[i]:
+                shallow.append(len(basis))
+            basis.append(z[i].shift(-j))
     deep = list(range(len(basis)))
-    shallow = [m for m in deep if m % (D + 1) < D]
     evals = [cap(w) for w in basis]   # ehat_V(w_m), exact at V = {0}
     rems = list(basis)                # w_m minus its best approximant in V
     V = _Filtration(big, q, cap)
@@ -310,13 +385,13 @@ def _p_direct(n, g, q, r, D, prec):
     big = extension_field(q, r)
     embed = embedding(q, big.q)
     z0 = base_points(q, r)
-    from .building import mat_from_exps, mat_mul
     gS = mat_mul(g, mat_from_exps(field, (1,) + (0,) * (r - 1)))
 
     def certified_ord(h, level, what):
-        """ord g_r at depths D-1 and D on h z0 (z_1 times level, if any),
-        certified by stabilization, at this lattice's own window: prec //
-        NARROW, doubled on PrecisionError up to 16 prec; act 40 wider."""
+        """ord g_r at depths D-1 and D on a reduced basis of the lattice
+        of h z0 (z_1 times level, if any), certified by stabilization, at
+        this lattice's own window: prec // NARROW, doubled on
+        PrecisionError up to 16 prec; act 40 wider."""
         pr = max(prec // NARROW, 1)
         while True:
             try:
@@ -324,6 +399,7 @@ def _p_direct(n, g, q, r, D, prec):
                 if level is not None:
                     z = (ratf_to_laurent(RatF(level), big, embed, pr + 40)
                          * z[0],) + z[1:]
+                z = reduce_basis(z, q)
                 prev, top = drinfeld_coeffs(z, D, r, prec=pr)
                 o_prev, o = prev[r - 1].ord(), top[r - 1].ord()
                 break

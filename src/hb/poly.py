@@ -20,11 +20,16 @@ extracted exactly by long division.
 import itertools
 import math
 import re
+from functools import lru_cache
 
 NEG_INF = -math.inf
 
 
 class Poly:
+    """Polynomial over a finite field, coefficients low to high.
+    Immutable: nothing assigns coeffs after __init__, so zero() and
+    one() hand out one shared instance per field."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -36,10 +41,12 @@ class Poly:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(field):
         return Poly(field, ())
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(field):
         return Poly(field, (1,))
 
@@ -339,7 +346,8 @@ def _reduce_over_monomial(num, den):
 class RatF:
     """Exact element of F_q(T), reduced, denominator monic.  Immutable:
     nothing assigns num or den after __init__, so arithmetic may return
-    an operand itself (x + 0, x * 1, x * 0)."""
+    an operand itself (x + 0, x * 1, x * 0), and zero() and one() hand
+    out one shared instance per field."""
 
     __slots__ = ("num", "den")
 
@@ -364,10 +372,12 @@ class RatF:
         self.den = den
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(field):
         return RatF(Poly.zero(field))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(field):
         return RatF(Poly.one(field))
 

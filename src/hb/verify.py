@@ -114,7 +114,8 @@ def criterion_oracle_cross_check():
     """Lattice-sum valuations versus the closed-form Fourier series:
     P1(Delta_2) and P1(Theta_n) at q = r = 2, the diagonal anchors
     diag(1, ..., 1) and diag(T, 1, ..., 1) at (q, r) = (2, 3) and (3, 2),
-    and mirabolic points with x != 0 at r = 3, q in {2, 3}."""
+    mirabolic points with x != 0 at r = 3, q in {2, 3}, and two deep
+    diagonal edges of Theta_n."""
     def run():
         checks, failures = 0, []
 
@@ -148,26 +149,28 @@ def criterion_oracle_cross_check():
             for y in ((1, 1), (2, 1), (2, 2)):
                 for xl, x in (("pi,0", (pi, RatF.zero(fq))),
                               ("pi,pi", (pi, pi)), ("pi^2,pi", (pi2, pi))):
-                    # left out: y = (2, 2), x = (pi, pi) takes 0.7 s at
-                    # q = 2, and its window collapses at q = 3
-                    if y == (2, 2) and xl == "pi,pi":
-                        continue
                     check_delta(f"q={q},r=3,P(x=({xl}),n={y})",
                                 PPoint(x, y).matrix(fq), q, 3, 5)
                     rank3 += 1
-        levels = [parse_poly(field, s) for s in ("T", "T+1", "T^2+T+1")]
         theta_edges = edges[:4] + [edges[4], edges[8]]  # anchors + nonzero x
-        for n in levels:
-            h1 = theta_evaluator(n, field, 2)
-            for label, g in theta_edges:
-                direct = p_theta_direct(n, g, 2, 2, D=6)
-                series = h1(g)
-                checks += 1
-                if direct != series:
-                    failures.append(("pTheta", str(n), label, direct, series))
+        theta = [(s, label, g, 6) for s in ("T", "T+1", "T^2+T+1")
+                 for label, g in theta_edges]
+        # deep diagonal edges: they stabilize once the truncation is a
+        # ball in the lattice
+        deep = [("T^3+T+1", "diag(T^4,1)", mat_from_exps(field, (4, 0)), 8),
+                ("T^2+T+1", "diag(T^5,1)", mat_from_exps(field, (5, 0)), 8)]
+        levels = {s: parse_poly(field, s) for s, _, _, _ in theta + deep}
+        h1 = {s: theta_evaluator(n, field, 2) for s, n in levels.items()}
+        for s, label, g, D in theta + deep:
+            direct = p_theta_direct(levels[s], g, 2, 2, D=D)
+            series = h1[s](g)
+            checks += 1
+            if direct != series:
+                failures.append(("pTheta", s, label, direct, series))
         return checks, failures, {"edges": len(edges), "levels": 3,
                                   "wider_anchors": anchors,
-                                  "rank3_points": rank3}
+                                  "rank3_points": rank3,
+                                  "deep_theta_edges": len(deep)}
     return _timed(2, "oracle cross-check", run)
 
 

@@ -42,13 +42,14 @@ def test_criterion_02_oracle_cross_check():
     # lattice-sum oracle vs closed-form series at >= 20 edges including
     # the four diagonal anchors and >= 10 points with x != 0, plus
     # Theta_n for three levels, plus diag(1,..,1) and diag(T,1,..,1) at
-    # (q, r) = (2, 3) and (3, 2), plus 16 mirabolic points with x != 0 at
-    # r = 3
+    # (q, r) = (2, 3) and (3, 2), plus 18 mirabolic points with x != 0 at
+    # r = 3, plus Theta_n at two deep diagonal edges
     rep = verify.criterion_oracle_cross_check()
     assert rep.notes["edges"] >= 20
     assert rep.notes["wider_anchors"] == 4
-    assert rep.notes["rank3_points"] == 16
-    _assert_green(rep, 59, 15 * 60)
+    assert rep.notes["rank3_points"] == 18
+    assert rep.notes["deep_theta_edges"] == 2
+    _assert_green(rep, 63, 15 * 60)
 
 
 @pytest.mark.slow

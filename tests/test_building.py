@@ -11,11 +11,12 @@ from hb import building
 from hb.building import (Cochain, canonical_vertex, edge_from_lattice_pair,
                          edge_from_rep, edge_reverse, flip_matrix, in_edges,
                          is_in_I1, is_in_P, iwasawa_decompose, lattice_key,
-                         mat_from_exps, mat_identity, mat_inv,
+                         const_matrix, fq_mat_inv, mat_from_exps,
+                         mat_identity, mat_inv,
                          mat_is_integral, mat_mul, mat_scale, p_coordinates,
                          rep_from_lattice_pair, row_hnf,
                          triangle_lattice_edges, type_one_in_neighbors,
-                         vertex_from_lattice, w_matrix)
+                         vertex_from_lattice, w_inverse, w_matrix)
 from hb.fields import get_field
 from hb.poly import Poly, RatF
 
@@ -293,3 +294,31 @@ def test_is_in_I1_agrees_with_hermite_determinant(data):
     expected = (mat_is_integral(k) and unit_det
                 and all(k[i][0].ord_inf() >= 1 for i in range(1, r)))
     assert is_in_I1(k) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_closed_form_inverses_match_elimination(q, r):
+    # flip^{-1} = flip^T and W_s^{-1} = pi^{-1} W_{r-s}, against mat_inv
+    field = get_field(q)
+    flip = flip_matrix(field, r)
+    assert tuple(zip(*flip)) == mat_inv(flip)
+    for s in range(r + 1):
+        assert w_inverse(field, r, s) == mat_inv(w_matrix(field, r, s))
+
+
+@given(st.data())
+def test_fq_mat_inv_matches_elimination(data):
+    # Gauss-Jordan on F_q codes against mat_inv over F_q(T), on the
+    # invertible constant matrices (singular draws are skipped)
+    q = data.draw(st.sampled_from((2, 3, 4)))
+    r = data.draw(st.sampled_from((2, 3, 4)))
+    field = get_field(q)
+    entries = [[data.draw(st.integers(0, q - 1)) for _ in range(r)]
+               for _ in range(r)]
+    M = const_matrix(field, entries)
+    try:
+        want = mat_inv(M)
+    except ZeroDivisionError:
+        return
+    assert const_matrix(field, fq_mat_inv(field, entries)) == want

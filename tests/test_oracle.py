@@ -6,21 +6,23 @@ acceptance cross-check); they are stored so regressions surface as
 plain equality failures.
 """
 
+import itertools
 from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hb.building import mat_from_exps
+from hb.building import mat_from_exps, mat_inv, mat_mul
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import embedding, get_field
 from hb.fourier import PPoint
 from hb.laurent import Laurent, PrecisionError
 from hb.oracle import (StabilizationError, _Filtration, act, base_points,
                        drinfeld_coeffs, exp_coefficients, extension_field,
-                       p_delta_direct, p_delta_on_p_point, p_theta_direct)
-from hb.poly import Poly, RatF, parse_poly
+                       p_delta_direct, p_delta_on_p_point, p_theta_direct,
+                       reduce_basis)
+from hb.poly import Poly, RatF, parse_poly, ratf_from_pairs
 
 F2 = get_field(2)
 
@@ -42,8 +44,10 @@ def test_exp_coefficients_are_normalized():
         assert all(not c.is_exact() for c in coeffs[1:])
 
 
-def _fork_points(q, r):
-    """z for one diagonal point and one mirabolic point with x != 0."""
+def _fork_points(q, r, reduced=True):
+    """z for one diagonal point and one mirabolic point with x != 0, on
+    the reduced basis that the oracle passes to exp_coefficients (or on
+    the basis act gives, which is not reduced at the mirabolic point)."""
     field = get_field(q)
     big = extension_field(q, r)
     embed = embedding(q, big.q)
@@ -51,7 +55,15 @@ def _fork_points(q, r):
     mirabolic = PPoint((pi,) + (RatF.zero(field),) * (r - 2),
                        (2,) * (r - 1)).matrix(field)
     for g in (mat_from_exps(field, (1,) + (0,) * (r - 1)), mirabolic):
-        yield act(g, base_points(q, r), big, embed, 120)
+        z = act(g, base_points(q, r), big, embed, 120)
+        yield reduce_basis(z, q) if reduced else z
+
+
+def _ball_size(z, D):
+    """The number of basis vectors z_i T^j, j <= D + ord z_i - max ord,
+    in the ball of depth D."""
+    top = max(x.ord() for x in z)
+    return sum(max(D + x.ord() - top + 1, 0) for x in z)
 
 
 def _fields(coeffs):
@@ -63,7 +75,6 @@ def test_fork_gives_the_shallower_depth_exactly(q, r):
     # the depth D - 1 list of the depth-D call, whose recursion shares its
     # first D steps with depth D and then forks, is the depth D - 1 list
     # of the depth-(D - 1) call, where that depth takes the unforked path
-    # (a window of 80 collapses at q = 3, D = 4 on the mirabolic point)
     for z in _fork_points(q, r):
         for D in range(1, 5):
             prev, _ = exp_coefficients(z, D, r + 1, prec=160)
@@ -88,8 +99,10 @@ def test_fewer_coefficients_are_a_prefix(q, r):
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_fork_raises_the_same_precision_error(q, r, D):
-    # a window of 2 collapses at depth 1 and beyond on the mirabolic point
-    z = list(_fork_points(q, r))[1]
+    # on a reduced basis not even a window of 1 collapses at these
+    # depths; on the unreduced basis of the mirabolic point a window of 2
+    # collapses at depth 1 and beyond, in the steps both depths share
+    z = list(_fork_points(q, r, reduced=False))[1]
     messages = []
     for depth in (D, D - 1):
         with pytest.raises(PrecisionError) as err:
@@ -99,14 +112,102 @@ def test_fork_raises_the_same_precision_error(q, r, D):
 
 
 def test_shallower_depth_is_padded_with_exact_zeros():
-    # depth 0 has r basis vectors, so a_k = 0 exactly for k > r
+    # a_k = 0 exactly past the ball's basis count: at diag(T, 1), ords
+    # (-1, 0), depth 1 holds T^0 z_1, T^1 z_1 and z_0 and depth 0 holds z_1
     z = next(_fork_points(2, 2))
+    assert [_ball_size(z, D) for D in (-1, 0, 1)] == [0, 1, 3]
     prev, a = exp_coefficients(z, 1, 4, prec=80)
-    assert [c.is_certified_zero() for c in prev] == [False] * 3 + [True] * 2
-    assert not any(c.is_certified_zero() for c in a)
+    assert [c.is_certified_zero() for c in prev] == [False] * 2 + [True] * 3
+    assert [c.is_certified_zero() for c in a] == [False] * 4 + [True]
     prev, _ = exp_coefficients(z, 0, 2, prec=80)
     assert prev == [Laurent.one(prev[0].field)] + [Laurent.zero(
         prev[0].field)] * 2
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("which", [0, 1, 2, 3])
+def test_ball_never_exceeds_the_uniform_count(q, r, which):
+    # the computed a_k (inexact) number one more than the ball's basis
+    # count, which is at most the r(D + 1) of deg a_i <= D, and equal to
+    # it only when every z_i has the same order
+    z = reduce_basis(_point(q, r, which, 120), q)
+    for D in range(0, 4):
+        for depth, coeffs in ((D - 1, 0), (D, 1)):
+            got = exp_coefficients(z, D, r * (D + 1) + 1, prec=80)[coeffs]
+            size = sum(not c.is_certified_zero() for c in got) - 1
+            assert size == _ball_size(z, depth) <= r * (depth + 1)
+            if len({x.ord() for x in z}) > 1 and depth >= 0:
+                assert size < r * (depth + 1)
+
+
+def _coordinate_matrix(z, q):
+    """The rows of F_q((pi))-coordinates of exact z_i in F_{q^r}((pi)),
+    as RatF, under the F_q-linear isomorphism F_{q^r} -> F_q^r of the
+    trace form against eps^0..eps^{r-1}."""
+    r = len(z)
+    field = get_field(q)
+    big = extension_field(q, r)
+    small = {b: a for a, b in enumerate(embedding(q, big.q))}
+    eps = big.multiplicative_generator()
+
+    def trace(x):
+        acc = 0
+        for j in range(r):
+            acc = big.add(acc, big.pow(x, q ** j))
+        return small[acc]
+    return tuple(tuple(
+        ratf_from_pairs(field, [(x.val + n, trace(big.mul(c, big.pow(eps, k))))
+                                for n, c in enumerate(x.coeffs)])
+        for k in range(r)) for x in z)
+
+
+def _exact_mirabolic(q, r, xs, yexps):
+    """z for the mirabolic point (x, y), exact: its last row is T^y e_r."""
+    field = get_field(q)
+    big = extension_field(q, r)
+    x = tuple(ratf_from_pairs(field, terms) for terms in xs)
+    z = act(PPoint(x, yexps).matrix(field), base_points(q, r), big,
+            embedding(q, big.q), 40)
+    assert all(c.is_exact() for c in z)
+    return z
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.data())
+def test_reduction_keeps_the_lattice_and_frees_the_leading_terms(qr, data):
+    q, r = qr
+    terms = st.lists(st.tuples(st.integers(-1, 3), st.integers(1, q - 1)),
+                     max_size=3)
+    xs = [data.draw(terms) for _ in range(r - 1)]
+    yexps = tuple(data.draw(st.integers(-1, 4)) for _ in range(r - 1))
+    z = _exact_mirabolic(q, r, xs, yexps)
+    red = reduce_basis(z, q)
+    # the leading coefficients are F_q-independent: no nonzero F_q
+    # combination of them vanishes (all q^r - 1 of them listed)
+    big = z[0].field
+    scalars = embedding(q, big.q)
+    for cs in itertools.product(scalars, repeat=r):
+        if any(cs):
+            total = 0
+            for c, x in zip(cs, red):
+                total = big.add(total, big.mul(c, x.coeffs[0]))
+            assert total != 0
+    # red = U z with U in GL_r(A): U and U^{-1} have polynomial entries
+    M, Mred = _coordinate_matrix(z, q), _coordinate_matrix(red, q)
+    for U in (mat_mul(Mred, mat_inv(M)), mat_mul(M, mat_inv(Mred))):
+        assert all(u.den.is_one() for row in U for u in row)
+
+
+@given(st.integers(-1, 3), st.integers(-1, 3),
+       st.lists(st.integers(-2, 3), max_size=3, unique=True))
+def test_oracle_matches_series_on_upper_triangular(k1, k2, xexps):
+    # P1(Delta_2) at [[T^k1, x], [0, T^k2]] from lattice sums on a
+    # reduced basis, against the closed-form series at the same point
+    # scaled into the mirabolic
+    x = ratf_from_pairs(F2, [(e, 1) for e in xexps])
+    g = ((RatF.pi_power(F2, -k1), x), (RatF.zero(F2), RatF.pi_power(F2, -k2)))
+    scale = RatF.one(F2) / g[0][0]
+    gm = tuple(tuple(v * scale for v in row) for row in g)
+    assert p_delta_direct(g, 2, 2, D=5) == eval_on_mirabolic(gm, 2, F2)
 
 
 def test_depth_one_at_the_identity_and_off_it():

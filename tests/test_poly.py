@@ -94,3 +94,30 @@ def test_pi_coeffs_geometric_series():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatF(Poly.one(F2), Poly.zero(F2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_shared_constants_survive_arithmetic(q):
+    # zero() and one() hand out one instance per field; arithmetic that
+    # reads them, or returns one of them as its result, leaves it as it was
+    F = get_field(q)
+    assert Poly.zero(F) is Poly.zero(F) and Poly.one(F) is Poly.one(F)
+    assert RatF.zero(F) is RatF.zero(F) and RatF.one(F) is RatF.one(F)
+
+    def state():
+        return (Poly.zero(F).coeffs, Poly.one(F).coeffs,
+                RatF.zero(F).num.coeffs, RatF.zero(F).den.coeffs,
+                RatF.one(F).num.coeffs, RatF.one(F).den.coeffs)
+    assert state() == ((), (1,), (), (1,), (1,), (1,))
+    p0, p1, r0, r1 = Poly.zero(F), Poly.one(F), RatF.zero(F), RatF.one(F)
+    x = parse_poly(F, "T^2+T+1")
+    rx = RatF(x, parse_poly(F, "T+1"))
+    for y in (p0 + x, x + p0, p1 + x, p0 - x, p1 - x, -p0, -p1, p1 * x,
+              p0 * x, x // p1, x % p1, p1.pow(3), p1.scale(F.neg(1)),
+              p1.shift(2), p0.shift(2), p1.monic()):
+        assert isinstance(y, Poly)
+    for y in (r0 + rx, rx + r0, r1 + rx, r0 - rx, rx - r0, r1 - rx, -r0,
+              -r1, r1 * rx, rx * r1, r0 * rx, r1 / rx, rx / r1,
+              RatF(p1, x), RatF(x, p1), RatF(p0, x)):
+        assert isinstance(y, RatF)
+    assert state() == ((), (1,), (), (1,), (1,), (1,))
