@@ -531,8 +531,10 @@ def p_coordinates(p):
 # Weyl chamber reduction
 
 def weak_popov(M):
-    """Row reduce a square polynomial matrix to weak Popov form.
-    Returns (W, U) with W = U M, U unimodular over A."""
+    """Row reduce a nonsingular square polynomial matrix: (W, U) with
+    W = U M, U unimodular over A, and the coefficients of W at its row
+    degrees F_q-independent (row reduced, not always weak Popov).  So
+    deg sum a_j W_j = max_j (deg a_j + deg W_j): the degree is predictable."""
     field = M[0][0].field
     r = len(M)
     W = [list(row) for row in M]

@@ -8,8 +8,7 @@ with --format text) of the shape
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound,
-or whose series window still collapsed at 16 times --prec, and a theta
-value with no Gamma_0(n) witness within --witness-bound), 3 a
+or whose series window still collapsed at 16 times --prec), 3 a
 verification or anchor mismatch.
 
 Each query is one cold process, so the module imports only the base
@@ -338,15 +337,12 @@ def cmd_theta_coeff(args):
 
 
 def cmd_theta_eval(args):
-    from .discriminant import WitnessError, theta_evaluator
+    from .discriminant import theta_evaluator
     field = get_field(args.q)
     n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r)
-    h1 = theta_evaluator(n, field, args.r, bound=args.witness_bound)
-    try:
-        value = _support_range(lambda: h1(g))
-    except WitnessError as e:
-        raise UsageError(f"WitnessError: {e}; increase --witness-bound") from None
+    h1 = theta_evaluator(n, field, args.r)
+    value = _support_range(lambda: h1(g))
     return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, value)
 
 
@@ -493,11 +489,6 @@ def _oracle_options(p):
                    help="lattice truncation depth for the oracle")
 
 
-def _witness_option(p):
-    p.add_argument("--witness-bound", type=_int_at_least(0), default=None,
-                   help="search bound for theta witness vectors")
-
-
 # (path, command, configure, ranked) for every leaf subcommand, in the
 # order of the help output; building weyl and eisenstein eval take their
 # rank from the length of --k / --n
@@ -533,7 +524,6 @@ LEAVES = (
         p.add_argument("--a", required=True),
         p.add_argument("--y", required=True)), True),
     ("theta eval", cmd_theta_eval, lambda p: (
-        _witness_option(p),
         p.add_argument("--n", required=True),
         p.add_argument("--g", required=True)), True),
     ("oracle pdelta", cmd_oracle_pdelta, lambda p: (

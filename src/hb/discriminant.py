@@ -16,8 +16,8 @@ reads, whatever its x.
 
 Values are finite character sums over the coefficient support;
 evaluation at an arbitrary group element goes through the Iwasawa
-decomposition, with a bounded search for a Gamma_0(n) translate into
-the mirabolic coset when the element lies over the flipped cell.
+decomposition, and over the flipped cell through a Gamma_0(n) translate
+read off a row-reduced basis of the lattice g^{-1}(A + nA^{r-1}).
 """
 
 import itertools
@@ -25,10 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import psi_sum, sigma
-from .building import (canonical_vertex, edge_from_rep, iwasawa_decompose,
-                       mat_inv, mat_mul, mat_vec, p_coordinates,
-                       reduce_y_transcript, vec_mat)
-from .fourier import dot, mval, over_cap, polys_up_to, table_support
+from .building import (canonical_vertex, clear_denominators, edge_from_rep,
+                       fq_mat_inv, iwasawa_decompose, mat_inv, mat_mul,
+                       mat_vec, p_coordinates, reduce_y_transcript, vec_mat,
+                       weak_popov)
+from .fourier import dot, mval, over_cap, table_support
 from .poly import Poly, RatF, poly_xgcd, vec_content
 
 # no coefficient table is built over a support of more a-vectors
@@ -99,10 +100,6 @@ def eval_on_mirabolic(p_mat, r, field, level=None):
 # ----------------------------------------------------------------------
 # full-edge evaluation of P1(Theta_n)
 
-class WitnessError(RuntimeError):
-    pass
-
-
 def _unimodular_to_e1(cvec):
     """U in GL_r(A) with U c = e1, for c of unit content."""
     field = cvec[0].field
@@ -140,52 +137,59 @@ def _in_p_cell_column(g_inv, cvec):
     return all(x.is_zero() or x.ord_inf() > o0 for x in w[1:])
 
 
-def find_witnesses(n, g_inv, bound=None):
+def _lower_term_fills(degs, lead, q):
+    """Coefficient lists of a_j = lead_j T^(M - degs[j]) + lower terms:
+    M rising from the least it can be and, at each M, the lower terms by
+    their number of nonzero coefficients."""
+    for M in itertools.count(max(d for d, c in zip(degs, lead) if c)):
+        slots = [(j, e) for j, d in enumerate(degs) for e in range(M - d)]
+        for weight in range(len(slots) + 1):
+            for chosen in itertools.combinations(slots, weight):
+                for vals in itertools.product(range(1, q), repeat=weight):
+                    a = [[0] * max(M - d, 0) + [c] for d, c in zip(degs, lead)]
+                    for (j, e), v in zip(chosen, vals):
+                        a[j][e] = v
+                    yield a
+
+
+def find_witnesses(n, g_inv):
     """gamma in Gamma_0(n) with gamma g in P F^x I^1, as a one-element
-    list [(gamma, c)], given g^{-1}.  gamma is found through the first
-    column c = gamma^{-1} e1, which must satisfy c_i = n c_i' for i >= 2
-    and have unit content; the membership test is the valuation criterion
-    on g^{-1} c.  Deterministic degree-bounded enumeration."""
+    list [(gamma, c)], given g^{-1}: c = gamma^{-1} e1 = (x_1, n x_2, ...,
+    n x_r) needs unit content and g^{-1} c of strict minimal valuation
+    in coordinate 1.  With P = d g^{-1} diag(1, n, ..., n) over A and
+    W = U P^T row reduced, (P x)^T = a W for x^T = a U, of degree
+    M = max_j (deg a_j + deg W_j) and leading vector sum lc(a_j) lc(W_j)
+    over the j that reach M.  So P x has its degree in coordinate 1
+    alone exactly when, up to a scalar, a_j = l_j T^(M - deg W_j) plus
+    lower terms with l = e1 lc(W)^{-1}: the search over these, for the
+    first c of unit content, is complete and needs no bound."""
     field = g_inv[0][0].field
-    r = len(g_inv)
-    if bound is None:
-        bound = int(n.deg) + 2
-    dn = int(n.deg)
-    seen_cols = set()
-    for D in range(bound + 1):
-        top = polys_up_to(field, D)
-        rest = polys_up_to(field, D - dn)
-        for parts in itertools.product(top, *([rest] * (r - 1))):
-            c1 = parts[0]
-            # effective degree of the candidate column; revisit nothing
-            eff = max([int(c1.deg) if not c1.is_zero() else -1]
-                      + [dn + int(x.deg) if not x.is_zero() else -1
-                         for x in parts[1:]])
-            if eff != D:
-                continue
-            cvec = (c1,) + tuple(n * x for x in parts[1:])
-            if all(x.is_zero() for x in cvec):
-                continue
-            content = vec_content(cvec)
-            if int(content.deg) != 0:
-                continue
-            # normalize away the scalar redundancy c ~ lambda c
-            lead = next(x for x in cvec if not x.is_zero())
-            key = tuple(x.scale(field.inv(lead.coeffs[-1])).coeffs for x in cvec)
-            if key in seen_cols:
-                continue
-            seen_cols.add(key)
-            if not _in_p_cell_column(g_inv, cvec):
-                continue
-            U = _unimodular_to_e1(cvec)
-            delta = mat_inv(U)
-            # safety: delta really is a Gamma_0(n) element with column c
-            for i in range(r):
-                assert delta[i][0] == RatF(cvec[i])
-            return [(U, cvec)]
-    raise WitnessError(f"no Gamma_0({n}) witness within degree bound {bound}")
+    level = RatF(n)
+    P, _d = clear_denominators(tuple(
+        tuple(x * level if j else x for j, x in enumerate(row))
+        for row in g_inv))
+    W, U = weak_popov(tuple(zip(*P)))
+    degs = [max(int(p.deg) for p in row if not p.is_zero()) for row in W]
+    lead = fq_mat_inv(field, [[p.coeff(d) for p in row]
+                              for d, row in zip(degs, W)])[0]
+    zero = Poly.zero(field)
+    for a in _lower_term_fills(degs, lead, field.q):
+        a = [Poly(field, cs) for cs in a]
+        x = [sum((aj * row[k] for aj, row in zip(a, U)), zero)
+             for k in range(len(U))]
+        cvec = (x[0],) + tuple(n * xk for xk in x[1:])
+        if int(vec_content(cvec).deg) == 0:
+            break
+    if not _in_p_cell_column(g_inv, cvec):
+        raise AssertionError("reduced-basis witness fails the P-cell test")
+    gamma = _unimodular_to_e1(cvec)
+    # safety: gamma^{-1} really is a Gamma_0(n) element with column c
+    assert tuple(row[0] for row in mat_inv(gamma)) == \
+        tuple(RatF(c) for c in cvec)
+    return [(gamma, cvec)]
 
 
+# `bound` is ignored; perfbench/tracer.py still passes it
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
     """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The type-1
     edge of g gives the memo key, the Hermite basis that the Iwasawa
@@ -199,7 +203,7 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:
-        gamma, _c = find_witnesses(n, edge.ginv, bound=bound)[0]
+        gamma, _c = find_witnesses(n, edge.ginv)[0]
         gg = mat_mul(gamma, g)
         iw2 = iwasawa_decompose(gg, canonical_vertex(gg))
         if iw2.w != "identity":
@@ -210,9 +214,10 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     return val
 
 
+# `bound` is ignored; perfbench/workloads.py still passes it
 def theta_evaluator(n, field, r, bound=None):
     """A memoized g -> P1(Theta_n)(g), suitable for the harmonicity checks."""
     cache = {}
     def h1(g):
-        return eval_theta_on_edge(n, g, bound=bound, _cache=cache)
+        return eval_theta_on_edge(n, g, _cache=cache)
     return h1

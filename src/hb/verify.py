@@ -176,7 +176,8 @@ def criterion_oracle_cross_check():
 
 # ---------------------------------------------------------------- 3
 def _gl_sample(field, r):
-    """Ten coset reps spread over both Iwasawa cells."""
+    """Ten coset reps spread over both Iwasawa cells, and flip diag(T^k,
+    1, ..., 1) for k = 3, 4 (k = 4 at q = r = 3 meets the support cap)."""
     gs = [mat_identity(field, r),
           mat_from_exps(field, tuple(range(r - 1, -1, -1))),
           mat_from_exps(field, (2,) + (0,) * (r - 1)),
@@ -191,6 +192,9 @@ def _gl_sample(field, r):
         p[0][1] = RatF.pi_power(field, k)
         p = tuple(tuple(row) for row in p)
         gs += [p, mat_mul(p, flip_matrix(field, r))]
+    for k in (3, 4) if (field.q, r) != (3, 3) else (3,):
+        gs.append(mat_mul(flip_matrix(field, r),
+                          mat_from_exps(field, (k,) + (0,) * (r - 1))))
     return gs
 
 
@@ -216,11 +220,9 @@ def criterion_harmonicity():
         for q, r, count in plan:
             field = get_field(q)
             n = parse_poly(field, "T")
-            h = extend_cochain(theta_evaluator(n, field, r, bound=6),
-                               r, field)
+            h = extend_cochain(theta_evaluator(n, field, r), r, field)
             # shallow diagonal vertices plus small off-diagonal shears:
-            # plenty of distinct homothety classes without driving the
-            # witness search to high degrees
+            # plenty of distinct homothety classes with small supports
             verts = []
             shears = [RatF.zero(field), RatF.one(field),
                       RatF(parse_poly(field, "T"))]

@@ -16,7 +16,7 @@ from hb.building import (Cochain, canonical_vertex, edge_from_lattice_pair,
                          mat_is_integral, mat_mul, mat_scale, p_coordinates,
                          rep_from_lattice_pair, row_hnf,
                          triangle_lattice_edges, type_one_in_neighbors,
-                         vertex_from_lattice, w_inverse, w_matrix)
+                         vertex_from_lattice, w_inverse, w_matrix, weak_popov)
 from hb.fields import get_field
 from hb.poly import Poly, RatF
 
@@ -322,3 +322,49 @@ def test_fq_mat_inv_matches_elimination(data):
     except ZeroDivisionError:
         return
     assert const_matrix(field, fq_mat_inv(field, entries)) == want
+
+
+def _row_degree(row):
+    return max(int(p.deg) for p in row if not p.is_zero())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@given(data=st.data())
+def test_weak_popov_has_the_predictable_degree_property(q, data):
+    # W = U M with U unimodular, and deg sum a_j W_j is
+    # max_j (deg a_j + deg W_j) for polynomial a, not all zero; M = E N
+    # with E unit upper triangular, so that its rows' leading
+    # coefficients are mostly dependent
+    field = get_field(q)
+    r = data.draw(st.sampled_from((2, 3)))
+    zero, one = Poly.zero(field), Poly.one(field)
+
+    def poly(max_deg):
+        return Poly(field, data.draw(st.lists(st.integers(0, q - 1),
+                                              max_size=max_deg + 1)))
+    E = [[one if i == j else poly(2) if i < j else zero for j in range(r)]
+         for i in range(r)]
+    N = [[poly(2) for _ in range(r)] for _ in range(r)]
+    M = [tuple(sum((e * row[j] for e, row in zip(erow, N)), zero)
+               for j in range(r)) for erow in E]
+    try:
+        mat_inv(tuple(tuple(RatF(p) for p in row) for row in M))
+    except ZeroDivisionError:
+        return
+    W, U = weak_popov(M)
+    assert W == [tuple(sum((u * m[j] for u, m in zip(urow, M)), zero)
+                       for j in range(r)) for urow in U]
+    U_inv = mat_inv(tuple(tuple(RatF(p) for p in row) for row in U))
+    assert all(x.den.is_one() for row in U_inv for x in row)
+    # a_j = c_j T^(D - deg W_j) + lower terms, so that the top terms of
+    # the a_j W_j all meet at degree D
+    degs = [_row_degree(w) for w in W]
+    top = max(degs) + data.draw(st.integers(0, 1))
+    c = [data.draw(st.integers(0, q - 1)) for _ in range(r)]
+    if not any(c):
+        return
+    a = [Poly.monomial(field, top - d, cj) + poly(top - d - 1)
+         for d, cj in zip(degs, c)]
+    v = [sum((x * w[j] for x, w in zip(a, W)), zero) for j in range(r)]
+    assert _row_degree(v) == max(int(x.deg) + _row_degree(w)
+                                 for x, w in zip(a, W) if not x.is_zero())

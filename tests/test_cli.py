@@ -219,18 +219,18 @@ def test_oracle_at_depth_one_may_not_stabilize(capsys):
     assert "increase --deg-bound" in captured.err
 
 
-@pytest.mark.parametrize("argv, bound", [
-    (["--q", "2", "--r", "3", "--n", "T", "--g", "0,T^4,0;0,T^8,1;1,0,0"], 3),
-    (["--q", "2", "--r", "2", "--n", "T", "--g", "0,1;1,0",
-      "--witness-bound", "0"], 0),
+@pytest.mark.parametrize("q, g, want", [
+    (2, "0,T^4,0;0,T^8,1;1,0,0", -512),
+    (2, "0,T^6,0;0,T^12,1;1,0,0", -8192),
+    (3, "0,T^4,0;0,T^8,1;1,0,0", -78732),
 ])
-def test_missing_theta_witness_is_a_usage_error(capsys, argv, bound):
-    # a flipped-cell g with no Gamma_0(n) witness within the bound (the
-    # default is deg n + 2) prints no value and names the option to raise
-    err = _usage_error(capsys, ["theta", "eval", *argv])
-    assert "WitnessError" in err
-    assert f"degree bound {bound}" in err
-    assert "increase --witness-bound" in err
+def test_theta_eval_deep_in_the_flipped_cell(capsys, q, g, want):
+    # u diag(T^k, 1, 1) flip for k = 4, 6, deep in the flipped cell:
+    # their Gamma_0(T) witnesses have degree k
+    code, doc = run_json(capsys, ["theta", "eval", "--q", str(q), "--r", "3",
+                                  "--n", "T", "--g", g])
+    assert code == EXIT_OK
+    assert doc["result"] == want
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -291,6 +291,7 @@ def test_q_must_be_a_prime_power(capsys):
     ["oracle", "pdelta", "--witness-bound", "3"],
     ["building", "weyl", "--k", "1,0", "--r", "2"],
     ["eisenstein", "eval", "--n", "0,0", "--s", "2", "--r", "2"],
+    ["theta", "eval", "--n", "T", "--g", "0,1;1,0", "--witness-bound", "3"],
 ])
 def test_removed_flags_are_unknown(capsys, argv):
     err = _usage_error(capsys, argv)
@@ -305,12 +306,6 @@ def test_removed_flags_are_unknown(capsys, argv):
 def test_singular_matrix_is_a_usage_error(capsys, argv):
     err = _usage_error(capsys, argv + ["--g", "1,1;1,1"])
     assert "singular" in err
-
-
-def test_witness_bound_must_not_be_negative(capsys):
-    _usage_error(capsys, ["theta", "eval", "--q", "2", "--r", "2",
-                          "--n", "T", "--g", "0,1;1,0",
-                          "--witness-bound", "-1"])
 
 
 def test_cusp_level_must_be_squarefree(capsys):
@@ -504,11 +499,14 @@ def test_delta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
      "--g", "1,0;0,T^40"],
     ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1,0;0,T^14",
      "--check"],
+    ["theta", "eval", "--q", "3", "--r", "3", "--n", "T",
+     "--g", "0,T^6,0;0,T^12,1;1,0,0"],
 ])
 def test_series_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
-    # the support is known once g is reduced into the mirabolic cell;
-    # it is refused there, before the support, the series or the oracle
-    # is touched
+    # the support is known once g is reduced into the mirabolic cell (the
+    # last g over the flipped cell, through its Gamma_0(T) witness, to
+    # y = (1, 8)); it is refused there, before the support, the series or
+    # the oracle is touched
     def untouchable(*args, **kwargs):
         raise AssertionError("the support cap must come first")
     for name in ("table_support", "psi_sum"):

@@ -1,0 +1,146 @@
+"""A fuzz test of the CLI: argv drawn from a small grammar per
+subcommand, run in-process through hb.cli.main.
+
+Every draw must exit 0, 2 or 3 (never 1, an internal error); an exit of
+2 prints nothing on stdout; and a matrix or vector of the wrong shape
+never exits 0.  The grammar keeps each call cheap: `verify all` is left
+out, `--deg-bound` is at most 3 and levels have degree at most 2.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import hb.cli
+from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+
+ENTRIES = ("0", "1", "2", "T", "T+1", "T^2", "1/T", "T/T^2+1")
+POLYS = ("0", "1", "2", "T", "T+1", "T^2+T")
+LEVELS = ("T", "T+1", "T^2", "T^2+1", "T^2+T+1", "2T", "0")
+SCALARS = ("2", "3/2", "5/3", "1", "s")
+
+
+class Grammar:
+    """Draws the arguments of one argv and remembers whether a matrix or
+    vector of the wrong shape went into it."""
+
+    def __init__(self, draw, r):
+        self.draw = draw
+        self.r = r
+        self.wrong_shape = False
+
+    def _wrong(self):
+        """Is this one of the one in four matrices or vectors drawn with
+        the wrong shape?"""
+        wrong = self.draw(st.integers(0, 3)) == 0
+        self.wrong_shape |= wrong
+        return wrong
+
+    def matrix(self):
+        lengths = [self.r] * self.r
+        if self._wrong():
+            i = self.draw(st.integers(0, self.r))   # a row, or the row count
+            step = self.draw(st.sampled_from((-1, 1)))
+            if i < self.r:
+                lengths[i] += step
+            elif step < 0:
+                lengths.pop()
+            else:
+                lengths.append(self.r)
+        return ";".join(",".join(self.draw(st.sampled_from(ENTRIES))
+                                 for _ in range(n)) for n in lengths)
+
+    def vector(self, items):
+        n = self.r - 1
+        if self._wrong():
+            n += self.draw(st.sampled_from((-1, 1)))
+        return ",".join(self.draw(st.sampled_from(items)) for _ in range(n))
+
+    def ints(self, lo, hi, n):
+        return ",".join(str(self.draw(st.integers(lo, hi))) for _ in range(n))
+
+    def level(self, flag="--n"):
+        return [flag, self.draw(st.sampled_from(LEVELS))]
+
+    def optional(self, args):
+        """args(), or nothing; args is drawn only when it is used."""
+        return args() if self.draw(st.booleans()) else []
+
+    def oracle(self):
+        return ["--deg-bound", str(self.draw(st.integers(1, 3)))] + \
+            self.optional(lambda: ["--prec", self.draw(st.sampled_from(
+                ("1", "8")))])
+
+
+LEAVES = {
+    "building neighbors": lambda G: G.optional(lambda: ["--g", G.matrix()]),
+    "building weyl": lambda G: ["--k=" + G.ints(0, 2, G.r)],
+    "fourier coeff": lambda G: [
+        "--a", G.vector(POLYS), "--y=" + G.vector(("0", "1", "2", "3"))]
+        + G.optional(lambda: ["--h", "oracle"] + G.oracle()),
+    "eisenstein eval": lambda G: [
+        "--n=" + G.ints(-1, 2, G.r), "--s", G.draw(st.sampled_from(SCALARS)),
+        "--N", str(G.draw(st.integers(1, 3)))],
+    "eisenstein check-klf-chain": lambda G: [],
+    "delta coeff": lambda G: [
+        "--a", G.vector(POLYS), "--y=" + G.vector(("-1", "0", "2", "3"))],
+    "delta eval": lambda G: [
+        "--y=" + G.vector(("-1", "0", "2", "3"))]
+        + G.optional(lambda: ["--x", G.vector(ENTRIES)]),
+    "theta coeff": lambda G: G.level() + [
+        "--a", G.vector(POLYS), "--y=" + G.vector(("0", "2", "3"))],
+    "theta eval": lambda G: G.level() + ["--g", G.matrix()],
+    "oracle pdelta": lambda G: G.oracle()
+        + G.optional(lambda: ["--g", G.matrix()])
+        + G.optional(lambda: ["--check"]),
+    "oracle ptheta": lambda G: G.level() + G.oracle()
+        + G.optional(lambda: ["--g", G.matrix()]),
+    "units det-sigma": lambda G: [
+        "--primes", ",".join(G.draw(st.lists(st.sampled_from(LEVELS),
+                                             min_size=1, max_size=3))),
+        "--s", str(G.draw(st.integers(1, 3)))],
+    "units root-order": lambda G: G.optional(G.level),
+    "cusps orbits": lambda G: G.level(),
+    "cusps order": lambda G: G.level("--p"),
+}
+
+
+# leaves that take their rank from --k or --n, and one that reads neither
+# --q nor --r (it runs one fixed, slow check, so only --format varies)
+UNRANKED = ("building weyl", "eisenstein eval")
+FIXED = ("eisenstein check-klf-chain",)
+
+
+@st.composite
+def argvs(draw, leaf):
+    """(argv, whether a matrix or vector in it has the wrong shape)."""
+    argv = leaf.split()
+    r = 2
+    if leaf not in FIXED:
+        argv += ["--q", draw(st.sampled_from(("2", "3")))]
+        r = draw(st.sampled_from((2, 3)))
+    if leaf not in UNRANKED + FIXED:
+        argv += ["--r", str(r)]
+    grammar = Grammar(draw, r)
+    argv += LEAVES[leaf](grammar) \
+        + grammar.optional(lambda: ["--format", "text"])
+    return argv, grammar.wrong_shape
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAVES))
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_codes(capsys, leaf, data):
+    argv, wrong_shape = data.draw(argvs(leaf))
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH), argv
+    if code == EXIT_USAGE:
+        assert out == "", argv
+    if wrong_shape:
+        assert code != EXIT_OK, argv
+
+
+def test_the_grammar_covers_every_leaf_but_verify():
+    assert set(LEAVES) == {path for path, *_ in hb.cli.LEAVES} - {"verify all"}

@@ -1,14 +1,22 @@
 """Closed-form coefficients and values of the discriminant cochains."""
 
+import itertools
 from fractions import Fraction
 
-from hb.building import (flip_matrix, m_matrix, mat_from_exps, mat_identity,
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hb.building import (canonical_vertex, flip_matrix, iwasawa_decompose,
+                         m_matrix, mat_from_exps, mat_identity, mat_inv,
                          mat_mul, w_matrix, weyl_edge_value)
-from hb.discriminant import (eval_on_mirabolic, p_delta_coefficient,
+from hb.discriminant import (_in_p_cell_column, _unimodular_to_e1,
+                             eval_on_mirabolic, eval_theta_on_edge,
+                             find_witnesses, p_delta_coefficient,
                              series_eval, theta_evaluator)
 from hb.fields import get_field
-from hb.fourier import PPoint
-from hb.poly import Poly, RatF, parse_poly
+from hb.fourier import PPoint, polys_up_to
+from hb.poly import Poly, RatF, parse_poly, vec_content
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -198,3 +206,98 @@ def test_theta_values_pinned_across_both_cells():
         g = _golden_rep(field, r, exps, flip, shear, product)
         assert evaluators[key](g) == value, (q, r, level, exps, flip, shear, product)
     assert {row[4] for row in GOLDEN_THETA} == {0, 1, 2}
+
+
+# ----------------------------------------------------------------------
+# Gamma_0(n) witnesses
+
+def _enumerated_witness(n, g_inv, bound):
+    """The degree-ordered enumeration that find_witnesses replaced, kept
+    as a reference: the first column c = (c_1, n c_2, ..., n c_r) of
+    unit content with g^{-1} c in the P cell, by degree up to `bound`;
+    None if there is none."""
+    field = g_inv[0][0].field
+    r = len(g_inv)
+    dn = int(n.deg)
+    for D in range(bound + 1):
+        top = polys_up_to(field, D)
+        rest = polys_up_to(field, D - dn)
+        for parts in itertools.product(top, *([rest] * (r - 1))):
+            cvec = (parts[0],) + tuple(n * x for x in parts[1:])
+            degs = [int(x.deg) for x in cvec if not x.is_zero()]
+            # each column once, at its own degree
+            if not degs or max(degs) != D:
+                continue
+            if int(vec_content(cvec).deg) == 0 \
+                    and _in_p_cell_column(g_inv, cvec):
+                return cvec
+    return None
+
+
+LEVELS = {2: ("T", "T+1", "T^2+T+1"), 3: ("T", "T+1", "T^2+1")}
+
+
+def _flipped_rep(field, r, k):
+    """u diag(T^k, 1, ..., 1) flip, u = I + T^k E_21."""
+    u = [list(row) for row in mat_identity(field, r)]
+    u[1][0] = RatF.pi_power(field, -k)
+    g = mat_mul(mat_from_exps(field, (k,) + (0,) * (r - 1)),
+                flip_matrix(field, r))
+    return mat_mul(tuple(tuple(row) for row in u), g)
+
+
+def _in_gamma0(gamma, n):
+    """gamma in GL_r(A) with its first column below the diagonal in nA."""
+    polynomial = all(x.den.is_one() for row in gamma for x in row)
+    unimodular = all(x.den.is_one() for row in mat_inv(gamma) for x in row)
+    return polynomial and unimodular \
+        and all((x.num % n).is_zero() for x in (row[0] for row in gamma[1:]))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r", [2, 3])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_witness_reaches_the_mirabolic_cell(q, r, data):
+    # shallow reps over the flipped cell: gamma is in Gamma_0(n), gamma g
+    # is in the identity cell, and the value there is the value at the
+    # enumeration's witness
+    field = get_field(q)
+    n = parse_poly(field, data.draw(st.sampled_from(LEVELS[q])))
+    exps = data.draw(st.tuples(*[st.integers(0, 1)] * r))
+    g = mat_from_exps(field, exps)
+    g = mat_mul(g, flip_matrix(field, r)) if data.draw(st.booleans()) \
+        else mat_mul(flip_matrix(field, r), g)
+    u = [list(row) for row in mat_identity(field, r)]
+    u[0][1] = RatF.pi_power(field, data.draw(st.integers(0, 2)))
+    g = mat_mul(tuple(tuple(row) for row in u), g)
+    assume(iwasawa_decompose(g, canonical_vertex(g)).w == "flip")
+    g_inv = mat_inv(g)
+    gamma, cvec = find_witnesses(n, g_inv)[0]
+    assert _in_gamma0(gamma, n)
+    assert tuple(row[0] for row in mat_inv(gamma)) == \
+        tuple(RatF(c) for c in cvec)
+    gg = mat_mul(gamma, g)
+    iw = iwasawa_decompose(gg, canonical_vertex(gg))
+    assert iw.w == "identity"
+    value = eval_on_mirabolic(iw.p, r, field, level=n)
+    ref = _enumerated_witness(n, g_inv, int(n.deg) + 2)
+    assert ref is not None
+    gg = mat_mul(_unimodular_to_e1(ref), g)
+    iw = iwasawa_decompose(gg, canonical_vertex(gg))
+    assert iw.w == "identity"
+    assert eval_on_mirabolic(iw.p, r, field, level=n) == value
+    assert eval_theta_on_edge(n, g) == value
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [4, 6])
+def test_witness_degree_follows_the_depth(q, k):
+    # u diag(T^k, 1, 1) flip at n = T needs a witness column of degree k,
+    # so the witness degree grows with the depth of g in the building
+    field = get_field(q)
+    g = _flipped_rep(field, 3, k)
+    gamma, cvec = find_witnesses(parse_poly(field, "T"), mat_inv(g))[0]
+    assert max(int(c.deg) for c in cvec if not c.is_zero()) == k
+    gg = mat_mul(gamma, g)
+    assert iwasawa_decompose(gg, canonical_vertex(gg)).w == "identity"

@@ -34,16 +34,20 @@ def _examples():
 
 
 EXAMPLES = _examples()
+# each example's id is its leaf; a leaf's later examples are numbered
+LEAVES = [" ".join(argv[:2]) for argv, _want in EXAMPLES]
+IDS = [leaf if LEAVES.index(leaf) == i
+       else f"{leaf} {LEAVES[:i + 1].count(leaf)}"
+       for i, leaf in enumerate(LEAVES)]
 
 
 def test_the_block_is_found():
-    assert len(EXAMPLES) == 14
+    assert len(EXAMPLES) == 15
     assert [want for _argv, want in EXAMPLES if want] == ["64/15", "9/4",
-                                                          "13"]
+                                                          "-512", "13"]
 
 
-@pytest.mark.parametrize("argv, want", EXAMPLES,
-                         ids=[" ".join(argv[:2]) for argv, _ in EXAMPLES])
+@pytest.mark.parametrize("argv, want", EXAMPLES, ids=IDS)
 def test_readme_example(capsys, argv, want):
     code = main(argv)
     doc = json.loads(capsys.readouterr().out)
