@@ -473,10 +473,11 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- wiring
 
-def _common(p, ranked):
-    p.add_argument("--q", type=_prime_power, default=2,
-                   help="base field size")
-    if ranked:
+def _common(p, fields):
+    if "q" in fields:
+        p.add_argument("--q", type=_prime_power, default=2,
+                       help="base field size")
+    if "r" in fields:
         p.add_argument("--r", type=_int_at_least(2), default=2,
                        help="rank")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -489,66 +490,68 @@ def _oracle_options(p):
                    help="lattice truncation depth for the oracle")
 
 
-# (path, command, configure, ranked) for every leaf subcommand, in the
-# order of the help output; building weyl and eisenstein eval take their
-# rank from the length of --k / --n
+# (path, command, configure, fields) for every leaf subcommand, in the
+# order of the help output; fields names which of --q and --r the leaf
+# takes: building weyl and eisenstein eval take their rank from the
+# length of --k / --n, and eisenstein check-klf-chain runs one fixed grid
+# of (q, r) and takes neither
 LEAVES = (
     ("building neighbors", cmd_building_neighbors,
      lambda p: p.add_argument("--g", default=None,
-                              help="vertex rep 'a,b;c,d'"), True),
+                              help="vertex rep 'a,b;c,d'"), "qr"),
     ("building weyl", cmd_building_weyl,
      lambda p: p.add_argument("--k", required=True,
-                              help="dominant type k1,..,kr"), False),
+                              help="dominant type k1,..,kr"), "q"),
     ("fourier coeff", cmd_fourier_coeff, lambda p: (
         _oracle_options(p),
         p.add_argument("--h", choices=("builtin", "oracle"),
                        default="builtin"),
         p.add_argument("--a", required=True, help="polynomial vector"),
         p.add_argument("--y", required=True, help="diagonal exponents")),
-     True),
+     "qr"),
     ("eisenstein eval", cmd_eisenstein_eval, lambda p: (
         p.add_argument("--n", required=True, help="diagonal exponents"),
         p.add_argument("--s", required=True, help="evaluation point s0 > 1"),
         p.add_argument("--N", type=int, default=8, help="truncation terms")),
-     False),
-    ("eisenstein check-klf-chain", cmd_eisenstein_klf, None, True),
+     "q"),
+    ("eisenstein check-klf-chain", cmd_eisenstein_klf, None, ""),
     ("delta coeff", cmd_delta_coeff, lambda p: (
         p.add_argument("--a", required=True),
-        p.add_argument("--y", required=True)), True),
+        p.add_argument("--y", required=True)), "qr"),
     ("delta eval", cmd_delta_eval, lambda p: (
         p.add_argument("--x", default=None,
                        help="x vector, e.g. '1/T,0' (0 if omitted)"),
-        p.add_argument("--y", required=True)), True),
+        p.add_argument("--y", required=True)), "qr"),
     ("theta coeff", cmd_theta_coeff, lambda p: (
         p.add_argument("--n", required=True, help="level polynomial"),
         p.add_argument("--a", required=True),
-        p.add_argument("--y", required=True)), True),
+        p.add_argument("--y", required=True)), "qr"),
     ("theta eval", cmd_theta_eval, lambda p: (
         p.add_argument("--n", required=True),
-        p.add_argument("--g", required=True)), True),
+        p.add_argument("--g", required=True)), "qr"),
     ("oracle pdelta", cmd_oracle_pdelta, lambda p: (
         _oracle_options(p),
         p.add_argument("--g", default=None),
         p.add_argument("--check", action="store_true",
-                       help="compare against the closed-form series")), True),
+                       help="compare against the closed-form series")), "qr"),
     ("oracle ptheta", cmd_oracle_ptheta, lambda p: (
         _oracle_options(p),
         p.add_argument("--n", required=True),
-        p.add_argument("--g", default=None)), True),
+        p.add_argument("--g", default=None)), "qr"),
     ("units det-sigma", cmd_units_det_sigma, lambda p: (
         p.add_argument("--primes", required=True,
                        help="comma-separated distinct irreducibles"),
-        p.add_argument("--s", type=int, required=True)), True),
+        p.add_argument("--s", type=int, required=True)), "qr"),
     ("units root-order", cmd_units_root_order,
      lambda p: p.add_argument("--n", default=None,
-                              help="level (omit for Delta)"), True),
+                              help="level (omit for Delta)"), "qr"),
     ("cusps orbits", cmd_cusps_orbits,
-     lambda p: p.add_argument("--n", required=True), True),
+     lambda p: p.add_argument("--n", required=True), "qr"),
     ("cusps order", cmd_cusps_order,
      lambda p: p.add_argument("--p", required=True,
-                              help="irreducible level"), True),
+                              help="irreducible level"), "qr"),
     ("verify all", cmd_verify,
-     lambda p: p.add_argument("--quick", action="store_true"), True),
+     lambda p: p.add_argument("--quick", action="store_true"), "qr"),
 )
 
 
@@ -572,14 +575,14 @@ def build_parser(argv=None):
     sub = top.add_subparsers(dest="command", required=True,
                              metavar=metavar(g for g, _ in paths))
     groups = {}
-    for leaf_path, fn, configure, ranked in leaves:
+    for leaf_path, fn, configure, fields in leaves:
         group, name = leaf_path.split()
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="subcommand", required=True,
                 metavar=metavar(n for g, n in paths if g == group))
         p = groups[group].add_parser(name)
-        _common(p, ranked)
+        _common(p, fields)
         if configure:
             configure(p)
         p.set_defaults(fn=fn)

@@ -41,11 +41,12 @@ base field arithmetic, which is what makes the cross-check meaningful.
 """
 
 import copy
+import math
 from functools import lru_cache
 
 from .building import fq_left_kernel_vector, mat_from_exps, mat_mul
 from .fields import embedding, get_field
-from .laurent import Laurent, PrecisionError, StabilizationError
+from .laurent import Laurent, PrecisionError, StabilizationError, _prec_of
 from .poly import RatF
 
 DEFAULT_PREC = 80
@@ -186,10 +187,17 @@ class _Filtration:
                 span[big.add(x, big.mul(c, lead))] = self.cap(vec + uc)
         self.spans[o] = span
         self.orders.append(o)
+        # suffix[j] = sum_{k >= bottom + j} (q^{#{i : ord u_i >= k}} - 1)
+        self.bottom, self.top = min(self.orders), max(self.orders)
+        count, suffix = 0, [0]
+        for k in range(self.top, self.bottom - 1, -1):
+            count += self.orders.count(k)
+            suffix.append(suffix[-1] + self.q ** count - 1)
+        self.suffix = suffix[::-1]
 
     def copy(self):
-        """An independent copy.  add() replaces spans[o] and never
-        changes it, so the span dicts themselves can be shared."""
+        """An independent copy.  add() replaces spans[o] and the suffix
+        table and never changes either, so they can be shared."""
         twin = copy.copy(self)
         twin.orders = list(self.orders)
         twin.spans = dict(self.spans)
@@ -200,10 +208,73 @@ class _Filtration:
         ord lambda), for a w whose remainder against V has valuation d.
         With mu = lambda - lambda*, ord(w - lambda) = min(d, ord mu), so
         the sum is d - sum over nonzero mu with ord mu > d of
-        (ord mu - d) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1)."""
-        top = max(self.orders, default=d)
-        return d - sum(self.q ** sum(o >= k for o in self.orders) - 1
-                       for k in range(d + 1, top + 1))
+        (ord mu - d) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).
+        add() tabulates the sums over k > d for bottom <= d < top, the
+        least and greatest ord u_i; below bottom each further term is
+        q^{dim V} - 1, and from top on the sum is empty."""
+        if not self.orders or d >= self.top:
+            return d
+        i = d + 1 - self.bottom
+        if i < 0:
+            return d - self.suffix[0] + i * (self.suffix[0] - self.suffix[1])
+        return d - self.suffix[i]
+
+
+def _window_step(x, y, c, e, width, t=None):
+    """One step of the subspace recursion on a series: x + y^(p^e) c,
+    cut to the width coefficients from its valuation, as one Laurent.
+    With t None the valuation is the sum's own (the update a_k + a_{k-1}^q
+    c); given t, known from the product formula, the sum is pinned there
+    and its terms below pi^t dropped (a carried evaluation, y = x):
+    PrecisionError if the sum is not known at pi^t, AssertionError if
+    its pi^t term is zero.  The precision is the one that q_power, * and
+    + give the sum, and only the window's coefficients are formed,
+    straight from the codes of x, y and c by FF.conv and FF.add_at."""
+    F = x.field
+    k = F.p ** e
+    # Laurent.__mul__'s precision for y^k c: infinite (exact) if either
+    # factor is an exact zero
+    prec = min(_prec_of(x), k * y._lower_bound() + _prec_of(c),
+               c._lower_bound() + k * _prec_of(y))
+    prec = None if prec == math.inf else prec
+    lo = k * y.val + c.val                  # the product's first exponent
+    product = y.coeffs and c.coeffs
+    if t is not None:
+        if prec is not None and t >= prec:
+            raise PrecisionError(
+                f"certified window ends at pi^{prec} but e_V(w) has "
+                f"valuation {t}")
+        a, b = t, t + width
+    else:
+        starts = ([x.val] if x.coeffs else []) + ([lo] if product else [])
+        if not starts:
+            return Laurent(F, 0, (), prec)
+        a = min(starts)
+        b = max(x.val + len(x.coeffs),
+                lo + k * (len(y.coeffs) - 1) + len(c.coeffs))
+    if prec is not None:
+        b = min(b, prec)
+    # the terms of pi^a .. pi^(b-1): those of x, then the product's
+    out = [0] * min(max(x.val - a, 0), b - a)
+    out += x.coeffs[max(a - x.val, 0):max(b - x.val, 0)]
+    if product and lo < b:
+        frob = F.frobenius(e)
+        ys = [0] * (k * (len(y.coeffs) - 1) + 1)
+        ys[::k] = [frob[v] for v in y.coeffs]
+        cs = F.conv(ys, c.coeffs, b - lo)
+        out = F.add_at(out, cs[max(a - lo, 0):], max(lo - a, 0), b - a)
+    if t is not None:
+        if not out or not out[0]:
+            raise AssertionError(
+                f"e_V(w) has no pi^{t} term at its product-formula valuation")
+        return Laurent(F, t, out, b)
+    lead = next((i for i, v in enumerate(out) if v), None)
+    if lead is None:
+        return Laurent(F, 0, (), prec)
+    end = a + lead + width
+    if prec is not None:
+        end = min(end, prec)
+    return Laurent(F, a + lead, out[lead:end - a], end)
 
 
 def exp_coefficients(z, D, K, prec=None):
@@ -238,11 +309,13 @@ def exp_coefficients(z, D, K, prec=None):
     against it, and the product-formula valuation follows in closed form
     from the remainder's valuation and the orders of the basis.
 
-    A step costs one inverse, q - 2 products for 1/v^{q-1}, about K
-    products and q-powers for the coefficients, and one q-power, product
-    and greedy reduction for each later basis vector's evaluation, all
-    at the window prec: so n basis vectors cost O(n^2 + nK) series
-    operations.
+    A step costs one inverse and q - 2 products for 1/v^{q-1}; then
+    each a_k, k <= K, is one windowed step (_window_step: the window of
+    a_k - a_{k-1}^q / v^{q-1}, formed from the coefficient codes in one
+    pass), and so is each later basis vector's evaluation, after its
+    greedy reduction and a table lookup of its product-formula
+    valuation (_Filtration.product_ord).  So n basis vectors cost
+    O(n^2 + nK) windowed steps and series operations.
 
     Depth D adds the basis deepest z_i first (ties in index order), each
     as z_i T^0..T^{d_i}; depth D - 1 in the same order with every
@@ -261,6 +334,7 @@ def exp_coefficients(z, D, K, prec=None):
     e = big.n // r
     q = big.p ** e
     width = prec if prec is not None else 2 * DEFAULT_PREC
+    zero = Laurent.zero(big)
 
     def cap(x):
         if x.known_zero():
@@ -270,51 +344,37 @@ def exp_coefficients(z, D, K, prec=None):
             bound = min(bound, x.prec)
         return Laurent(big, x.val, x.coeffs[:max(bound - x.val, 0)], bound)
 
-    def reanchor(x, t):
-        """x with its valuation pinned to the externally known value t."""
-        if x.prec is not None and t >= x.prec:
-            raise PrecisionError(
-                f"certified window ends at pi^{x.prec} but e_V(w) has "
-                f"valuation {t}")
-        drop = t - x.val
-        if drop < 0:
-            raise AssertionError("computed valuation below the product bound")
-        coeffs = x.coeffs[drop:]
-        if not coeffs or coeffs[0] == 0:
-            raise AssertionError("leading coefficient lost at the anchor")
-        return Laurent(big, t, coeffs, x.prec)
-
     def extend(coeffs, V, evals, rems, order, start, stop):
         """Add the basis vectors order[start:stop] to V, carrying the
         evaluations at every vector after them in order; returns the
         new coefficient list (the input list is not changed)."""
         for pos in range(start, stop):
             t = order[pos]
-            v = reanchor(evals[t], V.product_ord(rems[t].ord()))
-            inv = v.inverse(width)
+            # v = evals[t] is pinned at its product-formula valuation
+            # over this V already: the step that last updated it saw the
+            # same V (at V = {0}, v is w itself)
+            inv = evals[t].inverse(width)
             rho = inv                                    # 1/v^{q-1}
             for _ in range(q - 2):
                 rho = cap(rho * inv)
+            c = -rho
             # new[k] reads only coeffs[k] and coeffs[k-1]: stop at index K
             new = [Laurent.one(big)]
             for k in range(1, min(len(coeffs), K) + 1):
-                term = -(coeffs[k - 1].q_power(e) * rho)
-                if k < len(coeffs):
-                    term = coeffs[k] + term
-                new.append(cap(term))
+                x = coeffs[k] if k < len(coeffs) else zero
+                new.append(_window_step(x, coeffs[k - 1], c, e, width))
             coeffs = new
             V.add(rems[t])
-            # push the later evaluations through the recursion and
-            # re-anchor them at their product-formula valuations over
-            # the enlarged V
+            # push the later evaluations through the recursion, pinned
+            # at their product-formula valuations over the enlarged V
             for m in order[pos + 1:]:
                 rems[m] = V.reduce(rems[m])
-                upd = evals[m] - evals[m].q_power(e) * rho
-                evals[m] = cap(reanchor(upd, V.product_ord(rems[m].ord())))
+                evals[m] = _window_step(evals[m], evals[m], c, e, width,
+                                        V.product_ord(rems[m].ord()))
         return coeffs
 
     def padded(coeffs):
-        return coeffs[:K + 1] + [Laurent.zero(big)] * (K + 1 - len(coeffs))
+        return coeffs[:K + 1] + [zero] * (K + 1 - len(coeffs))
 
     ords = [x.ord() for x in z]
     depth = [D + o - max(ords) for o in ords]

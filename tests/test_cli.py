@@ -292,6 +292,8 @@ def test_q_must_be_a_prime_power(capsys):
     ["building", "weyl", "--k", "1,0", "--r", "2"],
     ["eisenstein", "eval", "--n", "0,0", "--s", "2", "--r", "2"],
     ["theta", "eval", "--n", "T", "--g", "0,1;1,0", "--witness-bound", "3"],
+    ["eisenstein", "check-klf-chain", "--q", "3"],
+    ["eisenstein", "check-klf-chain", "--r", "3"],
 ])
 def test_removed_flags_are_unknown(capsys, argv):
     err = _usage_error(capsys, argv)

@@ -10,7 +10,7 @@ import itertools
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hb.building import mat_from_exps, mat_inv, mat_mul
@@ -18,10 +18,10 @@ from hb.discriminant import eval_on_mirabolic
 from hb.fields import embedding, get_field
 from hb.fourier import PPoint
 from hb.laurent import Laurent, PrecisionError
-from hb.oracle import (StabilizationError, _Filtration, act, base_points,
-                       drinfeld_coeffs, exp_coefficients, extension_field,
-                       p_delta_direct, p_delta_on_p_point, p_theta_direct,
-                       reduce_basis)
+from hb.oracle import (StabilizationError, _Filtration, _window_step, act,
+                       base_points, drinfeld_coeffs, exp_coefficients,
+                       extension_field, p_delta_direct, p_delta_on_p_point,
+                       p_theta_direct, reduce_basis)
 from hb.poly import Poly, RatF, parse_poly, ratf_from_pairs
 
 F2 = get_field(2)
@@ -254,6 +254,133 @@ def test_closed_form_valuation_matches_listed_lattice(q, r, D, yexp):
             assert V.product_ord(V.reduce(w).ord()) == brute
         V.add(V.reduce(basis[t]))
         points = [lam + basis[t].scale(c) for c in scalars for lam in points]
+
+
+def _chain_cap(x, width):
+    """The window that exp_coefficients kept by Laurent slicing before
+    the windowed step: width coefficients from the valuation."""
+    if x.known_zero():
+        return x
+    bound = x.ord() + width
+    if x.prec is not None:
+        bound = min(bound, x.prec)
+    return Laurent(x.field, x.val, x.coeffs[:max(bound - x.val, 0)], bound)
+
+
+def _chain_reanchor(x, t):
+    """x with its valuation pinned to t, as exp_coefficients did it
+    before the windowed step."""
+    if x.prec is not None and t >= x.prec:
+        raise PrecisionError("window ends below the valuation")
+    drop = t - x.val
+    if drop < 0:
+        raise AssertionError("computed valuation below the product bound")
+    coeffs = x.coeffs[drop:]
+    if not coeffs or coeffs[0] == 0:
+        raise AssertionError("leading coefficient lost at the anchor")
+    return Laurent(x.field, t, coeffs, x.prec)
+
+
+def _outcome(fn):
+    try:
+        got = fn()
+    except (PrecisionError, AssertionError) as err:
+        return type(err)
+    return got.val, got.coeffs, got.prec
+
+
+@st.composite
+def _series(draw, big, nonzero=False):
+    """A Laurent series over big: a short window of codes at a small
+    valuation, exact or known to a precision near its end."""
+    val = draw(st.integers(-4, 4))
+    coeffs = draw(st.lists(st.integers(0, big.q - 1), min_size=int(nonzero),
+                           max_size=14))
+    if nonzero:
+        coeffs[0] = draw(st.integers(1, big.q - 1))
+    prec = draw(st.one_of(st.none(), st.integers(val - 2, val + 18)))
+    if nonzero and prec is not None:
+        prec = max(prec, val + 1)
+    return Laurent(big, val, coeffs, prec)
+
+
+_QR = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_QR), st.data())
+def test_window_step_matches_the_operator_chain(qr, data):
+    # a carried evaluation: x - x^q rho, pinned at t and capped, against
+    # the chain of Laurent operators it replaces
+    q, r = qr
+    big = extension_field(q, r)
+    e = big.n // r
+    x = data.draw(_series(big))
+    rho = data.draw(_series(big, nonzero=True))
+    width = data.draw(st.integers(1, 12))
+    t = x.val + data.draw(st.integers(-3, 8))
+    want = _outcome(lambda: _chain_cap(
+        _chain_reanchor(x - x.q_power(e) * rho, t), width))
+    got = _outcome(lambda: _window_step(x, x, -rho, e, width, t))
+    assert got == want
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_QR), st.data())
+def test_window_step_matches_the_chain_for_a_k(qr, data):
+    # an a_k update: a_k - a_{k-1}^q rho at its own valuation, capped
+    q, r = qr
+    big = extension_field(q, r)
+    e = big.n // r
+    x, y = data.draw(_series(big)), data.draw(_series(big))
+    rho = data.draw(st.one_of(_series(big), _series(big, nonzero=True)))
+    width = data.draw(st.integers(1, 12))
+    want = _outcome(lambda: _chain_cap(x - y.q_power(e) * rho, width))
+    got = _outcome(lambda: _window_step(x, y, -rho, e, width))
+    assert got == want
+
+
+def _defined_product_ord(orders, q, d):
+    """d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1), summed term by
+    term: product_ord as _Filtration defined it before its table."""
+    top = max(orders, default=d)
+    return d - sum(q ** sum(o >= k for o in orders) - 1
+                   for k in range(d + 1, top + 1))
+
+
+def _add_orders(V, orders, r):
+    """Add pi^o eps^j for each o, j the count of o added so far, while
+    j < r: F_q-independent leading coefficients within each order."""
+    big = V.big
+    eps = big.multiplicative_generator()
+    for o in orders:
+        j = V.orders.count(o)
+        if j < r:
+            V.add(Laurent.const(big, big.pow(eps, j)).shift(o))
+
+
+def _check_product_ord(V, q):
+    lo, hi = min(V.orders, default=0), max(V.orders, default=0)
+    for d in range(lo - 3, hi + 4):
+        assert V.product_ord(d) == _defined_product_ord(V.orders, q, d)
+
+
+@given(st.sampled_from(_QR), st.data())
+def test_product_ord_table_matches_its_definition(qr, data):
+    # below, inside, at and above the orders; then on both twins of a
+    # copy, each extended on its own as exp_coefficients forks
+    q, r = qr
+    big = extension_field(q, r)
+    orders = st.lists(st.integers(-3, 5), max_size=7)
+    V = _Filtration(big, q, lambda x: x)
+    _add_orders(V, data.draw(orders), r)
+    _check_product_ord(V, q)
+    twin = V.copy()
+    _add_orders(V, data.draw(orders), r)
+    _check_product_ord(V, q)
+    _add_orders(twin, data.draw(orders), r)
+    _check_product_ord(twin, q)
+    _check_product_ord(V, q)
 
 
 def test_drinfeld_coeffs_shape():
