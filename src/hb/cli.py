@@ -346,6 +346,14 @@ def cmd_theta_eval(args):
     return _emit(args, "theta.eval", {"n": args.n, "g": args.g}, value)
 
 
+def _oracle_diagnostics(args, windows):
+    """What an oracle value rests on: its depth and window scale, the
+    window that certified each of its lattices, and the certificate."""
+    return {"deg_bound": args.deg_bound, "prec": args.prec,
+            "windows": windows,
+            "certificate": "stabilized between consecutive truncation depths"}
+
+
 def cmd_oracle_pdelta(args):
     from .building import mat_from_exps, mat_scale
     from .oracle import p_delta_direct
@@ -363,9 +371,10 @@ def cmd_oracle_pdelta(args):
         from .discriminant import eval_on_mirabolic
         gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = _support_range(lambda: eval_on_mirabolic(gm, args.r, field))
-    v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, prec=args.prec)
-    diag = {"deg_bound": args.deg_bound, "prec": args.prec,
-            "certificate": "stabilized between consecutive truncation depths"}
+    windows = []
+    v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, prec=args.prec,
+                       windows=windows)
+    diag = _oracle_diagnostics(args, windows)
     if args.check:
         diag["series"] = series
         return _emit(args, "oracle.pdelta", {"g": args.g or "identity"},
@@ -381,9 +390,11 @@ def cmd_oracle_ptheta(args):
     n = _parse_level(field, args.n)
     g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
-    v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound, prec=args.prec)
+    windows = []
+    v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound, prec=args.prec,
+                       windows=windows)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
-                 v, {"deg_bound": args.deg_bound, "prec": args.prec})
+                 v, _oracle_diagnostics(args, windows))
 
 
 def cmd_units_det_sigma(args):

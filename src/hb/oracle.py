@@ -17,13 +17,14 @@ phi_T = T + g_1 tau + ... + g_r tau^r, and the triangular solve for
 g_1..g_r reads only the exp coefficients a_0..a_r.
 
 The recursion needs the exact valuation of e_V(w) at each new w, and no
-point of V is ever listed for it: V is kept in a valuation-adapted
-F_q-basis u_1, ..., u_t (leading coefficients of equal-order u_i
-independent over F_q), greedy reduction finds the best approximant
-lambda* of w in V at d = ord(w - lambda*), and the product formula for
-e_V(w) / (linear coefficient of e_V) collapses to
+point of V is ever listed for it: on a reduced basis the F_q-basis
+u_1, ..., u_t of V, the z_i T^j, is valuation-adapted, so the best
+approximant in V of the next basis vector w is 0, and the product
+formula for e_V(w) / (linear coefficient of e_V) collapses to
 
-    ord(e_V(w) / alpha_0) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).
+    ord(e_V(w) / alpha_0) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1)
+
+at d = ord w.
 
 A ball of n basis vectors costs O(n^2 + nK) series operations for the
 exp coefficients a_0..a_K, not q^n.  The only convergence certificate is
@@ -33,7 +34,8 @@ accordingly.
 
 Series carry their precision, so a window too narrow for a valuation
 raises PrecisionError, never a wrong value: each lattice behind a value
-starts narrow and doubles only its own window, up to 16 times prec.
+starts at prec // NARROW, or wider where its reduced orders predict
+cancellation in g_r, and doubles only its own window, up to 16 prec.
 
 This is deliberately independent of the closed-form coefficient
 formulas: it shares no code path with the discriminant module beyond the
@@ -50,8 +52,11 @@ from .laurent import Laurent, PrecisionError, StabilizationError, _prec_of
 from .poly import RatF
 
 DEFAULT_PREC = 80
-# a lattice's first series window is prec // NARROW (see _p_direct)
+# a lattice's first series window is prec // NARROW at least (see _p_direct)
 NARROW = 8
+# digits _first_window adds past the cancelled ones: 1 certified every
+# measured lattice; timing could not tell 1 to 8 apart; 4 leaves room
+MARGIN = 4
 # lattice sums are refused above this rank
 MAX_RANK = 3
 # exp_coefficients refuses balls with more F_q-basis vectors than this
@@ -117,6 +122,14 @@ def _fq_coordinates(q, r):
                  for x in range(big.q))
 
 
+def _lead_relation(z, q):
+    """Nonzero c in F_q^r with sum c_i lead(z_i) = 0, or None if the
+    leading coefficients of the z_i are F_q-independent."""
+    coords = _fq_coordinates(q, len(z))
+    return fq_left_kernel_vector(z[0].field,
+                                 [coords[x.coeffs[0]] for x in z])
+
+
 def reduce_basis(z, q):
     """A reduced basis of the A-lattice A z_1 + ... + A z_r: the leading
     coefficients of the z_i, aligned by powers of T, are F_q-independent
@@ -133,11 +146,10 @@ def reduce_basis(z, q):
     with it Delta, is unchanged.  A cancellation that runs out of known
     coefficients raises PrecisionError."""
     big = z[0].field
-    coords = _fq_coordinates(q, len(z))
     z = list(z)
     while True:
         ords = [x.ord() for x in z]
-        c = fq_left_kernel_vector(big, [coords[x.coeffs[0]] for x in z])
+        c = _lead_relation(z, q)
         if c is None:
             return tuple(z)
         j = min((i for i, ci in enumerate(c) if ci), key=ords.__getitem__)
@@ -148,44 +160,30 @@ def reduce_basis(z, q):
         z[j] = w
 
 
+def _first_window(z, q, prec):
+    """The window a reduced basis z first needs: the leading digits that
+    cancel in g_r, q^r sum_i max(q^(s_i - 1) - 1, 0) for s_i = ord z_i -
+    min_j ord z_j, plus MARGIN, capped at 16 prec.  The count is measured
+    (tests/test_oracle.py pins it), not proven; it only picks where the
+    search starts, so a wrong count costs a doubling, never a value."""
+    low = min(x.ord() for x in z)
+    digits = q ** len(z) * sum(max(q ** (x.ord() - low - 1) - 1, 0)
+                               for x in z)
+    return min(digits + MARGIN, 16 * prec)
+
+
 class _Filtration:
-    """A valuation-adapted F_q-basis u_1, ..., u_t of a subspace V of
-    F_{q^r}((pi)): among the u_i of any one order, the leading
-    coefficients are F_q-independent in F_{q^r}, so that
-    ord(sum c_i u_i) = min{ord u_i : c_i != 0}."""
+    """The orders of a valuation-adapted F_q-basis u_1, ..., u_t of a
+    subspace V of F_{q^r}((pi)), one with ord(sum c_i u_i) =
+    min{ord u_i : c_i != 0} such as the z_i T^j of a reduced basis: all
+    that the product formula reads."""
 
-    def __init__(self, big, q, cap):
-        self.big = big
+    def __init__(self, q):
         self.q = q
-        self.cap = cap
-        # the nonzero F_q-scalars inside the extension
-        self.scalars = [c for c in range(1, big.q) if big.pow(c, q) == c]
         self.orders = []
-        # order o -> {leading coefficient: the F_q-combination of the
-        # u_i of order o with that leading coefficient}; <= q^r entries
-        self.spans = {}
 
-    def reduce(self, w):
-        """w - lambda* for the best approximant lambda* of w in V: greedy
-        cancellation of leading terms, so the remainder has the largest
-        valuation in the coset w + V."""
-        while True:
-            vec = self.spans.get(w.ord(), {}).get(w.coeffs[0])
-            if vec is None:
-                return w
-            w = self.cap(w - vec)
-
-    def add(self, u):
-        """Extend the basis by a remainder u = reduce(u) not in V."""
-        big = self.big
-        o, lead = u.ord(), u.coeffs[0]
-        old = self.spans.get(o, {0: Laurent.zero(big)})
-        span = dict(old)
-        for c in self.scalars:
-            uc = u.scale(c)
-            for x, vec in old.items():
-                span[big.add(x, big.mul(c, lead))] = self.cap(vec + uc)
-        self.spans[o] = span
+    def add(self, o):
+        """Extend the basis by a vector of order o."""
         self.orders.append(o)
         # suffix[j] = sum_{k >= bottom + j} (q^{#{i : ord u_i >= k}} - 1)
         self.bottom, self.top = min(self.orders), max(self.orders)
@@ -196,22 +194,20 @@ class _Filtration:
         self.suffix = suffix[::-1]
 
     def copy(self):
-        """An independent copy.  add() replaces spans[o] and the suffix
-        table and never changes either, so they can be shared."""
+        """An independent copy; add() replaces the suffix table, so the
+        twins share it safely."""
         twin = copy.copy(self)
         twin.orders = list(self.orders)
-        twin.spans = dict(self.spans)
         return twin
 
     def product_ord(self, d):
         """ord(w) + sum over nonzero lambda in V of (ord(w - lambda) -
-        ord lambda), for a w whose remainder against V has valuation d.
-        With mu = lambda - lambda*, ord(w - lambda) = min(d, ord mu), so
-        the sum is d - sum over nonzero mu with ord mu > d of
-        (ord mu - d) = d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).
-        add() tabulates the sums over k > d for bottom <= d < top, the
-        least and greatest ord u_i; below bottom each further term is
-        q^{dim V} - 1, and from top on the sum is empty."""
+        ord lambda) for a w of order d that extends the adapted basis:
+        ord(w - lambda) = min(d, ord lambda), so this is
+        d - sum_{k > d} (q^{#{i : ord u_i >= k}} - 1).  add() tabulates
+        the sums for bottom <= d < top, the least and greatest ord u_i;
+        below bottom each further term is q^{dim V} - 1, and from top
+        on the sum is empty."""
         if not self.orders or d >= self.top:
             return d
         i = d + 1 - self.bottom
@@ -282,10 +278,11 @@ def exp_coefficients(z, D, K, prec=None):
     in e_V(x) / (linear coefficient of e_V) over the truncated lattices
     V = {sum a_i z_i : deg a_i <= d_i - 1} and {... : deg a_i <= d_i},
     d_i = D + ord z_i - max_j ord z_j, as the pair (depth D - 1 list,
-    depth D list).  On a reduced basis (reduce_basis) these are the
-    points of the lattice in the balls of radius |T^{D-1} z_s| and
-    |T^D z_s|, z_s the smallest z_i; a z_i with d_i < 0 contributes
-    nothing, so V has at most r(D + 1) basis vectors z_i T^j, and fewer
+    depth D list).  z must be a reduced basis (reduce_basis; ValueError
+    otherwise), so these are the points of the lattice in the balls of
+    radius |T^{D-1} z_s| and |T^D z_s|, z_s the smallest z_i, and their
+    F_q-bases z_i T^j are valuation-adapted; a z_i with d_i < 0
+    contributes nothing, so V has at most r(D + 1) basis vectors z_i T^j, and fewer
     unless all z_i have one order.  Past dim V the lists are padded with
     exact zeros, since a_k = 0 there.  Each V is built one
     F_q-basis vector at a time by the subspace recursion divided through
@@ -301,21 +298,16 @@ def exp_coefficients(z, D, K, prec=None):
     coefficients (the terms a_k w^{q^k} span a huge exponent range and
     the sum cancels far below any fixed window).  Instead the values
     ehat(w_m) at all later basis vectors are carried through the same
-    recursion, one subtraction per step, and each is re-anchored at its
-    exact valuation ord(w_m) + sum over nonzero lambda in V of
-    (ord(w_m - lambda) - ord(lambda)) — the product formula for
-    e_V(w_m)/alpha_0.  No point of V is ever listed: V is kept in a
-    valuation-adapted basis (_Filtration), each w_m keeps its remainder
-    against it, and the product-formula valuation follows in closed form
-    from the remainder's valuation and the orders of the basis.
+    recursion, one subtraction per step, each pinned at its exact
+    valuation, the product formula for e_V(w_m)/alpha_0: on an adapted
+    basis that is a table lookup on ord w_m (_Filtration.product_ord),
+    and no point of V is ever listed.
 
     A step costs one inverse and q - 2 products for 1/v^{q-1}; then
     each a_k, k <= K, is one windowed step (_window_step: the window of
     a_k - a_{k-1}^q / v^{q-1}, formed from the coefficient codes in one
-    pass), and so is each later basis vector's evaluation, after its
-    greedy reduction and a table lookup of its product-formula
-    valuation (_Filtration.product_ord).  So n basis vectors cost
-    O(n^2 + nK) windowed steps and series operations.
+    pass), and so is each later basis vector's evaluation.  So n basis
+    vectors cost O(n^2 + nK) windowed steps and series operations.
 
     Depth D adds the basis deepest z_i first (ties in index order), each
     as z_i T^0..T^{d_i}; depth D - 1 in the same order with every
@@ -323,16 +315,17 @@ def exp_coefficients(z, D, K, prec=None):
     deepest z_i, whose depth is D: those D steps run once, carrying the
     evaluations at every depth-D vector, and then the state forks.
     A carried evaluation depends only on the steps taken so far, so each
-    list is the one a separate run at its depth would give.
-    A window too narrow to reach the true valuation raises
-    PrecisionError; _p_direct then retries this lattice alone at twice
-    the window."""
+    list is the one a separate run at its depth would give.  On an
+    adapted basis no step loses an evaluation's leading digit, so a
+    window too narrow shows only where g_r cancels (_p_direct)."""
     big = z[0].field
     # the F_q-structure: q = p^e where e = (extension degree)/r is not
     # recoverable from big alone; infer from the rank instead
     r = len(z)
     e = big.n // r
     q = big.p ** e
+    if _lead_relation(z, q) is not None:
+        raise ValueError("z is not reduced: pass reduce_basis(z, q)")
     width = prec if prec is not None else 2 * DEFAULT_PREC
     zero = Laurent.zero(big)
 
@@ -344,7 +337,7 @@ def exp_coefficients(z, D, K, prec=None):
             bound = min(bound, x.prec)
         return Laurent(big, x.val, x.coeffs[:max(bound - x.val, 0)], bound)
 
-    def extend(coeffs, V, evals, rems, order, start, stop):
+    def extend(coeffs, V, evals, order, start, stop):
         """Add the basis vectors order[start:stop] to V, carrying the
         evaluations at every vector after them in order; returns the
         new coefficient list (the input list is not changed)."""
@@ -364,20 +357,19 @@ def exp_coefficients(z, D, K, prec=None):
                 x = coeffs[k] if k < len(coeffs) else zero
                 new.append(_window_step(x, coeffs[k - 1], c, e, width))
             coeffs = new
-            V.add(rems[t])
+            V.add(basis[t].ord())
             # push the later evaluations through the recursion, pinned
             # at their product-formula valuations over the enlarged V
             for m in order[pos + 1:]:
-                rems[m] = V.reduce(rems[m])
                 evals[m] = _window_step(evals[m], evals[m], c, e, width,
-                                        V.product_ord(rems[m].ord()))
+                                        V.product_ord(basis[m].ord()))
         return coeffs
 
     def padded(coeffs):
         return coeffs[:K + 1] + [zero] * (K + 1 - len(coeffs))
 
-    ords = [x.ord() for x in z]
-    depth = [D + o - max(ords) for o in ords]
+    top = max(x.ord() for x in z)
+    depth = [D + x.ord() - top for x in z]
     size = sum(d + 1 for d in depth if d >= 0)
     if size > MAX_BASIS:
         raise ValueError(f"truncated lattice has {size} basis vectors, "
@@ -390,12 +382,10 @@ def exp_coefficients(z, D, K, prec=None):
             basis.append(z[i].shift(-j))
     deep = list(range(len(basis)))
     evals = [cap(w) for w in basis]   # ehat_V(w_m), exact at V = {0}
-    rems = list(basis)                # w_m minus its best approximant in V
-    V = _Filtration(big, q, cap)
-    coeffs = extend([Laurent.one(big)], V, evals, rems, deep, 0, D)
-    prev = extend(coeffs, V.copy(), list(evals), list(rems),
-                  shallow, D, len(shallow))
-    coeffs = extend(coeffs, V, evals, rems, deep, D, len(deep))
+    V = _Filtration(q)
+    coeffs = extend([Laurent.one(big)], V, evals, deep, 0, D)
+    prev = extend(coeffs, V.copy(), list(evals), shallow, D, len(shallow))
+    coeffs = extend(coeffs, V, evals, deep, D, len(deep))
     return padded(prev), padded(coeffs)
 
 
@@ -424,19 +414,21 @@ def _solve_g(a, r):
     return tuple(gs)
 
 
-def p_delta_direct(g, q, r, D=6, prec=DEFAULT_PREC):
+def p_delta_direct(g, q, r, D=6, prec=DEFAULT_PREC, windows=None):
     """P1(Delta_r)(g) = log_q|Delta(g S z0)| - log_q|Delta(g z0)|,
-    S = diag(T, 1, ..., 1) — valuations from truncated lattice sums."""
-    return _p_direct(None, g, q, r, D, prec)
+    S = diag(T, 1, ..., 1) — valuations from truncated lattice sums.
+    A windows list receives each lattice's certifying window."""
+    return _p_direct(None, g, q, r, D, prec, windows)
 
 
-def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC):
+def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC, windows=None):
     """P1(Theta_n)(g) = P1(Delta)(g) - P1(Delta_n)(g) with
-    Delta_n(z) = Delta(n z_1, z_2, ..., z_r)."""
-    return _p_direct(n, g, q, r, D, prec)
+    Delta_n(z) = Delta(n z_1, z_2, ..., z_r); windows as for
+    p_delta_direct."""
+    return _p_direct(n, g, q, r, D, prec, windows)
 
 
-def _p_direct(n, g, q, r, D, prec):
+def _p_direct(n, g, q, r, D, prec, windows):
     """P1(Delta_r)(g) for n None, else P1(Theta_n)(g)."""
     if r > MAX_RANK:
         raise ValueError(f"lattice sums are only tractable for "
@@ -450,8 +442,9 @@ def _p_direct(n, g, q, r, D, prec):
     def certified_ord(h, level, what):
         """ord g_r at depths D-1 and D on a reduced basis of the lattice
         of h z0 (z_1 times level, if any), certified by stabilization, at
-        this lattice's own window: prec // NARROW, doubled on
-        PrecisionError up to 16 prec; act 40 wider."""
+        this lattice's own window: prec // NARROW or _first_window,
+        whichever is wider, doubled on PrecisionError up to 16 prec; act
+        40 wider."""
         pr = max(prec // NARROW, 1)
         while True:
             try:
@@ -460,6 +453,10 @@ def _p_direct(n, g, q, r, D, prec):
                     z = (ratf_to_laurent(RatF(level), big, embed, pr + 40)
                          * z[0],) + z[1:]
                 z = reduce_basis(z, q)
+                start = _first_window(z, q, prec)
+                if start > pr:      # act again, at the planned window
+                    pr = start
+                    continue
                 prev, top = drinfeld_coeffs(z, D, r, prec=pr)
                 o_prev, o = prev[r - 1].ord(), top[r - 1].ord()
                 break
@@ -471,6 +468,8 @@ def _p_direct(n, g, q, r, D, prec):
             raise StabilizationError(
                 f"{what}: ord(Delta) moved from {o_prev} to {o} between "
                 f"truncation depths {D-1} and {D}; increase --deg-bound")
+        if windows is not None:
+            windows.append(pr)
         return o
 
     oa = certified_ord(g, None, "Delta(g z0)")

@@ -142,6 +142,24 @@ def test_oracle_pdelta_check(capsys):
     assert doc["diagnostics"]["prec"] == 80     # the oracle's default
 
 
+@pytest.mark.parametrize("argv, windows", [
+    (["pdelta", "--g", "T,0;0,1", "--deg-bound", "6"], [10, 10]),
+    # diag(T^5, 1) at level T^2+T+1: reduced orders 5, 6, 7 and 8 apart,
+    # so 60, 124, 252 and 508 leading digits cancel in g_r
+    (["ptheta", "--n", "T^2+T+1", "--g", "T^5,0;0,1", "--deg-bound", "8"],
+     [d + hb.oracle.MARGIN for d in (60, 124, 252, 508)]),
+])
+def test_oracle_reports_windows_and_certificate(capsys, argv, windows):
+    # each lattice's certifying window, in order: prec // 8 where nothing
+    # cancels, else the planned width, with no doubling
+    code, doc = run_json(capsys, ["oracle", *argv[:1], "--q", "2", "--r",
+                                  "2", *argv[1:]])
+    assert code == EXIT_OK
+    assert doc["diagnostics"]["windows"] == windows
+    assert doc["diagnostics"]["certificate"] == \
+        "stabilized between consecutive truncation depths"
+
+
 def _usage_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hb.oracle
 from hb.building import mat_from_exps, mat_inv, mat_mul
 from hb.discriminant import eval_on_mirabolic
 from hb.fields import embedding, get_field
 from hb.fourier import PPoint
 from hb.laurent import Laurent, PrecisionError
-from hb.oracle import (StabilizationError, _Filtration, _window_step, act,
+from hb.oracle import (DEFAULT_PREC, NARROW, StabilizationError, _Filtration,
+                       _first_window, _solve_g, _window_step, act,
                        base_points, drinfeld_coeffs, exp_coefficients,
                        extension_field, p_delta_direct, p_delta_on_p_point,
                        p_theta_direct, reduce_basis)
@@ -44,10 +46,9 @@ def test_exp_coefficients_are_normalized():
         assert all(not c.is_exact() for c in coeffs[1:])
 
 
-def _fork_points(q, r, reduced=True):
+def _fork_points(q, r):
     """z for one diagonal point and one mirabolic point with x != 0, on
-    the reduced basis that the oracle passes to exp_coefficients (or on
-    the basis act gives, which is not reduced at the mirabolic point)."""
+    the reduced basis that the oracle passes to exp_coefficients."""
     field = get_field(q)
     big = extension_field(q, r)
     embed = embedding(q, big.q)
@@ -56,7 +57,7 @@ def _fork_points(q, r, reduced=True):
                        (2,) * (r - 1)).matrix(field)
     for g in (mat_from_exps(field, (1,) + (0,) * (r - 1)), mirabolic):
         z = act(g, base_points(q, r), big, embed, 120)
-        yield reduce_basis(z, q) if reduced else z
+        yield reduce_basis(z, q)
 
 
 def _ball_size(z, D):
@@ -96,19 +97,51 @@ def test_fewer_coefficients_are_a_prefix(q, r):
                 assert _fields(s) == _fields(l[:r + 1])
 
 
-@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def _known_to(z, n):
+    """z with each z_i known to its first n coefficients only."""
+    return tuple(Laurent(x.field, x.val, x.coeffs[:n], x.val + n) for x in z)
+
+
+@pytest.mark.parametrize("q, r, exps", [(2, 2, (2, 0)), (3, 2, (2, 0)),
+                                        (2, 3, (2, 1, 0))])
 @pytest.mark.parametrize("D", [2, 3, 4])
-def test_fork_raises_the_same_precision_error(q, r, D):
-    # on a reduced basis not even a window of 1 collapses at these
-    # depths; on the unreduced basis of the mirabolic point a window of 2
-    # collapses at depth 1 and beyond, in the steps both depths share
-    z = list(_fork_points(q, r, reduced=False))[1]
+def test_fork_raises_the_same_precision_error(q, r, exps, D):
+    # on a reduced basis no step of the recursion loses its leading
+    # digit, so exp_coefficients returns even when the z_i are known to
+    # two coefficients; the precision lost in the steps both depths share
+    # surfaces in g_r, whose leading digits cancel at these orders (s = 2),
+    # and the depth D - 1 list of the depth-D call raises exactly what
+    # the depth-(D - 1) call raises
+    field = get_field(q)
+    big = extension_field(q, r)
+    z = act(mat_from_exps(field, exps), base_points(q, r), big,
+            embedding(q, big.q), 40)
+    z = _known_to(reduce_basis(z, q), 2)
     messages = []
-    for depth in (D, D - 1):
+    for depth, which in ((D, 0), (D - 1, 1)):
+        a = exp_coefficients(z, depth, r, prec=40)[which]
         with pytest.raises(PrecisionError) as err:
-            exp_coefficients(z, depth, r + 1, prec=2)
+            _solve_g(a, r)[r - 1].ord()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def test_unreduced_basis_is_refused(q, r):
+    # act's basis at the mirabolic point x = pi, y = T^2 has F_q-dependent
+    # leading coefficients: without the reduction, the product formula
+    # would pin the carried evaluations at wrong valuations
+    field = get_field(q)
+    big = extension_field(q, r)
+    pi = RatF.pi_power(field, 1)
+    g = PPoint((pi,) + (RatF.zero(field),) * (r - 2),
+               (2,) * (r - 1)).matrix(field)
+    z = act(g, base_points(q, r), big, embedding(q, big.q), 60)
+    assert reduce_basis(z, q) != z
+    for call in (lambda: exp_coefficients(z, 2, r, prec=40),
+                 lambda: drinfeld_coeffs(z, 2, r, prec=40)):
+        with pytest.raises(ValueError, match="not reduced"):
+            call()
 
 
 def test_shallower_depth_is_padded_with_exact_zeros():
@@ -229,30 +262,30 @@ def test_exp_coefficients_rejects_huge_lattice():
                                      (2, 2, 3), (3, 2, 1), (3, 2, 2),
                                      (2, 3, 1), (2, 3, 2)])
 def test_closed_form_valuation_matches_listed_lattice(q, r, D, yexp):
-    # the adapted basis's d - sum_{k>d} (q^{#{o_i >= k}} - 1) against
+    # the orders' d - sum_{k>d} (q^{#{o_i >= k}} - 1) at d = ord w against
     # ord(w) + sum over the listed nonzero lambda of V_t of
-    # (ord(w - lambda) - ord lambda), for every prefix V_t and later w_m.
-    # At y = T^3 the first coordinate's leading term is x's, an F_q
-    # multiple of the last coordinate's, so the basis z_i T^j is not
-    # adapted and the greedy reduction has work to do.
+    # (ord(w - lambda) - ord lambda), for every prefix V_t and later w_m
+    # of the basis z_i T^j of a reduced basis.  At y = T^3 act's first
+    # coordinate has x's leading term, an F_q multiple of the last
+    # coordinate's, so only the reduction makes the basis adapted.
     field = get_field(q)
     big = extension_field(q, r)
     embed = embedding(q, big.q)
     x = RatF.pi_power(field, 1) + RatF.pi_power(field, 2)
     g = PPoint((x,) + (RatF.zero(field),) * (r - 2),
                (yexp,) * (r - 1)).matrix(field)
-    z = act(g, base_points(q, r), big, embed, 60)
+    z = reduce_basis(act(g, base_points(q, r), big, embed, 60), q)
     basis = [z[i] * Laurent.pi_power(big, -j)
              for i in range(r) for j in range(D + 1)]
-    V = _Filtration(big, q, lambda x: x)
-    scalars = [0] + V.scalars
+    V = _Filtration(q)
+    scalars = embedding(q, big.q)
     points = [Laurent.zero(big)]          # V_t, listed
     for t in range(len(basis)):
         for w in basis[t:]:
             brute = w.ord() + sum((w - lam).ord() - lam.ord()
                                   for lam in points[1:])
-            assert V.product_ord(V.reduce(w).ord()) == brute
-        V.add(V.reduce(basis[t]))
+            assert V.product_ord(w.ord()) == brute
+        V.add(basis[t].ord())
         points = [lam + basis[t].scale(c) for c in scalars for lam in points]
 
 
@@ -349,14 +382,11 @@ def _defined_product_ord(orders, q, d):
 
 
 def _add_orders(V, orders, r):
-    """Add pi^o eps^j for each o, j the count of o added so far, while
-    j < r: F_q-independent leading coefficients within each order."""
-    big = V.big
-    eps = big.multiplicative_generator()
+    """Add each order o while fewer than r of it are in: an adapted
+    basis has at most r vectors of one order."""
     for o in orders:
-        j = V.orders.count(o)
-        if j < r:
-            V.add(Laurent.const(big, big.pow(eps, j)).shift(o))
+        if V.orders.count(o) < r:
+            V.add(o)
 
 
 def _check_product_ord(V, q):
@@ -370,9 +400,8 @@ def test_product_ord_table_matches_its_definition(qr, data):
     # below, inside, at and above the orders; then on both twins of a
     # copy, each extended on its own as exp_coefficients forks
     q, r = qr
-    big = extension_field(q, r)
     orders = st.lists(st.integers(-3, 5), max_size=7)
-    V = _Filtration(big, q, lambda x: x)
+    V = _Filtration(q)
     _add_orders(V, data.draw(orders), r)
     _check_product_ord(V, q)
     twin = V.copy()
@@ -506,7 +535,7 @@ def _point(q, r, which, pr):
 
 @lru_cache(maxsize=None)
 def _default_ords(q, r, which, D):
-    prev, g = drinfeld_coeffs(_point(q, r, which, 200), D, r)
+    prev, g = drinfeld_coeffs(reduce_basis(_point(q, r, which, 200), q), D, r)
     return prev[r - 1].ord(), g[r - 1].ord()
 
 
@@ -518,9 +547,86 @@ def test_narrow_window_certifies_or_raises(qr, which, D, window):
     q, r = qr
     want = _default_ords(q, r, which, D)
     try:
-        prev, g = drinfeld_coeffs(_point(q, r, which, window + 40), D, r,
-                                  prec=window)
+        z = reduce_basis(_point(q, r, which, window + 40), q)
+    except PrecisionError:
+        return
+    # on a reduced basis the recursion returns at any window: a window
+    # too narrow shows only where g_r cancels
+    prev, g = drinfeld_coeffs(z, D, r, prec=window)
+    try:
         got = prev[r - 1].ord(), g[r - 1].ord()
     except PrecisionError:
         return
     assert got == want
+
+
+# (q, r, reduced order profile s, leading digits that cancel in g_r):
+# every profile the cross-check and the oracle benchmark meet
+CANCELLED = [
+    (2, 2, (0, 0), 0), (2, 2, (0, 1), 0), (2, 2, (0, 2), 4),
+    (2, 2, (0, 3), 12), (2, 2, (0, 4), 28), (2, 2, (0, 5), 60),
+    (2, 2, (0, 6), 124), (2, 2, (0, 7), 252), (2, 2, (0, 8), 508),
+    (3, 2, (0, 0), 0), (3, 2, (0, 1), 0), (3, 2, (0, 2), 18),
+    (3, 2, (0, 3), 72),
+    (2, 3, (0, 0, 0), 0), (2, 3, (0, 0, 1), 0), (2, 3, (0, 1, 1), 0),
+    (2, 3, (0, 1, 2), 8), (2, 3, (0, 2, 2), 16),
+    (3, 3, (0, 0, 0), 0), (3, 3, (0, 0, 1), 0), (3, 3, (0, 1, 1), 0),
+    (3, 3, (0, 1, 2), 54),
+]
+
+
+def _cancelled_digits(a, r):
+    """ord g_r minus the least order of the terms _solve_g sums for it,
+    among those with a known leading digit."""
+    big = a[0].field
+    e = big.n // r
+    q = big.p ** e
+    gs = _solve_g(a, r)
+    tq = Laurent.from_pairs(big, [(-q ** r, 1), (-1, big.neg(1))])
+    terms = [a[r] * tq] + [gs[i - 1] * a[r - i].q_power(e * i)
+                           for i in range(1, r)]
+    return gs[r - 1].ord() - min(t.ord() for t in terms if not t.known_zero())
+
+
+@pytest.mark.parametrize("q, r, s, digits", CANCELLED)
+def test_cancelled_digits_follow_the_order_profile(q, r, s, digits):
+    # on diag(T^{s_r - s_1}, ..., T^{s_r - s_{r-1}}, 1), whose reduced
+    # orders are -s_r + s_i, the law q^r sum max(q^(s_i - 1) - 1, 0)
+    # that _first_window plans with, at both depths
+    field = get_field(q)
+    big = extension_field(q, r)
+    window = 2 * digits + 16
+    z = act(mat_from_exps(field, tuple(s[-1] - x for x in s)),
+            base_points(q, r), big, embedding(q, big.q), window + 40)
+    z = reduce_basis(z, q)
+    assert sorted(x.ord() - min(y.ord() for y in z) for x in z) == list(s)
+    assert _first_window(z, q, DEFAULT_PREC) == digits + hb.oracle.MARGIN
+    for a in exp_coefficients(z, max(3, s[-1]), r, prec=window):
+        assert _cancelled_digits(a, r) == digits
+
+
+def test_cross_check_lattices_certify_at_the_planned_window(monkeypatch):
+    # each lattice behind a criterion-2 value calls drinfeld_coeffs once,
+    # at the window its reduced orders plan, and g_r is known there
+    from hb.verify import criterion_oracle_cross_check
+    lattices, windows = [], []
+    real_direct, real_coeffs = hb.oracle._p_direct, hb.oracle.drinfeld_coeffs
+
+    def direct(n, *args):
+        lattices.append(2 if n is None else 4)
+        return real_direct(n, *args)
+
+    def coeffs(z, D, r, prec=None):
+        q = z[0].field.p ** (z[0].field.n // r)
+        plan = max(DEFAULT_PREC // NARROW, _first_window(z, q, DEFAULT_PREC))
+        windows.append((prec, plan))
+        prev, top = real_coeffs(z, D, r, prec=prec)
+        prev[r - 1].ord(), top[r - 1].ord()
+        return prev, top
+    monkeypatch.setattr(hb.oracle, "_p_direct", direct)
+    monkeypatch.setattr(hb.oracle, "drinfeld_coeffs", coeffs)
+    report = criterion_oracle_cross_check()
+    assert report.passed
+    assert len(windows) == sum(lattices)
+    assert all(prec == plan for prec, plan in windows)
+    assert max(windows) == (508 + hb.oracle.MARGIN,) * 2
