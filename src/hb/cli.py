@@ -8,7 +8,7 @@ with --format text) of the shape
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound,
-or whose series window still collapsed at 16 times --prec), 3 a
+or that needs a series window wider than oracle.MAX_WINDOW), 3 a
 verification or anchor mismatch.
 
 Each query is one cold process, so the module imports only the base
@@ -111,11 +111,8 @@ def _rank_vector(vec, r, flag):
 
 
 def _oracle_range(args):
-    """The rank and --deg-bound limits of the lattice-sum oracle; also
-    fills in the oracle's default --prec."""
-    from .oracle import DEFAULT_PREC, MAX_BASIS, MAX_RANK
-    if args.prec is None:
-        args.prec = DEFAULT_PREC
+    """The rank and --deg-bound limits of the lattice-sum oracle."""
+    from .oracle import MAX_BASIS, MAX_RANK
     if args.r > MAX_RANK:
         raise UsageError(f"--r {args.r}: lattice sums are only tractable "
                          f"for r <= {MAX_RANK}")
@@ -240,7 +237,7 @@ def cmd_building_weyl(args):
 
 def cmd_fourier_coeff(args):
     from .discriminant import p_delta_coefficient, series_eval
-    from .fourier import fourier_coefficient
+    from .fourier import PPoint, fourier_coefficient
     field = get_field(args.q)
     avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
@@ -249,10 +246,9 @@ def cmd_fourier_coeff(args):
         if args.r != 2:
             raise UsageError("the oracle evaluator is wired for r = 2")
         _oracle_range(args)
-        from .oracle import p_delta_on_p_point
-        h = lambda u, ye: p_delta_on_p_point(u, ye, args.q, args.r,
-                                             D=args.deg_bound,
-                                             prec=args.prec)
+        from .oracle import p_delta_direct
+        h = lambda u, ye: p_delta_direct(PPoint(u, ye).matrix(field),
+                                         args.q, args.r, D=args.deg_bound)
     else:
         h = lambda u, ye: series_eval(u, ye, args.r, field)
     c = fourier_coefficient(h, avec, yexps, field)
@@ -347,10 +343,9 @@ def cmd_theta_eval(args):
 
 
 def _oracle_diagnostics(args, windows):
-    """What an oracle value rests on: its depth and window scale, the
-    window that certified each of its lattices, and the certificate."""
-    return {"deg_bound": args.deg_bound, "prec": args.prec,
-            "windows": windows,
+    """What an oracle value rests on: its depth, the window that
+    certified each of its lattices, and the certificate."""
+    return {"deg_bound": args.deg_bound, "windows": windows,
             "certificate": "stabilized between consecutive truncation depths"}
 
 
@@ -372,8 +367,7 @@ def cmd_oracle_pdelta(args):
         gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = _support_range(lambda: eval_on_mirabolic(gm, args.r, field))
     windows = []
-    v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, prec=args.prec,
-                       windows=windows)
+    v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, windows=windows)
     diag = _oracle_diagnostics(args, windows)
     if args.check:
         diag["series"] = series
@@ -391,7 +385,7 @@ def cmd_oracle_ptheta(args):
     g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     windows = []
-    v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound, prec=args.prec,
+    v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound,
                        windows=windows)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
                  v, _oracle_diagnostics(args, windows))
@@ -495,8 +489,6 @@ def _common(p, fields):
 
 
 def _oracle_options(p):
-    p.add_argument("--prec", type=_int_at_least(1), default=None,
-                   help="series window scale for the lattice-sum oracle")
     p.add_argument("--deg-bound", type=_int_at_least(1), default=6,
                    help="lattice truncation depth for the oracle")
 
@@ -614,10 +606,9 @@ def main(argv=None):
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (StabilizationError, PrecisionError) as e:
-        # the oracle certified no value at this --deg-bound or --prec; a
-        # StabilizationError already names the option to raise
-        hint = "; increase --prec" if isinstance(e, PrecisionError) else ""
-        print(f"usage error: {type(e).__name__}: {e}{hint}", file=sys.stderr)
+        # the oracle certified no value: not settled at this --deg-bound
+        # (the message names the option), or not within MAX_WINDOW
+        print(f"usage error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -18,8 +18,6 @@ in the delta oracle, where truncation is intrinsic.
 
 import math
 
-DEFAULT_PREC = 40
-
 
 class PrecisionError(ArithmeticError):
     pass
@@ -156,8 +154,9 @@ class Laurent:
                        None if self.prec is None else self.prec + k)
 
     def inverse(self, prec=None):
-        """Series inverse.  For a non-monomial exact input a working
-        precision must be available (argument or DEFAULT_PREC)."""
+        """Series inverse, known to as many digits past its valuation as
+        self is.  An exact monomial has an exact inverse; any other exact
+        input needs the relative width prec (ValueError without it)."""
         if not self.coeffs:
             raise (ZeroDivisionError("inverse of exact zero") if self.is_exact()
                    else PrecisionError("inverse of uncertified zero"))
@@ -165,15 +164,11 @@ class Laurent:
         v = self.val
         if self.is_exact() and len(self.coeffs) == 1:
             return Laurent(F, -v, (F.inv(self.coeffs[0]),))
-        if self.prec is not None:
-            rel = self.prec - v
-        else:
-            rel = (prec if prec is not None else DEFAULT_PREC)
-        rel = int(rel)
+        if self.prec is None and prec is None:
+            raise ValueError("inverse of an exact series with more than "
+                             "one term needs a width")
+        rel = int(prec if self.prec is None else self.prec - v)
         return Laurent(F, -v, F.series_div((1,), self.coeffs, rel), -v + rel)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def q_power(self, e):
         """x -> x^(p^e): coefficientwise p^e-th power, exponents and the

@@ -33,9 +33,11 @@ underlying theory provides no effective bound, and output is labeled
 accordingly.
 
 Series carry their precision, so a window too narrow for a valuation
-raises PrecisionError, never a wrong value: each lattice behind a value
-starts at prec // NARROW, or wider where its reduced orders predict
-cancellation in g_r, and doubles only its own window, up to 16 prec.
+raises PrecisionError, never a wrong value.  Each lattice behind a value
+works out its own window: MIN_WINDOW, or wider where its reduced orders
+predict cancellation in g_r, doubled only for that lattice on a
+collapse, up to MAX_WINDOW; a lattice planned above MAX_WINDOW is
+refused before its recursion runs.
 
 This is deliberately independent of the closed-form coefficient
 formulas: it shares no code path with the discriminant module beyond the
@@ -51,9 +53,15 @@ from .fields import embedding, get_field
 from .laurent import Laurent, PrecisionError, StabilizationError, _prec_of
 from .poly import RatF
 
-DEFAULT_PREC = 80
-# a lattice's first series window is prec // NARROW at least (see _p_direct)
-NARROW = 8
+# the narrowest series window a lattice starts at (_p_direct's
+# certified_ord): every lattice of the tests and the benchmark where no
+# digit of g_r cancels certifies at it
+MIN_WINDOW = 10
+# its widest, chosen by cost: Theta_{T^2+T+1} at diag(T^k, 1), D = k + 3,
+# whose widest lattice needs 2^(k+4), took 2.1 s at k = 9 and 5.9 s (19 MB)
+# at k = 10 (one in-process run, 2-core Xeon, Python 3.11.7); each
+# doubling costs about three times the one before
+MAX_WINDOW = 16384
 # digits _first_window adds past the cancelled ones: 1 certified every
 # measured lattice; timing could not tell 1 to 8 apart; 4 leaves room
 MARGIN = 4
@@ -160,16 +168,16 @@ def reduce_basis(z, q):
         z[j] = w
 
 
-def _first_window(z, q, prec):
+def _first_window(z, q):
     """The window a reduced basis z first needs: the leading digits that
     cancel in g_r, q^r sum_i max(q^(s_i - 1) - 1, 0) for s_i = ord z_i -
-    min_j ord z_j, plus MARGIN, capped at 16 prec.  The count is measured
-    (tests/test_oracle.py pins it), not proven; it only picks where the
-    search starts, so a wrong count costs a doubling, never a value."""
+    min_j ord z_j, plus MARGIN.  The count is measured (tests/test_oracle.py
+    pins it), not proven; it only picks where the search starts, so a
+    count too low costs a doubling, never a value."""
     low = min(x.ord() for x in z)
     digits = q ** len(z) * sum(max(q ** (x.ord() - low - 1) - 1, 0)
                                for x in z)
-    return min(digits + MARGIN, 16 * prec)
+    return digits + MARGIN
 
 
 class _Filtration:
@@ -273,7 +281,7 @@ def _window_step(x, y, c, e, width, t=None):
     return Laurent(F, a + lead, out[lead:end - a], end)
 
 
-def exp_coefficients(z, D, K, prec=None):
+def exp_coefficients(z, D, K, width):
     """Monic-normalized coefficients a_0 = 1, a_1, ..., a_K of x^{q^k}
     in e_V(x) / (linear coefficient of e_V) over the truncated lattices
     V = {sum a_i z_i : deg a_i <= d_i - 1} and {... : deg a_i <= d_i},
@@ -284,7 +292,8 @@ def exp_coefficients(z, D, K, prec=None):
     F_q-bases z_i T^j are valuation-adapted; a z_i with d_i < 0
     contributes nothing, so V has at most r(D + 1) basis vectors z_i T^j, and fewer
     unless all z_i have one order.  Past dim V the lists are padded with
-    exact zeros, since a_k = 0 there.  Each V is built one
+    exact zeros, since a_k = 0 there.  Every series is cut to width
+    coefficients from its valuation.  Each V is built one
     F_q-basis vector at a time by the subspace recursion divided through
     by its new linear coefficient:
 
@@ -326,7 +335,6 @@ def exp_coefficients(z, D, K, prec=None):
     q = big.p ** e
     if _lead_relation(z, q) is not None:
         raise ValueError("z is not reduced: pass reduce_basis(z, q)")
-    width = prec if prec is not None else 2 * DEFAULT_PREC
     zero = Laurent.zero(big)
 
     def cap(x):
@@ -389,12 +397,12 @@ def exp_coefficients(z, D, K, prec=None):
     return padded(prev), padded(coeffs)
 
 
-def drinfeld_coeffs(z, D, r, prec=None):
+def drinfeld_coeffs(z, D, r, width):
     """g_1..g_r of phi_T = Tx + g_1 x^q + ... + g_r x^{q^r} for the
     lattice of z at truncation depths D - 1 and D (a pair of tuples),
-    from one exp_coefficients recursion.  g_k reads only a_0..a_k, so
-    the exp coefficients stop at a_r."""
-    prev, a = exp_coefficients(z, D, r, prec=prec)
+    from one exp_coefficients recursion at this width.  g_k reads only
+    a_0..a_k, so the exp coefficients stop at a_r."""
+    prev, a = exp_coefficients(z, D, r, width)
     return _solve_g(prev, r), _solve_g(a, r)
 
 
@@ -414,21 +422,21 @@ def _solve_g(a, r):
     return tuple(gs)
 
 
-def p_delta_direct(g, q, r, D=6, prec=DEFAULT_PREC, windows=None):
+def p_delta_direct(g, q, r, D=6, windows=None):
     """P1(Delta_r)(g) = log_q|Delta(g S z0)| - log_q|Delta(g z0)|,
     S = diag(T, 1, ..., 1) — valuations from truncated lattice sums.
     A windows list receives each lattice's certifying window."""
-    return _p_direct(None, g, q, r, D, prec, windows)
+    return _p_direct(None, g, q, r, D, windows)
 
 
-def p_theta_direct(n, g, q, r, D=6, prec=DEFAULT_PREC, windows=None):
+def p_theta_direct(n, g, q, r, D=6, windows=None):
     """P1(Theta_n)(g) = P1(Delta)(g) - P1(Delta_n)(g) with
     Delta_n(z) = Delta(n z_1, z_2, ..., z_r); windows as for
     p_delta_direct."""
-    return _p_direct(n, g, q, r, D, prec, windows)
+    return _p_direct(n, g, q, r, D, windows)
 
 
-def _p_direct(n, g, q, r, D, prec, windows):
+def _p_direct(n, g, q, r, D, windows):
     """P1(Delta_r)(g) for n None, else P1(Theta_n)(g)."""
     if r > MAX_RANK:
         raise ValueError(f"lattice sums are only tractable for "
@@ -442,10 +450,11 @@ def _p_direct(n, g, q, r, D, prec, windows):
     def certified_ord(h, level, what):
         """ord g_r at depths D-1 and D on a reduced basis of the lattice
         of h z0 (z_1 times level, if any), certified by stabilization, at
-        this lattice's own window: prec // NARROW or _first_window,
-        whichever is wider, doubled on PrecisionError up to 16 prec; act
-        40 wider."""
-        pr = max(prec // NARROW, 1)
+        this lattice's own window, the one place a window is chosen:
+        MIN_WINDOW or _first_window, whichever is wider, doubled on
+        PrecisionError up to MAX_WINDOW; act 40 wider.  A plan above
+        MAX_WINDOW raises PrecisionError before the recursion runs."""
+        pr = MIN_WINDOW
         while True:
             try:
                 z = act(h, z0, big, embed, pr + 40)
@@ -453,17 +462,21 @@ def _p_direct(n, g, q, r, D, prec, windows):
                     z = (ratf_to_laurent(RatF(level), big, embed, pr + 40)
                          * z[0],) + z[1:]
                 z = reduce_basis(z, q)
-                start = _first_window(z, q, prec)
-                if start > pr:      # act again, at the planned window
-                    pr = start
-                    continue
-                prev, top = drinfeld_coeffs(z, D, r, prec=pr)
-                o_prev, o = prev[r - 1].ord(), top[r - 1].ord()
-                break
+                plan = _first_window(z, q)
+                if plan <= pr:
+                    prev, top = drinfeld_coeffs(z, D, r, pr)
+                    o_prev, o = prev[r - 1].ord(), top[r - 1].ord()
+                    break
             except PrecisionError:
-                if pr >= 16 * prec:
+                if pr >= MAX_WINDOW:
                     raise
-                pr = min(2 * pr, 16 * prec)
+                pr = min(2 * pr, MAX_WINDOW)
+                continue
+            if plan > MAX_WINDOW:
+                raise PrecisionError(
+                    f"{what}: its reduced basis plans a window of {plan} "
+                    f"digits, more than {MAX_WINDOW}")
+            pr = plan                   # act again, at the planned window
         if o_prev != o:
             raise StabilizationError(
                 f"{what}: ord(Delta) moved from {o_prev} to {o} between "
@@ -478,11 +491,3 @@ def _p_direct(n, g, q, r, D, prec, windows):
         return oa - ob
     return (oa - ob) - (certified_ord(g, n, "Delta(n*g z0)")
                         - certified_ord(gS, n, "Delta(n*g S z0)"))
-
-
-def p_delta_on_p_point(x, yexps, q, r, D=6, prec=DEFAULT_PREC):
-    """Oracle value of P1(Delta_r) at the mirabolic point (x, y)."""
-    from .fourier import PPoint
-    field = get_field(q)
-    return p_delta_direct(PPoint(tuple(x), tuple(yexps)).matrix(field),
-                          q, r, D=D, prec=prec)

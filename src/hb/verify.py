@@ -25,7 +25,7 @@ from .eisenstein import (eisenstein_at, eisenstein_truncated_sum,
 from .fields import get_field
 from .fourier import (FourierTable, PPoint, expand, fourier_coefficient,
                       poly_key, table_support)
-from .oracle import p_delta_direct, p_delta_on_p_point, p_theta_direct
+from .oracle import p_delta_direct, p_theta_direct
 from .poly import Poly, RatF, parse_poly
 from .units import (cusp_orbits, cuspidal_order, gcd_sweep, root_order_delta,
                     root_order_theta, sigma_det_check)
@@ -281,7 +281,8 @@ def criterion_fourier(trials=100, with_oracle=True):
         notes = {"roundtrip_configs": len(configs), "trials": trials}
         if with_oracle:
             field = get_field(2)
-            h = lambda u, yexps: p_delta_on_p_point(u, yexps, 2, 2)
+            h = lambda u, yexps: p_delta_direct(
+                PPoint(u, yexps).matrix(field), 2, 2)
             one = parse_poly(field, "1")
             t = parse_poly(field, "T")
             zero = Poly.zero(field)

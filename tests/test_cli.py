@@ -139,7 +139,7 @@ def test_oracle_pdelta_check(capsys):
     assert code == EXIT_OK
     assert doc["result"] == -4
     assert doc["match"] is True
-    assert doc["diagnostics"]["prec"] == 80     # the oracle's default
+    assert "prec" not in doc["diagnostics"]    # the oracle picks windows
 
 
 @pytest.mark.parametrize("argv, windows", [
@@ -150,8 +150,8 @@ def test_oracle_pdelta_check(capsys):
      [d + hb.oracle.MARGIN for d in (60, 124, 252, 508)]),
 ])
 def test_oracle_reports_windows_and_certificate(capsys, argv, windows):
-    # each lattice's certifying window, in order: prec // 8 where nothing
-    # cancels, else the planned width, with no doubling
+    # each lattice's certifying window, in order: MIN_WINDOW (10) where
+    # nothing cancels, else the planned width, with no doubling
     code, doc = run_json(capsys, ["oracle", *argv[:1], "--q", "2", "--r",
                                   "2", *argv[1:]])
     assert code == EXIT_OK
@@ -187,7 +187,7 @@ def test_weyl_type_must_be_dominant(capsys):
     assert "decreasing" in err
 
 
-@pytest.mark.parametrize("flag", ["--deg-bound", "--prec"])
+@pytest.mark.parametrize("flag", ["--deg-bound"])
 def test_oracle_bounds_must_be_positive(capsys, flag):
     _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2",
                           flag, "0"])
@@ -251,41 +251,77 @@ def test_theta_eval_deep_in_the_flipped_cell(capsys, q, g, want):
     assert doc["result"] == want
 
 
-@pytest.mark.parametrize("argv, want", [
-    (["--r", "2", "--g", "T,0;0,1", "--deg-bound", "6"], -4),
-    (["--r", "2", "--g", "1,1/T;0,1/T^2", "--deg-bound", "5"], -8),
-    (["--r", "3", "--deg-bound", "3"], -4),
-    (["--r", "2", "--g", "1,1/T;0,1/T^3", "--deg-bound", "6"], None),
-    (["--r", "3", "--g", "1,1/T,1/T;0,1/T^2,0;0,0,1/T^2",
-      "--deg-bound", "4"], None),
-])
-def test_oracle_at_prec_one(capsys, argv, want):
-    # every window runs from 1 up to 16: a value that certifies is the
-    # one at the default --prec; one that does not asks for more --prec
-    argv = ["oracle", "pdelta", "--q", "2", *argv]
-    code = main(argv + ["--prec", "1"])
-    captured = capsys.readouterr()
-    if want is None:
-        assert code == EXIT_USAGE
-        assert captured.out == ""
-        assert "increase --prec" in captured.err
-        return
+# queries whose widest lattice plans from 10 (nothing cancels) to 2048
+# digits
+DOUBLING = [
+    ["pdelta", "--r", "2", "--g", "T,0;0,1", "--deg-bound", "6"],
+    ["pdelta", "--r", "2", "--g", "1,1/T;0,1/T^2", "--deg-bound", "5"],
+    ["pdelta", "--r", "3", "--deg-bound", "3"],
+    ["pdelta", "--r", "2", "--g", "1,1/T;0,1/T^3", "--deg-bound", "6"],
+    ["pdelta", "--r", "3", "--g", "1,1/T,1/T;0,1/T^2,0;0,0,1/T^2",
+     "--deg-bound", "4"],
+    ["pdelta", "--q", "3", "--g", "T^3,0;0,1", "--deg-bound", "5"],
+    ["ptheta", "--n", "T^2+T+1", "--g", "T^5,0;0,1", "--deg-bound", "8"],
+    ["ptheta", "--n", "T^2+T+1", "--g", "T^7,0;0,1", "--deg-bound", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", DOUBLING)
+def test_oracle_doubles_past_a_plan_too_low(capsys, monkeypatch, argv):
+    # no lattice of the tests or the benchmark collapses at its planned
+    # window; planning only MARGIN digits makes each lattice whose real
+    # plan is wider than MIN_WINDOW collapse and double from MIN_WINDOW,
+    # to the same value at a window at or above that plan
+    argv = ["oracle", *argv]
+    code, want = run_json(capsys, argv)
     assert code == EXIT_OK
-    assert json.loads(captured.out)["result"] == want
-    code, doc = run_json(capsys, argv)
+    monkeypatch.setattr(hb.oracle, "_first_window",
+                        lambda z, q: hb.oracle.MARGIN)
+    code, got = run_json(capsys, argv)
     assert code == EXIT_OK
-    assert doc["result"] == want
+    assert got["result"] == want["result"]
+    planned, doubled = (doc["diagnostics"]["windows"] for doc in (want, got))
+    assert len(doubled) == len(planned)
+    for plan, window in zip(planned, doubled):
+        if plan > hb.oracle.MIN_WINDOW:
+            assert window >= plan
+
+
+def test_oracle_refuses_a_plan_above_the_widest_window(capsys, monkeypatch):
+    # diag(T^15, 1): 4 (2^14 - 1) leading digits cancel in g_r, so the
+    # first lattice plans 65536 digits, above MAX_WINDOW; it is refused
+    # before any recursion runs
+    def unreachable(*args):
+        raise AssertionError("drinfeld_coeffs ran")
+    monkeypatch.setattr(hb.oracle, "drinfeld_coeffs", unreachable)
+    err = _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2",
+                                "--g", "T^15,0;0,1", "--deg-bound", "16"])
+    assert "PrecisionError" in err and "65536" in err
+    assert str(hb.oracle.MAX_WINDOW) in err
+
+
+def test_oracle_certifies_deep_theta_without_a_flag(capsys):
+    # diag(T^7, 1) at level T^2+T+1: 252, 508, 1020 and 2044 leading
+    # digits cancel, so its lattices plan 256 to 2048 digits
+    g = ["--n", "T^2+T+1", "--g", "T^7,0;0,1"]
+    code, doc = run_json(capsys, ["oracle", "ptheta", "--q", "2", "--r", "2",
+                                  *g, "--deg-bound", "10"])
+    assert code == EXIT_OK
+    assert doc["diagnostics"]["windows"] == [256, 512, 1024, 2048]
+    code, series = run_json(capsys, ["theta", "eval", "--q", "2", "--r", "2",
+                                     *g])
+    assert code == EXIT_OK
+    assert doc["result"] == series["result"] == 768
 
 
 def test_oracle_window_collapse_is_a_usage_error(capsys, monkeypatch):
-    # a window that still collapses at 16x --prec is reported like an
-    # unsettled depth: the user has an option to change
+    # a window that still collapses at MAX_WINDOW is reported like an
+    # unsettled depth, as a usage error without a value
     def collapse(*args, **kwargs):
         raise PrecisionError("coefficient of pi^9 unknown (prec 8)")
     monkeypatch.setattr(hb.oracle, "p_delta_direct", collapse)
     err = _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2"])
     assert "PrecisionError" in err
-    assert "increase --prec" in err
 
 
 @pytest.mark.parametrize("n, y", [("T^^2", "2"), ("T", "two")])
@@ -312,6 +348,10 @@ def test_q_must_be_a_prime_power(capsys):
     ["theta", "eval", "--n", "T", "--g", "0,1;1,0", "--witness-bound", "3"],
     ["eisenstein", "check-klf-chain", "--q", "3"],
     ["eisenstein", "check-klf-chain", "--r", "3"],
+    ["oracle", "pdelta", "--prec", "80"],
+    ["oracle", "ptheta", "--n", "T", "--prec", "80"],
+    ["fourier", "coeff", "--h", "oracle", "--a", "1", "--y", "2",
+     "--prec", "80"],
 ])
 def test_removed_flags_are_unknown(capsys, argv):
     err = _usage_error(capsys, argv)

@@ -67,9 +67,7 @@ class Grammar:
         return args() if self.draw(st.booleans()) else []
 
     def oracle(self):
-        return ["--deg-bound", str(self.draw(st.integers(1, 3)))] + \
-            self.optional(lambda: ["--prec", self.draw(st.sampled_from(
-                ("1", "8")))])
+        return ["--deg-bound", str(self.draw(st.integers(1, 3)))]
 
 
 LEAVES = {

@@ -59,4 +59,14 @@ def test_scale_and_shift():
 def test_division():
     x = Laurent.pi_power(F2, 4)
     y = Laurent.pi_power(F2, 1)
-    assert (x / y).ord() == 3
+    assert (x * y.inverse()).ord() == 3
+
+
+def test_exact_inverse_needs_a_width():
+    # an exact monomial inverts exactly; any other exact series has an
+    # infinite inverse, which no default width may cut short silently
+    x = Laurent.from_pairs(F2, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="width"):
+        x.inverse()
+    assert x.inverse(5).prec == 5
+    assert Laurent.pi_power(F2, 2).inverse().is_exact()

@@ -19,11 +19,11 @@ from hb.discriminant import eval_on_mirabolic
 from hb.fields import embedding, get_field
 from hb.fourier import PPoint
 from hb.laurent import Laurent, PrecisionError
-from hb.oracle import (DEFAULT_PREC, NARROW, StabilizationError, _Filtration,
+from hb.oracle import (MIN_WINDOW, StabilizationError, _Filtration,
                        _first_window, _solve_g, _window_step, act,
                        base_points, drinfeld_coeffs, exp_coefficients,
-                       extension_field, p_delta_direct, p_delta_on_p_point,
-                       p_theta_direct, reduce_basis)
+                       extension_field, p_delta_direct, p_theta_direct,
+                       reduce_basis)
 from hb.poly import Poly, RatF, parse_poly, ratf_from_pairs
 
 F2 = get_field(2)
@@ -39,7 +39,7 @@ def test_exp_coefficients_are_normalized():
     big = extension_field(2, 2)
     embed = embedding(2, big.q)
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 80)
-    prev, a = exp_coefficients(z, 3, 3, prec=80)
+    prev, a = exp_coefficients(z, 3, 3, 80)
     for coeffs in (prev, a):
         assert coeffs[0] == Laurent.one(big)
         assert len(coeffs) == 4
@@ -78,8 +78,8 @@ def test_fork_gives_the_shallower_depth_exactly(q, r):
     # of the depth-(D - 1) call, where that depth takes the unforked path
     for z in _fork_points(q, r):
         for D in range(1, 5):
-            prev, _ = exp_coefficients(z, D, r + 1, prec=160)
-            _, same = exp_coefficients(z, D - 1, r + 1, prec=160)
+            prev, _ = exp_coefficients(z, D, r + 1, 160)
+            _, same = exp_coefficients(z, D - 1, r + 1, 160)
             assert _fields(prev) == _fields(same)
 
 
@@ -90,8 +90,8 @@ def test_fewer_coefficients_are_a_prefix(q, r):
     # first r + 1 coefficients of a longer run, at both depths
     for z in _fork_points(q, r):
         for D in range(1, 5):
-            short = exp_coefficients(z, D, r, prec=160)
-            long = exp_coefficients(z, D, r + 1, prec=160)
+            short = exp_coefficients(z, D, r, 160)
+            long = exp_coefficients(z, D, r + 1, 160)
             for s, l in zip(short, long):
                 assert len(s) == r + 1
                 assert _fields(s) == _fields(l[:r + 1])
@@ -115,7 +115,7 @@ def test_fork_raises_the_same_precision_error(q, r, D):
               for x in reduce_basis(z, q))
     messages = []
     for depth, which in ((D, 0), (D - 1, 1)):
-        a = exp_coefficients(z, depth, r, prec=40)[which]
+        a = exp_coefficients(z, depth, r, 40)[which]
         with pytest.raises(PrecisionError) as err:
             _solve_g(a, r)[r - 1].ord()
         messages.append(str(err.value))
@@ -134,8 +134,8 @@ def test_unreduced_basis_is_refused(q, r):
                (2,) * (r - 1)).matrix(field)
     z = act(g, base_points(q, r), big, embedding(q, big.q), 60)
     assert reduce_basis(z, q) != z
-    for call in (lambda: exp_coefficients(z, 2, r, prec=40),
-                 lambda: drinfeld_coeffs(z, 2, r, prec=40)):
+    for call in (lambda: exp_coefficients(z, 2, r, 40),
+                 lambda: drinfeld_coeffs(z, 2, r, 40)):
         with pytest.raises(ValueError, match="not reduced"):
             call()
 
@@ -145,10 +145,10 @@ def test_shallower_depth_is_padded_with_exact_zeros():
     # (-1, 0), depth 1 holds T^0 z_1, T^1 z_1 and z_0 and depth 0 holds z_1
     z = next(_fork_points(2, 2))
     assert [_ball_size(z, D) for D in (-1, 0, 1)] == [0, 1, 3]
-    prev, a = exp_coefficients(z, 1, 4, prec=80)
+    prev, a = exp_coefficients(z, 1, 4, 80)
     assert [c.is_certified_zero() for c in prev] == [False] * 2 + [True] * 3
     assert [c.is_certified_zero() for c in a] == [False] * 4 + [True]
-    prev, _ = exp_coefficients(z, 0, 2, prec=80)
+    prev, _ = exp_coefficients(z, 0, 2, 80)
     assert prev == [Laurent.one(prev[0].field)] + [Laurent.zero(
         prev[0].field)] * 2
 
@@ -162,7 +162,7 @@ def test_ball_never_exceeds_the_uniform_count(q, r, which):
     z = reduce_basis(_point(q, r, which, 120), q)
     for D in range(0, 4):
         for depth, coeffs in ((D - 1, 0), (D, 1)):
-            got = exp_coefficients(z, D, r * (D + 1) + 1, prec=80)[coeffs]
+            got = exp_coefficients(z, D, r * (D + 1) + 1, 80)[coeffs]
             size = sum(not c.is_certified_zero() for c in got) - 1
             assert size == _ball_size(z, depth) <= r * (depth + 1)
             if len({x.ord() for x in z}) > 1 and depth >= 0:
@@ -250,7 +250,7 @@ def test_exp_coefficients_rejects_huge_lattice():
     embed = embedding(2, big.q)
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 80)
     with pytest.raises(ValueError):
-        exp_coefficients(z, 50, 2)
+        exp_coefficients(z, 50, 2, 80)
 
 
 @pytest.mark.parametrize("yexp", [1, 3])
@@ -412,7 +412,7 @@ def test_drinfeld_coeffs_shape():
     big = extension_field(2, 2)
     embed = embedding(2, big.q)
     z = act(mat_from_exps(F2, (0, 0)), base_points(2, 2), big, embed, 120)
-    prev, g = drinfeld_coeffs(z, 4, 2, prec=80)
+    prev, g = drinfeld_coeffs(z, 4, 2, 80)
     for gs in (prev, g):
         assert isinstance(gs, tuple)
         assert len(gs) == 2                  # g_1, g_2 = Delta
@@ -429,11 +429,12 @@ def test_delta_valuation_doubles_along_apartment():
 
 def test_p_point_values():
     # [DERIVED] cross-checked against the closed-form series
+    def at(x, y):
+        return p_delta_direct(PPoint((x,), (y,)).matrix(F2), 2, 2, D=5)
     zero = RatF.zero(F2)
-    assert p_delta_on_p_point((zero,), (3,), 2, 2, D=5) == 5
-    assert p_delta_on_p_point((zero,), (-1,), 2, 2, D=5) == -4
-    pi = RatF.pi_power(F2, 1)
-    assert p_delta_on_p_point((pi,), (2,), 2, 2, D=5) == -2
+    assert at(zero, 3) == 5
+    assert at(zero, -1) == -4
+    assert at(RatF.pi_power(F2, 1), 2) == -2
 
 
 def test_theta_values():
@@ -531,7 +532,8 @@ def _point(q, r, which, pr):
 
 @lru_cache(maxsize=None)
 def _default_ords(q, r, which, D):
-    prev, g = drinfeld_coeffs(reduce_basis(_point(q, r, which, 200), q), D, r)
+    prev, g = drinfeld_coeffs(reduce_basis(_point(q, r, which, 200), q), D, r,
+                              160)
     return prev[r - 1].ord(), g[r - 1].ord()
 
 
@@ -548,7 +550,7 @@ def test_narrow_window_certifies_or_raises(qr, which, D, window):
         return
     # on a reduced basis the recursion returns at any window: a window
     # too narrow shows only where g_r cancels
-    prev, g = drinfeld_coeffs(z, D, r, prec=window)
+    prev, g = drinfeld_coeffs(z, D, r, window)
     try:
         got = prev[r - 1].ord(), g[r - 1].ord()
     except PrecisionError:
@@ -596,8 +598,8 @@ def test_cancelled_digits_follow_the_order_profile(q, r, s, digits):
             base_points(q, r), big, embedding(q, big.q), window + 40)
     z = reduce_basis(z, q)
     assert sorted(x.ord() - min(y.ord() for y in z) for x in z) == list(s)
-    assert _first_window(z, q, DEFAULT_PREC) == digits + hb.oracle.MARGIN
-    for a in exp_coefficients(z, max(3, s[-1]), r, prec=window):
+    assert _first_window(z, q) == digits + hb.oracle.MARGIN
+    for a in exp_coefficients(z, max(3, s[-1]), r, window):
         assert _cancelled_digits(a, r) == digits
 
 
@@ -612,11 +614,11 @@ def test_cross_check_lattices_certify_at_the_planned_window(monkeypatch):
         lattices.append(2 if n is None else 4)
         return real_direct(n, *args)
 
-    def coeffs(z, D, r, prec=None):
+    def coeffs(z, D, r, width):
         q = z[0].field.p ** (z[0].field.n // r)
-        plan = max(DEFAULT_PREC // NARROW, _first_window(z, q, DEFAULT_PREC))
-        windows.append((prec, plan))
-        prev, top = real_coeffs(z, D, r, prec=prec)
+        plan = max(MIN_WINDOW, _first_window(z, q))
+        windows.append((width, plan))
+        prev, top = real_coeffs(z, D, r, width)
         prev[r - 1].ord(), top[r - 1].ord()
         return prev, top
     monkeypatch.setattr(hb.oracle, "_p_direct", direct)
@@ -624,5 +626,5 @@ def test_cross_check_lattices_certify_at_the_planned_window(monkeypatch):
     report = criterion_oracle_cross_check()
     assert report.passed
     assert len(windows) == sum(lattices)
-    assert all(prec == plan for prec, plan in windows)
+    assert all(width == plan for width, plan in windows)
     assert max(windows) == (508 + hb.oracle.MARGIN,) * 2
