@@ -16,15 +16,19 @@ Conventions fixed here (the underlying papers fix none):
   * F_q elements are ordered by the integer encoding of their
     F_p-coordinate vectors.
 
-One elimination per coset: the Hermite basis H of [Lambda_0 g^{-1}] also
-gives the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi,
-t = H^{-1} up to the same power), and two canonical bases M0, M1 span
-adjacent lattices iff C = M1 M0^{-1} is integral with C mod pi of the
-right rank, read off the same F_q reduction that frames the edge.
+One elimination per coset: the Hermite basis H of [Lambda_0 g^{-1}] gives
+the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi, t =
+H^{-1} up to the same power), and the first s columns of kappa0 mod pi
+cut the terminus of the type-s edge of g out of H in closed form
+(edge_from_rep): no second elimination, no inverse of H and no adjacency
+test.  Two arbitrary canonical bases M0, M1 (edge_from_lattice_pair)
+span adjacent lattices iff C = M1 M0^{-1} is integral with C mod pi of
+the right rank, read off the same F_q reduction that frames the edge.
+Vertex and edge keys are bytes (lattice_key), computed once per object.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
@@ -230,21 +234,30 @@ def row_hnf(rows, r):
         unit = RatF.pi_power(field, di) / row[i]
         basis.append([x * unit for x in row])
         d.append(di)
-    # Hermite reduction of entries above each pivot
-    for j in range(1, r):
-        for i in range(j):
-            e = basis[i][j]
-            rep = ratf_trunc_below(e, d[j])
-            m = (e - rep) / RatF.pi_power(field, d[j])
-            if not m.is_zero():
-                for t in range(j, r):
-                    basis[i][t] = basis[i][t] - m * basis[j][t]
+    _hermite_reduce(basis, d, range(r))
     return tuple(tuple(row) for row in basis), d
 
 
+def _hermite_reduce(basis, d, rows):
+    """Reduce, in place, each entry right of the pivot of the given rows
+    of an upper triangular basis with pivots pi^{d_j} modulo the pivot of
+    its column, by subtracting multiples of the rows below; the bottom
+    row first, so that those are reduced already."""
+    r = len(basis)
+    for i in reversed(rows):
+        for j in range(i + 1, r):
+            e = basis[i][j]
+            m = (e - ratf_trunc_below(e, d[j])) / RatF.pi_power(e.field, d[j])
+            if not m.is_zero():
+                for t in range(j, r):
+                    basis[i][t] = basis[i][t] - m * basis[j][t]
+
+
 def lattice_key(basis):
-    """A canonical basis as one flat tuple of ints: for each entry num/T^k,
-    k + 1, len(num), then num's coefficients.  Entries of a row_hnf basis
+    """A canonical basis as bytes: for each entry num/T^k, k + 1, len(num)
+    and num's coefficients, each int as a 7-bit varint (low bits first,
+    the high bit set on every byte but an int's last), a prefix-free and
+    so injective encoding of the sequence.  Entries of a row_hnf basis
     are finite Laurent polynomials in pi; any other entry is an error,
     because a key that dropped it could not tell two lattices apart."""
     out = []
@@ -256,21 +269,30 @@ def lattice_key(basis):
             out.append(len(den))
             out.append(len(num))
             out.extend(num)
-    return tuple(out)
+    if max(out) < 128:       # every varint one byte: the int itself
+        return bytes(out)
+    key = bytearray()
+    for n in out:
+        while n >= 128:
+            key.append(n & 127 | 128)
+            n >>= 7
+        key.append(n)
+    return bytes(key)
 
 
 @dataclass(frozen=True)
 class Vertex:
-    """Canonical representative of a lattice homothety class."""
+    """Canonical representative of a lattice homothety class; key is
+    lattice_key(rep), computed once."""
     rep: tuple  # canonical basis rows (RatF), min pivot valuation 0
     d: tuple    # pivot valuations
+    key: bytes = dc_field(init=False, repr=False)
 
-    @property
-    def key(self):
-        return lattice_key(self.rep)
+    def __post_init__(self):
+        object.__setattr__(self, "key", lattice_key(self.rep))
 
     @cached_property
-    def inv(self):          # for the edge's C and the Iwasawa factor t
+    def inv(self):          # for the pair edge's C and the Iwasawa factor t
         return mat_inv(self.rep)
 
     def __eq__(self, other):
@@ -281,12 +303,15 @@ class Vertex:
 
 
 def vertex_from_lattice(rows, r=None):
-    r = r if r is not None else len(rows[0])
-    field = rows[0][0].field
-    basis, d = row_hnf(rows, r)
+    return _vertex(*row_hnf(rows, r if r is not None else len(rows[0])))
+
+
+def _vertex(basis, d):
+    """The Vertex of the lattice with Hermite basis `basis` and pivot
+    valuations d: the basis rescaled to min d = 0."""
     shift = min(d)
     if shift:
-        basis = mat_scale(basis, RatF.pi_power(field, -shift))
+        basis = mat_scale(basis, RatF.pi_power(basis[0][0].field, -shift))
         d = [x - shift for x in d]
     return Vertex(rep=basis, d=tuple(d))
 
@@ -372,21 +397,25 @@ def const_matrix(field, entries):
 class OrientedEdge:
     """The type-s edge ([L0], [L1]), canonicalized once.  origin and
     terminus are the canonical vertices; M1 is the terminus basis rescaled
-    into M0 > M1 >= pi M0 for M0 = origin.rep.  With Cbar = M1 M0^{-1} mod
-    pi, lower indexes rows of M1 spanning L1/(pi L0) = im(Cbar), and comp
-    the s standard basis vectors of the M0 frame that complete im(Cbar)
-    to F_q^r.  The key is the lattice keys of M0 and M1, concatenated.  g
-    is a coset rep with e^s_g = the edge when the edge was built from one,
-    and ginv its inverse; else both are None."""
+    into M0 > M1 >= pi M0 for M0 = origin.rep.  The key is the lattice
+    keys of M0 and M1, concatenated.  g is a coset rep with e^s_g = the
+    edge when the edge was built from one, ginv its inverse and Hg the
+    product M0 g (the Iwasawa factor kappa0 up to a power of pi); else
+    all three are None.  An edge built from a lattice pair also has, for
+    Cbar = M1 M0^{-1} mod pi, lower, which indexes rows of M1 spanning
+    L1/(pi L0) = im(Cbar), and comp, the s standard basis vectors of the
+    M0 frame that complete im(Cbar) to F_q^r; an edge built from a rep,
+    which needs neither, leaves both None."""
     s: int
     origin: Vertex
     terminus: Vertex
     M1: tuple
     lower: tuple
     comp: tuple
-    key: tuple
+    key: bytes
     g: tuple
     ginv: tuple
+    Hg: tuple
 
     def __eq__(self, other):
         return isinstance(other, OrientedEdge) and self.key == other.key
@@ -395,13 +424,13 @@ class OrientedEdge:
         return hash(self.key)
 
 
-def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
+def edge_from_lattice_pair(L0rows, L1rows, r):
     """The edge ([L0], [L1]).  With s0, s1 the pivot valuation sums of the
     canonical bases, the type is s = (s1 - s0) mod r (0: not adjacent) and
     pi^t with t = (s - s1 + s0) / r rescales L1 into L0 > L1 >= pi L0.
     Then C = M1 M0^{-1} has ord det C = s, so L0 > L1 >= pi L0 holds iff C
     is integral and C mod pi has rank r - s: every elementary divisor of
-    C is then 1 or pi.  A coset rep g comes with L0rows = g^{-1}."""
+    C is then 1 or pi."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
     v1 = vertex_from_lattice(L1rows, r)
@@ -421,19 +450,77 @@ def edge_from_lattice_pair(L0rows, L1rows, r, g=None):
         raise ValueError("lattices are not adjacent: pi L0 is not in L1")
     return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1,
                         lower=tuple(i for i in basis if i < r), comp=comp,
-                        key=lattice_key(v0.rep) + lattice_key(M1), g=g,
-                        ginv=None if g is None else L0rows)
+                        key=v0.key + lattice_key(M1), g=None, ginv=None,
+                        Hg=None)
 
 
 def edge_from_rep(g, s):
-    """The type-s edge e^s_g, from [Lambda_0 g^{-1}] to [Lambda_0 W_s g^{-1}]."""
+    """The type-s edge e^s_g, from [L0] = [Lambda_0 g^{-1}] to [L1] =
+    [Lambda_0 W_s g^{-1}], from the one Hermite elimination of g^{-1}.
+
+    Lambda_0 W_s is the v in O^r with v_1..v_s in pi O.  The Hermite basis
+    of [L0] is M0 = pi^a kappa0 g^{-1}, kappa0 in GL_r(O), a the least
+    valuation of an entry of M0 g; so c M0 (c in O^r) lies in pi^a L1 iff
+    c kappa0 has its first s coordinates in pi O.  That is, in the M0
+    frame L1/(pi L0) is the kernel in F_q^r of the first s columns of
+    kappa0 mod pi: s independent functionals f_k.  In reduced echelon
+    form pivoting on their last nonzero entries j_k, the kernel has the
+    basis e_i - sum_k f_k(e_i) e_{j_k} over the other i, with f_k(e_i) = 0
+    unless i < j_k.  So pi^a L1 has the upper triangular basis of rows
+    M0_i - sum_k f_k(e_i) M0_{j_k} (pivot pi^{d_i}) and pi M0_{j_k}
+    (pivot pi^{d_{j_k} + 1}): M0 > M1 >= pi M0, of type s by
+    construction.  The former rows are Hermite-reduced already, their
+    entries combinations of reduced entries of M0 and, in a pivot column,
+    of pi^{d_j}; reducing the latter gives the Hermite form M1, which is
+    unique."""
     r = len(g)
+    if not 0 < s < r:
+        raise ValueError(f"edge type must lie in 1..{r - 1}, got {s}")
+    field = g[0][0].field
     ginv = mat_inv(g)
-    edge = edge_from_lattice_pair(
-        ginv, mat_mul(w_matrix(g[0][0].field, r, s), ginv), r, g=g)
-    if edge.s != s:
-        raise ValueError(f"rep/type mismatch: got type {edge.s}, declared {s}")
-    return edge
+    origin = vertex_from_lattice(ginv, r)
+    M0 = origin.rep
+    Hg = mat_mul(M0, g)
+    a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
+    # f_j(e_i) = kappa0[i][j] mod pi, the leading coefficient (den monic)
+    funcs = _last_pivot_echelon(field, [
+        [Hg[i][j].num.coeffs[-1] if Hg[i][j].ord_inf() == a else 0
+         for i in range(r)] for j in range(s)])
+    pi = RatF.pi_power(field, 1)
+    rows, d = [], list(origin.d)
+    for i in range(r):
+        if i in funcs:
+            rows.append([x * pi for x in M0[i]])
+            d[i] += 1
+            continue
+        row = list(M0[i])
+        for j, f in funcs.items():
+            if f[i]:
+                c = RatF(Poly.const(field, f[i]))
+                row = [x - c * y for x, y in zip(row, M0[j])]
+        rows.append(row)
+    _hermite_reduce(rows, d, sorted(funcs))
+    M1 = tuple(tuple(row) for row in rows)
+    terminus = _vertex(M1, d)
+    return OrientedEdge(
+        s=s, origin=origin, terminus=terminus, M1=M1, lower=None, comp=None,
+        key=origin.key + (terminus.key if min(d) == 0 else lattice_key(M1)),
+        g=g, ginv=ginv, Hg=Hg)
+
+
+def _last_pivot_echelon(field, vectors):
+    """Independent vectors of F_q codes in reduced echelon form pivoting
+    on the last nonzero entry: {j: vector} with each vector 1 at its own
+    j, 0 at every other j and 0 right of its own j."""
+    rows = []           # reversed, so that _fq_reduce pivots on the last
+    for v in vectors:
+        w = _fq_reduce(field, rows, v[::-1])
+        c = field.inv(next(x for x in w if x))
+        w = [field.mul(c, x) for x in w]
+        rows = [_fq_reduce(field, [w], row) for row in rows] + [w]
+    n = len(vectors[0])
+    return {n - 1 - next(i for i, x in enumerate(row) if x): row[::-1]
+            for row in rows}
 
 
 def type_one_in_neighbors(g):
@@ -480,15 +567,17 @@ def is_in_P(m):
     return all(m[i][0].is_zero() for i in range(1, r))
 
 
-def iwasawa_decompose(g, vertex):
+def iwasawa_decompose(g, vertex, Hg=None):
     """g = scalar p w kappa, with vertex the canonical vertex
     [Lambda_0 g^{-1}] (canonical_vertex(g)).  Its Hermite basis H is
     u g^{-1} up to a power of pi, u in GL_r(O); so with a the least
     valuation of an entry of H g, g = t kappa0 for kappa0 = pi^{-a} H g
-    in GL_r(O) and the upper triangular t = pi^a H^{-1}."""
+    in GL_r(O) and the upper triangular t = pi^a H^{-1}.  Hg is H g when
+    the caller has it already, as the edge_from_rep(g, s) edge does."""
     r = len(g)
     field = g[0][0].field
-    Hg = mat_mul(vertex.rep, g)
+    if Hg is None:
+        Hg = mat_mul(vertex.rep, g)
     a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
     kappa0 = mat_scale(Hg, RatF.pi_power(field, -a))
     t = mat_scale(vertex.inv, RatF.pi_power(field, a))

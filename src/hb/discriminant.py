@@ -192,14 +192,15 @@ def find_witnesses(n, g_inv):
 # `bound` is ignored; perfbench/tracer.py still passes it
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
     """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The type-1
-    edge of g gives the memo key, the Hermite basis that the Iwasawa
-    decomposition reads and the g^{-1} that the witness search reads."""
+    edge of g gives the memo key, the Hermite basis H and the product H g
+    that the Iwasawa decomposition reads and the g^{-1} that the witness
+    search reads."""
     field = g[0][0].field
     r = len(g)
     edge = edge_from_rep(g, 1)
     if _cache is not None and edge.key in _cache:
         return _cache[edge.key]
-    iw = iwasawa_decompose(g, edge.origin)
+    iw = iwasawa_decompose(g, edge.origin, edge.Hg)
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:

@@ -99,6 +99,153 @@ def test_edge_from_rep_connects_adjacent_classes():
     assert e.key is not None
 
 
+def _int_key(basis):
+    """lattice_key's int sequence: for each entry num/T^k, k + 1, len(num)
+    and num's coefficients."""
+    out = []
+    for row in basis:
+        for x in row:
+            out += [len(x.den.coeffs), len(x.num.coeffs), *x.num.coeffs]
+    return out
+
+
+def _varint_decode(key):
+    out, n, shift = [], 0, 0
+    for b in key:
+        n |= (b & 127) << shift
+        shift += 7
+        if b < 128:
+            out.append(n)
+            n, shift = 0, 0
+    assert shift == 0            # the last int is complete
+    return out
+
+
+def test_lattice_keys_past_one_byte():
+    # diag(T^k, 1) and a shear by pi^{-j} put ints of 128 and more into
+    # the key (T^300 has 301 coefficients); the key decodes to the int
+    # sequence, distinct lattices get distinct keys and equal lattices,
+    # from other bases, equal ones
+    for field in (F2, F3):
+        one, zero = RatF.one(field), RatF.zero(field)
+        bases = [mat_from_exps(field, (k, 0)) for k in (126, 127, 128, 255, 300)]
+        for j in (127, 128, 200):
+            x = RatF.pi_power(field, -j)
+            bases += [((one, x), (zero, one)),
+                      mat_mul(((one, x), (zero, one)), mat_from_exps(field, (300, 0)))]
+        keyed, widest = [], []
+        for rows in bases:
+            v = vertex_from_lattice(rows)
+            assert _varint_decode(v.key) == _int_key(v.rep)
+            widest.append(max(_int_key(v.rep)))
+            keyed.append((v.key, _reference_key(v, v)))
+            # the same lattice: a row added to another, then rescaled
+            other = (tuple(x + y for x, y in zip(rows[0], rows[1])), rows[1])
+            other = mat_scale(other, RatF.pi_power(field, 3))
+            assert vertex_from_lattice(other).key == v.key
+        for (k1, ref1), (k2, ref2) in itertools.combinations(keyed, 2):
+            assert (k1 == k2) == (ref1 == ref2)
+        assert len({k for k, _ in keyed}) == len(keyed)
+        assert min(widest) == 127 and max(widest) > 255
+
+
+def _edge_from_rep_reference(g, s):
+    """edge_from_rep as it was: invert g, canonicalize the lattice pair
+    (g^{-1}, W_s g^{-1}) with two row_hnf, and test adjacency through
+    C = M1 M0^{-1} and the F_q frame of C mod pi.  Returns the edge and
+    g^{-1}."""
+    r = len(g)
+    ginv = mat_inv(g)
+    edge = edge_from_lattice_pair(
+        ginv, mat_mul(w_matrix(g[0][0].field, r, s), ginv), r)
+    assert edge.s == s
+    return edge, ginv
+
+
+def _assert_rep_edge_matches_reference(g, s):
+    e = edge_from_rep(g, s)
+    ref, ginv = _edge_from_rep_reference(g, s)
+    assert e.s == ref.s == s
+    for v, w in ((e.origin, ref.origin), (e.terminus, ref.terminus)):
+        assert (v.rep, v.d, v.key) == (w.rep, w.d, w.key)
+    assert e.M1 == ref.M1
+    assert e.key == ref.key
+    assert e.g == g and e.ginv == ginv
+    assert e.lower is None and e.comp is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_rep_edges_match_the_lattice_pair_reference(q, r):
+    # every type s, at the Iwasawa samples, the type-1 in-neighbor reps
+    # g alpha of three of them (and those times a constant unit lower
+    # triangular matrix, which moves the edge over the out-neighbors),
+    # the criterion-3 coset reps, and shears by entries that are not
+    # Laurent polynomials, as `theta eval --g` may give
+    from hb.verify import _gl_sample
+    field = get_field(q)
+    samples = _iwasawa_samples(field, r)
+    reps = list(samples) + _gl_sample(field, r)
+    T = Poly(field, (0, 1))
+    for x in (RatF(Poly.one(field), T + Poly.one(field)),
+              RatF(T, T * T + T + Poly.one(field))):
+        reps += [_shear(field, r, x),
+                 mat_mul(flip_matrix(field, r), _shear(field, r, x))]
+    lower = const_matrix(field, [[1 if i >= j else 0 for j in range(r)]
+                                 for i in range(r)])
+    for g in samples[:3]:
+        for e in type_one_in_neighbors(g):
+            reps += [e.g, mat_mul(e.g, lower)]
+    for g in reps:
+        for s in range(1, r):
+            _assert_rep_edge_matches_reference(g, s)
+
+
+@st.composite
+def _coset_reps(draw):
+    """(q, r, g) with g a product of pi^k shears I + c pi^k E_ij,
+    diag(T^e), flip and W_s, and last a constant unit lower triangular
+    factor: g and g times it are the same vertex, and such factors move
+    the edge over the out-neighbors, where the kernel's echelon form has
+    entries off its pivots."""
+    q = draw(st.sampled_from((2, 3)))
+    r = draw(st.sampled_from((2, 3, 4)))
+    field = get_field(q)
+    g = mat_identity(field, r)
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("shear", "diag", "flip", "w")))
+        if kind == "shear":
+            i, j = draw(st.permutations(range(r)))[:2]
+            c = RatF(Poly.const(field, draw(st.integers(1, q - 1))))
+            rows = [list(row) for row in mat_identity(field, r)]
+            rows[i][j] = c * RatF.pi_power(field, draw(st.integers(-3, 3)))
+            m = tuple(tuple(row) for row in rows)
+        elif kind == "diag":
+            m = mat_from_exps(field, tuple(draw(st.integers(-2, 3))
+                                           for _ in range(r)))
+        elif kind == "flip":
+            m = flip_matrix(field, r)
+        else:
+            m = w_matrix(field, r, draw(st.integers(1, r)))
+        g = mat_mul(m, g) if draw(st.booleans()) else mat_mul(g, m)
+    lower = [[int(i == j) if i <= j else draw(st.integers(0, q - 1))
+              for j in range(r)] for i in range(r)]
+    return q, r, mat_mul(g, const_matrix(field, lower))
+
+
+@given(_coset_reps())
+def test_rep_edges_match_the_reference_on_products(qrg):
+    _q, r, g = qrg
+    for s in range(1, r):
+        _assert_rep_edge_matches_reference(g, s)
+
+
+@pytest.mark.parametrize("s", [0, 3])
+def test_rep_edge_type_must_be_proper(s):
+    with pytest.raises(ValueError):
+        edge_from_rep(mat_identity(F2, 3), s)
+
+
 def _shear(field, r, x):
     """I + x E_12."""
     rows = [list(row) for row in mat_identity(field, r)]
@@ -110,7 +257,7 @@ def _iwasawa_samples(field, r):
     """Reps in both cells, the flipped ones with x = 0 and x != 0."""
     pi = RatF.pi_power(field, 1)
     flip = flip_matrix(field, r)
-    diag = mat_from_exps(field, (1, 0, 2)[:r])
+    diag = mat_from_exps(field, (1, 0, 2, 1)[:r])
     samples = [mat_identity(field, r), flip,
                mat_from_exps(field, (2,) + (0,) * (r - 1)),
                mat_mul(flip, diag), mat_mul(diag, flip)]
@@ -209,6 +356,38 @@ def test_lattice_pair_lookup_canonicalizes_once(monkeypatch, q, r, s):
     del calls[:]
     h.eval_lattice_pair(L0, L1)
     assert len(calls) == 2           # a hit canonicalizes and looks up
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_rep_lookup_canonicalizes_once(monkeypatch, q, r):
+    # edge_from_rep makes one row_hnf (of g^{-1}) and one inverse (of g),
+    # and a theta cache hit nothing more: no inverse of the origin basis
+    from hb.discriminant import eval_theta_on_edge
+    from hb.verify import _gl_sample
+    field = get_field(q)
+    hnf, inv = building.row_hnf, building.mat_inv
+    hnfs, invs = [], []
+
+    def counted_hnf(rows, r):
+        hnfs.append(rows)
+        return hnf(rows, r)
+
+    def counted_inv(A):
+        invs.append(A)
+        return inv(A)
+    monkeypatch.setattr(building, "row_hnf", counted_hnf)
+    monkeypatch.setattr(building, "mat_inv", counted_inv)
+    n = Poly(field, (0, 1))
+    for g in _gl_sample(field, r):
+        for s in range(1, r):
+            del hnfs[:], invs[:]
+            edge_from_rep(g, s)
+            assert len(hnfs) == 1 and invs == [g]
+        cache = {}
+        value = eval_theta_on_edge(n, g, _cache=cache)
+        del hnfs[:], invs[:]
+        assert eval_theta_on_edge(n, g, _cache=cache) == value
+        assert len(hnfs) == 1 and invs == [g]
 
 
 def _adjacency_by_inversion(L0rows, L1rows, r):

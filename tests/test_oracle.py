@@ -586,21 +586,54 @@ def _cancelled_digits(a, r):
     return gs[r - 1].ord() - min(t.ord() for t in terms if not t.known_zero())
 
 
-@pytest.mark.parametrize("q, r, s, digits", CANCELLED)
-def test_cancelled_digits_follow_the_order_profile(q, r, s, digits):
-    # on diag(T^{s_r - s_1}, ..., T^{s_r - s_{r-1}}, 1), whose reduced
-    # orders are -s_r + s_i, the law q^r sum max(q^(s_i - 1) - 1, 0)
-    # that _first_window plans with, at both depths
+# profiles outside those, where the law under-predicts: (q, r, s,
+# measured cancelled digits, the law's count); no workload lattice has
+# one of these, and a count too low costs a window doubling, not a value
+UNDER_PLANNED = [
+    (2, 3, (0, 0, 3), 32, 24), (2, 3, (0, 2, 3), 40, 32),
+    (2, 3, (0, 3, 3), 80, 48), (3, 3, (0, 2, 2), 162, 108),
+    (2, 4, (0, 1, 2, 3), 80, 64),
+]
+
+
+def _profile_basis(q, r, s, window):
+    """The reduced basis of diag(T^{s_r - s_1}, ..., 1), whose reduced
+    orders are -s_r + s_i, at `window` coefficients."""
     field = get_field(q)
     big = extension_field(q, r)
-    window = 2 * digits + 16
     z = act(mat_from_exps(field, tuple(s[-1] - x for x in s)),
             base_points(q, r), big, embedding(q, big.q), window + 40)
     z = reduce_basis(z, q)
     assert sorted(x.ord() - min(y.ord() for y in z) for x in z) == list(s)
+    return z
+
+
+@pytest.mark.parametrize("q, r, s, digits", CANCELLED)
+def test_cancelled_digits_follow_the_order_profile(q, r, s, digits):
+    # the law q^r sum max(q^(s_i - 1) - 1, 0) that _first_window plans
+    # with, at both depths
+    window = 2 * digits + 16
+    z = _profile_basis(q, r, s, window)
     assert _first_window(z, q) == digits + hb.oracle.MARGIN
     for a in exp_coefficients(z, max(3, s[-1]), r, window):
         assert _cancelled_digits(a, r) == digits
+
+
+@pytest.mark.parametrize("q, r, s, digits, law", UNDER_PLANNED)
+def test_cancelled_digits_outside_the_measured_profiles(q, r, s, digits, law):
+    window = 2 * digits + 16
+    z = _profile_basis(q, r, s, window)
+    assert _first_window(z, q) == law + hb.oracle.MARGIN
+    for a in exp_coefficients(z, max(3, s[-1]), r, window):
+        assert _cancelled_digits(a, r) == digits
+
+
+@pytest.mark.xfail(strict=True, reason="the _first_window law under-predicts "
+                                       "these profiles")
+@pytest.mark.parametrize("q, r, s, digits, law", UNDER_PLANNED)
+def test_first_window_covers_the_cancelled_digits(q, r, s, digits, law):
+    z = _profile_basis(q, r, s, 2 * digits + 16)
+    assert _first_window(z, q) >= digits + hb.oracle.MARGIN
 
 
 def test_cross_check_lattices_certify_at_the_planned_window(monkeypatch):
