@@ -16,14 +16,16 @@ Conventions fixed here (the underlying papers fix none):
   * F_q elements are ordered by the integer encoding of their
     F_p-coordinate vectors.
 
-One elimination per coset: the Hermite basis H of [Lambda_0 g^{-1}] gives
+One elimination per coset: a column elimination of g gives the Hermite
+basis H of [Lambda_0 g^{-1}] (inverse_hnf), with no inverse of g, and
 the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi, t =
-H^{-1} up to the same power), and the first s columns of kappa0 mod pi
-cut the terminus of the type-s edge of g out of H in closed form
-(edge_from_rep): no second elimination, no inverse of H and no adjacency
-test.  Two arbitrary canonical bases M0, M1 (edge_from_lattice_pair)
-span adjacent lattices iff C = M1 M0^{-1} is integral with C mod pi of
-the right rank, read off the same F_q reduction that frames the edge.
+H^{-1} up to the same power, by back substitution over H's monomial
+pivots); the first s columns of kappa0 mod pi cut the terminus of the
+type-s edge of g out of H in closed form (edge_from_rep): no second
+elimination and no adjacency test.  Two arbitrary canonical bases M0, M1
+(edge_from_lattice_pair) span adjacent lattices iff C = M1 M0^{-1} is
+integral with C mod pi of the right rank, read off the same F_q
+reduction that frames the edge; a cochain lookup reads the key first.
 Vertex and edge keys are bytes (lattice_key), computed once per object.
 """
 
@@ -238,6 +240,60 @@ def row_hnf(rows, r):
     return tuple(tuple(row) for row in basis), d
 
 
+def inverse_hnf(g):
+    """row_hnf(g^{-1}, r), the Hermite basis of Lambda_0 g^{-1}, from one
+    column elimination of g: no inverse of g.
+
+    For rows i = r-1 down to 0, pivot on the active column p whose entry
+    in row i has the least ord, clear that row's other active entries by
+    column operations col_j -= m col_p with m = g_ij / g_ip in O, and
+    retire p as column i.  Rows below i are zero in the active columns
+    already, so g = t kappa with t upper triangular and kappa in
+    GL_r(O), and Lambda_0 g^{-1} = Lambda_0 kappa^{-1} t^{-1} is spanned
+    by the rows of t^{-1}, upper triangular with diagonal 1/t_ii.  Its row
+    i times the unit pi^{d_i} t_ii, d_i = -ord t_ii, has pivot pi^{d_i};
+    these rows X (X t diagonal) come by back substitution, and reducing
+    their off-pivot entries gives the Hermite form, which is unique."""
+    r = len(g)
+    field = g[0][0].field
+    cols = [list(col) for col in zip(*g)]       # the active columns
+    tcols = [None] * r                          # column j of t, rows <= j
+    for i in reversed(range(r)):
+        p = min((j for j, c in enumerate(cols) if not c[i].is_zero()),
+                key=lambda j: cols[j][i].ord_inf())
+        piv = tcols[i] = cols.pop(p)
+        for c in cols:
+            if not c[i].is_zero():
+                m = c[i] / piv[i]
+                for k in range(i):
+                    c[k] = c[k] - m * piv[k]
+    d = [-int(tcols[i][i].ord_inf()) for i in range(r)]
+    neg_one = -RatF.one(field)
+    basis = [list(row) for row in _back_substitute(
+        tuple(zip(*tcols)), [RatF.pi_power(field, di) for di in d],
+        [neg_one / c[j] for j, c in enumerate(tcols)])]
+    _hermite_reduce(basis, d, range(r))
+    return tuple(tuple(row) for row in basis), d
+
+
+def _back_substitute(t, lead, scale):
+    """Rows of the upper triangular X with X_ii = lead[i] and X t
+    diagonal, t upper triangular (entries below the diagonal unread):
+    X_ij = (sum_{k=i}^{j-1} X_ik t_kj) scale[j], scale[j] = -1/t_jj."""
+    r = len(t)
+    zero = RatF.zero(lead[0].field)
+    rows = []
+    for i in range(r):
+        row = [zero] * i + [lead[i]]
+        for j in range(i + 1, r):
+            acc = row[i] * t[i][j]
+            for k in range(i + 1, j):
+                acc = acc + row[k] * t[k][j]
+            row.append(acc * scale[j])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _hermite_reduce(basis, d, rows):
     """Reduce, in place, each entry right of the pivot of the given rows
     of an upper triangular basis with pivots pi^{d_j} modulo the pivot of
@@ -292,8 +348,9 @@ class Vertex:
         object.__setattr__(self, "key", lattice_key(self.rep))
 
     @cached_property
-    def inv(self):          # for the pair edge's C and the Iwasawa factor t
-        return mat_inv(self.rep)
+    def inv(self):  # for the pair edge's C and the Iwasawa factor t
+        lead = [RatF.pi_power(self.rep[0][0].field, -di) for di in self.d]
+        return _back_substitute(self.rep, lead, [-x for x in lead])
 
     def __eq__(self, other):
         return isinstance(other, Vertex) and self.key == other.key
@@ -318,7 +375,7 @@ def _vertex(basis, d):
 
 def canonical_vertex(g):
     """Canonical Vertex of the coset g K^x GL_r(O_infinity)."""
-    return vertex_from_lattice(mat_inv(g))
+    return _vertex(*inverse_hnf(g))
 
 
 # ----------------------------------------------------------------------
@@ -399,9 +456,10 @@ class OrientedEdge:
     terminus are the canonical vertices; M1 is the terminus basis rescaled
     into M0 > M1 >= pi M0 for M0 = origin.rep.  The key is the lattice
     keys of M0 and M1, concatenated.  g is a coset rep with e^s_g = the
-    edge when the edge was built from one, ginv its inverse and Hg the
-    product M0 g (the Iwasawa factor kappa0 up to a power of pi); else
-    all three are None.  An edge built from a lattice pair also has, for
+    edge when the edge was built from one and Hg the product M0 g (the
+    Iwasawa factor kappa0 up to a power of pi); else both are None.  The
+    edge keeps no g^{-1}: the one reader of it, the witness search on a
+    flipped cell, computes it.  An edge built from a lattice pair also has, for
     Cbar = M1 M0^{-1} mod pi, lower, which indexes rows of M1 spanning
     L1/(pi L0) = im(Cbar), and comp, the s standard basis vectors of the
     M0 frame that complete im(Cbar) to F_q^r; an edge built from a rep,
@@ -414,7 +472,6 @@ class OrientedEdge:
     comp: tuple
     key: bytes
     g: tuple
-    ginv: tuple
     Hg: tuple
 
     def __eq__(self, other):
@@ -424,13 +481,13 @@ class OrientedEdge:
         return hash(self.key)
 
 
-def edge_from_lattice_pair(L0rows, L1rows, r):
-    """The edge ([L0], [L1]).  With s0, s1 the pivot valuation sums of the
-    canonical bases, the type is s = (s1 - s0) mod r (0: not adjacent) and
-    pi^t with t = (s - s1 + s0) / r rescales L1 into L0 > L1 >= pi L0.
-    Then C = M1 M0^{-1} has ord det C = s, so L0 > L1 >= pi L0 holds iff C
-    is integral and C mod pi has rank r - s: every elementary divisor of
-    C is then 1 or pi."""
+def _lattice_pair_key(L0rows, L1rows, r):
+    """(v0, v1, s, M1, key) of the pair ([L0], [L1]), before any test of
+    adjacency beyond the type.  With s0, s1 the pivot valuation sums of
+    the canonical bases, the type is s = (s1 - s0) mod r (0: not adjacent)
+    and pi^t with t = (s - s1 + s0) / r rescales L1 into M1, so that
+    L0 > M1 >= pi L0 if the pair is adjacent.  The key names the pair
+    (L0, M1), so a key stored for an adjacent pair needs no second test."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
     v1 = vertex_from_lattice(L1rows, r)
@@ -439,6 +496,16 @@ def edge_from_lattice_pair(L0rows, L1rows, r):
     if s == 0:
         raise ValueError("lattices are not adjacent (type 0 or r)")
     M1 = mat_scale(v1.rep, RatF.pi_power(field, (s - s1 + s0) // r))
+    return v0, v1, s, M1, v0.key + lattice_key(M1)
+
+
+def edge_from_lattice_pair(L0rows, L1rows, r, head=None):
+    """The edge ([L0], [L1]), from its _lattice_pair_key if given.
+    C = M1 M0^{-1} has ord det C = s, so L0 > M1 >= pi L0 holds iff C is
+    integral and C mod pi has rank r - s: every elementary divisor of C
+    is then 1 or pi."""
+    v0, v1, s, M1, key = head or _lattice_pair_key(L0rows, L1rows, r)
+    field = v0.rep[0][0].field
     C = mat_mul(M1, v0.inv)
     if not mat_is_integral(C):
         raise ValueError("lattices are not adjacent: L1 is not in L0")
@@ -450,13 +517,13 @@ def edge_from_lattice_pair(L0rows, L1rows, r):
         raise ValueError("lattices are not adjacent: pi L0 is not in L1")
     return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1,
                         lower=tuple(i for i in basis if i < r), comp=comp,
-                        key=v0.key + lattice_key(M1), g=None, ginv=None,
-                        Hg=None)
+                        key=key, g=None, Hg=None)
 
 
 def edge_from_rep(g, s):
     """The type-s edge e^s_g, from [L0] = [Lambda_0 g^{-1}] to [L1] =
-    [Lambda_0 W_s g^{-1}], from the one Hermite elimination of g^{-1}.
+    [Lambda_0 W_s g^{-1}], from the one column elimination of g that
+    gives the Hermite basis of [L0] (inverse_hnf).
 
     Lambda_0 W_s is the v in O^r with v_1..v_s in pi O.  The Hermite basis
     of [L0] is M0 = pi^a kappa0 g^{-1}, kappa0 in GL_r(O), a the least
@@ -477,8 +544,7 @@ def edge_from_rep(g, s):
     if not 0 < s < r:
         raise ValueError(f"edge type must lie in 1..{r - 1}, got {s}")
     field = g[0][0].field
-    ginv = mat_inv(g)
-    origin = vertex_from_lattice(ginv, r)
+    origin = canonical_vertex(g)
     M0 = origin.rep
     Hg = mat_mul(M0, g)
     a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
@@ -505,7 +571,7 @@ def edge_from_rep(g, s):
     return OrientedEdge(
         s=s, origin=origin, terminus=terminus, M1=M1, lower=None, comp=None,
         key=origin.key + (terminus.key if min(d) == 0 else lattice_key(M1)),
-        g=g, ginv=ginv, Hg=Hg)
+        g=g, Hg=Hg)
 
 
 def _last_pivot_echelon(field, vectors):
@@ -747,8 +813,13 @@ class Cochain:
         return total
 
     def eval_lattice_pair(self, L0rows, L1rows):
-        """h on the edge ([L0], [L1]) given by explicit bases."""
-        return self.eval_edge(edge_from_lattice_pair(L0rows, L1rows, self.r))
+        """h on the edge ([L0], [L1]) given by explicit bases; a cached
+        key skips the adjacency test, which passed when it was stored."""
+        head = _lattice_pair_key(L0rows, L1rows, self.r)
+        if head[-1] in self.cache:
+            return self.cache[head[-1]]
+        return self.eval_edge(
+            edge_from_lattice_pair(L0rows, L1rows, self.r, head))
 
 
 def extend_cochain(f, r, field):

@@ -192,9 +192,9 @@ def find_witnesses(n, g_inv):
 # `bound` is ignored; perfbench/tracer.py still passes it
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
     """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The type-1
-    edge of g gives the memo key, the Hermite basis H and the product H g
-    that the Iwasawa decomposition reads and the g^{-1} that the witness
-    search reads."""
+    edge of g gives the memo key and the Hermite basis H and product H g
+    that the Iwasawa decomposition reads, with no inverse of g; only a
+    miss in the flipped cell computes g^{-1}, for the witness search."""
     field = g[0][0].field
     r = len(g)
     edge = edge_from_rep(g, 1)
@@ -204,7 +204,7 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:
-        gamma, _c = find_witnesses(n, edge.ginv)[0]
+        gamma, _c = find_witnesses(n, mat_inv(g))[0]
         gg = mat_mul(gamma, g)
         iw2 = iwasawa_decompose(gg, canonical_vertex(gg))
         if iw2.w != "identity":

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hb import building
 from hb.building import (Cochain, canonical_vertex, edge_from_lattice_pair,
                          edge_from_rep, edge_reverse, flip_matrix, in_edges,
-                         is_in_I1, is_in_P, iwasawa_decompose, lattice_key,
-                         const_matrix, fq_mat_inv, mat_from_exps,
+                         inverse_hnf, is_in_I1, is_in_P, iwasawa_decompose,
+                         lattice_key, const_matrix, fq_mat_inv, mat_from_exps,
                          mat_identity, mat_inv,
                          mat_is_integral, mat_mul, mat_scale, p_coordinates,
                          rep_from_lattice_pair, row_hnf,
@@ -152,26 +152,89 @@ def test_lattice_keys_past_one_byte():
 def _edge_from_rep_reference(g, s):
     """edge_from_rep as it was: invert g, canonicalize the lattice pair
     (g^{-1}, W_s g^{-1}) with two row_hnf, and test adjacency through
-    C = M1 M0^{-1} and the F_q frame of C mod pi.  Returns the edge and
-    g^{-1}."""
+    C = M1 M0^{-1} and the F_q frame of C mod pi."""
     r = len(g)
     ginv = mat_inv(g)
     edge = edge_from_lattice_pair(
         ginv, mat_mul(w_matrix(g[0][0].field, r, s), ginv), r)
     assert edge.s == s
-    return edge, ginv
+    return edge
 
 
 def _assert_rep_edge_matches_reference(g, s):
     e = edge_from_rep(g, s)
-    ref, ginv = _edge_from_rep_reference(g, s)
+    ref = _edge_from_rep_reference(g, s)
     assert e.s == ref.s == s
     for v, w in ((e.origin, ref.origin), (e.terminus, ref.terminus)):
         assert (v.rep, v.d, v.key) == (w.rep, w.d, w.key)
     assert e.M1 == ref.M1
     assert e.key == ref.key
-    assert e.g == g and e.ginv == ginv
+    assert e.g == g
     assert e.lower is None and e.comp is None
+
+
+def _ratf_entry(data, field):
+    """num/den with deg num < 4 and den T^k (k < 4) or a monic of degree
+    1..3 with a nonzero constant term, so not a power of T."""
+    q = field.q
+    num = Poly(field, data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    if data.draw(st.booleans()):
+        return RatF(num, Poly.monomial(field, data.draw(st.integers(0, 3))))
+    den = ([data.draw(st.integers(1, q - 1))]
+           + data.draw(st.lists(st.integers(0, q - 1), max_size=2)) + [1])
+    return RatF(num, Poly(field, den))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
+@given(data=st.data())
+def test_inverse_hnf_is_the_hermite_form_of_the_inverse(q, r, data):
+    # the column elimination of g against row_hnf(mat_inv(g)), the route
+    # it replaced, on matrices with entries of any denominator (singular
+    # draws are skipped); and the back-substituted inverse of the
+    # canonical basis against Gauss-Jordan
+    field = get_field(q)
+    g = tuple(tuple(_ratf_entry(data, field) for _ in range(r))
+              for _ in range(r))
+    try:
+        ginv = mat_inv(g)
+    except ZeroDivisionError:
+        return
+    basis, d = inverse_hnf(g)
+    want, want_d = row_hnf(ginv, r)
+    assert basis == want and list(d) == list(want_d)
+    v, ref = canonical_vertex(g), vertex_from_lattice(ginv)
+    assert (v.rep, v.d, v.key) == (ref.rep, ref.d, ref.key)
+    assert v.inv == mat_inv(v.rep)
+
+
+def test_flip_cell_miss_hands_the_witness_search_g_inverse(monkeypatch):
+    # a rep edge keeps no g^{-1}: a Theta_n miss in the flipped cell
+    # passes the witness search exactly mat_inv(g), any other lookup
+    # passes it nothing
+    from hb import discriminant
+    from hb.verify import _gl_sample
+    search, seen = discriminant.find_witnesses, []
+
+    def recorded(n, g_inv):
+        seen.append(g_inv)
+        return search(n, g_inv)
+    monkeypatch.setattr(discriminant, "find_witnesses", recorded)
+    cells = set()
+    for q, r in ((2, 2), (3, 2), (2, 3)):
+        field = get_field(q)
+        n = Poly(field, (0, 1))
+        for g in _iwasawa_samples(field, r) + _gl_sample(field, r):
+            cache = {}
+            del seen[:]
+            value = discriminant.eval_theta_on_edge(n, g, _cache=cache)
+            cell = iwasawa_decompose(g, canonical_vertex(g)).w
+            assert seen == ([mat_inv(g)] if cell == "flip" else [])
+            del seen[:]
+            assert discriminant.eval_theta_on_edge(n, g, _cache=cache) == value
+            assert seen == []
+            cells.add(cell)
+    assert cells == {"flip", "identity"}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -337,57 +400,59 @@ def test_lattice_pair_rep_reconstructs_the_edge(q, r):
         assert by_pair.eval_lattice_pair(L0, L1) == by_rep.eval_rep(g, e.s)
 
 
+def _counted(monkeypatch, *names):
+    """Patch the named functions of hb.building to record the first
+    argument of each call; one list per name."""
+    logs = []
+    for name in names:
+        log, f = [], getattr(building, name)
+
+        def wrapper(*args, _f=f, _log=log):
+            _log.append(args[0])
+            return _f(*args)
+        monkeypatch.setattr(building, name, wrapper)
+        logs.append(log)
+    return logs
+
+
 @pytest.mark.parametrize("q, r, s", [(2, 2, 1), (3, 2, 1), (2, 3, 1),
                                      (2, 3, 2)])
 def test_lattice_pair_lookup_canonicalizes_once(monkeypatch, q, r, s):
     field = get_field(q)
-    hnf = building.row_hnf
-    calls = []
-
-    def counted(rows, r):
-        calls.append(rows)
-        return hnf(rows, r)
-    monkeypatch.setattr(building, "row_hnf", counted)
+    calls, invs, frames = _counted(monkeypatch, "row_hnf", "mat_inv",
+                                   "fq_rank_basis")
     h = Cochain(lambda g: Fraction(0), r, field)
     v = canonical_vertex(mat_from_exps(field, (1,) + (0,) * (r - 1)))
     L0, L1, _W = in_edges(v, s, field)[-1]
     h.eval_lattice_pair(L0, L1)
-    assert len(calls) <= 5           # a miss: 2 to canonicalize, 2 checks
-    del calls[:]
+    # a miss: 2 to canonicalize, 2 checks in rep_from_lattice_pair, and
+    # the F_q framing of C mod pi
+    assert len(calls) == 4 and len(frames) == 1
+    del calls[:], invs[:], frames[:]
     h.eval_lattice_pair(L0, L1)
-    assert len(calls) == 2           # a hit canonicalizes and looks up
+    # a hit canonicalizes and looks the key up: no C, no framing
+    assert len(calls) == 2 and invs == [] and frames == []
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_rep_lookup_canonicalizes_once(monkeypatch, q, r):
-    # edge_from_rep makes one row_hnf (of g^{-1}) and one inverse (of g),
-    # and a theta cache hit nothing more: no inverse of the origin basis
+    # edge_from_rep eliminates the columns of g once, with no row_hnf and
+    # no inverse, and a theta cache hit makes nothing more
     from hb.discriminant import eval_theta_on_edge
     from hb.verify import _gl_sample
     field = get_field(q)
-    hnf, inv = building.row_hnf, building.mat_inv
-    hnfs, invs = [], []
-
-    def counted_hnf(rows, r):
-        hnfs.append(rows)
-        return hnf(rows, r)
-
-    def counted_inv(A):
-        invs.append(A)
-        return inv(A)
-    monkeypatch.setattr(building, "row_hnf", counted_hnf)
-    monkeypatch.setattr(building, "mat_inv", counted_inv)
+    hnfs, invs = _counted(monkeypatch, "row_hnf", "mat_inv")
     n = Poly(field, (0, 1))
     for g in _gl_sample(field, r):
         for s in range(1, r):
             del hnfs[:], invs[:]
             edge_from_rep(g, s)
-            assert len(hnfs) == 1 and invs == [g]
+            assert hnfs == [] and invs == []
         cache = {}
         value = eval_theta_on_edge(n, g, _cache=cache)
         del hnfs[:], invs[:]
         assert eval_theta_on_edge(n, g, _cache=cache) == value
-        assert len(hnfs) == 1 and invs == [g]
+        assert hnfs == [] and invs == []
 
 
 def _adjacency_by_inversion(L0rows, L1rows, r):
