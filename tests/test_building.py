@@ -189,10 +189,10 @@ def _ratf_entry(data, field):
 @pytest.mark.parametrize("r", [2, 3, 4])
 @given(data=st.data())
 def test_inverse_hnf_is_the_hermite_form_of_the_inverse(q, r, data):
-    # the column elimination of g against row_hnf(mat_inv(g)), the route
-    # it replaced, on matrices with entries of any denominator (singular
-    # draws are skipped); and the back-substituted inverse of the
-    # canonical basis against Gauss-Jordan
+    # the column elimination of g against its reference row_hnf(mat_inv(g))
+    # on matrices with entries of any denominator (singular draws are
+    # skipped); and the back-substituted inverse of the canonical basis
+    # against Gauss-Jordan
     field = get_field(q)
     g = tuple(tuple(_ratf_entry(data, field) for _ in range(r))
               for _ in range(r))
