@@ -22,11 +22,11 @@ the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi, t =
 H^{-1} up to the same power, by back substitution over H's monomial
 pivots); the first s columns of kappa0 mod pi cut the terminus of the
 type-s edge of g out of H in closed form (edge_from_rep): no second
-elimination and no adjacency test.  Two arbitrary canonical bases M0, M1
-(edge_from_lattice_pair) span adjacent lattices iff C = M1 M0^{-1} is
-integral with C mod pi of the right rank, read off the same F_q
-reduction that frames the edge; a cochain lookup reads the key first.
-Vertex and edge keys are bytes (lattice_key), computed once per object.
+elimination and no adjacency test.  It builds every edge: a lattice
+pair is keyed from its Hermite bases M0, M1 first (a cochain lookup
+stops there on a hit), then the adjacency test on C = M1 M0^{-1} gives
+a rep g (rep_from_lattice_pair).  Vertex and edge keys are bytes
+(lattice_key), computed once per object.
 """
 
 import itertools
@@ -452,24 +452,16 @@ def const_matrix(field, entries):
 
 @dataclass(frozen=True)
 class OrientedEdge:
-    """The type-s edge ([L0], [L1]), canonicalized once.  origin and
-    terminus are the canonical vertices; M1 is the terminus basis rescaled
-    into M0 > M1 >= pi M0 for M0 = origin.rep.  The key is the lattice
-    keys of M0 and M1, concatenated.  g is a coset rep with e^s_g = the
-    edge when the edge was built from one and Hg the product M0 g (the
-    Iwasawa factor kappa0 up to a power of pi); else both are None.  The
+    """The type-s edge e^s_g, canonicalized once by edge_from_rep.  origin
+    and terminus are the canonical vertices, and the key is the lattice
+    keys of M0 = origin.rep and of the terminus basis rescaled into
+    M0 > M1 >= pi M0, concatenated.  g is the coset rep and Hg the
+    product M0 g (the Iwasawa factor kappa0 up to a power of pi).  The
     edge keeps no g^{-1}: the one reader of it, the witness search on a
-    flipped cell, computes it.  An edge built from a lattice pair also has, for
-    Cbar = M1 M0^{-1} mod pi, lower, which indexes rows of M1 spanning
-    L1/(pi L0) = im(Cbar), and comp, the s standard basis vectors of the
-    M0 frame that complete im(Cbar) to F_q^r; an edge built from a rep,
-    which needs neither, leaves both None."""
+    flipped cell, computes it."""
     s: int
     origin: Vertex
     terminus: Vertex
-    M1: tuple
-    lower: tuple
-    comp: tuple
     key: bytes
     g: tuple
     Hg: tuple
@@ -482,42 +474,32 @@ class OrientedEdge:
 
 
 def _lattice_pair_key(L0rows, L1rows, r):
-    """(v0, v1, s, M1, key) of the pair ([L0], [L1]), before any test of
+    """(v0, s, M1, key) of the pair ([L0], [L1]), before any test of
     adjacency beyond the type.  With s0, s1 the pivot valuation sums of
-    the canonical bases, the type is s = (s1 - s0) mod r (0: not adjacent)
+    the Hermite bases, the type is s = (s1 - s0) mod r (0: not adjacent)
     and pi^t with t = (s - s1 + s0) / r rescales L1 into M1, so that
     L0 > M1 >= pi L0 if the pair is adjacent.  The key names the pair
     (L0, M1), so a key stored for an adjacent pair needs no second test."""
     field = L0rows[0][0].field
     v0 = vertex_from_lattice(L0rows, r)
-    v1 = vertex_from_lattice(L1rows, r)
-    s0, s1 = sum(v0.d), sum(v1.d)
+    H1, d1 = row_hnf(L1rows, r)
+    s0, s1 = sum(v0.d), sum(d1)
     s = (s1 - s0) % r
     if s == 0:
         raise ValueError("lattices are not adjacent (type 0 or r)")
-    M1 = mat_scale(v1.rep, RatF.pi_power(field, (s - s1 + s0) // r))
-    return v0, v1, s, M1, v0.key + lattice_key(M1)
+    M1 = mat_scale(H1, RatF.pi_power(field, (s - s1 + s0) // r))
+    return v0, s, M1, v0.key + lattice_key(M1)
 
 
 def edge_from_lattice_pair(L0rows, L1rows, r, head=None):
-    """The edge ([L0], [L1]), from its _lattice_pair_key if given.
-    C = M1 M0^{-1} has ord det C = s, so L0 > M1 >= pi L0 holds iff C is
-    integral and C mod pi has rank r - s: every elementary divisor of C
-    is then 1 or pi."""
-    v0, v1, s, M1, key = head or _lattice_pair_key(L0rows, L1rows, r)
-    field = v0.rep[0][0].field
-    C = mat_mul(M1, v0.inv)
-    if not mat_is_integral(C):
-        raise ValueError("lattices are not adjacent: L1 is not in L0")
-    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in C]
-    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    basis, _ = fq_rank_basis(field, Cbar + units)
-    comp = tuple(i - r for i in basis if i >= r)
-    if len(comp) != s:
-        raise ValueError("lattices are not adjacent: pi L0 is not in L1")
-    return OrientedEdge(s=s, origin=v0, terminus=v1, M1=M1,
-                        lower=tuple(i for i in basis if i < r), comp=comp,
-                        key=key, g=None, Hg=None)
+    """The edge ([L0], [L1]) as e^s_g, from its _lattice_pair_key if
+    given.  Hermite forms are unique, so e^s_g has the pair's key exactly
+    when g spans the pair: one comparison checks the adapted basis."""
+    v0, s, M1, key = head or _lattice_pair_key(L0rows, L1rows, r)
+    edge = edge_from_rep(rep_from_lattice_pair(v0, M1, s), s)
+    if edge.key != key:
+        raise AssertionError("adapted basis does not span the lattice pair")
+    return edge
 
 
 def edge_from_rep(g, s):
@@ -569,7 +551,7 @@ def edge_from_rep(g, s):
     M1 = tuple(tuple(row) for row in rows)
     terminus = _vertex(M1, d)
     return OrientedEdge(
-        s=s, origin=origin, terminus=terminus, M1=M1, lower=None, comp=None,
+        s=s, origin=origin, terminus=terminus,
         key=origin.key + (terminus.key if min(d) == 0 else lattice_key(M1)),
         g=g, Hg=Hg)
 
@@ -800,12 +782,10 @@ class Cochain:
         return self.eval_edge(edge_from_rep(g, s))
 
     def eval_edge(self, edge):
-        """h(e^s_g) = sum_{i<=s} f(g W_s^{-1} W_i); an edge without a coset
-        rep g takes the one its adapted basis gives."""
+        """h(e^s_g) = sum_{i<=s} f(g W_s^{-1} W_i)."""
         if edge.key in self.cache:
             return self.cache[edge.key]
-        g = edge.g if edge.g is not None else rep_from_lattice_pair(edge)
-        base = mat_mul(g, w_inverse(self.field, self.r, edge.s))
+        base = mat_mul(edge.g, w_inverse(self.field, self.r, edge.s))
         total = Fraction(0)
         for i in range(1, edge.s + 1):
             total += self.f(mat_mul(base, w_matrix(self.field, self.r, i)))
@@ -826,20 +806,23 @@ def extend_cochain(f, r, field):
     return Cochain(f, r, field)
 
 
-def rep_from_lattice_pair(edge):
-    """g with e^s_g = edge: g^{-1} = B is an adapted basis of L0 whose
-    first s rows descend to a basis of L0/L1 and whose last r-s rows lie
-    in L1 and span L1/(pi L0).  hnf(B) = M0 and hnf(W_s B) = M1 make
-    (B, W_s B) a basis pair of the edge, so e^s_g has the edge's key."""
-    r, s = len(edge.M1), edge.s
-    M0, M1 = edge.origin.rep, edge.M1
-    B = tuple([M0[i] for i in edge.comp] + [M1[i] for i in edge.lower])
-    if lattice_key(row_hnf(B, r)[0]) != lattice_key(M0):
-        raise AssertionError("adapted basis spans the wrong lattice")
-    WB = mat_mul(w_matrix(M1[0][0].field, r, s), B)
-    if lattice_key(row_hnf(WB, r)[0]) != lattice_key(M1):
-        raise AssertionError("adapted basis does not refine to L1")
-    return mat_inv(B)
+def rep_from_lattice_pair(v0, M1, s):
+    """g with e^s_g = ([L0], [M1]), M1 of type s over L0 = v0.rep = M0.
+    C = M1 M0^{-1} has ord det C = s, so L0 > M1 >= pi L0 iff C is
+    integral and C mod pi has rank r - s.  Then rows of M1 independent
+    mod pi span M1/(pi L0), s rows of M0 complete them, and g^{-1} = B,
+    those rows of M0 first: W_s B spans pi (them) + (the rest) = M1."""
+    r, M0 = len(M1), v0.rep
+    C = mat_mul(M1, v0.inv)
+    if not mat_is_integral(C):
+        raise ValueError("lattices are not adjacent: L1 is not in L0")
+    Cbar = [tuple(x.pi_coeff(0) for x in row) for row in C]
+    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    basis, _ = fq_rank_basis(M0[0][0].field, Cbar + units)
+    comp = [M0[i - r] for i in basis if i >= r]
+    if len(comp) != s:
+        raise ValueError("lattices are not adjacent: pi L0 is not in L1")
+    return mat_inv(tuple(comp + [M1[i] for i in basis if i < r]))
 
 
 # ----------------------------------------------------------------------

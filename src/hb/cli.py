@@ -83,7 +83,10 @@ def _parse_ratf(field, text):
     """An element of F_q(T) as 'num' or 'num/den' in the poly syntax."""
     if "/" in text:
         num, den = text.split("/", 1)
-        return RatF(_parse_poly(field, num), _parse_poly(field, den))
+        den = _parse_poly(field, den)
+        if den.is_zero():
+            raise UsageError(f"entry {text!r} has a zero denominator")
+        return RatF(_parse_poly(field, num), den)
     return RatF(_parse_poly(field, text))
 
 
@@ -416,7 +419,10 @@ def cmd_units_root_order(args):
         return _emit(args, "units.root-order", {"series": "delta"},
                      root_order_delta(args.q))
     n = _parse_level(field, args.n)
-    rd = root_order_theta(n, args.r)
+    try:
+        rd = root_order_theta(n, args.r)
+    except ValueError as e:     # a level of degree 0
+        raise UsageError(f"--n {args.n!r}: {e}") from None
     return _emit(args, "units.root-order", {"n": args.n},
                  rd.max_root,
                  {"kappa": rd.kappa, "character_order": rd.character_order,
@@ -515,7 +521,8 @@ LEAVES = (
     ("eisenstein eval", cmd_eisenstein_eval, lambda p: (
         p.add_argument("--n", required=True, help="diagonal exponents"),
         p.add_argument("--s", required=True, help="evaluation point s0 > 1"),
-        p.add_argument("--N", type=int, default=8, help="truncation terms")),
+        p.add_argument("--N", type=_int_at_least(0), default=8,
+                      help="truncation terms")),
      "q"),
     ("eisenstein check-klf-chain", cmd_eisenstein_klf, None, ""),
     ("delta coeff", cmd_delta_coeff, lambda p: (

@@ -123,7 +123,11 @@ class RootDatum:
 def root_order_theta(n, r):
     """The largest m with an m-th root of Theta_n:
     (q-1)(q^{gcd(deg n, r)} - 1), together with the two divisibility
-    witnesses whose gcd recovers it."""
+    witnesses whose gcd recovers it.  A level of degree 0 has Theta_n =
+    Delta / Delta = 1, with no largest root."""
+    if n.deg < 1:
+        raise ValueError("the level has degree below 1; Theta_n = 1 at a "
+                         "unit level, with roots of every order")
     q = n.field.q
     d = int(n.deg)
     kappa = gcd(d, r)

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hb import building
-from hb.building import (Cochain, canonical_vertex, edge_from_lattice_pair,
+from hb.building import (Cochain, _lattice_pair_key, canonical_vertex,
+                         edge_from_lattice_pair,
                          edge_from_rep, edge_reverse, flip_matrix, in_edges,
                          inverse_hnf, is_in_I1, is_in_P, iwasawa_decompose,
                          lattice_key, const_matrix, fq_mat_inv, mat_from_exps,
@@ -150,27 +151,24 @@ def test_lattice_keys_past_one_byte():
 
 
 def _edge_from_rep_reference(g, s):
-    """edge_from_rep as it was: invert g, canonicalize the lattice pair
-    (g^{-1}, W_s g^{-1}) with two row_hnf, and test adjacency through
-    C = M1 M0^{-1} and the F_q frame of C mod pi."""
+    """(v0, M1, key) of e^s_g by the row_hnf route: invert g and
+    canonicalize the lattice pair (g^{-1}, W_s g^{-1}) with two row_hnf."""
     r = len(g)
     ginv = mat_inv(g)
-    edge = edge_from_lattice_pair(
+    v0, t, M1, key = _lattice_pair_key(
         ginv, mat_mul(w_matrix(g[0][0].field, r, s), ginv), r)
-    assert edge.s == s
-    return edge
+    assert t == s
+    return v0, M1, key
 
 
 def _assert_rep_edge_matches_reference(g, s):
     e = edge_from_rep(g, s)
-    ref = _edge_from_rep_reference(g, s)
-    assert e.s == ref.s == s
-    for v, w in ((e.origin, ref.origin), (e.terminus, ref.terminus)):
+    v0, M1, key = _edge_from_rep_reference(g, s)
+    assert e.s == s
+    for v, w in ((e.origin, v0), (e.terminus, vertex_from_lattice(M1))):
         assert (v.rep, v.d, v.key) == (w.rep, w.d, w.key)
-    assert e.M1 == ref.M1
-    assert e.key == ref.key
+    assert e.key == key
     assert e.g == g
-    assert e.lower is None and e.comp is None
 
 
 def _ratf_entry(data, field):
@@ -388,16 +386,36 @@ def _rep_sensitive(g):
 
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
 def test_lattice_pair_rep_reconstructs_the_edge(q, r):
-    # the round trip e^s_g for g = rep_from_lattice_pair(edge) is implied
-    # by the span checks inside rep_from_lattice_pair; check it here
+    # the round trip e^s_g for g = rep_from_lattice_pair(v0, M1, s) is
+    # implied by the key check inside edge_from_lattice_pair; check it here
     field = get_field(q)
     by_pair = Cochain(_rep_sensitive, r, field)
     by_rep = Cochain(_rep_sensitive, r, field)
     for L0, L1 in _edges_around(field, r):
-        e = edge_from_lattice_pair(L0, L1, r)
-        g = rep_from_lattice_pair(e)
-        assert edge_from_rep(g, e.s).key == e.key
-        assert by_pair.eval_lattice_pair(L0, L1) == by_rep.eval_rep(g, e.s)
+        v0, s, M1, key = _lattice_pair_key(L0, L1, r)
+        g = rep_from_lattice_pair(v0, M1, s)
+        e = edge_from_rep(g, s)
+        assert e.key == key
+        assert (e.origin.rep, e.terminus.rep) == (
+            vertex_from_lattice(L0).rep, vertex_from_lattice(L1).rep)
+        assert by_pair.eval_lattice_pair(L0, L1) == by_rep.eval_rep(g, s)
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3)])
+def test_lattice_pair_edge_checks_its_rep_by_the_key(monkeypatch, q, r):
+    # an adapted basis with its two blocks swapped spans L0 but not the
+    # pair: the key comparison refuses the rep it gives
+    field = get_field(q)
+    real = building.rep_from_lattice_pair
+
+    def swapped(v0, M1, s):
+        B = mat_inv(real(v0, M1, s))
+        return mat_inv(B[s:] + B[:s])
+    monkeypatch.setattr(building, "rep_from_lattice_pair", swapped)
+    for L0, L1, _W in in_edges(canonical_vertex(mat_identity(field, r)),
+                               1, field):
+        with pytest.raises(AssertionError):
+            edge_from_lattice_pair(L0, L1, r)
 
 
 def _counted(monkeypatch, *names):
@@ -421,17 +439,26 @@ def test_lattice_pair_lookup_canonicalizes_once(monkeypatch, q, r, s):
     field = get_field(q)
     calls, invs, frames = _counted(monkeypatch, "row_hnf", "mat_inv",
                                    "fq_rank_basis")
+    inside, real = [], building.rep_from_lattice_pair
+
+    def rep(*args):
+        before = len(calls)
+        g = real(*args)
+        inside.append(len(calls) - before)
+        return g
+    monkeypatch.setattr(building, "rep_from_lattice_pair", rep)
     h = Cochain(lambda g: Fraction(0), r, field)
     v = canonical_vertex(mat_from_exps(field, (1,) + (0,) * (r - 1)))
     L0, L1, _W = in_edges(v, s, field)[-1]
     h.eval_lattice_pair(L0, L1)
-    # a miss: 2 to canonicalize, 2 checks in rep_from_lattice_pair, and
-    # the F_q framing of C mod pi
-    assert len(calls) == 4 and len(frames) == 1
+    # a miss: 2 to canonicalize, none in rep_from_lattice_pair, the F_q
+    # framing of C mod pi and the inverse of the adapted basis
+    assert len(calls) == 2 and inside == [0]
+    assert len(frames) == 1 and len(invs) == 1
     del calls[:], invs[:], frames[:]
     h.eval_lattice_pair(L0, L1)
     # a hit canonicalizes and looks the key up: no C, no framing
-    assert len(calls) == 2 and invs == [] and frames == []
+    assert len(calls) == 2 and invs == [] and frames == [] and inside == [0]
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -502,6 +529,7 @@ def test_adjacency_by_rank_agrees_with_inversion(q, r):
     # at r = 2 an integral C with ord det C = 1 has rank 1 mod pi; above,
     # the rank, not only the type, rejects some pairs
     assert ("lattices are not adjacent: pi L0 is not in L1" in reasons) == (r > 2)
+    assert "lattices are not adjacent: L1 is not in L0" in reasons
 
 
 def _integral_entry(field, c):

@@ -477,6 +477,52 @@ def test_empty_polynomial_is_a_usage_error(capsys, argv):
     assert "empty" in _usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["delta", "eval", "--q", "2", "--r", "2", "--y", "1", "--x", "1/0"],
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "T", "--g", "1/0,0;0,1"],
+    ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1/0,0;0,1"],
+    ["delta", "eval", "--q", "2", "--r", "2", "--y", "1", "--x", "1/T+T"],
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    # T + T is zero at q = 2
+    err = _usage_error(capsys, argv)
+    assert "zero denominator" in err and "'1/" in err
+
+
+def test_root_order_of_a_degree_0_level_is_a_usage_error(capsys):
+    err = _usage_error(capsys, ["units", "root-order", "--q", "2", "--r", "2",
+                                "--n", "1"])
+    assert "--n '1'" in err and "degree below 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "1", "--g", "1,0;0,1"],
+    ["theta", "coeff", "--q", "2", "--r", "2", "--n", "1", "--a", "1",
+     "--y", "2"],
+    ["oracle", "ptheta", "--q", "2", "--r", "2", "--n", "1",
+     "--deg-bound", "2"],
+])
+def test_theta_at_a_degree_0_level_is_zero(capsys, argv):
+    # Theta_1 = Delta / Delta = 1, so P1(Theta_1) = 0
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["result"] == 0
+
+
+@pytest.mark.parametrize("N", ["-1", "-5"])
+def test_eisenstein_truncation_must_be_nonnegative(capsys, N):
+    err = _usage_error(capsys, ["eisenstein", "eval", "--q", "2",
+                                "--n", "0,0", "--s", "2", "--N", N])
+    assert f"{N} is below 0" in err
+
+
+def test_eisenstein_truncation_may_be_zero(capsys):
+    code, doc = run_json(capsys, ["eisenstein", "eval", "--q", "2",
+                                  "--n", "0,0", "--s", "2", "--N", "0"])
+    assert code == EXIT_OK
+    assert doc["diagnostics"]["terms"] == 1
+
+
 def test_explicit_zero_polynomial_stays_valid(capsys):
     code, doc = run_json(capsys, ["delta", "coeff", "--q", "2", "--r", "2",
                                   "--a", "0", "--y", "3"])

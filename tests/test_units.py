@@ -66,6 +66,14 @@ def test_root_order_theta_gcd_law():
                 assert rd.gcd_ok
 
 
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_root_order_theta_needs_a_level_of_positive_degree(level):
+    # Theta_n = 1 at a unit level: no largest root, and a negative
+    # exponent in the witness
+    with pytest.raises(ValueError, match="degree below 1"):
+        root_order_theta(parse_poly(F3, level), 2)
+
+
 def test_gcd_sweep_clean():
     assert gcd_sweep(qs=(2, 3), dmax=6, rmax=4) == []
 
