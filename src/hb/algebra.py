@@ -6,10 +6,12 @@ integer vector of length p-1 in the power basis 1, zeta, ..., zeta^{p-2}
 over a common q-power denominator.  That is exactly where the values of
 psi and all Fourier coefficients live.
 
-psi_sum is the one character sum: sum c psi(x) over (c, x) pairs, with
-psi(x) = psi_0(Tr a_1(x)) for the pi^1-coefficient a_1 of x.  The c are
-summed in p buckets by that trace, and bucket t is multiplied by zeta^t
-once.
+psi_sum is the one character sum: sum c psi(x) over (c, a_1) pairs,
+with psi(x) = psi_0(Tr a_1) for the pi^1-coefficient a_1 of x, an F_q
+code (x.pi_coeff(1) for a RatF x).  The c are summed in p buckets b_t
+by that trace.  Rational buckets give the coordinates b_t - b_{p-1} on
+1, zeta, ..., zeta^{p-2} directly; otherwise bucket t is multiplied by
+zeta^t once.
 
 divisor_degrees counts the monic common divisors of a vector by degree,
 and sigma reads the divisor sums off those counts:
@@ -25,7 +27,7 @@ evaluated at integer s only; eisenstein reads the same counts in Q(X).
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import factor_monic, vec_content
 
@@ -59,16 +61,21 @@ class CycRat:
 
     @staticmethod
     def from_rational(p, q, value):
-        value = Fraction(value)
-        den = value.denominator
+        return CycRat.from_coordinates(p, q, [value] + [0] * (p - 2))
+
+    @staticmethod
+    def from_coordinates(p, q, coords):
+        """The element with the p - 1 rational coordinates coords on 1,
+        zeta, ..., zeta^{p-2}."""
+        coords = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
         k = 1
         while k % den != 0:
             k *= q
             if k > den * q ** 64:
                 raise ValueError(f"denominator {den} is not supported by powers of {q}")
-        num = [0] * (p - 1)
-        num[0] = int(value.numerator * (k // den))
-        return CycRat(p, q, num, k)
+        return CycRat(p, q, [c.numerator * (k // c.denominator)
+                             for c in coords], k)
 
     @staticmethod
     def zero(p, q):
@@ -170,12 +177,17 @@ def psi0(p, x, q=None):
 
 
 def psi_sum(terms, field):
-    """sum of c psi(x) over the (c, x) pairs, x exact in F_q(T) and c a
-    rational or a CycRat."""
+    """sum of c psi(x) over the (c, a_1) pairs, a_1 the F_q code of the
+    pi^1-coefficient of x and c a rational or a CycRat."""
     p, q = field.p, field.q
+    trace = field.traces()
     buckets = [0] * p
-    for c, x in terms:
-        buckets[field.trace_to_prime(x.pi_coeff(1))] += c
+    for c, a1 in terms:
+        buckets[trace[a1]] += c
+    if not any(isinstance(b, CycRat) for b in buckets):
+        # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+        return CycRat.from_coordinates(p, q, [b - buckets[-1]
+                                              for b in buckets[:-1]])
     total = CycRat.zero(p, q)
     for t, b in enumerate(buckets):
         total = total + psi0(p, t, q) * b

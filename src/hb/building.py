@@ -22,11 +22,14 @@ the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi, t =
 H^{-1} up to the same power, by back substitution over H's monomial
 pivots); the first s columns of kappa0 mod pi cut the terminus of the
 type-s edge of g out of H in closed form (edge_from_rep): no second
-elimination and no adjacency test.  It builds every edge: a lattice
-pair is keyed from its Hermite bases M0, M1 first (a cochain lookup
-stops there on a hit), then the adjacency test on C = M1 M0^{-1} gives
-a rep g (rep_from_lattice_pair).  Vertex and edge keys are bytes
-(lattice_key), computed once per object.
+elimination and no adjacency test.  It builds every cochain edge: a
+lattice pair is keyed from its Hermite bases M0, M1 first (a cochain
+lookup stops there on a hit), then the adjacency test on C = M1 M0^{-1}
+gives a rep g (rep_from_lattice_pair), whose edge starts at the
+canonical M0 it has.  A Theta_n lookup builds no edge: type_one_key
+names the type-1 edge of g by its origin and the kernel of the first
+column of kappa0 mod pi, with no terminus.  Vertex and edge keys are
+bytes (lattice_key, varint_key), computed once per object.
 """
 
 import itertools
@@ -311,9 +314,7 @@ def _hermite_reduce(basis, d, rows):
 
 def lattice_key(basis):
     """A canonical basis as bytes: for each entry num/T^k, k + 1, len(num)
-    and num's coefficients, each int as a 7-bit varint (low bits first,
-    the high bit set on every byte but an int's last), a prefix-free and
-    so injective encoding of the sequence.  Entries of a row_hnf basis
+    and num's coefficients, as varint_key.  Entries of a row_hnf basis
     are finite Laurent polynomials in pi; any other entry is an error,
     because a key that dropped it could not tell two lattices apart."""
     out = []
@@ -325,10 +326,17 @@ def lattice_key(basis):
             out.append(len(den))
             out.append(len(num))
             out.extend(num)
-    if max(out) < 128:       # every varint one byte: the int itself
-        return bytes(out)
+    return varint_key(out)
+
+
+def varint_key(ints):
+    """Nonnegative ints as bytes, each a 7-bit varint (low bits first, the
+    high bit set on every byte but an int's last): a prefix-free and so
+    injective encoding of the sequence."""
+    if max(ints) < 128:      # every varint one byte: the int itself
+        return bytes(ints)
     key = bytearray()
-    for n in out:
+    for n in ints:
         while n >= 128:
             key.append(n & 127 | 128)
             n >>= 7
@@ -455,16 +463,12 @@ class OrientedEdge:
     """The type-s edge e^s_g, canonicalized once by edge_from_rep.  origin
     and terminus are the canonical vertices, and the key is the lattice
     keys of M0 = origin.rep and of the terminus basis rescaled into
-    M0 > M1 >= pi M0, concatenated.  g is the coset rep and Hg the
-    product M0 g (the Iwasawa factor kappa0 up to a power of pi).  The
-    edge keeps no g^{-1}: the one reader of it, the witness search on a
-    flipped cell, computes it."""
+    M0 > M1 >= pi M0, concatenated.  g is the coset rep."""
     s: int
     origin: Vertex
     terminus: Vertex
     key: bytes
     g: tuple
-    Hg: tuple
 
     def __eq__(self, other):
         return isinstance(other, OrientedEdge) and self.key == other.key
@@ -496,7 +500,8 @@ def edge_from_lattice_pair(L0rows, L1rows, r, head=None):
     given.  Hermite forms are unique, so e^s_g has the pair's key exactly
     when g spans the pair: one comparison checks the adapted basis."""
     v0, s, M1, key = head or _lattice_pair_key(L0rows, L1rows, r)
-    edge = edge_from_rep(rep_from_lattice_pair(v0, M1, s), s)
+    g = rep_from_lattice_pair(v0, M1, s)
+    edge = _edge_in_frame(g, s, v0, mat_mul(v0.rep, g))
     if edge.key != key:
         raise AssertionError("adapted basis does not span the lattice pair")
     return edge
@@ -525,15 +530,17 @@ def edge_from_rep(g, s):
     r = len(g)
     if not 0 < s < r:
         raise ValueError(f"edge type must lie in 1..{r - 1}, got {s}")
-    field = g[0][0].field
     origin = canonical_vertex(g)
-    M0 = origin.rep
-    Hg = mat_mul(M0, g)
-    a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
-    # f_j(e_i) = kappa0[i][j] mod pi, the leading coefficient (den monic)
-    funcs = _last_pivot_echelon(field, [
-        [Hg[i][j].num.coeffs[-1] if Hg[i][j].ord_inf() == a else 0
-         for i in range(r)] for j in range(s)])
+    return _edge_in_frame(g, s, origin, mat_mul(origin.rep, g))
+
+
+def _edge_in_frame(g, s, origin, Hg):
+    """e^s_g from its origin, the canonical vertex [Lambda_0 g^{-1}], and
+    Hg = M0 g for M0 = origin.rep: edge_from_rep past its elimination,
+    which edge_from_lattice_pair enters with the v0 it has already."""
+    r, M0 = len(g), origin.rep
+    field = M0[0][0].field
+    funcs = _kernel_functionals(Hg, s)
     pi = RatF.pi_power(field, 1)
     rows, d = [], list(origin.d)
     for i in range(r):
@@ -553,7 +560,32 @@ def edge_from_rep(g, s):
     return OrientedEdge(
         s=s, origin=origin, terminus=terminus,
         key=origin.key + (terminus.key if min(d) == 0 else lattice_key(M1)),
-        g=g, Hg=Hg)
+        g=g)
+
+
+def _kernel_functionals(Hg, s):
+    """The f_k of edge_from_rep, {j_k: f_k}: the first s columns of
+    kappa0 mod pi, kappa0 = pi^{-a} Hg with a the least valuation of an
+    entry of Hg, in _last_pivot_echelon form."""
+    r = len(Hg)
+    a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
+    # f_j(e_i) = kappa0[i][j] mod pi, the leading coefficient (den monic)
+    return _last_pivot_echelon(Hg[0][0].field, [
+        [Hg[i][j].num.coeffs[-1] if Hg[i][j].ord_inf() == a else 0
+         for i in range(r)] for j in range(s)])
+
+
+def type_one_key(g):
+    """(key, origin, Hg) of the type-1 edge e^1_g, building no terminus:
+    origin.key followed by the varint_key of its one kernel functional
+    f_1 (_kernel_functionals), whose kernel is L1/(pi L0) in the frame of
+    M0 = origin.rep, and Hg = M0 g.  M0 is canonical and f_1 is fixed by
+    its kernel once its last nonzero entry is 1, so for a fixed r two
+    reps share a key exactly when they share the edge."""
+    origin = canonical_vertex(g)
+    Hg = mat_mul(origin.rep, g)
+    (line,) = _kernel_functionals(Hg, 1).values()
+    return origin.key + varint_key(line), origin, Hg
 
 
 def _last_pivot_echelon(field, vectors):
@@ -621,7 +653,7 @@ def iwasawa_decompose(g, vertex, Hg=None):
     u g^{-1} up to a power of pi, u in GL_r(O); so with a the least
     valuation of an entry of H g, g = t kappa0 for kappa0 = pi^{-a} H g
     in GL_r(O) and the upper triangular t = pi^a H^{-1}.  Hg is H g when
-    the caller has it already, as the edge_from_rep(g, s) edge does."""
+    the caller has it already, as type_one_key returns it."""
     r = len(g)
     field = g[0][0].field
     if Hg is None:
@@ -738,6 +770,9 @@ class WeylType:
     k: tuple
 
     def __post_init__(self):
+        if len(self.k) < 2:
+            raise ValueError("Weyl type needs at least 2 entries: a rank-1 "
+                             "building has no edges")
         if any(self.k[i] < self.k[i + 1] for i in range(len(self.k) - 1)):
             raise ValueError("Weyl type must be weakly decreasing")
         if self.k[-1] != 0:

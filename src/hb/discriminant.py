@@ -14,8 +14,11 @@ monic level n.  The nonzero coefficients of one (field, y, r, level)
 are built once into a memoized table, which every value at that y
 reads, whatever its x.
 
-Values are finite character sums over the coefficient support;
-evaluation at an arbitrary group element goes through the Iwasawa
+Values are finite character sums over the coefficient support, read
+off the pi-digits of x: T^j pi^{j+1} = pi, so the pi^1-coefficient of
+a.x is sum_i sum_j a_ij x_i[pi^{j+1}], an F_q pairing of the codes of a
+with the digits x_i[pi^1..pi^{n_i - 1}], which series_eval reads once
+per x.  Evaluation at an arbitrary group element goes through the Iwasawa
 decomposition, and over the flipped cell through a Gamma_0(n) translate
 read off a row-reduced basis of the lattice g^{-1}(A + nA^{r-1}).
 """
@@ -25,11 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import psi_sum, sigma
-from .building import (canonical_vertex, clear_denominators, edge_from_rep,
-                       fq_mat_inv, iwasawa_decompose, mat_inv, mat_mul,
-                       mat_vec, p_coordinates, reduce_y_transcript, vec_mat,
-                       weak_popov)
-from .fourier import dot, mval, over_cap, table_support
+from .building import (canonical_vertex, clear_denominators, fq_mat_inv,
+                       iwasawa_decompose, mat_inv, mat_mul, mat_vec,
+                       p_coordinates, reduce_y_transcript, type_one_key,
+                       vec_mat, weak_popov)
+from .fourier import mval, over_cap, table_support
 from .poly import Poly, RatF, poly_xgcd, vec_content
 
 # no coefficient table is built over a support of more a-vectors
@@ -74,10 +77,20 @@ def coefficient_table(field, yexps, r, level):
 
 def series_eval(xvec, yexps, r, field, level=None):
     """The finite Fourier sum of P1(Delta_r) (level None) or
-    P1(Theta_level) at (x, y).  The cyclotomic parts must cancel; a
+    P1(Theta_level) at (x, y): sum c psi(a.x) over the table, where
+    (a.x)[pi^1] = sum_i sum_j a_ij x_i[pi^{j+1}] (T^j pi^{j+1} = pi)
+    pairs the codes of a with the digits x_i[pi^1..pi^{n_i - 1}], read
+    once; no a.x is formed.  The cyclotomic parts must cancel; a
     non-rational total signals a character-convention bug."""
     table = coefficient_table(field, tuple(yexps), r, level)
-    total = psi_sum(((c, dot(a, xvec)) for c, a in table), field)
+    digits = [x.pi_coeffs(1, n) for x, n in zip(xvec, yexps)]
+
+    def pairing(avec):
+        v = 0
+        for a, d in zip(avec, digits):
+            v = field.dot(a.coeffs, d, v)
+        return v
+    total = psi_sum(((c, pairing(a)) for c, a in table), field)
     rat = total.rational()
     if rat is None:
         raise ArithmeticError(f"non-rational cochain value {total}; "
@@ -191,16 +204,18 @@ def find_witnesses(n, g_inv):
 
 # `bound` is ignored; perfbench/tracer.py still passes it
 def eval_theta_on_edge(n, g, bound=None, _cache=None):
-    """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The type-1
-    edge of g gives the memo key and the Hermite basis H and product H g
-    that the Iwasawa decomposition reads, with no inverse of g; only a
-    miss in the flipped cell computes g^{-1}, for the witness search."""
+    """P1(Theta_n)(g) for arbitrary invertible g over F_q(T).  The memo
+    key names the type-1 edge of g by its origin and kernel line
+    (type_one_key), with no terminus and no edge built; the origin's
+    Hermite basis H and the product H g go on to the Iwasawa
+    decomposition of a miss, with no inverse of g.  Only a miss in the
+    flipped cell computes g^{-1}, for the witness search."""
     field = g[0][0].field
     r = len(g)
-    edge = edge_from_rep(g, 1)
-    if _cache is not None and edge.key in _cache:
-        return _cache[edge.key]
-    iw = iwasawa_decompose(g, edge.origin, edge.Hg)
+    key, origin, Hg = type_one_key(g)
+    if _cache is not None and key in _cache:
+        return _cache[key]
+    iw = iwasawa_decompose(g, origin, Hg)
     if iw.w == "identity":
         val = eval_on_mirabolic(iw.p, r, field, level=n)
     else:
@@ -211,7 +226,7 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
             raise AssertionError("witness failed to reach the mirabolic cell")
         val = eval_on_mirabolic(iw2.p, r, field, level=n)
     if _cache is not None:
-        _cache[edge.key] = val
+        _cache[key] = val
     return val
 
 

@@ -12,8 +12,9 @@ so full addition and multiplication tables are precomputed; the tables of
 F_{p^n}, n > 1, are built with Poly over F_p.
 
 FF also owns the coefficient-sequence kernel shared by Poly, RatF and
-Laurent: conv (products), add_at (shifted sums) and series_div (power
-series quotients).  These are the only loops that combine coefficient
+Laurent, and the pairing of Fourier series values: conv (products),
+add_at (shifted sums), dot (pairings) and series_div (power series
+quotients).  These are the only loops that combine coefficient
 sequences, and no other module reads the a*q+b tables.  Short products
 run a loop over those tables; once both operands have PACK_MIN
 coefficients, conv packs them into Python ints and lets one big-int
@@ -21,6 +22,7 @@ product do the work (Kronecker substitution), and long quotients use
 Newton iteration on top of it.  Both routes are exact.
 """
 
+import operator
 from functools import lru_cache
 
 from .poly import Poly, _monics, is_irreducible
@@ -120,6 +122,7 @@ class FF:
         self._inv = [0] + [self._mul[a * q:(a + 1) * q].index(1)
                            for a in range(1, q)]
         self._frob = {}         # e -> table of x^(p^e)
+        self._traces = None     # table of trace_to_prime
         # bytes hold the codes and every slot sum of _conv_packed
         self._packable = p < 32 and q <= 256
         self._packings = {}     # slot width -> tables of _conv_packed
@@ -179,12 +182,19 @@ class FF:
 
     def trace_to_prime(self, a):
         """Tr_{F_{p^n}/F_p}(a), returned as an integer in [0, p)."""
-        t = 0
-        x = a
-        for _ in range(self.n):
-            t = self.add(t, x)
-            x = self.frob(x)
-        return t  # lies in the prime subfield, encoding is the integer itself
+        return self.traces()[a]
+
+    def traces(self):
+        """The table of trace_to_prime, built on first use."""
+        if self._traces is None:
+            frob, table = self.frobenius(1), []
+            for a in range(self.q):
+                t, x = 0, a
+                for _ in range(self.n):
+                    t, x = self.add(t, x), frob[x]
+                table.append(t)  # in the prime subfield: the integer itself
+            self._traces = table
+        return self._traces
 
     def multiplicative_generator(self):
         """Smallest element (by encoding) of multiplicative order q-1."""
@@ -210,6 +220,16 @@ class FF:
         return None
 
     # -- coefficient sequences ------------------------------------------
+    def dot(self, a, b, acc=0):
+        """acc + sum a_k b_k over two code sequences, cut to the shorter."""
+        if self.n == 1:         # the codes are the residues mod p
+            return (acc + sum(map(operator.mul, a, b))) % self.p
+        mul, add, q = self._mul, self._add, self.q
+        for x, y in zip(a, b):
+            if x and y:
+                acc = add[acc * q + mul[x * q + y]]
+        return acc
+
     def add_at(self, a, b, shift=0, n=None):
         """a + x^shift * b as a coefficient list, cut to n entries."""
         size = max(len(a), shift + len(b))

@@ -106,7 +106,7 @@ def fourier_coefficient(h, avec, yexps, field):
     rm1 = len(yexps)
     M = grid_depth(avec, yexps)
     neg_a = tuple(-a for a in avec)
-    total = psi_sum(((h(u, yexps), dot(neg_a, u))
+    total = psi_sum(((h(u, yexps), dot(neg_a, u).pi_coeff(1))
                      for u in u_grid(field, M, rm1)), field)
     return total * Fraction(1, field.q ** ((M - 1) * rm1))
 
@@ -128,5 +128,5 @@ def expand(tbl, xvec):
     if missing:
         raise KeyError("table incomplete; missing "
                        + ", ".join(str([str(p) for p in a]) for a in missing))
-    return psi_sum(((tbl.entries[poly_key(a)], dot(a, xvec)) for a in support),
-                   field)
+    return psi_sum(((tbl.entries[poly_key(a)], dot(a, xvec).pi_coeff(1))
+                    for a in support), field)

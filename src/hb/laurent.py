@@ -12,7 +12,7 @@ this module tracks val and prec.
 
 The building and fourier modules work with exact values only (they use
 RatF for division-heavy linear algebra, and the additive character psi
-is read off exact RatF values by algebra.psi_sum); inexact series appear
+is read off the exact pi-digits of RatF values); inexact series appear
 in the delta oracle, where truncation is intrinsic.
 """
 

@@ -12,12 +12,14 @@ from hb.building import (Cochain, _lattice_pair_key, canonical_vertex,
                          edge_from_lattice_pair,
                          edge_from_rep, edge_reverse, flip_matrix, in_edges,
                          inverse_hnf, is_in_I1, is_in_P, iwasawa_decompose,
-                         lattice_key, const_matrix, fq_mat_inv, mat_from_exps,
+                         lattice_key, const_matrix, fq_mat_inv, m_matrix,
+                         mat_from_exps,
                          mat_identity, mat_inv,
                          mat_is_integral, mat_mul, mat_scale, p_coordinates,
                          rep_from_lattice_pair, row_hnf,
                          triangle_lattice_edges, type_one_in_neighbors,
-                         vertex_from_lattice, w_inverse, w_matrix, weak_popov)
+                         type_one_key, vertex_from_lattice, w_inverse,
+                         w_matrix, weak_popov)
 from hb.fields import get_field
 from hb.poly import Poly, RatF
 
@@ -327,6 +329,73 @@ def _iwasawa_samples(field, r):
         samples += [u, mat_mul(u, flip), mat_mul(mat_mul(u, diag), flip),
                     mat_mul(mat_mul(u, flip), diag)]
     return samples
+
+
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_theta_keys_name_type_one_edges(q, r):
+    # two reps share a type_one_key exactly when they share e^1_g: over
+    # the Iwasawa and verify samples, their products with every M_s(u)
+    # and W_s, and each sample times a unit diagonal (the same edge)
+    from hb.verify import _gl_sample
+    field = get_field(q)
+    unit = [list(row) for row in mat_identity(field, r)]
+    unit[0][0] = RatF.one(field) + RatF.pi_power(field, 1)
+    unit[1][1] = RatF(Poly.const(field, q - 1))
+    unit = tuple(tuple(row) for row in unit)
+    samples = _iwasawa_samples(field, r) + _gl_sample(field, r)
+    reps = [mat_mul(g, unit) for g in samples]
+    for g in samples:
+        reps.append(g)
+        for s in range(1, r + 1):
+            reps.append(mat_mul(g, w_matrix(field, r, s)))
+            reps += [mat_mul(g, m_matrix(field, r, s, u))
+                     for u in itertools.product(range(q), repeat=s - 1)]
+    pairs = set()
+    for g in reps:
+        key, origin, Hg = type_one_key(g)
+        edge = edge_from_rep(g, 1)
+        assert origin == edge.origin and Hg == mat_mul(origin.rep, g)
+        pairs.add((edge.key, key))
+    edge_keys = {e for e, _ in pairs}
+    assert len(pairs) == len(edge_keys) == len({k for _, k in pairs})
+    assert len(edge_keys) < len(reps)
+    for g, gu in zip(samples, reps):
+        assert type_one_key(gu)[0] == type_one_key(g)[0]
+
+
+# P1(Theta_T) at fixed reps, (q, r) in {2, 3}^2, as computed before Theta_n
+# lookups were keyed by type_one_key: D = diag(T^exps), u(x) = I + x E_12
+PINNED_THETA_T = {
+    (2, 2): (4, -8, -1, -2, 8),
+    (2, 3): (48, -128, -2, -16, 384),
+    (3, 2): (36, -108, -4, -12, 108),
+    (3, 3): (1296, -8748, -12, -324, 34992),
+}
+
+
+def _pinned_theta_reps(field, r):
+    """D(1), flip D(3), u(T) flip, u(pi + pi^2) D(1, 0, 2) flip and
+    u(T + pi^2) D(3, 1)."""
+    pi, T = RatF.pi_power(field, 1), RatF.pi_power(field, -1)
+    flip = flip_matrix(field, r)
+
+    def D(*exps):
+        return mat_from_exps(field, (exps + (0,) * r)[:r])
+    return [D(1), mat_mul(flip, D(3)), mat_mul(_shear(field, r, T), flip),
+            mat_mul(mat_mul(_shear(field, r, pi + pi * pi), D(1, 0, 2)), flip),
+            mat_mul(_shear(field, r, T + pi * pi), D(3, 1))]
+
+
+@pytest.mark.parametrize("q, r", sorted(PINNED_THETA_T))
+def test_theta_values_pinned_at_fixed_edges(q, r):
+    from hb.discriminant import eval_theta_on_edge
+    field = get_field(q)
+    n = Poly(field, (0, 1))
+    cache = {}
+    for g, value in zip(_pinned_theta_reps(field, r), PINNED_THETA_T[q, r]):
+        assert eval_theta_on_edge(n, g) == value
+        assert eval_theta_on_edge(n, g, _cache=cache) == value
+    assert len(cache) == len(PINNED_THETA_T[q, r])
 
 
 def test_iwasawa_decompose_reassembles():

@@ -187,6 +187,13 @@ def test_weyl_type_must_be_dominant(capsys):
     assert "decreasing" in err
 
 
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_weyl_type_needs_two_entries(capsys, k):
+    # r = 1: the building has no edges, so there is no value to print
+    err = _usage_error(capsys, ["building", "weyl", "--q", "2", "--k", k])
+    assert "at least 2 entries" in err
+
+
 @pytest.mark.parametrize("flag", ["--deg-bound"])
 def test_oracle_bounds_must_be_positive(capsys, flag):
     _usage_error(capsys, ["oracle", "pdelta", "--q", "2", "--r", "2",

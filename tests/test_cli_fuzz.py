@@ -4,7 +4,8 @@ subcommand, run in-process through hb.cli.main.
 Every draw must exit 0, 2 or 3 (never 1, an internal error); an exit of
 2 prints nothing on stdout; a matrix or vector of the wrong shape
 never exits 0; and an entry with a zero denominator, a degree-0
-`units root-order --n` or a negative `eisenstein eval --N` exits 2.
+`units root-order --n`, a negative `eisenstein eval --N` or a
+one-entry `building weyl --k` exits 2.
 The grammar keeps each call cheap: `verify all` is left out,
 `--deg-bound` is at most 3 and levels have degree at most 2.
 """
@@ -94,6 +95,12 @@ class Grammar:
         n = self.draw(st.integers(0, 3))
         return ["--N", str(-1 - n if self._refuse(4) else n)]
 
+    def weyl_type(self):
+        """--k with r entries, or one time in four a single entry: a
+        rank-1 building has no edges."""
+        n = 1 if self._refuse(4) else self.r
+        return ["--k", self.ints(0, 2, n)]
+
     def optional(self, args):
         """args(), or nothing; args is drawn only when it is used."""
         return args() if self.draw(st.booleans()) else []
@@ -104,7 +111,7 @@ class Grammar:
 
 LEAVES = {
     "building neighbors": lambda G: G.optional(lambda: ["--g", G.matrix()]),
-    "building weyl": lambda G: ["--k=" + G.ints(0, 2, G.r)],
+    "building weyl": lambda G: G.weyl_type(),
     "fourier coeff": lambda G: [
         "--a", G.vector(POLYS), "--y=" + G.vector(("0", "1", "2", "3"))]
         + G.optional(lambda: ["--h", "oracle"] + G.oracle()),
@@ -181,6 +188,7 @@ def test_cli_exit_codes(capsys, leaf, data):
     ("oracle pdelta", "--g", lambda g: "/0" in g),
     ("units root-order", "--n", lambda n: n == "1"),
     ("eisenstein eval", "--N", lambda n: n.startswith("-")),
+    ("building weyl", "--k", lambda k: "," not in k),
 ])
 def test_the_grammar_draws_each_refusal(capsys, leaf, flag, refused_value):
     # the examples the fuzz test draws may miss a refusal; one is found here

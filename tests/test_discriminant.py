@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from hb.building import (canonical_vertex, flip_matrix, iwasawa_decompose,
                          m_matrix, mat_from_exps, mat_identity, mat_inv,
                          mat_mul, w_matrix, weyl_edge_value)
+from hb.algebra import psi_sum
 from hb.discriminant import (_in_p_cell_column, _unimodular_to_e1,
-                             eval_on_mirabolic, eval_theta_on_edge,
-                             find_witnesses, p_delta_coefficient,
-                             series_eval, theta_evaluator)
+                             coefficient_table, eval_on_mirabolic,
+                             eval_theta_on_edge, find_witnesses,
+                             p_delta_coefficient, series_eval,
+                             theta_evaluator)
 from hb.fields import get_field
-from hb.fourier import PPoint, polys_up_to
+from hb.fourier import PPoint, dot, polys_up_to
 from hb.poly import Poly, RatF, parse_poly, vec_content
 
 F2 = get_field(2)
@@ -79,6 +81,42 @@ def test_series_at_nonzero_x_is_rational():
     v = series_eval((x,), (2,), 2, F2)
     # [DERIVED] frozen: P1(Delta_2)(pi, T^2-lattice) = -2
     assert v == -2
+
+
+def _series_eval_reference(xvec, yexps, r, field, level=None):
+    """series_eval by its earlier route: each a.x formed in F_q(T) by
+    fourier.dot, and only its pi^1 digit read."""
+    table = coefficient_table(field, tuple(yexps), r, level)
+    total = psi_sum(((c, dot(a, xvec).pi_coeff(1)) for c, a in table),
+                    field)
+    return total.rational()
+
+
+@st.composite
+def _series_args(draw):
+    """q, r in {2, 3}, level None, T or T+1, y with n_i in -1..4 (-1..3
+    at r = 3), and each x_i num/den with deg num <= 6 and den monic of
+    degree 0..3: general denominators, and polar parts where deg num
+    exceeds deg den."""
+    field = get_field(draw(st.sampled_from((2, 3))))
+    r = draw(st.sampled_from((2, 3)))
+    text = draw(st.sampled_from((None, "T", "T+1")))
+    level = None if text is None else parse_poly(field, text)
+    yexps = tuple(draw(st.integers(-1, 6 - r)) for _ in range(r - 1))
+    codes = st.integers(0, field.q - 1)
+    xvec = []
+    for _ in range(r - 1):
+        num = draw(st.lists(codes, max_size=7))
+        den = draw(st.lists(codes, max_size=3)) + [1]
+        xvec.append(RatF(Poly(field, num), Poly(field, den)))
+    return tuple(xvec), yexps, r, field, level
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series_args())
+def test_series_eval_matches_the_dot_route(args):
+    # the pi-digit pairing gives the value of forming every a.x exactly
+    assert series_eval(*args) == _series_eval_reference(*args)
 
 
 def test_eval_on_mirabolic_agrees_with_series():

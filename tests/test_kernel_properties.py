@@ -1,6 +1,6 @@
 """Property tests of the exact arithmetic: the FF field axioms, the FF
-sequence kernel against schoolbook loops, Poly division and xgcd, the
-RatF field laws and the RatF fast paths against the general route, the
+sequence kernel (dot included) against schoolbook loops, Poly division
+and xgcd, the RatF field laws and the RatF fast paths against the general route, the
 CycRat ring laws, the trace-bucketed character sum psi_sum and the
 memoized series_eval each against a per-term sum, the soundness of Laurent precision windows against exact
 RatF expansions, and the Laurent constructor against its earlier
@@ -109,6 +109,10 @@ def test_kernel_matches_schoolbook(args):
     assert F.add_at(a, b, shift, n) == total[:cut]
     cut = len(prod) if n is None else max(n, 0)
     assert F.conv(a, b, n) == prod[:cut]
+    pairing = den[0]
+    for x, y in zip(a, b):
+        pairing = F.add(pairing, F.mul(x, y))
+    assert F.dot(a, b, den[0]) == pairing
     m = 10 if n is None else max(n, 0)
     quo = F.series_div(a, den, m)
     assert len(quo) == m
@@ -143,6 +147,10 @@ def test_packed_kernel_matches_schoolbook(q, data):
     _, prod = schoolbook(F, a, b, 0)
     cut = len(prod) if n is None else max(n, 0)
     assert F.conv(a, b, n) == prod[:cut]
+    pairing = den[0]
+    for x, y in zip(a, b):
+        pairing = F.add(pairing, F.mul(x, y))
+    assert F.dot(a, b, den[0]) == pairing
     m = min(len(a) + 40, 200) if n is None else max(min(n, 200), 0)
     quo = F.series_div(a, den, m)
     assert len(quo) == m
@@ -322,7 +330,7 @@ def test_psi_sum_matches_per_term_sum(args):
     want = CycRat.zero(F.p, F.q)
     for c, x in terms:
         want = want + psi0(F.p, F.trace_to_prime(x.pi_coeff(1)), F.q) * c
-    assert psi_sum(terms, F) == want
+    assert psi_sum(((c, x.pi_coeff(1)) for c, x in terms), F) == want
 
 
 LEVELS = (None, "T", "T+1", "T^2+T+1")
