@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hb.algebra import psi_sum
 from hb.building import (canonical_vertex, flip_matrix, iwasawa_decompose,
                          m_matrix, mat_from_exps, mat_identity, mat_inv,
                          mat_mul, w_matrix, weyl_edge_value)
-from hb.algebra import psi_sum
 from hb.discriminant import (_in_p_cell_column, _unimodular_to_e1,
                              coefficient_table, eval_on_mirabolic,
                              eval_theta_on_edge, find_witnesses,
