@@ -180,10 +180,10 @@ def psi_sum(terms, field):
     """sum of c psi(x) over the (c, a_1) pairs, a_1 the F_q code of the
     pi^1-coefficient of x and c a rational or a CycRat."""
     p, q = field.p, field.q
-    trace = field.traces()
+    trace = field.trace_to_prime
     buckets = [0] * p
     for c, a1 in terms:
-        buckets[trace[a1]] += c
+        buckets[trace(a1)] += c
     if not any(isinstance(b, CycRat) for b in buckets):
         # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
         return CycRat.from_coordinates(p, q, [b - buckets[-1]

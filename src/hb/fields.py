@@ -22,7 +22,6 @@ product do the work (Kronecker substitution), and long quotients use
 Newton iteration on top of it.  Both routes are exact.
 """
 
-import operator
 from functools import lru_cache
 
 from .poly import Poly, _monics, is_irreducible
@@ -122,7 +121,7 @@ class FF:
         self._inv = [0] + [self._mul[a * q:(a + 1) * q].index(1)
                            for a in range(1, q)]
         self._frob = {}         # e -> table of x^(p^e)
-        self._traces = None     # table of trace_to_prime
+        self._traces = None     # a -> trace_to_prime(a)
         # bytes hold the codes and every slot sum of _conv_packed
         self._packable = p < 32 and q <= 256
         self._packings = {}     # slot width -> tables of _conv_packed
@@ -181,20 +180,17 @@ class FF:
         return range(self.q)
 
     def trace_to_prime(self, a):
-        """Tr_{F_{p^n}/F_p}(a), returned as an integer in [0, p)."""
-        return self.traces()[a]
-
-    def traces(self):
-        """The table of trace_to_prime, built on first use."""
+        """Tr_{F_{p^n}/F_p}(a), returned as an integer in [0, p); read
+        from a table of all q traces built on first use."""
         if self._traces is None:
             frob, table = self.frobenius(1), []
-            for a in range(self.q):
-                t, x = 0, a
+            for b in range(self.q):
+                t, x = 0, b
                 for _ in range(self.n):
                     t, x = self.add(t, x), frob[x]
                 table.append(t)  # in the prime subfield: the integer itself
             self._traces = table
-        return self._traces
+        return self._traces[a]
 
     def multiplicative_generator(self):
         """Smallest element (by encoding) of multiplicative order q-1."""
@@ -222,8 +218,6 @@ class FF:
     # -- coefficient sequences ------------------------------------------
     def dot(self, a, b, acc=0):
         """acc + sum a_k b_k over two code sequences, cut to the shorter."""
-        if self.n == 1:         # the codes are the residues mod p
-            return (acc + sum(map(operator.mul, a, b))) % self.p
         mul, add, q = self._mul, self._add, self.q
         for x, y in zip(a, b):
             if x and y:

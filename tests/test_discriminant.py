@@ -94,11 +94,12 @@ def _series_eval_reference(xvec, yexps, r, field, level=None):
 
 @st.composite
 def _series_args(draw):
-    """q, r in {2, 3}, level None, T or T+1, y with n_i in -1..4 (-1..3
-    at r = 3), and each x_i num/den with deg num <= 6 and den monic of
-    degree 0..3: general denominators, and polar parts where deg num
-    exceeds deg den."""
-    field = get_field(draw(st.sampled_from((2, 3))))
+    """q in {2, 3, 4} (4: the pairing runs through non-prime field
+    tables), r in {2, 3}, level None, T or T+1, y with n_i in -1..4
+    (-1..3 at r = 3), and each x_i num/den with deg num <= 6 and den
+    monic of degree 0..3: general denominators, and polar parts where
+    deg num exceeds deg den."""
+    field = get_field(draw(st.sampled_from((2, 3, 4))))
     r = draw(st.sampled_from((2, 3)))
     text = draw(st.sampled_from((None, "T", "T+1")))
     level = None if text is None else parse_poly(field, text)
