@@ -19,8 +19,9 @@ Conventions fixed here (the underlying papers fix none):
 One elimination per coset: a column elimination of g gives the Hermite
 basis H of [Lambda_0 g^{-1}] (inverse_hnf), with no inverse of g, and
 the Iwasawa factor g = t kappa0 (kappa0 = H g up to a power of pi, t =
-H^{-1} up to the same power, by back substitution over H's monomial
-pivots); the first s columns of kappa0 mod pi cut the terminus of the
+H^{-1} up to the same power); the mirabolic part is returned as p^{-1}
+= B^{-1} H / H_00, read off H with no inverse (iwasawa_decompose), and
+the first s columns of kappa0 mod pi cut the terminus of the
 type-s edge of g out of H in closed form (edge_from_rep): no second
 elimination and no adjacency test.  It builds every cochain edge: a
 lattice pair is keyed from its Hermite bases M0, M1 first (a cochain
@@ -29,7 +30,10 @@ gives a rep g (rep_from_lattice_pair), whose edge starts at the
 canonical M0 it has.  A Theta_n lookup builds no edge: type_one_key
 names the type-1 edge of g by its origin and the kernel of the first
 column of kappa0 mod pi, with no terminus.  Vertex and edge keys are
-bytes (lattice_key, varint_key), computed once per object.
+bytes (lattice_key, varint_key), computed once per object.  Every
+elimination over F_q (ranks mod pi, the pair framing, the kernel
+functionals, row-reduction relations, constant inverses) is one
+augmented Gauss-Jordan, fq_echelon.
 """
 
 import itertools
@@ -138,46 +142,44 @@ def ratf_trunc_below(x, bound):
 # ----------------------------------------------------------------------
 # F_q linear algebra on coordinate vectors (tuples of codes)
 
-def _fq_reduce(field, rows, v, width=None):
-    """v reduced by the echelon rows, each pivoting at its first nonzero
-    entry among the first `width` coordinates (all of them by default)."""
-    w = list(v)
-    for row in rows:
-        piv = next(i for i, c in enumerate(row[:width]) if c)
-        if w[piv]:
-            c = field.mul(w[piv], field.inv(row[piv]))
-            w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
-    return w
+def fq_echelon(field, vectors):
+    """Gauss-Jordan elimination over F_q on vectors of codes, each
+    augmented by its unit vector, pivoting on the first nonzero entry.
+    Returns (pivots, deps): pivots maps each pivot column j to its
+    reduced row, 1 at j and 0 at every other pivot, followed by the
+    combination of the inputs that gives it; deps maps the index of each
+    vector that depends on the ones before it to a combination of the
+    inputs that gives 0, 1 at that index."""
+    m = len(vectors)
+    pivots, deps = {}, {}
+    for idx, v in enumerate(vectors):
+        n = len(v)
+        w = list(v) + [int(k == idx) for k in range(m)]
+        for j, row in pivots.items():
+            c = w[j]
+            if c:
+                w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
+        piv = next((j for j in range(n) if w[j]), None)
+        if piv is None:
+            deps[idx] = w[n:]
+            continue
+        c = field.inv(w[piv])
+        w = [field.mul(c, x) for x in w]
+        for j, row in pivots.items():
+            c = row[piv]
+            if c:
+                pivots[j] = [field.sub(x, field.mul(c, y))
+                             for x, y in zip(row, w)]
+        pivots[piv] = w
+    return pivots, deps
 
 
 def fq_mat_inv(field, entries):
-    """The inverse of an invertible square matrix of F_q codes, by
-    Gauss-Jordan elimination over F_q."""
+    """The inverse of an invertible square matrix of F_q codes: row j is
+    the combination of the rows that gives e_j (fq_echelon)."""
     n = len(entries)
-    rows = [list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(entries)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if rows[i][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        c = field.inv(rows[col][col])
-        rows[col] = [field.mul(c, x) for x in rows[col]]
-        for i in range(n):
-            c = rows[i][col]
-            if i != col and c:
-                rows[i] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(rows[i], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def fq_rank_basis(field, vectors):
-    """Row-reduce; returns (indices of independent input vectors, rref rows)."""
-    basis, rref = [], []
-    for idx, v in enumerate(vectors):
-        w = _fq_reduce(field, rref, v)
-        if any(w):
-            basis.append(idx)
-            rref.append(tuple(w))
-    return basis, rref
+    pivots, _ = fq_echelon(field, entries)
+    return [pivots[j][n:] for j in range(n)]
 
 
 def fq_subspaces(field, n, d):
@@ -356,7 +358,7 @@ class Vertex:
         object.__setattr__(self, "key", lattice_key(self.rep))
 
     @cached_property
-    def inv(self):  # for the pair edge's C and the Iwasawa factor t
+    def inv(self):  # for the pair edge's C = M1 M0^{-1}
         lead = [RatF.pi_power(self.rep[0][0].field, -di) for di in self.d]
         return _back_substitute(self.rep, lead, [-x for x in lead])
 
@@ -566,13 +568,16 @@ def _edge_in_frame(g, s, origin, Hg):
 def _kernel_functionals(Hg, s):
     """The f_k of edge_from_rep, {j_k: f_k}: the first s columns of
     kappa0 mod pi, kappa0 = pi^{-a} Hg with a the least valuation of an
-    entry of Hg, in _last_pivot_echelon form."""
+    entry of Hg, in reduced echelon form pivoting on the last nonzero
+    entry (fq_echelon on the reversed columns): each f_k is 1 at its own
+    j_k, 0 at every other j and 0 right of its own j_k."""
     r = len(Hg)
     a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
     # f_j(e_i) = kappa0[i][j] mod pi, the leading coefficient (den monic)
-    return _last_pivot_echelon(Hg[0][0].field, [
+    pivots, _ = fq_echelon(Hg[0][0].field, [
         [Hg[i][j].num.coeffs[-1] if Hg[i][j].ord_inf() == a else 0
-         for i in range(r)] for j in range(s)])
+         for i in reversed(range(r))] for j in range(s)])
+    return {r - 1 - j: row[:r][::-1] for j, row in pivots.items()}
 
 
 def type_one_key(g):
@@ -586,21 +591,6 @@ def type_one_key(g):
     Hg = mat_mul(origin.rep, g)
     (line,) = _kernel_functionals(Hg, 1).values()
     return origin.key + varint_key(line), origin, Hg
-
-
-def _last_pivot_echelon(field, vectors):
-    """Independent vectors of F_q codes in reduced echelon form pivoting
-    on the last nonzero entry: {j: vector} with each vector 1 at its own
-    j, 0 at every other j and 0 right of its own j."""
-    rows = []           # reversed, so that _fq_reduce pivots on the last
-    for v in vectors:
-        w = _fq_reduce(field, rows, v[::-1])
-        c = field.inv(next(x for x in w if x))
-        w = [field.mul(c, x) for x in w]
-        rows = [_fq_reduce(field, [w], row) for row in rows] + [w]
-    n = len(vectors[0])
-    return {n - 1 - next(i for i, x in enumerate(row) if x): row[::-1]
-            for row in rows}
 
 
 def type_one_in_neighbors(g):
@@ -621,7 +611,7 @@ def type_one_in_neighbors(g):
 
 @dataclass
 class Iwasawa:
-    p: tuple        # element of the mirabolic P(F_infinity)
+    p_inv: tuple    # inverse of the element p of the mirabolic P(F_infinity)
     w: str          # "identity" or "flip"
     scalar: RatF
     kappa: tuple    # element of I^1
@@ -637,7 +627,7 @@ def is_in_I1(k):
     if any(k[i][0].ord_inf() < 1 for i in range(1, r)):
         return False
     kbar = [tuple(x.pi_coeff(0) for x in row) for row in k]
-    return len(fq_rank_basis(k[0][0].field, kbar)[0]) == r
+    return len(fq_echelon(k[0][0].field, kbar)[0]) == r
 
 
 def is_in_P(m):
@@ -648,52 +638,43 @@ def is_in_P(m):
 
 
 def iwasawa_decompose(g, vertex, Hg=None):
-    """g = scalar p w kappa, with vertex the canonical vertex
-    [Lambda_0 g^{-1}] (canonical_vertex(g)).  Its Hermite basis H is
-    u g^{-1} up to a power of pi, u in GL_r(O); so with a the least
-    valuation of an entry of H g, g = t kappa0 for kappa0 = pi^{-a} H g
-    in GL_r(O) and the upper triangular t = pi^a H^{-1}.  Hg is H g when
-    the caller has it already, as type_one_key returns it."""
+    """g = scalar p w kappa, p returned as p^{-1}, with vertex the
+    canonical vertex [Lambda_0 g^{-1}] (canonical_vertex(g)).  Its
+    Hermite basis H is u g^{-1} up to a power of pi, u in GL_r(O); so
+    with a the least valuation of an entry of H g, g = t kappa0 for
+    kappa0 = pi^{-a} H g in GL_r(O) and the upper triangular t = pi^a
+    H^{-1}, and p = t B / t_00 for B = 1 (identity cell) or a constant B
+    in P(F_q) (flip cell): p^{-1} = B^{-1} H / H_00 and scalar = t_00 =
+    pi^a / H_00, with no inverse over F_q(T).  Hg is H g when the caller
+    has it already, as type_one_key returns it."""
     r = len(g)
     field = g[0][0].field
+    H = vertex.rep
     if Hg is None:
-        Hg = mat_mul(vertex.rep, g)
+        Hg = mat_mul(H, g)
     a = min(int(x.ord_inf()) for row in Hg for x in row if not x.is_zero())
     kappa0 = mat_scale(Hg, RatF.pi_power(field, -a))
-    t = mat_scale(vertex.inv, RatF.pi_power(field, a))
+    p_inv = mat_scale(H, RatF.pi_power(field, -vertex.d[0]))   # H_00 = pi^{d_0}
+    scalar = RatF.pi_power(field, a - vertex.d[0])
     ell = [kappa0[i][0].pi_coeff(0) for i in range(r)]
-    alpha = t[0][0]
-    alpha_inv = RatF.one(field) / alpha
     if all(c == 0 for c in ell[1:]):
-        p = mat_scale(t, alpha_inv)
-        res = Iwasawa(p=p, w="identity", scalar=alpha, kappa=kappa0)
+        res = Iwasawa(p_inv=p_inv, w="identity", scalar=scalar, kappa=kappa0)
     else:
         # constant B in P(F_q) with last column ell, so that
         # g = (t B) flip (flip^{-1} B^{-1} kappa0)
         piv = next(i for i in range(1, r) if ell[i])
         cols = [[int(i == k) for i in range(r)] for k in range(r)
                 if k != piv] + [ell]
-        entries = [[col[i] for col in cols] for i in range(r)]
-        tB = mat_mul(t, const_matrix(field, entries))
-        p = mat_scale(tB, alpha_inv)
+        B_inv = const_matrix(field, fq_mat_inv(
+            field, [[col[i] for col in cols] for i in range(r)]))
         flip_inv = tuple(zip(*flip_matrix(field, r)))
-        kappa = mat_mul(flip_inv, mat_mul(
-            const_matrix(field, fq_mat_inv(field, entries)), kappa0))
-        res = Iwasawa(p=p, w="flip", scalar=alpha, kappa=kappa)
-    if not is_in_P(res.p):
+        res = Iwasawa(p_inv=mat_mul(B_inv, p_inv), w="flip", scalar=scalar,
+                      kappa=mat_mul(flip_inv, mat_mul(B_inv, kappa0)))
+    if not is_in_P(res.p_inv):
         raise AssertionError("Iwasawa p-part left the mirabolic")
     if not is_in_I1(res.kappa):
         raise AssertionError("Iwasawa kappa-part left I^1")
     return res
-
-
-def p_coordinates(p):
-    """(x, y) with p = [[1, x y], [0, y]]; x a row vector of RatF."""
-    r = len(p)
-    y = tuple(tuple(p[i][j] for j in range(1, r)) for i in range(1, r))
-    xy = tuple(p[0][j] for j in range(1, r))
-    x = vec_mat(xy, mat_inv(y))
-    return x, y
 
 
 # ----------------------------------------------------------------------
@@ -717,9 +698,10 @@ def weak_popov(M):
                 raise ValueError("matrix is singular over F_q(T)")
             degs.append(dmax)
         lc = [tuple(p.coeff(degs[i]) for p in row) for i, row in enumerate(W)]
-        combo = fq_left_kernel_vector(field, lc)
-        if combo is None:
+        _, deps = fq_echelon(field, lc)
+        if not deps:
             break
+        combo = next(iter(deps.values()))
         support = [i for i, c in enumerate(combo) if c]
         istar = max(support, key=lambda i: (degs[i], i))
         cstar_inv = field.inv(combo[istar])
@@ -734,21 +716,6 @@ def weak_popov(M):
         W[istar] = newrow
         U[istar] = newU
     return [tuple(row) for row in W], [tuple(row) for row in U]
-
-
-def fq_left_kernel_vector(field, rows):
-    """A nonzero c with sum c_i rows_i = 0, or None if rows independent."""
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    width = len(rows[0])
-    rank_rows = []
-    for v in aug:
-        w = _fq_reduce(field, rank_rows, v, width)
-        if any(w[:width]):
-            rank_rows.append(w)
-        else:
-            return tuple(w[width:])
-    return None
 
 
 def clear_denominators(g):
@@ -785,16 +752,18 @@ def weyl_edge_value(q, k):
     return -(q - 1) * q ** ((len(k) - 1) * (k[0] + 1) - sum(k[1:]))
 
 
-def reduce_y_transcript(y):
-    """y = gamma diag(T^{n_i}) kappa with gamma in GL(A), kappa in GL(O).
-    Returns (gamma, exps) — kappa is discarded by right invariance."""
-    M, d = clear_denominators(y)
-    W, U = weak_popov(M)
-    gamma = mat_inv(tuple(tuple(RatF(p) for p in row) for row in U))
-    exps = []
-    for row in W:
-        exps.append(max(int(p.deg) for p in row if not p.is_zero()) - int(d.deg))
-    return gamma, tuple(exps)
+def reduce_y_transcript(y_inv):
+    """y = gamma diag(T^{n_i}) kappa, gamma in GL(A) and kappa in GL(O),
+    from y^{-1}: with M = d y^{-1} over A, W = U M^T is row reduced, so
+    diag(T^{-deg W_i}) W is in GL(O) and y = U^T diag(T^{deg d - deg W_i})
+    kappa.  Returns (gamma, exps) = (U^T, deg d - deg W_i); kappa is
+    discarded by right invariance."""
+    M, d = clear_denominators(y_inv)
+    W, U = weak_popov(tuple(zip(*M)))
+    gamma = tuple(tuple(RatF(p) for p in col) for col in zip(*U))
+    exps = tuple(int(d.deg) - max(int(p.deg) for p in row if not p.is_zero())
+                 for row in W)
+    return gamma, exps
 
 
 # ----------------------------------------------------------------------
@@ -853,7 +822,8 @@ def rep_from_lattice_pair(v0, M1, s):
         raise ValueError("lattices are not adjacent: L1 is not in L0")
     Cbar = [tuple(x.pi_coeff(0) for x in row) for row in C]
     units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    basis, _ = fq_rank_basis(M0[0][0].field, Cbar + units)
+    _, deps = fq_echelon(M0[0][0].field, Cbar + units)
+    basis = [i for i in range(2 * r) if i not in deps]
     comp = [M0[i - r] for i in basis if i >= r]
     if len(comp) != s:
         raise ValueError("lattices are not adjacent: pi L0 is not in L1")

@@ -19,8 +19,10 @@ off the pi-digits of x: T^j pi^{j+1} = pi, so the pi^1-coefficient of
 a.x is sum_i sum_j a_ij x_i[pi^{j+1}], an F_q pairing of the codes of a
 with the digits x_i[pi^1..pi^{n_i - 1}], which series_eval reads once
 per x.  Evaluation at an arbitrary group element goes through the Iwasawa
-decomposition, and over the flipped cell through a Gamma_0(n) translate
-read off a row-reduced basis of the lattice g^{-1}(A + nA^{r-1}).
+decomposition, whose mirabolic part p^{-1} = [[1, -x], [0, y^{-1}]] is
+read off the Hermite basis with no inverse, and over the flipped cell
+through a Gamma_0(n) translate read off a row-reduced basis of the
+lattice g^{-1}(A + nA^{r-1}).
 """
 
 import itertools
@@ -30,8 +32,7 @@ from functools import lru_cache
 from .algebra import psi_sum, sigma
 from .building import (canonical_vertex, clear_denominators, fq_mat_inv,
                        iwasawa_decompose, mat_inv, mat_mul, mat_vec,
-                       p_coordinates, reduce_y_transcript, type_one_key,
-                       vec_mat, weak_popov)
+                       reduce_y_transcript, type_one_key, vec_mat, weak_popov)
 from .fourier import mval, over_cap, table_support
 from .poly import Poly, RatF, poly_xgcd, vec_content
 
@@ -99,15 +100,22 @@ def series_eval(xvec, yexps, r, field, level=None):
 
 
 def eval_on_mirabolic(p_mat, r, field, level=None):
-    """Value at an explicit element of P(F_inf): reduce the lower-right
-    block y = gamma diag(T^{n_i}) kappa and transport x across gamma."""
-    x, y = p_coordinates(p_mat)
+    """Value at an explicit element p of P(F_inf): eval_on_p_inverse."""
+    return eval_on_p_inverse(mat_inv(p_mat), r, field, level)
+
+
+def eval_on_p_inverse(p_inv, r, field, level=None):
+    """Value at the element p = [[1, x y], [0, y]] of P(F_inf) given
+    p^{-1} = [[1, -x], [0, y^{-1}]]: x and y^{-1} are read off it, the
+    columns of y^{-1} reduce to y = gamma diag(T^{n_i}) kappa
+    (reduce_y_transcript), and x is transported across gamma."""
+    x = tuple(-c for c in p_inv[0][1:])
+    y_inv = tuple(row[1:] for row in p_inv[1:])
     if r == 2:
-        yexps = (-int(y[0][0].ord_inf()),)
-        return series_eval(x, yexps, r, field, level=level)
-    gamma, yexps = reduce_y_transcript(y)
-    x2 = vec_mat(x, gamma)
-    return series_eval(x2, yexps, r, field, level=level)
+        return series_eval(x, (int(y_inv[0][0].ord_inf()),), r, field,
+                           level=level)
+    gamma, yexps = reduce_y_transcript(y_inv)
+    return series_eval(vec_mat(x, gamma), yexps, r, field, level=level)
 
 
 # ----------------------------------------------------------------------
@@ -217,14 +225,14 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
         return _cache[key]
     iw = iwasawa_decompose(g, origin, Hg)
     if iw.w == "identity":
-        val = eval_on_mirabolic(iw.p, r, field, level=n)
+        val = eval_on_p_inverse(iw.p_inv, r, field, level=n)
     else:
         gamma, _c = find_witnesses(n, mat_inv(g))[0]
         gg = mat_mul(gamma, g)
         iw2 = iwasawa_decompose(gg, canonical_vertex(gg))
         if iw2.w != "identity":
             raise AssertionError("witness failed to reach the mirabolic cell")
-        val = eval_on_mirabolic(iw2.p, r, field, level=n)
+        val = eval_on_p_inverse(iw2.p_inv, r, field, level=n)
     if _cache is not None:
         _cache[key] = val
     return val

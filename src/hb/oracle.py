@@ -48,7 +48,7 @@ import copy
 import math
 from functools import lru_cache
 
-from .building import fq_left_kernel_vector, mat_from_exps, mat_mul
+from .building import fq_echelon, mat_from_exps, mat_mul
 from .fields import embedding, get_field
 from .laurent import Laurent, PrecisionError, StabilizationError, _prec_of
 from .poly import RatF
@@ -134,8 +134,8 @@ def _lead_relation(z, q):
     """Nonzero c in F_q^r with sum c_i lead(z_i) = 0, or None if the
     leading coefficients of the z_i are F_q-independent."""
     coords = _fq_coordinates(q, len(z))
-    return fq_left_kernel_vector(z[0].field,
-                                 [coords[x.coeffs[0]] for x in z])
+    _, deps = fq_echelon(z[0].field, [coords[x.coeffs[0]] for x in z])
+    return next(iter(deps.values()), None)
 
 
 def reduce_basis(z, q):

@@ -12,10 +12,10 @@ from hb.building import (Cochain, _lattice_pair_key, canonical_vertex,
                          edge_from_lattice_pair,
                          edge_from_rep, edge_reverse, flip_matrix, in_edges,
                          inverse_hnf, is_in_I1, is_in_P, iwasawa_decompose,
-                         lattice_key, const_matrix, fq_mat_inv, m_matrix,
-                         mat_from_exps,
+                         lattice_key, const_matrix, fq_echelon, fq_mat_inv,
+                         m_matrix, mat_from_exps,
                          mat_identity, mat_inv,
-                         mat_is_integral, mat_mul, mat_scale, p_coordinates,
+                         mat_is_integral, mat_mul, mat_scale,
                          rep_from_lattice_pair, row_hnf,
                          triangle_lattice_edges, type_one_in_neighbors,
                          type_one_key, vertex_from_lattice, w_inverse,
@@ -237,6 +237,33 @@ def test_flip_cell_miss_hands_the_witness_search_g_inverse(monkeypatch):
     assert cells == {"flip", "identity"}
 
 
+@pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_theta_miss_inverts_only_for_the_witness(monkeypatch, q, r):
+    # the Iwasawa p-part comes as p^{-1} off the Hermite basis and the
+    # y-block is column-reduced as y^{-1}: an identity-cell miss makes no
+    # mat_inv call, a flip-cell miss exactly two, g^{-1} for the witness
+    # search and the witness's own safety assert
+    from hb import discriminant
+    from hb.verify import _gl_sample
+    real, invs = building.mat_inv, []
+
+    def counted(A):
+        invs.append(A)
+        return real(A)
+    monkeypatch.setattr(building, "mat_inv", counted)
+    monkeypatch.setattr(discriminant, "mat_inv", counted)
+    field = get_field(q)
+    n = Poly(field, (0, 1))
+    cells = set()
+    for g in _iwasawa_samples(field, r) + _gl_sample(field, r):
+        cell = iwasawa_decompose(g, canonical_vertex(g)).w
+        del invs[:]
+        discriminant.eval_theta_on_edge(n, g, _cache={})
+        assert len(invs) == (2 if cell == "flip" else 0), cell
+        cells.add(cell)
+    assert cells == {"flip", "identity"}
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_rep_edges_match_the_lattice_pair_reference(q, r):
@@ -399,21 +426,24 @@ def test_theta_values_pinned_at_fixed_edges(q, r):
 
 
 def test_iwasawa_decompose_reassembles():
-    # g = scalar p w kappa with p mirabolic and kappa in I^1; in the
-    # identity cell g kappa^{-1} = scalar p is upper triangular
+    # g = scalar p w kappa with p mirabolic (returned as p^{-1}) and kappa
+    # in I^1; in the identity cell g kappa^{-1} = scalar p is upper
+    # triangular
     for field, r in ((F2, 2), (F3, 3)):
         flip = flip_matrix(field, r)
         cells = []
         for g in _iwasawa_samples(field, r):
             iw = iwasawa_decompose(g, canonical_vertex(g))
-            assert is_in_P(iw.p) and is_in_I1(iw.kappa)
+            assert is_in_P(iw.p_inv) and is_in_I1(iw.kappa)
+            p = mat_inv(iw.p_inv)
+            assert is_in_P(p)
             W = mat_identity(field, r) if iw.w == "identity" else flip
-            rec = mat_scale(mat_mul(mat_mul(iw.p, W), iw.kappa), iw.scalar)
+            rec = mat_scale(mat_mul(mat_mul(p, W), iw.kappa), iw.scalar)
             assert rec == tuple(tuple(row) for row in g)
             if iw.w == "identity":
                 t = mat_mul(g, mat_inv(iw.kappa))
                 assert all(t[i][j].is_zero() for i in range(r) for j in range(i))
-            x, _y = p_coordinates(iw.p)
+            x = [-c for c in iw.p_inv[0][1:]]
             cells.append((iw.w, any(not c.is_zero() for c in x)))
         assert ("flip", True) in cells and ("identity", True) in cells
         assert ("flip", False) in cells
@@ -507,27 +537,28 @@ def _counted(monkeypatch, *names):
 def test_lattice_pair_lookup_canonicalizes_once(monkeypatch, q, r, s):
     field = get_field(q)
     calls, invs, frames = _counted(monkeypatch, "row_hnf", "mat_inv",
-                                   "fq_rank_basis")
+                                   "fq_echelon")
     inside, real = [], building.rep_from_lattice_pair
 
     def rep(*args):
-        before = len(calls)
+        before = len(calls), len(frames)
         g = real(*args)
-        inside.append(len(calls) - before)
+        inside.append((len(calls) - before[0], len(frames) - before[1]))
         return g
     monkeypatch.setattr(building, "rep_from_lattice_pair", rep)
     h = Cochain(lambda g: Fraction(0), r, field)
     v = canonical_vertex(mat_from_exps(field, (1,) + (0,) * (r - 1)))
     L0, L1, _W = in_edges(v, s, field)[-1]
     h.eval_lattice_pair(L0, L1)
-    # a miss: 2 to canonicalize, none in rep_from_lattice_pair, the F_q
-    # framing of C mod pi and the inverse of the adapted basis
-    assert len(calls) == 2 and inside == [0]
-    assert len(frames) == 1 and len(invs) == 1
+    # a miss: 2 to canonicalize, none in rep_from_lattice_pair, which
+    # frames C mod pi by one F_q elimination and inverts the adapted
+    # basis once
+    assert len(calls) == 2 and inside == [(0, 1)] and len(invs) == 1
     del calls[:], invs[:], frames[:]
     h.eval_lattice_pair(L0, L1)
     # a hit canonicalizes and looks the key up: no C, no framing
-    assert len(calls) == 2 and invs == [] and frames == [] and inside == [0]
+    assert len(calls) == 2 and invs == [] and frames == []
+    assert inside == [(0, 1)]
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -663,6 +694,44 @@ def test_fq_mat_inv_matches_elimination(data):
     except ZeroDivisionError:
         return
     assert const_matrix(field, fq_mat_inv(field, entries)) == want
+
+
+@given(st.data())
+def test_fq_echelon_pivots_and_dependencies(data):
+    # every pivot row is its recorded combination of the inputs, 1 at
+    # its pivot and 0 at the other pivots; every dependency combines the
+    # inputs to 0 with 1 at its own index; and the pivot count is the
+    # rank over F_q(T), the largest invertible square submatrix
+    field = get_field(data.draw(st.sampled_from((2, 3, 4))))
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    vectors = [tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(n))
+               for _ in range(m)]
+    pivots, deps = fq_echelon(field, vectors)
+
+    def combination(c):
+        out = [0] * n
+        for ck, v in zip(c, vectors):
+            out = [field.add(x, field.mul(ck, y)) for x, y in zip(out, v)]
+        return out
+    for j, row in pivots.items():
+        assert len(row) == n + m
+        assert list(row[:n]) == combination(row[n:])
+        assert all(row[k] == int(k == j) for k in pivots)
+    for idx, c in deps.items():
+        assert len(c) == m and c[idx] == 1
+        assert combination(c) == [0] * n
+    assert len(pivots) + len(deps) == m
+    M = const_matrix(field, vectors)
+    rank = 0
+    for k in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                try:
+                    mat_inv(tuple(tuple(M[i][j] for j in cols) for i in rows))
+                except ZeroDivisionError:
+                    continue
+                rank = k
+    assert len(pivots) == rank
 
 
 def _row_degree(row):

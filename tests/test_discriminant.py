@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hb.algebra import psi_sum
-from hb.building import (canonical_vertex, flip_matrix, iwasawa_decompose,
-                         m_matrix, mat_from_exps, mat_identity, mat_inv,
-                         mat_mul, w_matrix, weyl_edge_value)
+from hb.building import (canonical_vertex, clear_denominators, flip_matrix,
+                         iwasawa_decompose, m_matrix, mat_from_exps,
+                         mat_identity, mat_inv, mat_is_integral, mat_mul,
+                         reduce_y_transcript, vec_mat, w_matrix, weak_popov,
+                         weyl_edge_value)
 from hb.discriminant import (_in_p_cell_column, _unimodular_to_e1,
                              coefficient_table, eval_on_mirabolic,
-                             eval_theta_on_edge, find_witnesses,
-                             p_delta_coefficient, series_eval,
+                             eval_on_p_inverse, eval_theta_on_edge,
+                             find_witnesses, p_delta_coefficient, series_eval,
                              theta_evaluator)
 from hb.fields import get_field
 from hb.fourier import PPoint, dot, polys_up_to
@@ -124,6 +126,99 @@ def test_eval_on_mirabolic_agrees_with_series():
     x = RatF.pi_power(F3, 1)
     g = PPoint((x,), (2,)).matrix(F3)
     assert eval_on_mirabolic(g, 2, F3) == series_eval((x,), (2,), 2, F3)
+
+
+def _eval_on_mirabolic_reference(p_mat, r, field, level=None):
+    """eval_on_mirabolic by its earlier route: y is the lower-right block
+    of p, x comes from x y by a Gauss-Jordan inverse of y, and y = gamma
+    diag(T^{n_i}) kappa from row-reducing y, gamma = U^{-1}."""
+    y = tuple(row[1:] for row in p_mat[1:])
+    x = vec_mat(p_mat[0][1:], mat_inv(y))
+    if r == 2:
+        return series_eval(x, (-int(y[0][0].ord_inf()),), r, field,
+                           level=level)
+    M, d = clear_denominators(y)
+    W, U = weak_popov(M)
+    gamma = mat_inv(tuple(tuple(RatF(p) for p in row) for row in U))
+    yexps = tuple(max(int(p.deg) for p in row if not p.is_zero()) - int(d.deg)
+                  for row in W)
+    return series_eval(vec_mat(x, gamma), yexps, r, field, level=level)
+
+
+def _det(A):
+    """Determinant by expansion along the first row."""
+    if len(A) == 1:
+        return A[0][0]
+    total = RatF.zero(A[0][0].field)
+    for j, a in enumerate(A[0]):
+        minor = _det(tuple(row[:j] + row[j + 1:] for row in A[1:]))
+        total = total + a * minor if j % 2 == 0 else total - a * minor
+    return total
+
+
+@st.composite
+def _mirabolic_args(draw):
+    """(p, y, r, field, level): p = [[1, x y], [0, y]] with q in {2, 3},
+    r in {2, 3, 4}, level None, T or T+1; each x_i num/den with deg num
+    <= 5 and den monic of degree 0..3; y = gamma D kappa full, with gamma
+    in GL(A) and kappa in GL(O), each a product of a permutation, unit
+    lower and upper triangular factors (polynomial entries of degree <= 2
+    in T, resp. in pi) and a constant diagonal, and D = diag(T^{n_i})."""
+    field = get_field(draw(st.sampled_from((2, 3))))
+    r = draw(st.sampled_from((2, 3, 4)))
+    text = draw(st.sampled_from((None, "T", "T+1")))
+    level = None if text is None else parse_poly(field, text)
+    m = r - 1
+    codes = st.integers(0, field.q - 1)
+    units = st.integers(1, field.q - 1)
+
+    def entry(var):      # a polynomial of degree <= 2 in T or in pi
+        cs = draw(st.lists(codes, max_size=3))
+        return sum((RatF(Poly.const(field, c)) * RatF.pi_power(field, var * e)
+                    for e, c in enumerate(cs) if c), RatF.zero(field))
+
+    def factor(var):
+        perm = draw(st.permutations(range(m)))
+        diag = [draw(units) for _ in range(m)]
+        lower = tuple(tuple(entry(var) if j < i else RatF.one(field) if j == i
+                            else RatF.zero(field) for j in range(m))
+                      for i in range(m))
+        upper = tuple(tuple(entry(var) if j > i else
+                            RatF(Poly.const(field, diag[i])) if j == i
+                            else RatF.zero(field) for j in range(m))
+                      for i in range(m))
+        P = tuple(tuple(RatF.one(field) if j == perm[i] else RatF.zero(field)
+                        for j in range(m)) for i in range(m))
+        return mat_mul(P, mat_mul(lower, upper))
+    top = 4 if r <= 3 else 2
+    D = mat_from_exps(field, [draw(st.integers(-1, top)) for _ in range(m)])
+    y = mat_mul(factor(-1), mat_mul(D, factor(1)))
+    x = []
+    for _ in range(m):
+        num = draw(st.lists(codes, max_size=6))
+        den = draw(st.lists(codes, max_size=3)) + [1]
+        x.append(RatF(Poly(field, num), Poly(field, den)))
+    one, zero = RatF.one(field), RatF.zero(field)
+    p = ((one,) + vec_mat(x, y),) + tuple((zero,) + row for row in y)
+    return p, y, r, field, level
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mirabolic_args())
+def test_eval_on_mirabolic_matches_the_inverse_route(args):
+    # x and y^{-1} read off p^{-1}, with y^{-1} column-reduced, give the
+    # value of the earlier route through x y and y; and the column
+    # reduction is a factorization y = gamma diag(T^{n_i}) kappa
+    p, y, r, field, level = args
+    assert eval_on_mirabolic(p, r, field, level) == \
+        _eval_on_mirabolic_reference(p, r, field, level)
+    gamma, yexps = reduce_y_transcript(mat_inv(y))
+    assert all(x.den.is_one() for row in gamma for x in row)
+    det = _det(gamma)
+    assert det.den.is_one() and int(det.num.deg) == 0
+    kappa_inv = mat_mul(mat_mul(mat_inv(y), gamma), mat_from_exps(field, yexps))
+    assert mat_is_integral(kappa_inv)
+    assert int(_det(kappa_inv).ord_inf()) == 0     # rank r - 1 mod pi
 
 
 def test_theta_evaluator_handles_flipped_cell():
@@ -319,13 +414,13 @@ def test_witness_reaches_the_mirabolic_cell(q, r, data):
     gg = mat_mul(gamma, g)
     iw = iwasawa_decompose(gg, canonical_vertex(gg))
     assert iw.w == "identity"
-    value = eval_on_mirabolic(iw.p, r, field, level=n)
+    value = eval_on_p_inverse(iw.p_inv, r, field, level=n)
     ref = _enumerated_witness(n, g_inv, int(n.deg) + 2)
     assert ref is not None
     gg = mat_mul(_unimodular_to_e1(ref), g)
     iw = iwasawa_decompose(gg, canonical_vertex(gg))
     assert iw.w == "identity"
-    assert eval_on_mirabolic(iw.p, r, field, level=n) == value
+    assert eval_on_p_inverse(iw.p_inv, r, field, level=n) == value
     assert eval_theta_on_edge(n, g) == value
 
 
