@@ -37,9 +37,8 @@ augmented Gauss-Jordan, fq_echelon.
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .poly import Poly, RatF, poly_gcd, ratf_from_pairs
 
@@ -346,21 +345,25 @@ def varint_key(ints):
     return bytes(key)
 
 
-@dataclass(frozen=True)
 class Vertex:
-    """Canonical representative of a lattice homothety class; key is
-    lattice_key(rep), computed once."""
-    rep: tuple  # canonical basis rows (RatF), min pivot valuation 0
-    d: tuple    # pivot valuations
-    key: bytes = dc_field(init=False, repr=False)
+    """Canonical representative of a lattice homothety class: rep the
+    canonical basis rows (RatF), min pivot valuation 0, and d the pivot
+    valuations; key is lattice_key(rep), computed once, and equality and
+    hashing go by it.  _fields names what the CLI prints, as for the
+    record types."""
+    __slots__ = ("rep", "d", "key", "_inv")
+    _fields = ("rep", "d", "key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", lattice_key(self.rep))
+    def __init__(self, rep, d):
+        self.rep, self.d, self.key = rep, d, lattice_key(rep)
+        self._inv = None
 
-    @cached_property
-    def inv(self):  # for the pair edge's C = M1 M0^{-1}
-        lead = [RatF.pi_power(self.rep[0][0].field, -di) for di in self.d]
-        return _back_substitute(self.rep, lead, [-x for x in lead])
+    @property
+    def inv(self):  # for the pair edge's C = M1 M0^{-1}; once, on first use
+        if self._inv is None:
+            lead = [RatF.pi_power(self.rep[0][0].field, -di) for di in self.d]
+            self._inv = _back_substitute(self.rep, lead, [-x for x in lead])
+        return self._inv
 
     def __eq__(self, other):
         return isinstance(other, Vertex) and self.key == other.key
@@ -460,17 +463,17 @@ def const_matrix(field, entries):
 # ----------------------------------------------------------------------
 # oriented edges
 
-@dataclass(frozen=True)
 class OrientedEdge:
     """The type-s edge e^s_g, canonicalized once by edge_from_rep.  origin
     and terminus are the canonical vertices, and the key is the lattice
     keys of M0 = origin.rep and of the terminus basis rescaled into
-    M0 > M1 >= pi M0, concatenated.  g is the coset rep."""
-    s: int
-    origin: Vertex
-    terminus: Vertex
-    key: bytes
-    g: tuple
+    M0 > M1 >= pi M0, concatenated; equality and hashing go by it.  g is
+    the coset rep."""
+    __slots__ = _fields = ("s", "origin", "terminus", "key", "g")
+
+    def __init__(self, s, origin, terminus, key, g):
+        self.s, self.origin, self.terminus, self.key, self.g = \
+            s, origin, terminus, key, g
 
     def __eq__(self, other):
         return isinstance(other, OrientedEdge) and self.key == other.key
@@ -609,12 +612,10 @@ def type_one_in_neighbors(g):
 # ----------------------------------------------------------------------
 # Iwasawa decomposition  GL_r(F_inf) = P F^x I^1  disjoint-union  P flip F^x I^1
 
-@dataclass
-class Iwasawa:
-    p_inv: tuple    # inverse of the element p of the mirabolic P(F_infinity)
-    w: str          # "identity" or "flip"
-    scalar: RatF
-    kappa: tuple    # element of I^1
+class Iwasawa(namedtuple("Iwasawa", "p_inv w scalar kappa")):
+    """p_inv the inverse of the element p of the mirabolic P(F_infinity),
+    w "identity" or "flip", scalar in F_infinity^x, kappa in I^1."""
+    __slots__ = ()
 
 
 def is_in_I1(k):
@@ -732,18 +733,19 @@ def clear_denominators(g):
     return M, d
 
 
-@dataclass(frozen=True)
 class WeylType:
-    k: tuple
+    """A dominant type k_1 >= ... >= k_r = 0, r >= 2."""
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self):
-        if len(self.k) < 2:
+    def __init__(self, k):
+        if len(k) < 2:
             raise ValueError("Weyl type needs at least 2 entries: a rank-1 "
                              "building has no edges")
-        if any(self.k[i] < self.k[i + 1] for i in range(len(self.k) - 1)):
+        if any(k[i] < k[i + 1] for i in range(len(k) - 1)):
             raise ValueError("Weyl type must be weakly decreasing")
-        if self.k[-1] != 0:
+        if k[-1] != 0:
             raise ValueError("Weyl type must end in 0")
+        self.k = k
 
 
 def weyl_edge_value(q, k):
@@ -833,12 +835,9 @@ def rep_from_lattice_pair(v0, M1, s):
 # ----------------------------------------------------------------------
 # harmonicity checks
 
-@dataclass
-class CheckItem:
-    condition: str
-    residual: object
-    ok: bool
-    note: str = ""
+class CheckItem(namedtuple("CheckItem", "condition residual ok note",
+                           defaults=("",))):
+    __slots__ = ()
 
 
 def check_harmonic_gl(h1, g):

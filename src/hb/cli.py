@@ -20,12 +20,10 @@ command line.
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import __version__
 from .fields import factor_prime_power, get_field
-from .laurent import PrecisionError, StabilizationError
 from .poly import RatF, parse_poly
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
@@ -147,6 +145,20 @@ def _support_range(series):
         raise UsageError(str(e)) from None
 
 
+def _certified(oracle_value):
+    """oracle_value, with a value the oracle did not certify refused as a
+    usage error: not settled at this --deg-bound (the message names the
+    option), or not within MAX_WINDOW."""
+    from .laurent import PrecisionError, StabilizationError
+
+    def certified(*args, **kwargs):
+        try:
+            return oracle_value(*args, **kwargs)
+        except (StabilizationError, PrecisionError) as e:
+            raise UsageError(f"{type(e).__name__}: {e}") from None
+    return certified
+
+
 def _parse_ints(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -165,8 +177,8 @@ def _parse_xvec(field, text):
 # ---------------------------------------------------------------- output
 
 def _jsonable(x):
-    if is_dataclass(x) and not isinstance(x, type):
-        return {k: _jsonable(v) for k, v in asdict(x).items()}
+    if hasattr(x, "_fields"):   # a record type: its fields, in order
+        return {k: _jsonable(getattr(x, k)) for k in x._fields}
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else x.numerator
     if isinstance(x, dict):
@@ -250,8 +262,9 @@ def cmd_fourier_coeff(args):
             raise UsageError("the oracle evaluator is wired for r = 2")
         _oracle_range(args)
         from .oracle import p_delta_direct
-        h = lambda u, ye: p_delta_direct(PPoint(u, ye).matrix(field),
-                                         args.q, args.r, D=args.deg_bound)
+        p_delta = _certified(p_delta_direct)
+        h = lambda u, ye: p_delta(PPoint(u, ye).matrix(field),
+                                  args.q, args.r, D=args.deg_bound)
     else:
         h = lambda u, ye: series_eval(u, ye, args.r, field)
     c = fourier_coefficient(h, avec, yexps, field)
@@ -370,7 +383,8 @@ def cmd_oracle_pdelta(args):
         gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = _support_range(lambda: eval_on_mirabolic(gm, args.r, field))
     windows = []
-    v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, windows=windows)
+    v = _certified(p_delta_direct)(g, args.q, args.r, D=args.deg_bound,
+                                   windows=windows)
     diag = _oracle_diagnostics(args, windows)
     if args.check:
         diag["series"] = series
@@ -388,8 +402,8 @@ def cmd_oracle_ptheta(args):
     g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     windows = []
-    v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound,
-                       windows=windows)
+    v = _certified(p_theta_direct)(n, g, args.q, args.r, D=args.deg_bound,
+                                   windows=windows)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
                  v, _oracle_diagnostics(args, windows))
 
@@ -611,11 +625,6 @@ def main(argv=None):
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (StabilizationError, PrecisionError) as e:
-        # the oracle certified no value: not settled at this --deg-bound
-        # (the message names the option), or not within MAX_WINDOW
-        print(f"usage error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

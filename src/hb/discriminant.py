@@ -29,10 +29,9 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+# building is imported inside the functions that evaluate at a group
+# element, so a coefficient or a value at (x, y) does not load it
 from .algebra import psi_sum, sigma
-from .building import (canonical_vertex, clear_denominators, fq_mat_inv,
-                       iwasawa_decompose, mat_inv, mat_mul, mat_vec,
-                       reduce_y_transcript, type_one_key, vec_mat, weak_popov)
 from .fourier import mval, over_cap, table_support
 from .poly import Poly, RatF, poly_xgcd, vec_content
 
@@ -101,6 +100,7 @@ def series_eval(xvec, yexps, r, field, level=None):
 
 def eval_on_mirabolic(p_mat, r, field, level=None):
     """Value at an explicit element p of P(F_inf): eval_on_p_inverse."""
+    from .building import mat_inv
     return eval_on_p_inverse(mat_inv(p_mat), r, field, level)
 
 
@@ -109,6 +109,7 @@ def eval_on_p_inverse(p_inv, r, field, level=None):
     p^{-1} = [[1, -x], [0, y^{-1}]]: x and y^{-1} are read off it, the
     columns of y^{-1} reduce to y = gamma diag(T^{n_i}) kappa
     (reduce_y_transcript), and x is transported across gamma."""
+    from .building import reduce_y_transcript, vec_mat
     x = tuple(-c for c in p_inv[0][1:])
     y_inv = tuple(row[1:] for row in p_inv[1:])
     if r == 2:
@@ -151,6 +152,7 @@ def _unimodular_to_e1(cvec):
 
 def _in_p_cell_column(g_inv, cvec):
     """Does g^{-1} c have its strict minimal valuation in coordinate 1?"""
+    from .building import mat_vec
     w = mat_vec(g_inv, tuple(RatF(x) for x in cvec))
     if w[0].is_zero():
         return False
@@ -184,6 +186,7 @@ def find_witnesses(n, g_inv):
     alone exactly when, up to a scalar, a_j = l_j T^(M - deg W_j) plus
     lower terms with l = e1 lc(W)^{-1}: the search over these, for the
     first c of unit content, is complete and needs no bound."""
+    from .building import clear_denominators, fq_mat_inv, mat_inv, weak_popov
     field = g_inv[0][0].field
     level = RatF(n)
     P, _d = clear_denominators(tuple(
@@ -218,6 +221,8 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     Hermite basis H and the product H g go on to the Iwasawa
     decomposition of a miss, with no inverse of g.  Only a miss in the
     flipped cell computes g^{-1}, for the witness search."""
+    from .building import (canonical_vertex, iwasawa_decompose, mat_inv,
+                           mat_mul, type_one_key)
     field = g[0][0].field
     r = len(g)
     key, origin, Hg = type_one_key(g)

@@ -15,7 +15,7 @@ difference identity via
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import divisor_degrees, sigma
@@ -139,11 +139,8 @@ def eisenstein_at(nvec, q, s0):
     return _diagonal_closed_form(nvec, q, lambda k: _qpow_exact(q, -k * s0))
 
 
-@dataclass
-class TruncatedSum:
-    value: Fraction
-    tail_bound: Fraction
-    terms: int
+class TruncatedSum(namedtuple("TruncatedSum", "value tail_bound terms")):
+    __slots__ = ()
 
 
 def eisenstein_truncated_sum(nvec, q, s0, N):
@@ -170,17 +167,14 @@ def eisenstein_truncated_sum(nvec, q, s0, N):
     return TruncatedSum(value=total, tail_bound=tail, terms=N + 1)
 
 
-@dataclass(frozen=True)
-class RecursiveEisenstein:
+class RecursiveEisenstein(namedtuple("RecursiveEisenstein", "rank yexps")):
     """The tagged summand |det y|^{s/(1-r)} E_{r-1}(y, rs/(r-1))."""
-    rank: int
-    yexps: tuple
+    __slots__ = ()
 
 
-@dataclass
-class ZeroCoefficient:
-    recursive: RecursiveEisenstein
-    explicit: QX
+class ZeroCoefficient(namedtuple("ZeroCoefficient", "recursive explicit")):
+    """A RecursiveEisenstein summand plus an explicit QX."""
+    __slots__ = ()
 
 
 def eisenstein_fourier(avec, yexps, q, r):
@@ -204,18 +198,14 @@ def eisenstein_fourier(avec, yexps, q, r):
 # ----------------------------------------------------------------------
 # Kronecker limit formula consequences
 
-@dataclass(frozen=True)
-class LogDeltaSymbol:
+class LogDeltaSymbol(namedtuple("LogDeltaSymbol", "rank yexps")):
     """The formal quantity log Delta_{rank}(diag(T^{n_i}))."""
-    rank: int
-    yexps: tuple
+    __slots__ = ()
 
 
-@dataclass
-class LogDeltaAffine:
-    symbol: LogDeltaSymbol
-    sym_coeff: Fraction
-    const: Fraction
+class LogDeltaAffine(namedtuple("LogDeltaAffine", "symbol sym_coeff const")):
+    """sym_coeff times a LogDeltaSymbol, plus const."""
+    __slots__ = ()
 
 
 def log_delta_fourier(avec, yexps, q, r):
@@ -236,15 +226,9 @@ def log_delta_fourier(avec, yexps, q, r):
         * sigma(r - 1, avec)
 
 
-@dataclass
-class IdentityCheckItem:
-    q: int
-    r: int
-    a: tuple
-    yexps: tuple
-    lhs: Fraction
-    rhs: Fraction
-    ok: bool
+class IdentityCheckItem(namedtuple("IdentityCheckItem",
+                                   "q r a yexps lhs rhs ok")):
+    __slots__ = ()
 
 
 def identity_check_thm56(qs=(2, 3), rs=(2, 3), amax=2, nmax=4):

@@ -13,18 +13,17 @@ coefficients genuinely vanish instead of aliasing.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import psi_sum
 from .poly import Poly, RatF, ratf_from_pairs
 
 
-@dataclass(frozen=True)
-class PPoint:
-    """The mirabolic point [[1, x y], [0, y]]."""
-    x: tuple    # r-1 RatF values
-    yexps: tuple
+class PPoint(namedtuple("PPoint", "x yexps")):
+    """The mirabolic point [[1, x y], [0, y]]: x the r-1 RatF values, y =
+    diag(T^{n_i}) for yexps = (n_i)."""
+    __slots__ = ()
 
     def matrix(self, field):
         r = len(self.x) + 1
@@ -62,11 +61,9 @@ def table_support(field, yexps):
     return [tuple(a) for a in itertools.product(*axes)]
 
 
-@dataclass
-class FourierTable:
-    field: object
-    yexps: tuple
-    entries: dict  # poly_key(a) -> CycRat
+class FourierTable(namedtuple("FourierTable", "field yexps entries")):
+    """The coefficients at one y: entries maps poly_key(a) to a CycRat."""
+    __slots__ = ()
 
 
 def mval(avec, yexps):

@@ -10,7 +10,7 @@ vectors of (A/n)^r modulo the scalars F_q^x.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -47,17 +47,12 @@ def _bareiss_det(M):
     return sign * A[n - 1][n - 1]
 
 
-@dataclass
-class SigmaDetReport:
-    primes: tuple
-    s: int
-    size: int
-    det: Fraction
-    expected_magnitude: Fraction
-    magnitude_ok: bool
-    sign: int
-    empirical_sign: int      # (-1)^(k-1), what the computation produces
-    stated_sign: int         # -1, the published value (see notes)
+class SigmaDetReport(namedtuple(
+        "SigmaDetReport", "primes s size det expected_magnitude magnitude_ok "
+        "sign empirical_sign stated_sign")):
+    """empirical_sign is (-1)^(k-1), what the computation produces, and
+    stated_sign -1, the published value (see sigma_det_check)."""
+    __slots__ = ()
 
 
 def sigma_det_check(primes, s):
@@ -108,16 +103,12 @@ def root_order_delta(q):
     return q - 1
 
 
-@dataclass
-class RootDatum:
-    n: object
-    r: int
-    kappa: int
-    max_root: int
-    character_order: int
-    witness_level: int       # (q-1)(|n|^{r-1}-1), the order at the infinity cusp
-    witness_aux: int         # (q-1)(q^{(deg n - 1)(r-1)} - q)
-    gcd_ok: bool
+class RootDatum(namedtuple(
+        "RootDatum", "n r kappa max_root character_order witness_level "
+        "witness_aux gcd_ok")):
+    """witness_level is (q-1)(|n|^{r-1}-1), the order at the infinity
+    cusp, and witness_aux (q-1)(q^{(deg n - 1)(r-1)} - q)."""
+    __slots__ = ()
 
 
 def root_order_theta(n, r):
@@ -171,13 +162,9 @@ def character_order(n, r):
 # ----------------------------------------------------------------------
 # cusps
 
-@dataclass
-class OrbitReport:
-    n: object
-    r: int
-    total: int
-    orbit_count: int
-    orbit_sizes: tuple
+class OrbitReport(namedtuple("OrbitReport",
+                             "n r total orbit_count orbit_sizes")):
+    __slots__ = ()
 
 
 def _residue_fields(n):
@@ -301,12 +288,10 @@ def cusp_orbits(n, r):
                        orbit_sizes=tuple(sorted(sizes)))
 
 
-@dataclass
-class CuspidalReport:
-    p: object
-    r: int
-    order: int
-    theta_pole_order: int  # ord at the infinity cusp: -(|p|^{r-1}-1)
+class CuspidalReport(namedtuple("CuspidalReport",
+                                "p r order theta_pole_order")):
+    """theta_pole_order is the order at the infinity cusp, -(|p|^{r-1}-1)."""
+    __slots__ = ()
 
 
 def cuspidal_order(p, r):

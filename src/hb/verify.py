@@ -10,7 +10,7 @@ is the certified geometric tail.
 import itertools
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import CycRat
@@ -31,15 +31,15 @@ from .units import (cusp_orbits, cuspidal_order, gcd_sweep, root_order_delta,
                     root_order_theta, sigma_det_check)
 
 
-@dataclass
-class CriterionReport:
-    number: int
-    name: str
-    passed: bool
-    checks: int
-    failures: list
-    seconds: float
-    notes: dict = dc_field(default_factory=dict)
+class CriterionReport(namedtuple(
+        "CriterionReport", "number name passed checks failures seconds notes")):
+    """notes defaults to a fresh dict per report."""
+    __slots__ = ()
+
+    def __new__(cls, number, name, passed, checks, failures, seconds,
+                notes=None):
+        return super().__new__(cls, number, name, passed, checks, failures,
+                               seconds, {} if notes is None else notes)
 
 
 def _timed(number, name, fn):
