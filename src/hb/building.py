@@ -346,11 +346,9 @@ def varint_key(ints):
 
 
 class Vertex:
-    """Canonical representative of a lattice homothety class: rep the
-    canonical basis rows (RatF), min pivot valuation 0, and d the pivot
-    valuations; key is lattice_key(rep), computed once, and equality and
-    hashing go by it.  _fields names what the CLI prints, as for the
-    record types."""
+    """Canonical representative of a lattice homothety class: rep the basis
+    rows (RatF), min pivot valuation 0, d the pivot valuations; key is
+    lattice_key(rep), computed once, and equality and hashing go by it."""
     __slots__ = ("rep", "d", "key", "_inv")
     _fields = ("rep", "d", "key")
 
@@ -835,9 +833,8 @@ def rep_from_lattice_pair(v0, M1, s):
 # ----------------------------------------------------------------------
 # harmonicity checks
 
-class CheckItem(namedtuple("CheckItem", "condition residual ok note",
-                           defaults=("",))):
-    __slots__ = ()
+CheckItem = namedtuple("CheckItem", "condition residual ok note",
+                       defaults=("",))
 
 
 def check_harmonic_gl(h1, g):

@@ -8,23 +8,28 @@ with --format text) of the shape
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound,
-or that needs a series window wider than oracle.MAX_WINDOW), 3 a
+or that needs a series window wider than oracle.MAX_WINDOW, and input
+that needs a power of q too long to print, poly.printable), 3 a
 verification or anchor mismatch.
 
-Each query is one cold process, so the module imports only the base
-arithmetic layers; every command imports its own layer when it runs,
-and `build_parser` configures only the leaf subcommand named on the
-command line.
+Each query is one cold process, so importing this module loads fields
+and poly only, and each command imports its own layers: a series query
+(delta, theta coeff, fourier coeff --h builtin) adds algebra, fourier
+and discriminant, building comes in only at a group element, laurent
+only with the oracle, and no hb module loads dataclasses.  build_parser
+configures only the leaf subcommand named on the command line.
 """
 
 import argparse
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .fields import factor_prime_power, get_field
-from .poly import RatF, parse_poly
+from .poly import RatF, max_digits, over_cap, parse_poly, printable
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
 # fourier coeff refuses u-grids (pi O / pi^M O)^(r-1) with more points;
@@ -58,10 +63,21 @@ def _int_at_least(lo):
     return parse
 
 
-def _parse_poly(field, text):
+def _printable(q, e, what):
+    """Refuse `what`, before any arithmetic, if q^e is not poly.printable."""
+    if not printable(q, e):
+        raise UsageError(f"{what} needs a power of q with more than "
+                         f"{max_digits()} digits")
+
+
+def _parse_poly(field, text, flag):
     if not text.strip():
         raise UsageError("a polynomial is empty; write 0 for the zero "
                          "polynomial")
+    # |T^d| = q^d; a d of more than max_digits() digits is refused on
+    # its first max_digits() digits, too long for an int
+    for deg in re.findall(r"T\^0*([0-9]+)", text):
+        _printable(field.q, int(deg[:max_digits()]), f"{flag} T^{deg}")
     try:
         return parse_poly(field, text)
     except ValueError as e:
@@ -70,22 +86,22 @@ def _parse_poly(field, text):
 
 def _parse_level(field, text, flag="--n"):
     """A level: a monic, hence nonzero, polynomial."""
-    n = _parse_poly(field, text)
+    n = _parse_poly(field, text, flag)
     if not n.is_monic():
         raise UsageError(f"{flag} {text!r}: a level must be a nonzero "
                          "monic polynomial")
     return n
 
 
-def _parse_ratf(field, text):
+def _parse_ratf(field, text, flag):
     """An element of F_q(T) as 'num' or 'num/den' in the poly syntax."""
     if "/" in text:
         num, den = text.split("/", 1)
-        den = _parse_poly(field, den)
+        den = _parse_poly(field, den, flag)
         if den.is_zero():
             raise UsageError(f"entry {text!r} has a zero denominator")
-        return RatF(_parse_poly(field, num), den)
-    return RatF(_parse_poly(field, text))
+        return RatF(_parse_poly(field, num, flag), den)
+    return RatF(_parse_poly(field, text, flag))
 
 
 def _parse_matrix(field, text, r):
@@ -93,7 +109,7 @@ def _parse_matrix(field, text, r):
     from .building import mat_inv
     rows = []
     for row in text.split(";"):
-        rows.append(tuple(_parse_ratf(field, e) for e in row.split(",")))
+        rows.append(tuple(_parse_ratf(field, e, "--g") for e in row.split(",")))
     if len(rows) != r or any(len(row) != r for row in rows):
         raise UsageError(f"matrix {text!r} is not {r}x{r} for --r {r}")
     try:
@@ -127,7 +143,7 @@ def _oracle_range(args):
 def _grid_range(q, avec, yexps):
     """The size limit of fourier coeff's u-grid, checked before any of
     it is built: q^((M-1)(r-1)) points at grid depth M."""
-    from .fourier import grid_depth, over_cap
+    from .fourier import grid_depth
     e = (grid_depth(avec, yexps) - 1) * len(yexps)
     if over_cap(q, e, MAX_GRID):
         raise UsageError(f"--a and --y need a u-grid of q^{e} points, "
@@ -145,18 +161,15 @@ def _support_range(series):
         raise UsageError(str(e)) from None
 
 
-def _certified(oracle_value):
-    """oracle_value, with a value the oracle did not certify refused as a
-    usage error: not settled at this --deg-bound (the message names the
-    option), or not within MAX_WINDOW."""
+def _certified(oracle_value, *args, **kwargs):
+    """oracle_value(*args, **kwargs), with a value the oracle did not
+    certify refused as a usage error: not settled at this --deg-bound (the
+    message names the option), or not within MAX_WINDOW."""
     from .laurent import PrecisionError, StabilizationError
-
-    def certified(*args, **kwargs):
-        try:
-            return oracle_value(*args, **kwargs)
-        except (StabilizationError, PrecisionError) as e:
-            raise UsageError(f"{type(e).__name__}: {e}") from None
-    return certified
+    try:
+        return oracle_value(*args, **kwargs)
+    except (StabilizationError, PrecisionError) as e:
+        raise UsageError(f"{type(e).__name__}: {e}") from None
 
 
 def _parse_ints(text):
@@ -166,12 +179,20 @@ def _parse_ints(text):
         raise UsageError(f"{text!r} is not a list of integers") from None
 
 
-def _parse_polyvec(field, text):
-    return tuple(_parse_poly(field, s) for s in text.split(","))
+def _parse_polyvec(field, text, flag):
+    return tuple(_parse_poly(field, s, flag) for s in text.split(","))
 
 
 def _parse_xvec(field, text):
-    return tuple(_parse_ratf(field, s) for s in text.split(","))
+    return tuple(_parse_ratf(field, s, "--x") for s in text.split(","))
+
+
+def _coefficient_range(args, avec, yexps, level=None):
+    """Refuse a --y whose P1*(a, y) are not printable (value_exponent)."""
+    from .discriminant import value_exponent
+    deg_a = max((int(a.deg) for a in avec if not a.is_zero()), default=0)
+    _printable(args.q, value_exponent(yexps, args.r, deg_a, level),
+               f"--y {args.y}")
 
 
 # ---------------------------------------------------------------- output
@@ -246,6 +267,9 @@ def cmd_building_weyl(args):
     except ValueError as e:
         raise UsageError(f"--k: {e}") from None
     args.r = len(k.k)
+    # -(q - 1) q^((r - 1)(k_1 + 1) - k_2 - ... - k_r)
+    _printable(args.q, (args.r - 1) * (k.k[0] + 1) - sum(k.k[1:]) + 1,
+               f"--k {args.k}")
     val = weyl_edge_value(args.q, k.k)
     return _emit(args, "building.weyl", {"k": list(k.k)}, val)
 
@@ -254,20 +278,20 @@ def cmd_fourier_coeff(args):
     from .discriminant import p_delta_coefficient, series_eval
     from .fourier import PPoint, fourier_coefficient
     field = get_field(args.q)
-    avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
+    avec = _rank_vector(_parse_polyvec(field, args.a, "--a"), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     _grid_range(args.q, avec, yexps)
+    _coefficient_range(args, avec, yexps)
     if args.h == "oracle":
         if args.r != 2:
             raise UsageError("the oracle evaluator is wired for r = 2")
         _oracle_range(args)
         from .oracle import p_delta_direct
-        p_delta = _certified(p_delta_direct)
-        h = lambda u, ye: p_delta(PPoint(u, ye).matrix(field),
-                                  args.q, args.r, D=args.deg_bound)
+        h = lambda u, ye: _certified(p_delta_direct, PPoint(u, ye).matrix(
+            field), args.q, args.r, D=args.deg_bound)
     else:
         h = lambda u, ye: series_eval(u, ye, args.r, field)
-    c = fourier_coefficient(h, avec, yexps, field)
+    c = _support_range(lambda: fourier_coefficient(h, avec, yexps, field))
     closed = p_delta_coefficient(avec, yexps, args.r)
     return _emit(args, "fourier.coeff",
                  {"h": args.h, "a": args.a, "y": list(yexps)},
@@ -285,6 +309,10 @@ def cmd_eisenstein_eval(args):
         raise UsageError(f"--s {args.s!r} is not a rational number") from None
     if s0 <= 1:
         raise UsageError(f"--s {s0}: the lattice sum needs s0 > 1")
+    # products of at most three q^(+-k), q^(+-k s0), k <= d
+    d = abs(sum(nvec)) + args.r * (max(0, *(-n for n in nvec)) + args.N + 2)
+    _printable(args.q, 3 * d * math.ceil(s0),
+               f"--n {args.n} at --s {args.s} and --N {args.N}")
     try:
         closed = eisenstein_at(nvec, args.q, s0)
         ts = eisenstein_truncated_sum(nvec, args.q, s0, args.N)
@@ -318,8 +346,9 @@ def cmd_eisenstein_klf(args):
 def cmd_delta_coeff(args):
     from .discriminant import p_delta_coefficient
     field = get_field(args.q)
-    avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
+    avec = _rank_vector(_parse_polyvec(field, args.a, "--a"), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
+    _coefficient_range(args, avec, yexps)
     c = p_delta_coefficient(avec, yexps, args.r)
     return _emit(args, "delta.coeff", {"a": args.a, "y": list(yexps)}, c)
 
@@ -328,7 +357,7 @@ def cmd_delta_eval(args):
     from .discriminant import check_support, series_eval
     field = get_field(args.q)
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
-    _support_range(lambda: check_support(args.q, yexps))
+    _support_range(lambda: check_support(args.q, yexps, args.r))
     if args.x is not None:
         x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
     else:   # no --x: the value at x = 0
@@ -341,8 +370,9 @@ def cmd_theta_coeff(args):
     from .discriminant import p_delta_coefficient
     field = get_field(args.q)
     n = _parse_level(field, args.n)
-    avec = _rank_vector(_parse_polyvec(field, args.a), args.r, "--a")
+    avec = _rank_vector(_parse_polyvec(field, args.a, "--a"), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
+    _coefficient_range(args, avec, yexps, n)
     c = p_delta_coefficient(avec, yexps, args.r, level=n)
     return _emit(args, "theta.coeff",
                  {"n": args.n, "a": args.a, "y": list(yexps)}, c)
@@ -383,8 +413,8 @@ def cmd_oracle_pdelta(args):
         gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = _support_range(lambda: eval_on_mirabolic(gm, args.r, field))
     windows = []
-    v = _certified(p_delta_direct)(g, args.q, args.r, D=args.deg_bound,
-                                   windows=windows)
+    v = _certified(p_delta_direct, g, args.q, args.r, D=args.deg_bound,
+                   windows=windows)
     diag = _oracle_diagnostics(args, windows)
     if args.check:
         diag["series"] = series
@@ -402,8 +432,8 @@ def cmd_oracle_ptheta(args):
     g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     windows = []
-    v = _certified(p_theta_direct)(n, g, args.q, args.r, D=args.deg_bound,
-                                   windows=windows)
+    v = _certified(p_theta_direct, n, g, args.q, args.r, D=args.deg_bound,
+                   windows=windows)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
                  v, _oracle_diagnostics(args, windows))
 
@@ -411,7 +441,11 @@ def cmd_oracle_ptheta(args):
 def cmd_units_det_sigma(args):
     from .units import sigma_det_check
     field = get_field(args.q)
-    primes = _parse_polyvec(field, args.primes)
+    primes = _parse_polyvec(field, args.primes, "--primes")
+    # det of 2^k - 1 rows of at most 2^k <= |n| terms |c|^s, 7! < 2^13
+    deg_n = sum(int(p.deg) for p in primes if not p.is_zero())
+    _printable(args.q, (2 ** len(primes) - 1) * (abs(args.s) + 1) * deg_n
+               + 13, f"--s {args.s}")
     try:
         rep = sigma_det_check(primes, args.s)
     except ValueError as e:     # not 1 to 3 distinct irreducibles
@@ -433,6 +467,9 @@ def cmd_units_root_order(args):
         return _emit(args, "units.root-order", {"series": "delta"},
                      root_order_delta(args.q))
     n = _parse_level(field, args.n)
+    # the witness (q - 1)(|n|^(r-1) - 1)
+    _printable(args.q, int(n.deg) * (args.r - 1) + 1,
+               f"--n {args.n} at --r {args.r}")
     try:
         rd = root_order_theta(n, args.r)
     except ValueError as e:     # a level of degree 0
@@ -462,6 +499,9 @@ def cmd_cusps_order(args):
     from .units import cuspidal_order
     field = get_field(args.q)
     p = _parse_level(field, args.p, "--p")
+    # |p|^(r-1) - 1 and q^r - 1
+    _printable(args.q, max(int(p.deg) * (args.r - 1), args.r) + 1,
+               f"--p {args.p} at --r {args.r}")
     try:
         rep = cuspidal_order(p, args.r)
     except ValueError as e:     # a reducible level

@@ -32,15 +32,17 @@ from functools import lru_cache
 # building is imported inside the functions that evaluate at a group
 # element, so a coefficient or a value at (x, y) does not load it
 from .algebra import psi_sum, sigma
-from .fourier import mval, over_cap, table_support
-from .poly import Poly, RatF, poly_xgcd, vec_content
+from .fourier import mval, table_support
+from .poly import (Poly, RatF, max_digits, over_cap, poly_xgcd, printable,
+                   vec_content)
 
 # no coefficient table is built over a support of more a-vectors
 MAX_SUPPORT = 2 ** 10
 
 
 class SupportError(ValueError):
-    """A coefficient support of more than MAX_SUPPORT a-vectors."""
+    """A coefficient support of more than MAX_SUPPORT a-vectors, or values
+    with more digits than Python prints."""
 
 
 def p_delta_coefficient(avec, yexps, r, level=None):
@@ -53,13 +55,27 @@ def p_delta_coefficient(avec, yexps, r, level=None):
         * sigma(r - 1, avec, level)
 
 
-def check_support(q, yexps):
+def value_exponent(yexps, r, deg_a, level=None):
+    """An e with q^e above the numerator and denominator of each P1*(a, y),
+    deg a_i <= deg_a, and of each sum of MAX_SUPPORT of them: an integer
+    times q^(r - 1 - sum n_i), below q^(2r - sum n_i) times a divisor sum
+    below q^(r deg_a + 1), or q^((r - 1) deg n) at a = 0."""
+    deg_n = 0 if level is None else int(level.deg)
+    return abs(sum(yexps)) + r * (max(deg_a, 0) + deg_n + 2) \
+        + MAX_SUPPORT.bit_length()
+
+
+def check_support(q, yexps, r, level=None):
     """Refuse a support of q^(sum max(n_i - 1, 0)) a-vectors above
-    MAX_SUPPORT, before any of it is built."""
+    MAX_SUPPORT, or values at y that need a power of q with more digits
+    than Python prints (poly.printable), before any of it is built."""
     e = sum(max(n - 1, 0) for n in yexps)
     if over_cap(q, e, MAX_SUPPORT):
         raise SupportError(f"y = {tuple(yexps)} needs a coefficient support "
                            f"of q^{e} points, more than {MAX_SUPPORT}")
+    if not printable(q, value_exponent(yexps, r, max(yexps) - 2, level)):
+        raise SupportError(f"y = {tuple(yexps)} gives values with powers of "
+                           f"q of more than {max_digits()} digits")
 
 
 # room for every y that a sweep of the harmonicity checks meets (89 in
@@ -68,8 +84,9 @@ def check_support(q, yexps):
 def coefficient_table(field, yexps, r, level):
     """The nonzero (P1*(a, y), a) pairs over the support at y =
     diag(T^{n_i}), yexps a tuple; one table per key.  A support above
-    MAX_SUPPORT raises SupportError before any of it is built."""
-    check_support(field.q, yexps)
+    MAX_SUPPORT or values too long to print raise SupportError before any
+    of it is built."""
+    check_support(field.q, yexps, r, level)
     coeffs = ((p_delta_coefficient(a, yexps, r, level), a)
               for a in table_support(field, yexps))
     return tuple((c, a) for c, a in coeffs if c)

@@ -30,9 +30,12 @@ def _trim(c):
 
 
 def _pmul(a, b):
-    return tuple(sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1),
-                                                      min(k + 1, len(a))))
-                 for k in range(len(a) + len(b) - 1))
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:                           # X^k factors leave long zero runs
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+    return tuple(out)
 
 
 def _pdivmod(a, b):                     # b != 0
@@ -51,9 +54,14 @@ class QX:
         num, den = (_trim([Fraction(x) for x in p]) for p in (num, den))
         if not den:
             raise ZeroDivisionError("QX with a zero denominator")
-        g, b = den, num                 # Euclid: g = gcd(num, den)
+        # gcd(X^j a, X^i b) = X^min(i, j) gcd(a, b) for a, b prime to X,
+        # so Euclid runs on a and b, whatever the powers of X
+        i = next(k for k, x in enumerate(den) if x)
+        j = next((k for k, x in enumerate(num) if x), i)
+        g, b = den[i:], num[j:]         # Euclid: g = gcd(num, den)
         while b:
             g, b = b, _pdivmod(g, b)[1]
+        g = (0,) * min(i, j) + g
         g = tuple(x * den[-1] / g[-1] for x in g)   # so that den/g is monic
         self.num, self.den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
 
@@ -139,8 +147,7 @@ def eisenstein_at(nvec, q, s0):
     return _diagonal_closed_form(nvec, q, lambda k: _qpow_exact(q, -k * s0))
 
 
-class TruncatedSum(namedtuple("TruncatedSum", "value tail_bound terms")):
-    __slots__ = ()
+TruncatedSum = namedtuple("TruncatedSum", "value tail_bound terms")
 
 
 def eisenstein_truncated_sum(nvec, q, s0, N):
@@ -172,9 +179,7 @@ class RecursiveEisenstein(namedtuple("RecursiveEisenstein", "rank yexps")):
     __slots__ = ()
 
 
-class ZeroCoefficient(namedtuple("ZeroCoefficient", "recursive explicit")):
-    """A RecursiveEisenstein summand plus an explicit QX."""
-    __slots__ = ()
+ZeroCoefficient = namedtuple("ZeroCoefficient", "recursive explicit")
 
 
 def eisenstein_fourier(avec, yexps, q, r):
@@ -203,9 +208,7 @@ class LogDeltaSymbol(namedtuple("LogDeltaSymbol", "rank yexps")):
     __slots__ = ()
 
 
-class LogDeltaAffine(namedtuple("LogDeltaAffine", "symbol sym_coeff const")):
-    """sym_coeff times a LogDeltaSymbol, plus const."""
-    __slots__ = ()
+LogDeltaAffine = namedtuple("LogDeltaAffine", "symbol sym_coeff const")
 
 
 def log_delta_fourier(avec, yexps, q, r):
@@ -226,9 +229,7 @@ def log_delta_fourier(avec, yexps, q, r):
         * sigma(r - 1, avec)
 
 
-class IdentityCheckItem(namedtuple("IdentityCheckItem",
-                                   "q r a yexps lhs rhs ok")):
-    __slots__ = ()
+IdentityCheckItem = namedtuple("IdentityCheckItem", "q r a yexps lhs rhs ok")
 
 
 def identity_check_thm56(qs=(2, 3), rs=(2, 3), amax=2, nmax=4):

@@ -49,21 +49,14 @@ def polys_up_to(field, d):
             itertools.product(range(field.q), repeat=d + 1)]
 
 
-def over_cap(q, e, cap):
-    """Is q^e above cap?  Decided without forming q^e for a huge e."""
-    # q >= 2, so q^e > cap once e reaches cap's bit length
-    return e >= cap.bit_length() or q ** e > cap
-
-
 def table_support(field, yexps):
     """All a-vectors with deg a_i <= n_i - 2."""
     axes = [polys_up_to(field, n - 2) for n in yexps]
     return [tuple(a) for a in itertools.product(*axes)]
 
 
-class FourierTable(namedtuple("FourierTable", "field yexps entries")):
-    """The coefficients at one y: entries maps poly_key(a) to a CycRat."""
-    __slots__ = ()
+# entries maps poly_key(a) to a CycRat
+FourierTable = namedtuple("FourierTable", "field yexps entries")
 
 
 def mval(avec, yexps):

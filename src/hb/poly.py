@@ -20,6 +20,7 @@ extracted exactly by long division.
 import itertools
 import math
 import re
+import sys
 from functools import lru_cache
 
 NEG_INF = -math.inf
@@ -204,6 +205,23 @@ def coeff_str(field, c):
         x //= field.p
         i += 1
     return "(" + "+".join(reversed(digits)) + ")" if len(digits) > 1 else (digits[0] if digits else "0")
+
+
+def over_cap(q, e, cap):
+    """Is q^e above cap?  Decided without forming q^e for a huge e."""
+    # q >= 2, so q^e > cap once e reaches cap's bit length
+    return e >= cap.bit_length() or q ** e > cap
+
+
+def max_digits():
+    """sys.get_int_max_str_digits(), or its default where the limit is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def printable(q, e):
+    """Does q^e (e >= 0) have at most max_digits() digits, so that Python
+    prints it?  The CLI holds every exponent of its input to this."""
+    return not over_cap(q, e, 10 ** max_digits() - 1)
 
 
 _TERM_RE = re.compile(r"^(?:(?P<coef>[0-9]+|u(?:\^[0-9]+)?|[0-9]+\*u(?:\^[0-9]+)?)\*?)?"

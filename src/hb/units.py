@@ -47,12 +47,11 @@ def _bareiss_det(M):
     return sign * A[n - 1][n - 1]
 
 
-class SigmaDetReport(namedtuple(
-        "SigmaDetReport", "primes s size det expected_magnitude magnitude_ok "
-        "sign empirical_sign stated_sign")):
-    """empirical_sign is (-1)^(k-1), what the computation produces, and
-    stated_sign -1, the published value (see sigma_det_check)."""
-    __slots__ = ()
+# empirical_sign is (-1)^(k-1), what the computation produces, and
+# stated_sign -1, the published value (see sigma_det_check)
+SigmaDetReport = namedtuple("SigmaDetReport", "primes s size det "
+                            "expected_magnitude magnitude_ok sign "
+                            "empirical_sign stated_sign")
 
 
 def sigma_det_check(primes, s):
@@ -103,12 +102,10 @@ def root_order_delta(q):
     return q - 1
 
 
-class RootDatum(namedtuple(
-        "RootDatum", "n r kappa max_root character_order witness_level "
-        "witness_aux gcd_ok")):
-    """witness_level is (q-1)(|n|^{r-1}-1), the order at the infinity
-    cusp, and witness_aux (q-1)(q^{(deg n - 1)(r-1)} - q)."""
-    __slots__ = ()
+# witness_level is (q-1)(|n|^{r-1}-1), the order at the infinity cusp,
+# and witness_aux (q-1)(q^{(deg n - 1)(r-1)} - q)
+RootDatum = namedtuple("RootDatum", "n r kappa max_root character_order "
+                       "witness_level witness_aux gcd_ok")
 
 
 def root_order_theta(n, r):
@@ -162,9 +159,7 @@ def character_order(n, r):
 # ----------------------------------------------------------------------
 # cusps
 
-class OrbitReport(namedtuple("OrbitReport",
-                             "n r total orbit_count orbit_sizes")):
-    __slots__ = ()
+OrbitReport = namedtuple("OrbitReport", "n r total orbit_count orbit_sizes")
 
 
 def _residue_fields(n):
@@ -288,10 +283,8 @@ def cusp_orbits(n, r):
                        orbit_sizes=tuple(sorted(sizes)))
 
 
-class CuspidalReport(namedtuple("CuspidalReport",
-                                "p r order theta_pole_order")):
-    """theta_pole_order is the order at the infinity cusp, -(|p|^{r-1}-1)."""
-    __slots__ = ()
+# theta_pole_order is the order at the infinity cusp, -(|p|^{r-1}-1)
+CuspidalReport = namedtuple("CuspidalReport", "p r order theta_pole_order")
 
 
 def cuspidal_order(p, r):

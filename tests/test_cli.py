@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import hb.building
 import hb.cli
 import hb.discriminant
+import hb.eisenstein
 import hb.fourier
 import hb.oracle
+import hb.poly
 import hb.units
 from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, main
 from hb.building import weyl_edge_value
@@ -671,3 +674,109 @@ def test_negative_exponent_list_needs_the_equals_form(capsys):
     err = _usage_error(capsys, ["delta", "eval", "--q", "3", "--r", "3",
                                 "--y", "-1,-2"])
     assert "expected one argument" in err
+
+
+# every refusal of an oversized exponent, and the arithmetic it comes
+# before: none of these is reached
+UNTOUCHED = {
+    hb.building: ("weyl_edge_value",),
+    hb.discriminant: ("p_delta_coefficient", "table_support", "psi_sum"),
+    hb.eisenstein: ("eisenstein_at", "eisenstein_truncated_sum",
+                    "eisenstein_diagonal"),
+    hb.fourier: ("fourier_coefficient",),
+    hb.units: ("sigma_det_check", "root_order_theta", "cuspidal_order"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["delta", "coeff", "--q", "2", "--r", "2", "--a", "T",
+      "--y", "99999999999"], "--y 99999999999"),
+    (["theta", "coeff", "--q", "2", "--r", "2", "--n", "T", "--a", "T",
+      "--y", "99999999999"], "--y 99999999999"),
+    (["delta", "coeff", "--q", "2", "--r", "2", "--a", "T", "--y", "15000"],
+     "--y 15000"),
+    (["delta", "coeff", "--q", "3", "--r", "3", "--a", "0,0",
+      "--y=-9000,0"], "--y -9000,0"),
+    (["building", "weyl", "--q", "2", "--k", "99999999,0"], "--k 99999999,0"),
+    (["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
+      "--g", "T^99999999,0;0,1"], "--g T^99999999"),
+    (["delta", "eval", "--q", "2", "--r", "2", "--y", "2",
+      "--x", "1/T^20000"], "--x T^20000"),
+    (["delta", "coeff", "--q", "2", "--r", "2", "--a", "T^" + "9" * 5000,
+      "--y", "3"], "--a T^999"),
+    (["eisenstein", "eval", "--q", "2", "--n", "0,3000", "--s", "2"],
+     "--n 0,3000 at --s 2 and --N 8"),
+    (["eisenstein", "eval", "--q", "2", "--n", "0,99999999", "--s", "2"],
+     "--n 0,99999999"),
+    (["eisenstein", "eval", "--q", "2", "--n", "0,0", "--s", "99999999"],
+     "--s 99999999"),
+    (["eisenstein", "eval", "--q", "2", "--n", "0,0", "--s", "2",
+      "--N", "99999999"], "--N 99999999"),
+    (["fourier", "coeff", "--q", "2", "--r", "2", "--a", "0",
+      "--y=-99999"], "--y -99999"),
+    (["units", "det-sigma", "--q", "2", "--primes", "T,T+1",
+      "--s", "99999999"], "--s 99999999"),
+    (["units", "root-order", "--q", "2", "--r", "99999999", "--n", "T"],
+     "--r 99999999"),
+    (["cusps", "order", "--q", "2", "--r", "30000", "--p", "T"],
+     "--r 30000"),
+])
+def test_oversized_exponent_is_a_usage_error(capsys, monkeypatch, argv, flag):
+    # refused from the exponents alone, before any power of q is formed
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the exponent must be refused first")
+    for module, names in UNTOUCHED.items():
+        for name in names:
+            monkeypatch.setattr(module, name, untouchable)
+    monomial = hb.poly.Poly.monomial        # no T^k list of a huge k
+
+    def small_monomial(field, k, c=1):
+        return untouchable() if k > 10 ** 5 else monomial(field, k, c)
+    monkeypatch.setattr(hb.poly.Poly, "monomial", staticmethod(small_monomial))
+    err = _usage_error(capsys, argv)
+    assert flag in err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "eval", "--q", "2", "--r", "2", "--y=-99999999"],
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
+     "--g", "T^14000,0;0,1/T^14000"],
+    ["theta", "eval", "--q", "3", "--r", "3", "--n", "T",
+     "--g", "T^9000,0,0;0,1,0;0,0,1"],
+])
+def test_series_value_too_long_to_print_is_a_usage_error(capsys, monkeypatch,
+                                                          argv):
+    # y is known once g is reduced into the mirabolic cell; values at a
+    # y with q^(-sum n_i) too long to print are refused there, before the
+    # support or the series is touched
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the value size must be refused first")
+    for name in ("table_support", "psi_sum"):
+        monkeypatch.setattr(hb.discriminant, name, untouchable)
+    err = _usage_error(capsys, argv)
+    assert "y = (" in err and "digits" in err
+
+
+def test_the_digit_budget_is_the_interpreters(capsys, monkeypatch):
+    # q^2201 at q = 2 has 663 digits: refused under a 640-digit limit,
+    # computed under the default (and when the limit is off)
+    argv = ["building", "weyl", "--q", "2", "--k", "2200,0"]
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    assert "more than 640 digits" in _usage_error(capsys, argv)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK and doc["result"] == -2 ** 2201
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
+     "--g", "T^5000,0;0,1"],
+    ["eisenstein", "eval", "--q", "2", "--n", "0,2300", "--s", "2"],
+    ["eisenstein", "eval", "--q", "2", "--n=-700,0", "--s", "2"],
+    ["building", "weyl", "--q", "2", "--k", "14000,0"],
+    ["delta", "eval", "--q", "2", "--r", "2", "--y=-14000"],
+])
+def test_large_exponents_that_print_are_computed(capsys, argv):
+    code, _doc = run_json(capsys, argv)
+    assert code == EXIT_OK

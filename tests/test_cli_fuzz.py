@@ -4,8 +4,10 @@ subcommand, run in-process through hb.cli.main.
 Every draw must exit 0, 2 or 3 (never 1, an internal error); an exit of
 2 prints nothing on stdout; a matrix or vector of the wrong shape
 never exits 0; and an entry with a zero denominator, a degree-0
-`units root-order --n`, a negative `eisenstein eval --N` or a
-one-entry `building weyl --k` exits 2.
+`units root-order --n`, a negative `eisenstein eval --N`, a
+one-entry `building weyl --k` or an exponent whose power of q has more
+digits than Python prints (an entry T^99999, a --y, --n, --k or --s
+entry of 99999 or beyond) exits 2.
 The grammar keeps each call cheap: `verify all` is left out,
 `--deg-bound` is at most 3 and levels have degree at most 2.
 """
@@ -18,6 +20,7 @@ import hb.cli
 from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 ENTRIES = ("0", "1", "2", "T", "T+1", "T^2", "1/T", "T/T^2+1")
+HUGE = "99999"      # q^99999 has 30,103 digits or more
 POLYS = ("0", "1", "2", "T", "T+1", "T^2+T")
 LEVELS = ("T", "T+1", "T^2", "T^2+1", "T^2+T+1", "2T", "0")
 SCALARS = ("2", "3/2", "5/3", "1", "s")
@@ -42,10 +45,12 @@ class Grammar:
 
     def entries(self, n):
         """n F_q(T) entries; in one list of four, one has a zero
-        denominator."""
+        denominator, and in one of eight one is T^99999."""
         items = [self.draw(st.sampled_from(ENTRIES)) for _ in range(n)]
         if n and self._refuse(4):
             items[self.draw(st.integers(0, n - 1))] = "T/0"
+        if n and self._refuse(8):
+            items[self.draw(st.integers(0, n - 1))] = "T^" + HUGE
         return items
 
     def _wrong(self):
@@ -82,6 +87,13 @@ class Grammar:
     def ints(self, lo, hi, n):
         return ",".join(str(self.draw(st.integers(lo, hi))) for _ in range(n))
 
+    def exponents(self, text, huge=HUGE):
+        """The comma list text, or one time in eight each of its entries
+        replaced by huge: a power of q too long to print."""
+        if self._refuse(8):
+            return ",".join(huge for _ in text.split(","))
+        return text
+
     def level(self, flag="--n"):
         return [flag, self.draw(st.sampled_from(LEVELS))]
 
@@ -99,7 +111,8 @@ class Grammar:
         """--k with r entries, or one time in four a single entry: a
         rank-1 building has no edges."""
         n = 1 if self._refuse(4) else self.r
-        return ["--k", self.ints(0, 2, n)]
+        k = self.ints(0, 2, n)
+        return ["--k", HUGE + ",0" * (n - 1) if self._refuse(8) else k]
 
     def optional(self, args):
         """args(), or nothing; args is drawn only when it is used."""
@@ -113,19 +126,23 @@ LEAVES = {
     "building neighbors": lambda G: G.optional(lambda: ["--g", G.matrix()]),
     "building weyl": lambda G: G.weyl_type(),
     "fourier coeff": lambda G: [
-        "--a", G.vector(POLYS), "--y=" + G.vector(("0", "1", "2", "3"))]
+        "--a", G.vector(POLYS),
+        "--y=" + G.exponents(G.vector(("0", "1", "2", "3")), "-" + HUGE)]
         + G.optional(lambda: ["--h", "oracle"] + G.oracle()),
     "eisenstein eval": lambda G: [
-        "--n=" + G.ints(-1, 2, G.r), "--s", G.draw(st.sampled_from(SCALARS))]
+        "--n=" + G.exponents(G.ints(-1, 2, G.r)),
+        "--s", G.draw(st.sampled_from(SCALARS))]
         + G.truncation(),
     "eisenstein check-klf-chain": lambda G: [],
     "delta coeff": lambda G: [
-        "--a", G.vector(POLYS), "--y=" + G.vector(("-1", "0", "2", "3"))],
+        "--a", G.vector(POLYS),
+        "--y=" + G.exponents(G.vector(("-1", "0", "2", "3")))],
     "delta eval": lambda G: [
-        "--y=" + G.vector(("-1", "0", "2", "3"))]
+        "--y=" + G.exponents(G.vector(("-1", "0", "2", "3")), "-" + HUGE)]
         + G.optional(lambda: ["--x", G.vector()]),
     "theta coeff": lambda G: G.level() + [
-        "--a", G.vector(POLYS), "--y=" + G.vector(("0", "2", "3"))],
+        "--a", G.vector(POLYS),
+        "--y=" + G.exponents(G.vector(("0", "2", "3")))],
     "theta eval": lambda G: G.level() + ["--g", G.matrix()],
     "oracle pdelta": lambda G: G.oracle()
         + G.optional(lambda: ["--g", G.matrix()])
@@ -135,7 +152,7 @@ LEAVES = {
     "units det-sigma": lambda G: [
         "--primes", ",".join(G.draw(st.lists(st.sampled_from(LEVELS),
                                              min_size=1, max_size=3))),
-        "--s", str(G.draw(st.integers(1, 3)))],
+        "--s", G.exponents(str(G.draw(st.integers(1, 3))))],
     "units root-order": lambda G: G.optional(G.root_order_level),
     "cusps orbits": lambda G: G.level(),
     "cusps order": lambda G: G.level("--p"),
@@ -189,12 +206,25 @@ def test_cli_exit_codes(capsys, leaf, data):
     ("units root-order", "--n", lambda n: n == "1"),
     ("eisenstein eval", "--N", lambda n: n.startswith("-")),
     ("building weyl", "--k", lambda k: "," not in k),
+    ("building weyl", "--k", lambda k: k.startswith(HUGE)),
+    ("theta eval", "--g", lambda g: "T^" + HUGE in g),
+    ("delta eval", "--x", lambda x: "T^" + HUGE in x),
+    ("delta coeff", "--y", lambda y: HUGE in y),
+    ("theta coeff", "--y", lambda y: HUGE in y),
+    ("delta eval", "--y", lambda y: HUGE in y),
+    ("fourier coeff", "--y", lambda y: HUGE in y),
+    ("eisenstein eval", "--n", lambda n: HUGE in n),
+    ("units det-sigma", "--s", lambda s: s == HUGE),
 ])
 def test_the_grammar_draws_each_refusal(capsys, leaf, flag, refused_value):
-    # the examples the fuzz test draws may miss a refusal; one is found here
+    # the examples the fuzz test draws may miss a refusal; one is found
+    # here, its flag given as `--flag value` or `--flag=value`
     def has(drawn):
         argv = drawn[0]
-        return flag in argv and refused_value(argv[argv.index(flag) + 1])
+        values = [v for a, v in zip(argv, argv[1:]) if a == flag]
+        values += [a[len(flag) + 1:] for a in argv
+                   if a.startswith(flag + "=")]
+        return any(refused_value(v) for v in values)
     argv, _wrong_shape, refused = find(argvs(leaf), has)
     assert refused
     assert main(argv) == EXIT_USAGE, argv
