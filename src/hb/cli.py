@@ -63,7 +63,7 @@ def _int_at_least(lo):
     return parse
 
 
-def _printable(q, e, what):
+def _power_range(q, e, what):
     """Refuse `what`, before any arithmetic, if q^e is not poly.printable."""
     if not printable(q, e):
         raise UsageError(f"{what} needs a power of q with more than "
@@ -77,7 +77,7 @@ def _parse_poly(field, text, flag):
     # |T^d| = q^d; a d of more than max_digits() digits is refused on
     # its first max_digits() digits, too long for an int
     for deg in re.findall(r"T\^0*([0-9]+)", text):
-        _printable(field.q, int(deg[:max_digits()]), f"{flag} T^{deg}")
+        _power_range(field.q, int(deg[:max_digits()]), f"{flag} T^{deg}")
     try:
         return parse_poly(field, text)
     except ValueError as e:
@@ -191,7 +191,7 @@ def _coefficient_range(args, avec, yexps, level=None):
     """Refuse a --y whose P1*(a, y) are not printable (value_exponent)."""
     from .discriminant import value_exponent
     deg_a = max((int(a.deg) for a in avec if not a.is_zero()), default=0)
-    _printable(args.q, value_exponent(yexps, args.r, deg_a, level),
+    _power_range(args.q, value_exponent(yexps, args.r, deg_a, level),
                f"--y {args.y}")
 
 
@@ -268,7 +268,7 @@ def cmd_building_weyl(args):
         raise UsageError(f"--k: {e}") from None
     args.r = len(k.k)
     # -(q - 1) q^((r - 1)(k_1 + 1) - k_2 - ... - k_r)
-    _printable(args.q, (args.r - 1) * (k.k[0] + 1) - sum(k.k[1:]) + 1,
+    _power_range(args.q, (args.r - 1) * (k.k[0] + 1) - sum(k.k[1:]) + 1,
                f"--k {args.k}")
     val = weyl_edge_value(args.q, k.k)
     return _emit(args, "building.weyl", {"k": list(k.k)}, val)
@@ -311,7 +311,7 @@ def cmd_eisenstein_eval(args):
         raise UsageError(f"--s {s0}: the lattice sum needs s0 > 1")
     # products of at most three q^(+-k), q^(+-k s0), k <= d
     d = abs(sum(nvec)) + args.r * (max(0, *(-n for n in nvec)) + args.N + 2)
-    _printable(args.q, 3 * d * math.ceil(s0),
+    _power_range(args.q, 3 * d * math.ceil(s0),
                f"--n {args.n} at --s {args.s} and --N {args.N}")
     try:
         closed = eisenstein_at(nvec, args.q, s0)
@@ -444,7 +444,7 @@ def cmd_units_det_sigma(args):
     primes = _parse_polyvec(field, args.primes, "--primes")
     # det of 2^k - 1 rows of at most 2^k <= |n| terms |c|^s, 7! < 2^13
     deg_n = sum(int(p.deg) for p in primes if not p.is_zero())
-    _printable(args.q, (2 ** len(primes) - 1) * (abs(args.s) + 1) * deg_n
+    _power_range(args.q, (2 ** len(primes) - 1) * (abs(args.s) + 1) * deg_n
                + 13, f"--s {args.s}")
     try:
         rep = sigma_det_check(primes, args.s)
@@ -468,7 +468,7 @@ def cmd_units_root_order(args):
                      root_order_delta(args.q))
     n = _parse_level(field, args.n)
     # the witness (q - 1)(|n|^(r-1) - 1)
-    _printable(args.q, int(n.deg) * (args.r - 1) + 1,
+    _power_range(args.q, int(n.deg) * (args.r - 1) + 1,
                f"--n {args.n} at --r {args.r}")
     try:
         rd = root_order_theta(n, args.r)
@@ -500,7 +500,7 @@ def cmd_cusps_order(args):
     field = get_field(args.q)
     p = _parse_level(field, args.p, "--p")
     # |p|^(r-1) - 1 and q^r - 1
-    _printable(args.q, max(int(p.deg) * (args.r - 1), args.r) + 1,
+    _power_range(args.q, max(int(p.deg) * (args.r - 1), args.r) + 1,
                f"--p {args.p} at --r {args.r}")
     try:
         rep = cuspidal_order(p, args.r)
