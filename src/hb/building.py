@@ -350,7 +350,7 @@ class Vertex:
     rows (RatF), min pivot valuation 0, d the pivot valuations; key is
     lattice_key(rep), computed once, and equality and hashing go by it."""
     __slots__ = ("rep", "d", "key", "_inv")
-    _fields = ("rep", "d", "key")
+    _fields = ("rep", "d", "key")     # what cli._jsonable prints
 
     def __init__(self, rep, d):
         self.rep, self.d, self.key = rep, d, lattice_key(rep)

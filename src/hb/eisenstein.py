@@ -58,7 +58,7 @@ class QX:
         # so Euclid runs on a and b, whatever the powers of X
         i = next(k for k, x in enumerate(den) if x)
         j = next((k for k, x in enumerate(num) if x), i)
-        g, b = den[i:], num[j:]         # Euclid: g = gcd(num, den)
+        g, b = den[i:], num[j:]
         while b:
             g, b = b, _pdivmod(g, b)[1]
         g = (0,) * min(i, j) + g
