@@ -15,6 +15,7 @@ difference identity via
 """
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -30,12 +31,9 @@ def _trim(c):
 
 
 def _pmul(a, b):
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:                           # X^k factors leave long zero runs
-            for k, y in enumerate(b):
-                out[i + k] += x * y
-    return tuple(out)
+    return tuple(sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1),
+                                                      min(k + 1, len(a))))
+                 for k in range(len(a) + len(b) - 1))
 
 
 def _pdivmod(a, b):                     # b != 0
@@ -54,14 +52,9 @@ class QX:
         num, den = (_trim([Fraction(x) for x in p]) for p in (num, den))
         if not den:
             raise ZeroDivisionError("QX with a zero denominator")
-        # gcd(X^j a, X^i b) = X^min(i, j) gcd(a, b) for a, b prime to X,
-        # so Euclid runs on a and b, whatever the powers of X
-        i = next(k for k, x in enumerate(den) if x)
-        j = next((k for k, x in enumerate(num) if x), i)
-        g, b = den[i:], num[j:]
+        g, b = den, num                 # Euclid: g = gcd(num, den)
         while b:
             g, b = b, _pdivmod(g, b)[1]
-        g = (0,) * min(i, j) + g
         g = tuple(x * den[-1] / g[-1] for x in g)   # so that den/g is monic
         self.num, self.den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
 
@@ -140,6 +133,14 @@ def _diagonal_closed_form(nvec, q, xpow):
 def eisenstein_diagonal(nvec, q):
     """E_r(diag(T^{n_1}, ..., T^{n_r}), s) as a QX in X = q^{-s}."""
     return _diagonal_closed_form(nvec, q, QX.monomial)
+
+
+def value_exponent(nvec, s0, N):
+    """An e with q^e above each product of three powers of q that
+    eisenstein_at and eisenstein_truncated_sum form at (nvec, s0, N)."""
+    # each is q^(+-k) or q^(+-k s0), k <= |sum n| + r(m + N + 2)
+    d = abs(sum(nvec)) + len(nvec) * (max(0, *(-n for n in nvec)) + N + 2)
+    return 3 * d * math.ceil(s0)
 
 
 def eisenstein_at(nvec, q, s0):

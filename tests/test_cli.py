@@ -772,8 +772,6 @@ def test_the_digit_budget_is_the_interpreters(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
      "--g", "T^5000,0;0,1"],
-    ["eisenstein", "eval", "--q", "2", "--n", "0,2300", "--s", "2"],
-    ["eisenstein", "eval", "--q", "2", "--n=-700,0", "--s", "2"],
     ["building", "weyl", "--q", "2", "--k", "14000,0"],
     ["delta", "eval", "--q", "2", "--r", "2", "--y=-14000"],
 ])

@@ -3,11 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hb.eisenstein import (QX, LogDeltaAffine, ZeroCoefficient, _pdivmod,
-                           _pmul, _trim,
+from hb.eisenstein import (QX, LogDeltaAffine, ZeroCoefficient,
                            eisenstein_at, eisenstein_diagonal,
                            eisenstein_fourier, eisenstein_truncated_sum,
                            identity_check_thm56, log_delta_fourier)
@@ -73,37 +70,6 @@ def test_qx_arithmetic():
     assert str(QX((0, -1, Fraction(-1, 2)))) == "-1/2*X**2 - X**1"
     with pytest.raises(ZeroDivisionError):
         x / 0
-
-
-def _reference_normal_form(num, den):
-    """num/den in lowest terms, den monic, by Euclid on num and den
-    whole and the dense product, as QX was built before it took the
-    powers of X out first."""
-    num, den = (_trim([Fraction(x) for x in p]) for p in (num, den))
-    g, b = den, num
-    while b:
-        g, b = b, _pdivmod(g, b)[1]
-    g = tuple(x * den[-1] / g[-1] for x in g)
-    return _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-
-
-POLY = st.lists(st.integers(-3, 3), max_size=4)
-
-
-@given(a=POLY, b=POLY.filter(any), c=POLY, j=st.integers(0, 6),
-       i=st.integers(0, 6))
-def test_qx_normal_form_takes_out_powers_of_x(a, b, c, j, i):
-    # X^j a / X^i b, and its product with c: the same lowest terms as
-    # Euclid on the whole polynomials
-    num, den = (0,) * j + tuple(a), (0,) * i + tuple(b)
-    f = QX(num, den)
-    assert (f.num, f.den) == _reference_normal_form(num, den)
-    dense = tuple(sum(num[k] * c[n - k] for k in range(len(num))
-                      if 0 <= n - k < len(c))
-                  for n in range(len(num) + len(c) - 1))
-    assert _pmul(num, c) == dense
-    g = f * QX(c)
-    assert (g.num, g.den) == _reference_normal_form(dense, den)
 
 
 def test_value_is_invariant_under_diagonal_scaling():
