@@ -746,10 +746,15 @@ class WeylType:
         self.k = k
 
 
+def weyl_exponent(k):
+    """The e of weyl_edge_value(q, k) = -(q - 1) q^e."""
+    return (len(k) - 1) * (k[0] + 1) - sum(k[1:])
+
+
 def weyl_edge_value(q, k):
     """P(Delta_r) on the Weyl-chamber edge at the tuple
     k = (k_1 >= ... >= k_r = 0)."""
-    return -(q - 1) * q ** ((len(k) - 1) * (k[0] + 1) - sum(k[1:]))
+    return -(q - 1) * q ** weyl_exponent(k)
 
 
 def reduce_y_transcript(y_inv):

@@ -7,22 +7,20 @@ with --format text) of the shape
 
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
-error (including an oracle value that did not stabilize at --deg-bound,
-or that needs a series window wider than oracle.MAX_WINDOW, and input
-that needs a power of q too long to print, poly.printable), 3 a
-verification or anchor mismatch.
+error (including an oracle value that did not stabilize at --deg-bound
+or needs a series window wider than oracle.MAX_WINDOW, and exponents or
+degrees over the digit bound poly.printable), 3 a verification or
+anchor mismatch.
 
-Each query is one cold process, so importing this module loads fields
-and poly only, and each command imports its own layers: a series query
-(delta, theta coeff, fourier coeff --h builtin) adds algebra, fourier
-and discriminant, building comes in only at a group element, laurent
-only with the oracle, and no hb module loads dataclasses.  build_parser
-configures only the leaf subcommand named on the command line.
+Each query is one cold process: importing this module loads fields and
+poly only, a series query (delta, theta coeff, fourier coeff --h
+builtin) adds algebra, fourier and discriminant, building comes in only
+at a group element and laurent only with the oracle, and no hb module
+loads dataclasses.  build_parser configures only the named leaf.
 """
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -74,10 +72,11 @@ def _parse_poly(field, text, flag):
     if not text.strip():
         raise UsageError("a polynomial is empty; write 0 for the zero "
                          "polynomial")
-    # |T^d| = q^d; a d of more than max_digits() digits is refused on
-    # its first max_digits() digits, too long for an int
+    # |T^d| = q^d; a d too long for int() is cut to max_digits() digits
     for deg in re.findall(r"T\^0*([0-9]+)", text):
-        _power_range(field.q, int(deg[:max_digits()]), f"{flag} T^{deg}")
+        if not printable(field.q, int(deg[:max_digits()])):
+            raise UsageError(f"{flag} T^{deg}: a degree d is refused once q^d "
+                             f"has more than {max_digits()} digits")
     try:
         return parse_poly(field, text)
     except ValueError as e:
@@ -161,17 +160,6 @@ def _support_range(series):
         raise UsageError(str(e)) from None
 
 
-def _certified(oracle_value, *args, **kwargs):
-    """oracle_value(*args, **kwargs), with a value the oracle did not
-    certify refused as a usage error: not settled at this --deg-bound (the
-    message names the option), or not within MAX_WINDOW."""
-    from .laurent import PrecisionError, StabilizationError
-    try:
-        return oracle_value(*args, **kwargs)
-    except (StabilizationError, PrecisionError) as e:
-        raise UsageError(f"{type(e).__name__}: {e}") from None
-
-
 def _parse_ints(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -183,16 +171,11 @@ def _parse_polyvec(field, text, flag):
     return tuple(_parse_poly(field, s, flag) for s in text.split(","))
 
 
-def _parse_xvec(field, text):
-    return tuple(_parse_ratf(field, s, "--x") for s in text.split(","))
-
-
 def _coefficient_range(args, avec, yexps, level=None):
     """Refuse a --y whose P1*(a, y) are not printable (value_exponent)."""
     from .discriminant import value_exponent
-    deg_a = max((int(a.deg) for a in avec if not a.is_zero()), default=0)
-    _power_range(args.q, value_exponent(yexps, args.r, deg_a, level),
-               f"--y {args.y}")
+    e = value_exponent(yexps, args.r, max(a.deg for a in avec), level)
+    _power_range(args.q, e, f"--y {args.y}")
 
 
 # ---------------------------------------------------------------- output
@@ -261,15 +244,14 @@ def _basis_text(rows):
 
 
 def cmd_building_weyl(args):
-    from .building import WeylType, weyl_edge_value
+    from .building import WeylType, weyl_edge_value, weyl_exponent
     try:
         k = WeylType(_parse_ints(args.k))
     except ValueError as e:
         raise UsageError(f"--k: {e}") from None
     args.r = len(k.k)
-    # -(q - 1) q^((r - 1)(k_1 + 1) - k_2 - ... - k_r)
-    _power_range(args.q, (args.r - 1) * (k.k[0] + 1) - sum(k.k[1:]) + 1,
-               f"--k {args.k}")
+    # (q - 1) q^e < q^(e + 1)
+    _power_range(args.q, weyl_exponent(k.k) + 1, f"--k {args.k}")
     val = weyl_edge_value(args.q, k.k)
     return _emit(args, "building.weyl", {"k": list(k.k)}, val)
 
@@ -287,8 +269,8 @@ def cmd_fourier_coeff(args):
             raise UsageError("the oracle evaluator is wired for r = 2")
         _oracle_range(args)
         from .oracle import p_delta_direct
-        h = lambda u, ye: _certified(p_delta_direct, PPoint(u, ye).matrix(
-            field), args.q, args.r, D=args.deg_bound)
+        h = lambda u, ye: p_delta_direct(PPoint(u, ye).matrix(field),
+                                         args.q, args.r, D=args.deg_bound)
     else:
         h = lambda u, ye: series_eval(u, ye, args.r, field)
     c = _support_range(lambda: fourier_coefficient(h, avec, yexps, field))
@@ -300,7 +282,7 @@ def cmd_fourier_coeff(args):
 
 def cmd_eisenstein_eval(args):
     from .eisenstein import (eisenstein_at, eisenstein_diagonal,
-                             eisenstein_truncated_sum)
+                             eisenstein_truncated_sum, value_exponent)
     nvec = _parse_ints(args.n)
     args.r = len(nvec)
     try:
@@ -309,10 +291,8 @@ def cmd_eisenstein_eval(args):
         raise UsageError(f"--s {args.s!r} is not a rational number") from None
     if s0 <= 1:
         raise UsageError(f"--s {s0}: the lattice sum needs s0 > 1")
-    # products of at most three q^(+-k), q^(+-k s0), k <= d
-    d = abs(sum(nvec)) + args.r * (max(0, *(-n for n in nvec)) + args.N + 2)
-    _power_range(args.q, 3 * d * math.ceil(s0),
-               f"--n {args.n} at --s {args.s} and --N {args.N}")
+    _power_range(args.q, value_exponent(nvec, s0, args.N),
+                 f"--n {args.n} at --s {args.s} and --N {args.N}")
     try:
         closed = eisenstein_at(nvec, args.q, s0)
         ts = eisenstein_truncated_sum(nvec, args.q, s0, args.N)
@@ -359,7 +339,8 @@ def cmd_delta_eval(args):
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     _support_range(lambda: check_support(args.q, yexps, args.r))
     if args.x is not None:
-        x = _rank_vector(_parse_xvec(field, args.x), args.r, "--x")
+        x = _rank_vector(tuple(_parse_ratf(field, s, "--x")
+                               for s in args.x.split(",")), args.r, "--x")
     else:   # no --x: the value at x = 0
         x = (RatF.zero(field),) * (args.r - 1)
     v = series_eval(x, yexps, args.r, field)
@@ -413,8 +394,7 @@ def cmd_oracle_pdelta(args):
         gm = mat_scale(g, RatF.one(field) / g[0][0])
         series = _support_range(lambda: eval_on_mirabolic(gm, args.r, field))
     windows = []
-    v = _certified(p_delta_direct, g, args.q, args.r, D=args.deg_bound,
-                   windows=windows)
+    v = p_delta_direct(g, args.q, args.r, D=args.deg_bound, windows=windows)
     diag = _oracle_diagnostics(args, windows)
     if args.check:
         diag["series"] = series
@@ -432,20 +412,17 @@ def cmd_oracle_ptheta(args):
     g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)
     windows = []
-    v = _certified(p_theta_direct, n, g, args.q, args.r, D=args.deg_bound,
-                   windows=windows)
+    v = p_theta_direct(n, g, args.q, args.r, D=args.deg_bound,
+                       windows=windows)
     return _emit(args, "oracle.ptheta", {"n": args.n, "g": args.g or "identity"},
                  v, _oracle_diagnostics(args, windows))
 
 
 def cmd_units_det_sigma(args):
-    from .units import sigma_det_check
+    from .units import sigma_det_check, sigma_det_exponent
     field = get_field(args.q)
     primes = _parse_polyvec(field, args.primes, "--primes")
-    # det of 2^k - 1 rows of at most 2^k <= |n| terms |c|^s, 7! < 2^13
-    deg_n = sum(int(p.deg) for p in primes if not p.is_zero())
-    _power_range(args.q, (2 ** len(primes) - 1) * (abs(args.s) + 1) * deg_n
-               + 13, f"--s {args.s}")
+    _power_range(args.q, sigma_det_exponent(primes, args.s), f"--s {args.s}")
     try:
         rep = sigma_det_check(primes, args.s)
     except ValueError as e:     # not 1 to 3 distinct irreducibles
@@ -461,15 +438,15 @@ def cmd_units_det_sigma(args):
 
 
 def cmd_units_root_order(args):
-    from .units import root_order_delta, root_order_theta
+    from .units import (root_order_delta, root_order_exponent,
+                        root_order_theta)
     field = get_field(args.q)
     if args.n is None:
         return _emit(args, "units.root-order", {"series": "delta"},
                      root_order_delta(args.q))
     n = _parse_level(field, args.n)
-    # the witness (q - 1)(|n|^(r-1) - 1)
-    _power_range(args.q, int(n.deg) * (args.r - 1) + 1,
-               f"--n {args.n} at --r {args.r}")
+    _power_range(args.q, root_order_exponent(n, args.r),
+                 f"--n {args.n} at --r {args.r}")
     try:
         rd = root_order_theta(n, args.r)
     except ValueError as e:     # a level of degree 0
@@ -496,12 +473,11 @@ def cmd_cusps_orbits(args):
 
 
 def cmd_cusps_order(args):
-    from .units import cuspidal_order
+    from .units import cuspidal_exponent, cuspidal_order
     field = get_field(args.q)
     p = _parse_level(field, args.p, "--p")
-    # |p|^(r-1) - 1 and q^r - 1
-    _power_range(args.q, max(int(p.deg) * (args.r - 1), args.r) + 1,
-               f"--p {args.p} at --r {args.r}")
+    _power_range(args.q, cuspidal_exponent(p, args.r),
+                 f"--p {args.p} at --r {args.r}")
     try:
         rep = cuspidal_order(p, args.r)
     except ValueError as e:     # a reducible level
@@ -667,6 +643,12 @@ def main(argv=None):
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
+        # an oracle value not settled at --deg-bound, or not in MAX_WINDOW
+        laurent = sys.modules.get("hb.laurent")     # loaded by the oracle only
+        if laurent and isinstance(e, (laurent.StabilizationError,
+                                      laurent.PrecisionError)):
+            print(f"usage error: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR
 

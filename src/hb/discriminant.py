@@ -29,8 +29,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-# building is imported inside the functions that evaluate at a group
-# element, so a coefficient or a value at (x, y) does not load it
+# building is imported only by the functions that evaluate at a group element
 from .algebra import psi_sum, sigma
 from .fourier import mval, table_support
 from .poly import (Poly, RatF, max_digits, over_cap, poly_xgcd, printable,
@@ -41,8 +40,7 @@ MAX_SUPPORT = 2 ** 10
 
 
 class SupportError(ValueError):
-    """A coefficient support of more than MAX_SUPPORT a-vectors, or values
-    with more digits than Python prints."""
+    """A coefficient support above MAX_SUPPORT, or values too long to print."""
 
 
 def p_delta_coefficient(avec, yexps, r, level=None):
@@ -67,8 +65,7 @@ def value_exponent(yexps, r, deg_a, level=None):
 
 def check_support(q, yexps, r, level=None):
     """Refuse a support of q^(sum max(n_i - 1, 0)) a-vectors above
-    MAX_SUPPORT, or values at y that need a power of q with more digits
-    than Python prints (poly.printable), before any of it is built."""
+    MAX_SUPPORT, or values not poly.printable, before any of it is built."""
     e = sum(max(n - 1, 0) for n in yexps)
     if over_cap(q, e, MAX_SUPPORT):
         raise SupportError(f"y = {tuple(yexps)} needs a coefficient support "

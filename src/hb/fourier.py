@@ -21,8 +21,7 @@ from .poly import Poly, RatF, ratf_from_pairs
 
 
 class PPoint(namedtuple("PPoint", "x yexps")):
-    """The mirabolic point [[1, x y], [0, y]]: x the r-1 RatF values, y =
-    diag(T^{n_i}) for yexps = (n_i)."""
+    """The mirabolic point [[1, x y], [0, y]], y = diag(T^{n_i}) for yexps."""
     __slots__ = ()
 
     def matrix(self, field):

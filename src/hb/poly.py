@@ -219,8 +219,7 @@ def max_digits():
 
 
 def printable(q, e):
-    """Does q^e (e >= 0) have at most max_digits() digits, so that Python
-    prints it?  The CLI holds every exponent of its input to this."""
+    """Does q^e (e >= 0) have at most max_digits() digits, so it prints?"""
     return not over_cap(q, e, 10 ** max_digits() - 1)
 
 

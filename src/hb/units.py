@@ -54,6 +54,13 @@ SigmaDetReport = namedtuple("SigmaDetReport", "primes s size det "
                             "empirical_sign stated_sign")
 
 
+def sigma_det_exponent(primes, s):
+    """An e with q^e above |det| in sigma_det_check(primes, s)."""
+    # 2^k - 1 rows of at most 2^k <= |n| terms |c|^s, and 7! < 2^13
+    deg_n = sum(int(p.deg) for p in primes if not p.is_zero())
+    return (2 ** len(primes) - 1) * (abs(s) + 1) * deg_n + 13
+
+
 def sigma_det_check(primes, s):
     """The matrix (sigma_{m'}(s, m)) over the nontrivial monic divisors
     m, m' of n = prod(primes): exact determinant, the magnitude law
@@ -106,6 +113,11 @@ def root_order_delta(q):
 # and witness_aux (q-1)(q^{(deg n - 1)(r-1)} - q)
 RootDatum = namedtuple("RootDatum", "n r kappa max_root character_order "
                        "witness_level witness_aux gcd_ok")
+
+
+def root_order_exponent(n, r):
+    """An e with q^e above root_order_theta's witness (q-1)(|n|^{r-1}-1)."""
+    return int(n.deg) * (r - 1) + 1
 
 
 def root_order_theta(n, r):
@@ -285,6 +297,11 @@ def cusp_orbits(n, r):
 
 # theta_pole_order is the order at the infinity cusp, -(|p|^{r-1}-1)
 CuspidalReport = namedtuple("CuspidalReport", "p r order theta_pole_order")
+
+
+def cuspidal_exponent(p, r):
+    """An e with q^e above cuspidal_order's |p|^{r-1} - 1 and q^r - 1."""
+    return max(int(p.deg) * (r - 1), r) + 1
 
 
 def cuspidal_order(p, r):
