@@ -39,6 +39,7 @@ augmented Gauss-Jordan, fq_echelon.
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import Poly, RatF, poly_gcd, ratf_from_pairs
 
@@ -840,34 +841,68 @@ def rep_from_lattice_pair(v0, M1, s):
 
 CheckItem = namedtuple("CheckItem", "condition residual ok note",
                        defaults=("",))
+_ZERO = Fraction(0)
+
+
+def _residual_item(condition, residual):
+    """The CheckItem of an identity with this residual.  Every passing
+    item holds the one shared zero, so a caller that keeps many items
+    keeps no Fraction per pass."""
+    return CheckItem(condition, residual or _ZERO, residual == 0)
+
+
+@lru_cache(maxsize=32)
+def _gl_plan(field, r):
+    """(mats, identities) of check_harmonic_gl at (q, r): the distinct
+    local matrices M_s(u), pi_s = diag(pi I_s, I_{r-s}) and W_s, and each
+    identity as (condition, lhs, rhs), tuples of indices into mats.
+    M_s(u) is M_{s-1}(u') when u = (u', 0), so M_s(0) = pi_1 for every s
+    and there are q^{r-1} distinct M; and pi_r = W_r = pi I.  So a check
+    at (3, 3) needs 13 matrices, not 19, and one at r = 2 needs q + 2,
+    not q + 5."""
+    mats, index = [], {}
+
+    def at(m):
+        if m not in index:
+            index[m] = len(mats)
+            mats.append(m)
+        return index[m]
+    identities = []
+    for s in range(1, r + 1):
+        lhs = tuple(at(m_matrix(field, r, s, u))
+                    for u in itertools.product(range(field.q), repeat=s - 1))
+        rhs = (at(mat_from_exps(field, (-1,) * s + (0,) * (r - s))),)
+        identities.append((f"A_{s}", lhs, rhs))
+    identities.append(
+        ("B", tuple(at(w_matrix(field, r, s)) for s in range(1, r + 1)), ()))
+    return tuple(mats), tuple(identities)
 
 
 def check_harmonic_gl(h1, g):
     """The two GL_r-side harmonicity identities at g:
       (A_s)  sum_{u in F_q^{s-1}} h1(g M_s(u)) = h1(g diag(pi I_s, I_{r-s}))
       (B)    sum_{s=1..r} h1(g W_s) = 0.
-    h1 failures are reported as unevaluable, not raised."""
-    r = len(g)
-    field = g[0][0].field
-    items = []
-    for s in range(1, r + 1):
+    h1 is called once at g m for each distinct local matrix m
+    (_gl_plan).  h1 failures are reported as unevaluable, not raised: an
+    identity fails on the first of its terms that did."""
+    mats, identities = _gl_plan(g[0][0].field, len(g))
+    values = []
+    for m in mats:
         try:
-            lhs = Fraction(0)
-            for u in itertools.product(range(field.q), repeat=s - 1):
-                lhs += h1(mat_mul(g, m_matrix(field, r, s, u)))
-            pi_s = mat_from_exps(field, (-1,) * s + (0,) * (r - s))
-            rhs = h1(mat_mul(g, pi_s))
-            res = lhs - rhs
-            items.append(CheckItem(f"A_{s}", res, res == 0))
+            values.append(h1(mat_mul(g, m)))
         except Exception as exc:  # unreachable coset etc.
-            items.append(CheckItem(f"A_{s}", None, False, note=f"unevaluable: {exc}"))
-    try:
-        tot = Fraction(0)
-        for s in range(1, r + 1):
-            tot += h1(mat_mul(g, w_matrix(field, r, s)))
-        items.append(CheckItem("B", tot, tot == 0))
-    except Exception as exc:
-        items.append(CheckItem("B", None, False, note=f"unevaluable: {exc}"))
+            values.append(exc)
+    items = []
+    for condition, lhs, rhs in identities:
+        failed = next((values[i] for i in lhs + rhs
+                       if isinstance(values[i], Exception)), None)
+        if failed is not None:
+            items.append(CheckItem(condition, None, False,
+                                   note=f"unevaluable: {failed}"))
+            continue
+        items.append(_residual_item(
+            condition, sum((values[i] for i in lhs), Fraction(0))
+            - sum((values[i] for i in rhs), Fraction(0))))
     return items
 
 
@@ -884,14 +919,6 @@ def edge_reverse(L0rows, L1rows, field):
     return L1rows, mat_scale(L0rows, RatF.pi_power(field, 1))
 
 
-def triangle_lattice_edges(field, M, W):
-    """Type-1 edges (L0', L) with L < L0' < L0 for the in-edge
-    (L0, L) = (L + pi^{-1} W, L), L with basis M: L0' = L + pi^{-1} w,
-    one per line w of W."""
-    return [(_flag_lattice(field, M, [_combine(field, line, W)]), M)
-            for line in fq_line_reps(field, len(W))]
-
-
 def _flags(field, r):
     """Flags U1 < U0 < F_q^r with 0 < dim U1 < dim U0 < r, as pairs of
     coordinate bases (U0, U1)."""
@@ -905,34 +932,47 @@ def _flags(field, r):
 def check_harmonic_def(h, v, field, max_flags=None):
     """Definition-level harmonicity of the Cochain h at the vertex v:
     antisymmetry, vanishing type-s in-sums, triangle sums, and pointed
-    2-simplex additivity on the first max_flags flags (all by default)."""
+    2-simplex additivity on the first max_flags flags (all by default).
+    Each lattice pair is keyed once: the type-1 triangle edges (L0', L)
+    of an in-edge (L0, L) = (L + pi^{-1} W, L), one per line of W, and
+    the pairs (L1, L) and (L0, L) of a flag are in-edges at v, read back
+    by the RREF basis of their subspace (_span); for s = 1 the triangle
+    edge is the in-edge itself."""
     r = len(v.rep)
     items = []
     M = v.rep
+    into = {}   # h on the in-edge (L + pi^{-1} W, L) at v, by W
     # (1) + (2) + (3)
     for s in range(1, r):
+        anti_s, tri_s = f"antisym type {s}", f"triangle type {s}"
         total = Fraction(0)
         for L0, L1, W in in_edges(v, s, field):
-            val = h.eval_lattice_pair(L0, L1)
+            val = into[W] = h.eval_lattice_pair(L0, L1)
             total += val
             rev = edge_reverse(L0, L1, field)
             anti = val + h.eval_lattice_pair(*rev)
             if s == 1 or len(items) < 200:
-                items.append(CheckItem(f"antisym type {s}", anti, anti == 0))
-            tri = sum((h.eval_lattice_pair(*e)
-                       for e in triangle_lattice_edges(field, M, W)),
-                      Fraction(0))
-            items.append(CheckItem(f"triangle type {s}", tri - val, tri == val))
-        items.append(CheckItem(f"in-sum type {s}", total, total == 0))
+                items.append(_residual_item(anti_s, anti))
+            tri = sum((into[_span(field, [_combine(field, line, W)])]
+                       for line in fq_line_reps(field, len(W))), Fraction(0))
+            items.append(_residual_item(tri_s, tri - val))
+        items.append(_residual_item(f"in-sum type {s}", total))
     # (4) pointed 2-simplices: flags U1 < U0 < F_q^r in the v-frame
     for U0, U1 in itertools.islice(_flags(field, r), max_flags or None):
-        L0 = _flag_lattice(field, M, U0)
-        L1 = _flag_lattice(field, M, U1)
-        a = h.eval_lattice_pair(L0, L1)
-        b = h.eval_lattice_pair(L1, M)
-        c = h.eval_lattice_pair(L0, M)
-        items.append(CheckItem("simplex additivity", a + b - c, a + b == c))
+        a = h.eval_lattice_pair(_flag_lattice(field, M, U0),
+                                _flag_lattice(field, M, U1))
+        b = into[_span(field, U1)]
+        c = into[U0]
+        items.append(_residual_item("simplex additivity", a + b - c))
     return items
+
+
+def _span(field, vectors):
+    """The RREF basis of the span of independent vectors of codes, as
+    fq_subspaces gives it."""
+    pivots, _ = fq_echelon(field, vectors)
+    n = len(vectors[0])
+    return tuple(tuple(pivots[j][:n]) for j in sorted(pivots))
 
 
 def _combine(field, coeffs, basis):

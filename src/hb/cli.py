@@ -31,8 +31,11 @@ from .poly import RatF, max_digits, over_cap, parse_poly, printable
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
 # fourier coeff refuses u-grids (pi O / pi^M O)^(r-1) with more points;
-# the support cap of every series value is discriminant.MAX_SUPPORT
+# the divisor-sum cap of every series value is discriminant.MAX_DIVISORS
 MAX_GRID = 2 ** 10
+# building neighbors refuses a --r with more type-1 in-neighbors: the
+# 1023 of q = 2, r = 10 took 1.4 s, and each costs more as r grows
+MAX_NEIGHBORS = 2 ** 10
 
 
 class UsageError(ValueError):
@@ -150,9 +153,9 @@ def _grid_range(q, avec, yexps):
 
 
 def _support_range(series):
-    """series(), with a coefficient support above the cap refused as a
-    usage error; the support of a group element's value is known only
-    once the element is reduced into the mirabolic cell."""
+    """series(), with a divisor sum above the cap, or values too long to
+    print, refused as a usage error; the y of a group element's value is
+    known only once the element is reduced into the mirabolic cell."""
     from .discriminant import SupportError
     try:
         return series()
@@ -224,6 +227,11 @@ def _emit(args, op, params, result, diagnostics=None, expected=None):
 
 def cmd_building_neighbors(args):
     from .building import mat_from_exps, type_one_in_neighbors
+    # (q^r - 1)/(q - 1) > cap exactly when q^r > cap (q - 1) + 1
+    if over_cap(args.q, args.r, MAX_NEIGHBORS * (args.q - 1) + 1):
+        raise UsageError(f"--r {args.r}: the (q^r - 1)/(q - 1) type-1 "
+                         f"in-neighbors at --q {args.q} are more than "
+                         f"{MAX_NEIGHBORS}")
     field = get_field(args.q)
     g = _parse_matrix(field, args.g, args.r) if args.g is not None else \
         mat_from_exps(field, (0,) * args.r)

@@ -3,22 +3,43 @@ P1(Theta_n).
 
 Both families share one coefficient shape,
 
-    h*(a, y) = (q^r - 1)(q - 1) q^{r-1} |det y|^{-1} . S(r-1, a),
+    h*(a, y) = K(y) S(r-1, a),   K(y) = (q^r - 1)(q - 1) q^{r-1} |det y|^{-1},
 
 with S the divisor sum sigma for Delta and sigma_n for Theta_n; the
 a = 0 value is the same expression with sigma(r-1, 0) = (1 - q^r)^{-1}
 and sigma_n(r-1, 0) = (1 - |n|^{r-1}) sigma(r-1, 0).  Coefficients
 vanish for a != 0 with m(a, y) <= 1.  Every function here that takes
 `level` computes P1(Delta_r) for level None and P1(Theta_n) for the
-monic level n.  The nonzero coefficients of one (field, y, r, level)
-are built once into a memoized table, which every value at that y
-reads, whatever its x.
+monic level n.
 
-Values are finite character sums over the coefficient support, read
-off the pi-digits of x: T^j pi^{j+1} = pi, so the pi^1-coefficient of
-a.x is sum_i sum_j a_ij x_i[pi^{j+1}], an F_q pairing of the codes of a
-with the digits x_i[pi^1..pi^{n_i - 1}], which series_eval reads once
-per x.  Evaluation at an arbitrary group element goes through the Iwasawa
+Values are the finite Fourier sums h(x, y) = sum_a h*(a, y) psi(a.x)
+over the support a in S_y = prod_i A_{<= n_i - 2}, on which m(a, y) >= 2,
+summed by divisor instead of by a.  With s = r - 1,
+
+    sum_{a in S_y, a != 0} sigma_n(s, a) psi(a.x)
+      = sum_{a != 0} sum_{d monic, d | a, n not | d} |d|^s psi(a.x)
+      = sum_{d monic, n not | d} |d|^s (sum_{a in V_d} psi(a.x) - 1),
+
+where V_d = prod_i d A_{<= n_i - 2 - deg d} are the a in S_y that d
+divides, an F_q-space of q^{sum_i max(n_i - 1 - deg d, 0)} elements:
+the two sums swap, and the a = 0 term left out of the inner sum is the
+-1.  a -> psi(a.x) is a character of V_d, so its sum is |V_d| when it
+is trivial on V_d and 0 otherwise.  It is trivial exactly when the
+pi^1-coefficients of d T^j x_i vanish for every i and j <= n_i - 2 -
+deg d (psi_0 o Tr is a nontrivial character, and the pi^1-coefficients
+over b in A_{<= k} form an F_q-space); as T^j pi^{j+1} = pi, these are
+the digits (d x_i)[pi^1..pi^{n_i - 1 - deg d}], each the F_q pairing
+sum_t d_t x_i[pi^{j+t}] of d with a window of the digits
+x_i[pi^1..pi^{n_i - 1}], which series_eval reads once per x.  A d with
+V_d = 0 adds 1 - 1 = 0, so d runs over deg d <= max n_i - 2, and
+
+    h(x, y) = K(y) [sigma_n(s, 0) + sum_{d monic, n not | d}
+                    |d|^s (|V_d| [d x has those digits 0] - 1)],
+
+an integer sum up to the one factor K(y).  No coefficient is
+tabulated and no a is factored.
+
+Evaluation at an arbitrary group element goes through the Iwasawa
 decomposition, whose mirabolic part p^{-1} = [[1, -x], [0, y^{-1}]] is
 read off the Hermite basis with no inverse, and over the flipped cell
 through a Gamma_0(n) translate read off a row-reduced basis of the
@@ -30,17 +51,28 @@ from fractions import Fraction
 from functools import lru_cache
 
 # building is imported only by the functions that evaluate at a group element
-from .algebra import psi_sum, sigma
-from .fourier import mval, table_support
+from .algebra import sigma
+from .fourier import mval
 from .poly import (Poly, RatF, max_digits, over_cap, poly_xgcd, printable,
                    vec_content)
 
-# no coefficient table is built over a support of more a-vectors
-MAX_SUPPORT = 2 ** 10
+# no value sums over the monic d of degree below e, q^e of them or
+# fewer, for a q^e above this: at q^e = 2^14 a value with nonzero digits
+# took 5-120 ms (q = 2..9, r = 2..9, levels None, T, T^2+1; 2-core
+# Intel Xeon, Python 3.11), about one cold CLI start; under 0.5 ms at x = 0
+MAX_DIVISORS = 2 ** 14
+# value_exponent's room for a sum of coefficients: q^11 > 2^10 of them
+SUM_TERMS = 11
 
 
 class SupportError(ValueError):
-    """A coefficient support above MAX_SUPPORT, or values too long to print."""
+    """A divisor sum above MAX_DIVISORS, or values too long to print."""
+
+
+def _scale(q, yexps, r):
+    """K(y) = (q^r - 1)(q - 1) q^{r-1} |det y|^{-1}, y = diag(T^{n_i})."""
+    return (q ** r - 1) * (q - 1) * q ** (r - 1) \
+        * Fraction(q) ** (-sum(yexps))
 
 
 def p_delta_coefficient(avec, yexps, r, level=None):
@@ -48,68 +80,91 @@ def p_delta_coefficient(avec, yexps, r, level=None):
     q = avec[0].field.q
     if not all(a.is_zero() for a in avec) and mval(avec, yexps) <= 1:
         return Fraction(0)
-    det_inv = Fraction(q) ** (-sum(yexps))
-    return (q ** r - 1) * (q - 1) * q ** (r - 1) * det_inv \
-        * sigma(r - 1, avec, level)
+    return _scale(q, yexps, r) * sigma(r - 1, avec, level)
 
 
-def value_exponent(yexps, r, deg_a, level=None):
+def value_exponent(yexps, r, deg_a, level=None, terms=SUM_TERMS):
     """An e with q^e above the numerator and denominator of each P1*(a, y),
-    deg a_i <= deg_a, and of each sum of MAX_SUPPORT of them: an integer
+    deg a_i <= deg_a, and of each sum of q^terms of them: an integer
     times q^(r - 1 - sum n_i), below q^(2r - sum n_i) times a divisor sum
     below q^(r deg_a + 1), or q^((r - 1) deg n) at a = 0."""
     deg_n = 0 if level is None else int(level.deg)
-    return abs(sum(yexps)) + r * (max(deg_a, 0) + deg_n + 2) \
-        + MAX_SUPPORT.bit_length()
+    return abs(sum(yexps)) + r * (max(deg_a, 0) + deg_n + 2) + terms
 
 
 def check_support(q, yexps, r, level=None):
-    """Refuse a support of q^(sum max(n_i - 1, 0)) a-vectors above
-    MAX_SUPPORT, or values not poly.printable, before any of it is built."""
-    e = sum(max(n - 1, 0) for n in yexps)
-    if over_cap(q, e, MAX_SUPPORT):
-        raise SupportError(f"y = {tuple(yexps)} needs a coefficient support "
-                           f"of q^{e} points, more than {MAX_SUPPORT}")
-    if not printable(q, value_exponent(yexps, r, max(yexps) - 2, level)):
+    """Refuse a divisor sum over the monic d of degree below
+    e = max n_i - 1, q^e of them or fewer, for q^e above MAX_DIVISORS,
+    or values not poly.printable: h(x, y) is a sum of P1*(a, y) over the
+    q^(sum max(n_i - 1, 0)) a of the support."""
+    e = max(max(yexps) - 1, 0)
+    if over_cap(q, e, MAX_DIVISORS):
+        raise SupportError(f"y = {tuple(yexps)} needs a divisor sum of up "
+                           f"to q^{e} terms, more than {MAX_DIVISORS}")
+    support = sum(max(n - 1, 0) for n in yexps)
+    if not printable(q, value_exponent(yexps, r, max(yexps) - 2, level,
+                                       max(support, SUM_TERMS))):
         raise SupportError(f"y = {tuple(yexps)} gives values with powers of "
                            f"q of more than {max_digits()} digits")
 
 
+def _monic(field, k):
+    """Coefficient tuples, constant term first, of the monic polynomials
+    of degree k."""
+    return (low + (1,) for low in itertools.product(range(field.q), repeat=k))
+
+
 # room for every y that a sweep of the harmonicity checks meets (89 in
-# 40 blocks of the benchmark), and at most 128 * MAX_SUPPORT pairs
+# 40 blocks of the benchmark)
 @lru_cache(maxsize=128)
-def coefficient_table(field, yexps, r, level):
-    """The nonzero (P1*(a, y), a) pairs over the support at y =
-    diag(T^{n_i}), yexps a tuple; one table per key.  A support above
-    MAX_SUPPORT or values too long to print raise SupportError before any
-    of it is built."""
-    check_support(field.q, yexps, r, level)
-    coeffs = ((p_delta_coefficient(a, yexps, r, level), a)
-              for a in table_support(field, yexps))
-    return tuple((c, a) for c, a in coeffs if c)
+def _series_plan(field, yexps, r, level):
+    """(K(y) sigma_n(r-1, 0), K(y), terms) of series_eval at y =
+    diag(T^{n_i}), yexps a tuple, after check_support: one term
+    (k, |d|^{r-1}, |V_d|, count) per degree k of d, count the monic d of
+    degree k that the level does not divide."""
+    q = field.q
+    check_support(q, yexps, r, level)
+    scale = _scale(q, yexps, r)
+    deg_n = None if level is None else int(level.deg)
+    terms = []
+    for k in range(max(yexps) - 1):
+        count = q ** k
+        if deg_n is not None and k >= deg_n:
+            count -= q ** (k - deg_n)
+        terms.append((k, q ** ((r - 1) * k),
+                      q ** sum(max(n - 1 - k, 0) for n in yexps), count))
+    return (scale * sigma(r - 1, (Poly.zero(field),), level), scale,
+            tuple(terms))
 
 
 def series_eval(xvec, yexps, r, field, level=None):
-    """The finite Fourier sum of P1(Delta_r) (level None) or
-    P1(Theta_level) at (x, y): sum c psi(a.x) over the table, where
-    (a.x)[pi^1] = sum_i sum_j a_ij x_i[pi^{j+1}] (T^j pi^{j+1} = pi)
-    pairs the codes of a with the digits x_i[pi^1..pi^{n_i - 1}], read
-    once; no a.x is formed.  The cyclotomic parts must cancel; a
-    non-rational total signals a character-convention bug."""
-    table = coefficient_table(field, tuple(yexps), r, level)
+    """The Fourier sum of P1(Delta_r) (level None) or P1(Theta_level) at
+    (x, y), as the divisor sum of the module docstring: for each degree
+    k, the monic d of degree k whose pairings with the windows
+    x_i[pi^{j+1}..pi^{j+k+1}] of the digits of x all vanish, less the d
+    that the level divides (d = n e).  Digits of x are read once; no
+    a.x, and no coefficient table, is formed.  A divisor sum above
+    MAX_DIVISORS or values too long to print raise SupportError first."""
+    base, scale, terms = _series_plan(field, tuple(yexps), r, level)
     digits = [x.pi_coeffs(1, n) for x, n in zip(xvec, yexps)]
+    deg_n = None if level is None else int(level.deg)
 
-    def pairing(avec):
-        v = 0
-        for a, d in zip(avec, digits):
-            v = field.dot(a.coeffs, d, v)
-        return v
-    total = psi_sum(((c, pairing(a)) for c, a in table), field)
-    rat = total.rational()
-    if rat is None:
-        raise ArithmeticError(f"non-rational cochain value {total}; "
-                              "psi convention broken")
-    return rat
+    def trivial(ds, rows):
+        """How many of the d give a character trivial on V_d."""
+        return sum(1 for d in ds if not any(field.dot(d, w) for w in rows))
+    total = 0
+    for k, weight, size, count in terms:
+        windows = [ds[j:j + k + 1] for ds in digits
+                   for j in range(len(ds) - k)]
+        rows = [w for w in windows if any(w)]
+        hits = count
+        if rows:
+            hits = trivial(_monic(field, k), rows)
+            if deg_n is not None and k >= deg_n:
+                hits -= trivial((field.conv(level.coeffs, e)
+                                 for e in _monic(field, k - deg_n)), rows)
+        total += weight * (size * hits - count)
+    return base + scale * total
 
 
 def eval_on_mirabolic(p_mat, r, field, level=None):

@@ -177,7 +177,7 @@ def criterion_oracle_cross_check():
 # ---------------------------------------------------------------- 3
 def _gl_sample(field, r):
     """Ten coset reps spread over both Iwasawa cells, and flip diag(T^k,
-    1, ..., 1) for k = 3, 4 (k = 4 at q = r = 3 meets the support cap)."""
+    1, ..., 1) for k = 3, 4."""
     gs = [mat_identity(field, r),
           mat_from_exps(field, tuple(range(r - 1, -1, -1))),
           mat_from_exps(field, (2,) + (0,) * (r - 1)),
@@ -192,7 +192,7 @@ def _gl_sample(field, r):
         p[0][1] = RatF.pi_power(field, k)
         p = tuple(tuple(row) for row in p)
         gs += [p, mat_mul(p, flip_matrix(field, r))]
-    for k in (3, 4) if (field.q, r) != (3, 3) else (3,):
+    for k in (3, 4):
         gs.append(mat_mul(flip_matrix(field, r),
                           mat_from_exps(field, (k,) + (0,) * (r - 1))))
     return gs

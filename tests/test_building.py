@@ -8,16 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hb import building
-from hb.building import (Cochain, _lattice_pair_key, canonical_vertex,
-                         edge_from_lattice_pair,
-                         edge_from_rep, edge_reverse, flip_matrix, in_edges,
+from hb.building import (CheckItem, Cochain, _combine, _flag_lattice, _flags,
+                         _lattice_pair_key, canonical_vertex,
+                         check_harmonic_def, check_harmonic_gl,
+                         edge_from_lattice_pair, extend_cochain,
+                         edge_from_rep, edge_reverse, flip_matrix,
+                         fq_line_reps, in_edges,
                          inverse_hnf, is_in_I1, is_in_P, iwasawa_decompose,
                          lattice_key, const_matrix, fq_echelon, fq_mat_inv,
                          m_matrix, mat_from_exps,
                          mat_identity, mat_inv,
                          mat_is_integral, mat_mul, mat_scale,
                          rep_from_lattice_pair, row_hnf,
-                         triangle_lattice_edges, type_one_in_neighbors,
+                         type_one_in_neighbors,
                          type_one_key, vertex_from_lattice, w_inverse,
                          w_matrix, weak_popov)
 from hb.fields import get_field
@@ -472,8 +475,16 @@ def _edges_around(field, r):
         for s in range(1, r):
             for L0, L1, W in in_edges(v, s, field):
                 out += [(L0, L1), edge_reverse(L0, L1, field)]
-                out += triangle_lattice_edges(field, L1, W)
+                out += _triangle_lattice_edges(field, L1, W)
     return out
+
+
+def _triangle_lattice_edges(field, M, W):
+    """Type-1 edges (L0', L) with L < L0' < L0 for the in-edge
+    (L0, L) = (L + pi^{-1} W, L), L with basis M: L0' = L + pi^{-1} w,
+    one per line w of W."""
+    return [(_flag_lattice(field, M, [_combine(field, line, W)]), M)
+            for line in fq_line_reps(field, len(W))]
 
 
 def _rep_sensitive(g):
@@ -778,3 +789,125 @@ def test_weak_popov_has_the_predictable_degree_property(q, data):
     v = [sum((x * w[j] for x, w in zip(a, W)), zero) for j in range(r)]
     assert _row_degree(v) == max(int(x.deg) + _row_degree(w)
                                  for x, w in zip(a, W) if not x.is_zero())
+
+
+# ----------------------------------------------------------------------
+# harmonicity checks against their unmemoized forms
+
+def _check_harmonic_gl_reference(h1, g):
+    """check_harmonic_gl with one h1 call per term of each identity."""
+    r = len(g)
+    field = g[0][0].field
+    items = []
+    for s in range(1, r + 1):
+        try:
+            lhs = Fraction(0)
+            for u in itertools.product(range(field.q), repeat=s - 1):
+                lhs += h1(mat_mul(g, m_matrix(field, r, s, u)))
+            pi_s = mat_from_exps(field, (-1,) * s + (0,) * (r - s))
+            res = lhs - h1(mat_mul(g, pi_s))
+            items.append(CheckItem(f"A_{s}", res, res == 0))
+        except Exception as exc:
+            items.append(CheckItem(f"A_{s}", None, False,
+                                   note=f"unevaluable: {exc}"))
+    try:
+        tot = Fraction(0)
+        for s in range(1, r + 1):
+            tot += h1(mat_mul(g, w_matrix(field, r, s)))
+        items.append(CheckItem("B", tot, tot == 0))
+    except Exception as exc:
+        items.append(CheckItem("B", None, False, note=f"unevaluable: {exc}"))
+    return items
+
+
+def _logged(h1, log):
+    def h(g):
+        log.append(g)
+        return h1(g)
+    return h
+
+
+def _refuses_zero_corner(g):
+    """A stand-in h1 that fails on some cosets, as a deep value would."""
+    if g[0][0].is_zero():
+        raise ValueError(f"no value at {g[0][1]}")
+    return Fraction(int(g[0][0].ord_inf()))
+
+
+# distinct local matrices of one GL check: the q^(r-1) M_s(u) (M_s(0) =
+# pi_1), pi_2..pi_r, and W_1..W_(r-1) (W_r = pi_r)
+GL_LOOKUPS = {(2, 2): 4, (3, 2): 5, (2, 3): 8, (3, 3): 13}
+
+
+@pytest.mark.parametrize("q, r", sorted(GL_LOOKUPS))
+def test_gl_check_calls_h1_once_per_distinct_product(q, r):
+    from hb.discriminant import theta_evaluator
+    field = get_field(q)
+    theta = theta_evaluator(Poly(field, (0, 1)), field, r)
+    unevaluable = 0
+    for g in _pinned_theta_reps(field, r):
+        for h1 in (theta, _refuses_zero_corner):
+            calls, ref_calls = [], []
+            items = check_harmonic_gl(_logged(h1, calls), g)
+            assert items == _check_harmonic_gl_reference(
+                _logged(h1, ref_calls), g)
+            assert len(calls) == len(set(calls)) == GL_LOOKUPS[q, r]
+            failed = sum(i.note != "" for i in items)
+            # the reference stops an identity at its first failure
+            assert set(calls) == set(ref_calls) or failed
+            unevaluable += failed
+    assert unevaluable      # the failure path was compared too
+
+
+def _check_harmonic_def_reference(h, v, field, max_flags=None):
+    """check_harmonic_def with every lattice pair, triangle edges and flag
+    pairs included, looked up by its own key."""
+    r = len(v.rep)
+    items = []
+    M = v.rep
+    for s in range(1, r):
+        total = Fraction(0)
+        for L0, L1, W in in_edges(v, s, field):
+            val = h.eval_lattice_pair(L0, L1)
+            total += val
+            anti = val + h.eval_lattice_pair(*edge_reverse(L0, L1, field))
+            if s == 1 or len(items) < 200:
+                items.append(CheckItem(f"antisym type {s}", anti, anti == 0))
+            tri = sum((h.eval_lattice_pair(*e)
+                       for e in _triangle_lattice_edges(field, M, W)),
+                      Fraction(0))
+            items.append(CheckItem(f"triangle type {s}", tri - val, tri == val))
+        items.append(CheckItem(f"in-sum type {s}", total, total == 0))
+    for U0, U1 in itertools.islice(_flags(field, r), max_flags or None):
+        L0 = _flag_lattice(field, M, U0)
+        L1 = _flag_lattice(field, M, U1)
+        a = h.eval_lattice_pair(L0, L1)
+        b = h.eval_lattice_pair(L1, M)
+        c = h.eval_lattice_pair(L0, M)
+        items.append(CheckItem("simplex additivity", a + b - c, a + b == c))
+    return items
+
+
+@pytest.mark.parametrize("q, r, max_flags", [(2, 2, None), (3, 2, None),
+                                             (2, 3, None), (3, 3, 6)])
+def test_def_check_keys_each_lattice_pair_once(monkeypatch, q, r, max_flags):
+    from hb.discriminant import theta_evaluator
+    field = get_field(q)
+    n = Poly(field, (0, 1))
+    keys, real = [], building._lattice_pair_key
+
+    def keyed(*args):
+        head = real(*args)
+        keys.append(head[-1])
+        return head
+    monkeypatch.setattr(building, "_lattice_pair_key", keyed)
+    for exps in ((0,) * r, (2, 1) + (0,) * (r - 2)):
+        v = canonical_vertex(mat_from_exps(field, exps))
+        h = extend_cochain(theta_evaluator(n, field, r), r, field)
+        del keys[:]
+        items = check_harmonic_def(h, v, field, max_flags)
+        assert len(keys) == len(set(keys))
+        assert all(item.ok for item in items)
+        ref = extend_cochain(theta_evaluator(n, field, r), r, field)
+        assert items == _check_harmonic_def_reference(ref, v, field,
+                                                      max_flags)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,10 @@ import hb.fourier
 import hb.oracle
 import hb.poly
 import hb.units
-from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID, main
+from hb.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID,
+                    MAX_NEIGHBORS, main)
 from hb.building import weyl_edge_value
-from hb.discriminant import MAX_SUPPORT, eval_on_mirabolic
+from hb.discriminant import MAX_DIVISORS, eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
 from hb.laurent import PrecisionError
@@ -577,72 +579,107 @@ def test_fourier_grid_at_the_cap_is_computed(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["--q", "2", "--r", "2", "--y", "40"],
-    ["--q", "2", "--r", "2", "--y", "12"],
+    ["--q", "2", "--r", "2", "--y", "16"],
     ["--q", "3", "--r", "3", "--y", "20,20"],
-    ["--q", "2", "--r", "3", "--y", "6,7", "--x", "1/T,0"],
+    ["--q", "2", "--r", "3", "--y", "6,16", "--x", "1/T,0"],
     ["--q", "2", "--r", "2", "--y", str(10 ** 12)],
 ])
 def test_delta_eval_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
-    # refused before the coefficient support or the series is touched
+    # a divisor sum of up to q^(max n_i - 1) terms above MAX_DIVISORS is
+    # refused before the series is touched
     def untouchable(*args, **kwargs):
-        raise AssertionError("the support cap must come first")
-    for name in ("series_eval", "table_support"):
+        raise AssertionError("the divisor cap must come first")
+    for name in ("series_eval", "_monic"):
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     err = _usage_error(capsys, ["delta", "eval", *argv])
-    assert f"more than {MAX_SUPPORT}" in err
+    assert f"more than {MAX_DIVISORS}" in err
 
 
 def test_delta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
-    # deg a <= 9 at --y 11: q^10 = 2^10 a-vectors, exactly the cap
-    assert MAX_SUPPORT == 2 ** 10
-    seen = []
-    real = hb.discriminant.table_support
-    monkeypatch.setattr(hb.discriminant, "table_support",
-                        lambda *args: seen.append(real(*args)) or seen[-1])
+    # y = T^15: the monic d of degree 0..13, 2^14 - 1 of them below the
+    # cap q^14 = 2^14, each paired with the digits of x = pi^14.  (d x)
+    # has the digit d_k = 1 at pi^(14 - k), so no character is trivial
+    # and h = K(y) (sigma(1, 0) - sum_k q^(2k)) = 6/2^15 (-4^14/3) = -2^14
+    assert MAX_DIVISORS == 2 ** 14
+    degrees = []
+    real = hb.discriminant._monic
+    monkeypatch.setattr(hb.discriminant, "_monic",
+                        lambda field, k: degrees.append(k) or real(field, k))
     code, doc = run_json(capsys, ["delta", "eval", "--q", "2", "--r", "2",
-                                  "--y", "11"])
+                                  "--y", "15", "--x", "1/T^14"])
     assert code == EXIT_OK
-    assert len(seen[0]) == MAX_SUPPORT
-    F2 = get_field(2)
-    assert doc["result"] == eval_on_mirabolic(
-        PPoint((RatF.zero(F2),), (11,)).matrix(F2), 2, F2)
+    assert sum(2 ** k for k in degrees) == MAX_DIVISORS - 1
+    assert doc["result"] == -2 ** 14
+
+
+def test_delta_eval_past_the_old_support_cap(capsys):
+    # y = (11, 11) has a support of 2^20 a-vectors, which no table
+    # reached; at x = 0 every character is trivial and the divisor sum
+    # collapses by degree: K(y) (sigma(2, 0) + sum_k q^(3k) (q^(2(10-k)) - 1))
+    code, doc = run_json(capsys, ["delta", "eval", "--q", "2", "--r", "3",
+                                  "--y", "11,11"])
+    assert code == EXIT_OK
+    total = Fraction(1, 1 - 2 ** 3) + sum(
+        2 ** (3 * k) * (2 ** (2 * (10 - k)) - 1) for k in range(10))
+    assert doc["result"] == (2 ** 3 - 1) * 2 ** 2 * total / 2 ** 22 == 6137
 
 
 @pytest.mark.parametrize("argv", [
     ["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
-     "--g", "1,0;0,T^14"],
+     "--g", "1,0;0,T^16"],
     ["theta", "eval", "--q", "2", "--r", "2", "--n", "T+1",
      "--g", "1,0;0,T^40"],
-    ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1,0;0,T^14",
+    ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1,0;0,T^16",
      "--check"],
     ["theta", "eval", "--q", "3", "--r", "3", "--n", "T",
-     "--g", "0,T^6,0;0,T^12,1;1,0,0"],
+     "--g", "0,T^8,0;0,T^16,1;1,0,0"],
 ])
 def test_series_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
-    # the support is known once g is reduced into the mirabolic cell (the
-    # last g over the flipped cell, through its Gamma_0(T) witness, to
-    # y = (1, 8)); it is refused there, before the support, the series or
-    # the oracle is touched
+    # y is known once g is reduced into the mirabolic cell (the last g
+    # over the flipped cell, through its Gamma_0(T) witness, to y =
+    # (1, 10)); the divisor sum is refused there, before it or the
+    # oracle is touched
     def untouchable(*args, **kwargs):
-        raise AssertionError("the support cap must come first")
-    for name in ("table_support", "psi_sum"):
+        raise AssertionError("the divisor cap must come first")
+    for name in ("_monic", "sigma"):
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     monkeypatch.setattr(hb.oracle, "p_delta_direct", untouchable)
     err = _usage_error(capsys, argv)
-    assert f"more than {MAX_SUPPORT}" in err
+    assert f"more than {MAX_DIVISORS}" in err
 
 
-def test_theta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
-    # y = T^11 on this edge: q^10 = 2^10 a-vectors, exactly the cap
-    seen = []
-    real = hb.discriminant.table_support
-    monkeypatch.setattr(hb.discriminant, "table_support",
-                        lambda *args: seen.append(real(*args)) or seen[-1])
+def test_theta_eval_support_at_the_cap_is_computed(capsys):
+    # y = T^15 on this edge: up to q^14 = 2^14 divisor terms, exactly the
+    # cap; Theta_T at diag(1, T^k) is 2^(k-1), as the table route gave
+    # for every k up to its cap at k = 11
     code, doc = run_json(capsys, ["theta", "eval", "--q", "2", "--r", "2",
-                                  "--n", "T", "--g", "1,0;0,T^11"])
+                                  "--n", "T", "--g", "1,0;0,T^15"])
     assert code == EXIT_OK
-    assert [len(s) for s in seen] == [MAX_SUPPORT]
-    assert doc["result"] == 1024
+    assert doc["result"] == 2 ** 14
+
+
+@pytest.mark.parametrize("q, r", [("2", "11"), ("3", "7"), ("2", "20"),
+                                  ("5", "99999999999")])
+def test_neighbor_rank_cap_is_a_usage_error(capsys, monkeypatch, q, r):
+    # (q^r - 1)/(q - 1) in-neighbors above the cap: refused from --q and
+    # --r alone, before any edge is built
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the rank cap must come first")
+    for name in ("type_one_in_neighbors", "edge_from_rep"):
+        monkeypatch.setattr(hb.building, name, untouchable)
+    err = _usage_error(capsys, ["building", "neighbors", "--q", q, "--r", r])
+    assert f"--r {r}" in err and f"more than {MAX_NEIGHBORS}" in err
+
+
+def test_neighbor_rank_at_the_cap_is_accepted(capsys, monkeypatch):
+    # 2^10 - 1 in-neighbors at q = 2, r = 10: under the cap; the edges
+    # themselves are stubbed out, since listing them takes over a second
+    assert MAX_NEIGHBORS == 2 ** 10
+    monkeypatch.setattr(hb.building, "type_one_in_neighbors", lambda g: [])
+    code, doc = run_json(capsys, ["building", "neighbors", "--q", "2",
+                                  "--r", "10"])
+    assert code == EXIT_OK
+    assert doc["diagnostics"]["expected_count"] == 1023
 
 
 def test_cusp_orbit_cap_is_a_usage_error(capsys, monkeypatch):
@@ -680,7 +717,7 @@ def test_negative_exponent_list_needs_the_equals_form(capsys):
 # before: none of these is reached
 UNTOUCHED = {
     hb.building: ("weyl_edge_value",),
-    hb.discriminant: ("p_delta_coefficient", "table_support", "psi_sum"),
+    hb.discriminant: ("p_delta_coefficient", "_monic", "sigma"),
     hb.eisenstein: ("eisenstein_at", "eisenstein_truncated_sum",
                     "eisenstein_diagonal"),
     hb.fourier: ("fourier_coefficient",),
@@ -749,10 +786,10 @@ def test_series_value_too_long_to_print_is_a_usage_error(capsys, monkeypatch,
                                                           argv):
     # y is known once g is reduced into the mirabolic cell; values at a
     # y with q^(-sum n_i) too long to print are refused there, before the
-    # support or the series is touched
+    # divisor sum is touched
     def untouchable(*args, **kwargs):
         raise AssertionError("the value size must be refused first")
-    for name in ("table_support", "psi_sum"):
+    for name in ("_monic", "sigma"):
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     err = _usage_error(capsys, argv)
     assert "y = (" in err and "digits" in err

@@ -7,7 +7,10 @@ never exits 0; and an entry with a zero denominator, a degree-0
 `units root-order --n`, a negative `eisenstein eval --N`, a
 one-entry `building weyl --k` or an exponent whose power of q has more
 digits than Python prints (an entry T^99999, a --y, --n, --k or --s
-entry of 99999 or beyond) exits 2.
+entry of 99999 or beyond) exits 2.  A `delta eval` or `theta eval`
+drawn past the table route's old support cap of 2^10 a-vectors (a --y
+entry, or a diagonal entry T^k of --g, with k = 12 or 16) either
+answers or exits 2 naming the divisor-sum cap.
 The grammar keeps each call cheap: `verify all` is left out,
 `--deg-bound` is at most 3 and levels have degree at most 2.
 """
@@ -18,12 +21,16 @@ from hypothesis import strategies as st
 
 import hb.cli
 from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from hb.discriminant import MAX_DIVISORS
 
 ENTRIES = ("0", "1", "2", "T", "T+1", "T^2", "1/T", "T/T^2+1")
 HUGE = "99999"      # q^99999 has 30,103 digits or more
 POLYS = ("0", "1", "2", "T", "T+1", "T^2+T")
 LEVELS = ("T", "T+1", "T^2", "T^2+1", "T^2+T+1", "2T", "0")
 SCALARS = ("2", "3/2", "5/3", "1", "s")
+# past the old support cap; q^15 is past MAX_DIVISORS at q = 2 and q = 3,
+# q^11 only at q = 3
+DEEP = ("12", "16")
 
 
 class Grammar:
@@ -36,6 +43,7 @@ class Grammar:
         self.r = r
         self.wrong_shape = False
         self.refused = False
+        self.deep = False
 
     def _refuse(self, odds):
         """Is this one of the one in `odds` draws that must exit 2?"""
@@ -83,6 +91,38 @@ class Grammar:
         if items is None:
             return ",".join(self.entries(n))
         return ",".join(self.draw(st.sampled_from(items)) for _ in range(n))
+
+    def _deep(self):
+        """Is this one of the one in four draws past the old support cap?"""
+        deep = self.draw(st.integers(1, 4)) == 1
+        self.deep |= deep
+        return deep
+
+    def deep_exponents(self, items):
+        """vector(items), or one time in four a --y with one entry of DEEP
+        (a vector drawn empty, of the wrong shape, stays empty)."""
+        text = self.vector(items)
+        if not text or not self._deep():
+            return text
+        entries = text.split(",")
+        entries[self.draw(st.integers(0, len(entries) - 1))] = \
+            self.draw(st.sampled_from(DEEP))
+        return ",".join(entries)
+
+    def deep_matrix(self):
+        """matrix(), or one time in four an upper triangular --g with one
+        diagonal entry T^k, k in DEEP, the others 1, and entries() above
+        the diagonal: invertible, and past the old support cap."""
+        if not self._deep():
+            return self.matrix()
+        r = self.r
+        diag = ["1"] * r
+        diag[self.draw(st.integers(0, r - 1))] = \
+            "T^" + self.draw(st.sampled_from(DEEP))
+        above = iter(self.entries(r * (r - 1) // 2))
+        return ";".join(",".join(diag[i] if j == i else next(above)
+                                 if j > i else "0" for j in range(r))
+                        for i in range(r))
 
     def ints(self, lo, hi, n):
         return ",".join(str(self.draw(st.integers(lo, hi))) for _ in range(n))
@@ -138,12 +178,13 @@ LEAVES = {
         "--a", G.vector(POLYS),
         "--y=" + G.exponents(G.vector(("-1", "0", "2", "3")))],
     "delta eval": lambda G: [
-        "--y=" + G.exponents(G.vector(("-1", "0", "2", "3")), "-" + HUGE)]
+        "--y=" + G.exponents(G.deep_exponents(("-1", "0", "2", "3")),
+                             "-" + HUGE)]
         + G.optional(lambda: ["--x", G.vector()]),
     "theta coeff": lambda G: G.level() + [
         "--a", G.vector(POLYS),
         "--y=" + G.exponents(G.vector(("0", "2", "3")))],
-    "theta eval": lambda G: G.level() + ["--g", G.matrix()],
+    "theta eval": lambda G: G.level() + ["--g", G.deep_matrix()],
     "oracle pdelta": lambda G: G.oracle()
         + G.optional(lambda: ["--g", G.matrix()])
         + G.optional(lambda: ["--check"]),
@@ -168,7 +209,8 @@ FIXED = ("eisenstein check-klf-chain",)
 @st.composite
 def argvs(draw, leaf):
     """(argv, whether a matrix or vector in it has the wrong shape,
-    whether it must be refused)."""
+    whether it must be refused, whether it is past the old support
+    cap)."""
     argv = leaf.split()
     r = 2
     if leaf not in FIXED:
@@ -179,7 +221,7 @@ def argvs(draw, leaf):
     grammar = Grammar(draw, r)
     argv += LEAVES[leaf](grammar) \
         + grammar.optional(lambda: ["--format", "text"])
-    return argv, grammar.wrong_shape, grammar.refused
+    return argv, grammar.wrong_shape, grammar.refused, grammar.deep
 
 
 @pytest.mark.parametrize("leaf", sorted(LEAVES))
@@ -187,9 +229,9 @@ def argvs(draw, leaf):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_exit_codes(capsys, leaf, data):
-    argv, wrong_shape, refused = data.draw(argvs(leaf))
+    argv, wrong_shape, refused, deep = data.draw(argvs(leaf))
     code = main(argv)
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH), argv
     if code == EXIT_USAGE:
         assert out == "", argv
@@ -197,6 +239,8 @@ def test_cli_exit_codes(capsys, leaf, data):
         assert code != EXIT_OK, argv
     if refused:
         assert code == EXIT_USAGE, argv
+    if deep and not (wrong_shape or refused) and code == EXIT_USAGE:
+        assert f"more than {MAX_DIVISORS}" in err, argv
 
 
 @pytest.mark.parametrize("leaf, flag, refused_value", [
@@ -227,7 +271,7 @@ def test_the_grammar_draws_each_refusal(capsys, leaf, flag, refused_value):
         values += [a[len(flag) + 1:] for a in argv
                    if a.startswith(flag + "=")]
         return any(refused_value(v) for v in values)
-    argv, _wrong_shape, refused = find(argvs(leaf), has)
+    argv, _wrong_shape, refused, _deep = find(argvs(leaf), has)
     assert refused
     assert main(argv) == EXIT_USAGE, argv
     assert capsys.readouterr().out == ""
@@ -235,3 +279,18 @@ def test_the_grammar_draws_each_refusal(capsys, leaf, flag, refused_value):
 
 def test_the_grammar_covers_every_leaf_but_verify():
     assert set(LEAVES) == {path for path, *_ in hb.cli.LEAVES} - {"verify all"}
+
+
+@pytest.mark.parametrize("leaf", ["delta eval", "theta eval"])
+@pytest.mark.parametrize("answers", [True, False])
+def test_the_grammar_draws_past_the_old_support_cap(capsys, leaf, answers):
+    # a deep draw that answers, and one refused at the divisor-sum cap
+    def deep(drawn):
+        argv, wrong_shape, refused, deep = drawn
+        if not deep or wrong_shape or refused:
+            return False
+        code = main(argv)
+        err = capsys.readouterr().err
+        return code == EXIT_OK if answers else \
+            code == EXIT_USAGE and f"more than {MAX_DIVISORS}" in err
+    find(argvs(leaf), deep)

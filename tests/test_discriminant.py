@@ -14,13 +14,14 @@ from hb.building import (canonical_vertex, clear_denominators, flip_matrix,
                          reduce_y_transcript, vec_mat, w_matrix, weak_popov,
                          weyl_edge_value)
 from hb.discriminant import (_in_p_cell_column, _unimodular_to_e1,
-                             coefficient_table, eval_on_mirabolic,
+                             eval_on_mirabolic,
                              eval_on_p_inverse, eval_theta_on_edge,
                              find_witnesses, p_delta_coefficient, series_eval,
                              theta_evaluator)
 from hb.fields import get_field
 from hb.fourier import PPoint, dot, polys_up_to
 from hb.poly import Poly, RatF, parse_poly, vec_content
+from series_reference import coefficient_table
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -86,39 +87,51 @@ def test_series_at_nonzero_x_is_rational():
 
 
 def _series_eval_reference(xvec, yexps, r, field, level=None):
-    """series_eval by its earlier route: each a.x formed in F_q(T) by
-    fourier.dot, and only its pi^1 digit read."""
+    """series_eval by the table route: every nonzero coefficient over the
+    support, each a.x formed in F_q(T) by fourier.dot, and only its pi^1
+    digit read."""
     table = coefficient_table(field, tuple(yexps), r, level)
     total = psi_sum(((c, dot(a, xvec).pi_coeff(1)) for c, a in table),
                     field)
     return total.rational()
 
 
+# a support of at most q^e a-vectors, q^e <= 256, for the reference
+SUPPORT_EXPONENT = {2: 8, 3: 5, 4: 4, 5: 3}
+
+
 @st.composite
 def _series_args(draw):
-    """q in {2, 3, 4} (4: the pairing runs through non-prime field
-    tables), r in {2, 3}, level None, T or T+1, y with n_i in -1..4
-    (-1..3 at r = 3), and each x_i num/den with deg num <= 6 and den
-    monic of degree 0..3: general denominators, and polar parts where
-    deg num exceeds deg den."""
-    field = get_field(draw(st.sampled_from((2, 3, 4))))
-    r = draw(st.sampled_from((2, 3)))
-    text = draw(st.sampled_from((None, "T", "T+1")))
+    """q in {2, 3, 4, 5} (4: the pairing runs through non-prime field
+    tables), r in {2, 3, 4}, level None, T, T+1 or T^2+1 (whose degree-2
+    multiples the divisor sum leaves out), y with n_i from -1 up and a
+    support of at most 256 a-vectors, and each x_i num/den with deg num
+    <= 6 and den monic of degree 0..3: general denominators, and polar
+    parts where deg num exceeds deg den."""
+    field = get_field(draw(st.sampled_from((2, 3, 4, 5))))
+    r = draw(st.sampled_from((2, 3, 4)))
+    text = draw(st.sampled_from((None, "T", "T+1", "T^2+1")))
     level = None if text is None else parse_poly(field, text)
-    yexps = tuple(draw(st.integers(-1, 6 - r)) for _ in range(r - 1))
+    room = SUPPORT_EXPONENT[field.q]
+    yexps = []
+    for _ in range(r - 1):
+        n = draw(st.integers(-1, room + 1))
+        room -= max(n - 1, 0)
+        yexps.append(n)
     codes = st.integers(0, field.q - 1)
     xvec = []
     for _ in range(r - 1):
         num = draw(st.lists(codes, max_size=7))
         den = draw(st.lists(codes, max_size=3)) + [1]
         xvec.append(RatF(Poly(field, num), Poly(field, den)))
-    return tuple(xvec), yexps, r, field, level
+    return tuple(xvec), tuple(yexps), r, field, level
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_series_args())
 def test_series_eval_matches_the_dot_route(args):
-    # the pi-digit pairing gives the value of forming every a.x exactly
+    # the divisor sum gives the value of summing every coefficient times
+    # psi(a.x), with every a.x formed exactly
     assert series_eval(*args) == _series_eval_reference(*args)
 
 
