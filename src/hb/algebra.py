@@ -27,6 +27,7 @@ evaluated at integer s only; eisenstein reads the same counts in Q(X).
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .poly import factor_monic, vec_content
@@ -60,7 +61,11 @@ class CycRat:
         self.den = den
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def from_rational(p, q, value):
+        """value in Z[1/q], one shared instance per (p, q, value) while
+        it stays in the memo: CycRat is immutable, and Fourier tables
+        repeat a few rational values many times."""
         return CycRat.from_coordinates(p, q, [value] + [0] * (p - 2))
 
     @staticmethod

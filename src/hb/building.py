@@ -41,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Poly, RatF, poly_gcd, ratf_from_pairs
+from .poly import Poly, RatF, poly_gcd, ratf_from_pairs, ratf_over_t_power
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +135,10 @@ def ratf_trunc_below(x, bound):
     lo = int(x.ord_inf())
     if lo >= bound:
         return RatF.zero(x.field)
+    k = x.t_exponent()
+    if k is not None:   # x = sum_j num_j pi^(k-j): keep the j > k - bound
+        s = max(k - bound + 1, 0)
+        return ratf_over_t_power(x.field, x.num.coeffs[s:], k - s)
     cs = x.pi_coeffs(lo, bound)
     return ratf_from_pairs(x.field, [(lo + i, c) for i, c in enumerate(cs) if c])
 

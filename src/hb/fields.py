@@ -126,6 +126,8 @@ class FF:
         self._packable = p < 32 and q <= 256
         self._packings = {}     # slot width -> tables of _conv_packed
         self._fold = []
+        # fields key every lru_cache of zero(), one() and pi_power()
+        self._hash = hash((p, n, self.modulus))
 
     def add(self, a, b):
         return self._add[a * self.q + b]
@@ -361,7 +363,7 @@ class FF:
                 and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FF({self.p}^{self.n})"

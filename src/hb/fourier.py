@@ -15,6 +15,7 @@ coefficients genuinely vanish instead of aliasing.
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import psi_sum
 from .poly import Poly, RatF, ratf_from_pairs
@@ -36,8 +37,16 @@ class PPoint(namedtuple("PPoint", "x yexps")):
         return tuple(tuple(row) for row in rows)
 
 
+@lru_cache(maxsize=4096)
+def _shared(key):
+    return key
+
+
 def poly_key(avec):
-    return tuple(a.coeffs for a in avec)
+    """The coefficient tuples of an a-vector, as a table key.  Equal
+    keys come back as one shared tuple while they stay in the memo:
+    tables over one support repeat the same keys."""
+    return _shared(tuple(a.coeffs for a in avec))
 
 
 def polys_up_to(field, d):

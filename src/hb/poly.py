@@ -14,7 +14,15 @@ counts of every divisor sum from its prime powers.
 RatF is an exact fraction num/den with den monic and gcd-reduced.  It
 doubles as the exact model of F_infinity = F_q((1/T)): ord at infinity is
 deg(den) - deg(num) and finitely many 1/T-expansion coefficients can be
-extracted exactly by long division.
+extracted exactly by long division.  Most values are Laurent
+polynomials in pi = 1/T, num/T^k, and RatF has a fast path for them:
+between two such operands +, * and division by c T^e are one add_at or
+conv plus a sum of exponents, put in lowest terms by stripping the
+numerator's low-order zeros (at most k of them), and their pi-expansion
+coefficients are the numerator's, read off without series_div.  The
+result is the same reduced form (den = T^k monic, k = 0 or num(0) != 0)
+that poly_gcd gives, so ==, hash and every key built from RatF are
+unchanged; only general denominators take the gcd route.
 """
 
 import itertools
@@ -90,8 +98,8 @@ class Poly:
         return Poly(self.field, self.field.add_at(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        c = self.field.neg(1)
+        return self if c == 1 or not self.coeffs else self.scale(c)
 
     def __sub__(self, other):
         return self + (-other)
@@ -218,9 +226,15 @@ def max_digits():
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+@lru_cache(maxsize=None)
+def _digit_cap(digits):
+    """The largest integer of `digits` digits."""
+    return 10 ** digits - 1
+
+
 def printable(q, e):
     """Does q^e (e >= 0) have at most max_digits() digits, so it prints?"""
-    return not over_cap(q, e, 10 ** max_digits() - 1)
+    return not over_cap(q, e, _digit_cap(max_digits()))
 
 
 _TERM_RE = re.compile(r"^(?:(?P<coef>[0-9]+|u(?:\^[0-9]+)?|[0-9]+\*u(?:\^[0-9]+)?)\*?)?"
@@ -340,40 +354,37 @@ def vec_content(avec):
 
 # -- rational functions ------------------------------------------------
 
-def _reduce_over_monomial(num, den):
-    """num / (c T^k) in lowest terms, num nonzero: the gcd is T^j, j the
-    smaller of k and the number of low-order zero coefficients of num,
-    so no Euclidean division is needed."""
-    F = num.field
-    cs = num.coeffs
-    k = len(den.coeffs) - 1
+def _over_t_power(field, cs, k):
+    """(num, den) of cs / T^k in lowest terms, for coefficients cs, low
+    to high and not all zero, and k >= 0: the gcd is T^j, j the smaller
+    of k and the number of low-order zeros of cs, so no Euclidean
+    division is needed."""
     j = 0
     while j < k and not cs[j]:
         j += 1
-    if j:
-        num = Poly(F, cs[j:])
-    c = den.coeffs[-1]
-    if c != 1:
-        num = num.scale(F.inv(c))
-    elif not j:
-        return num, den
-    return num, Poly.monomial(F, k - j)
+    return Poly(field, cs[j:]), RatF.pi_power(field, k - j).den
 
 
 class RatF:
     """Exact element of F_q(T), reduced, denominator monic.  Immutable:
     nothing assigns num or den after __init__, so arithmetic may return
-    an operand itself (x + 0, x * 1, x * 0), and zero() and one() hand
-    out one shared instance per field."""
+    an operand itself (x + 0, x * 1, x * 0), and zero(), one() and
+    pi_power() hand out one shared instance per field (and exponent).
+
+    Values num/T^k (Laurent polynomials in pi) have the reduced form
+    k = 0 or num(0) != 0, and a fast path: + and * of two of them, and
+    division by a Laurent monomial c T^e, are one FF.add_at or FF.conv
+    and a sum of exponents, put in that form by ratf_over_t_power with
+    no poly_gcd; pi_coeffs reads their coefficients off directly."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
             den = Poly.one(num.field)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _reduced:
+        elif not _reduced:
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
             if num.is_zero():
                 den = Poly.one(num.field)
             elif any(den.coeffs[:-1]):
@@ -384,7 +395,10 @@ class RatF:
                     c = num.field.inv(den.lead())
                     num, den = num.scale(c), den.scale(c)
             elif den.coeffs != (1,):
-                num, den = _reduce_over_monomial(num, den)
+                c = den.coeffs[-1]
+                if c != 1:
+                    num = num.scale(num.field.inv(c))
+                num, den = _over_t_power(num.field, num.coeffs, len(den.coeffs) - 1)
         self.num = num
         self.den = den
 
@@ -399,11 +413,12 @@ class RatF:
         return RatF(Poly.one(field))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def pi_power(field, k):
         """pi^k = T^(-k)."""
         if k >= 0:
             return RatF(Poly.one(field), Poly.monomial(field, k), _reduced=True)
-        return RatF(Poly.monomial(field, -k))
+        return RatF(Poly.monomial(field, -k), _reduced=True)
 
     @property
     def field(self):
@@ -415,37 +430,69 @@ class RatF:
     def is_one(self):
         return self.num.coeffs == (1,) and self.den.coeffs == (1,)
 
+    def t_exponent(self):
+        """k if the denominator is T^k, else None."""
+        d = self.den.coeffs
+        k = len(d) - 1
+        return k if d.count(0) == k else None
+
     def ord_inf(self):
         """Valuation at infinity; ord(T) = -1.  +inf for zero."""
-        if self.num.is_zero():
-            return math.inf
-        return self.den.deg - self.num.deg
+        n = len(self.num.coeffs)
+        return len(self.den.coeffs) - n if n else math.inf
+
+    # The T-power test d.count(0) == len(d) - 1 (den = T^(len(d) - 1),
+    # as den is monic) is spelled out in the methods below, which are the
+    # kernel's hottest calls, rather than read through t_exponent.
 
     def __add__(self, other):
-        if not other.num.coeffs:
+        b = other.num.coeffs
+        if not b:
             return self
-        if not self.num.coeffs:
+        a = self.num.coeffs
+        if not a:
             return other
+        da, db = self.den.coeffs, other.den.coeffs
+        i, j = len(da) - 1, len(db) - 1
+        if da.count(0) == i and db.count(0) == j:
+            F = self.num.field
+            if i >= j:          # a/T^i + b/T^j = (a + T^(i-j) b) / T^i
+                return ratf_over_t_power(F, F.add_at(a, b, i - j), i)
+            return ratf_over_t_power(F, F.add_at(b, a, j - i), j)
         return RatF(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        if not other.num.coeffs:
-            return self
-        return RatF(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self):
-        return RatF(-self.num, self.den, _reduced=True)
+        num = -self.num
+        return self if num is self.num else RatF(num, self.den, _reduced=True)
 
     def __mul__(self, other):
         if not self.num.coeffs or other.is_one():
             return self
         if not other.num.coeffs or self.is_one():
             return other
+        da, db = self.den.coeffs, other.den.coeffs
+        i, j = len(da) - 1, len(db) - 1
+        if da.count(0) == i and db.count(0) == j:
+            F = self.num.field
+            return ratf_over_t_power(F, F.conv(self.num.coeffs, other.num.coeffs), i + j)
         return RatF(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
+        b = other.num.coeffs
+        if not b:
             raise ZeroDivisionError("division by zero rational function")
+        a = self.num.coeffs
+        if not a:
+            return self
+        da, db = self.den.coeffs, other.den.coeffs
+        i, j, e = len(da) - 1, len(db) - 1, len(b) - 1
+        if da.count(0) == i and db.count(0) == j and b.count(0) == e:
+            # other = c T^(e-j), so self / other = c^-1 a / T^(i+e-j)
+            F = self.num.field
+            return ratf_over_t_power(F, F.conv(a, (F.inv(b[-1]),)), i + e - j)
         return RatF(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
@@ -461,11 +508,18 @@ class RatF:
     def pi_coeffs(self, lo, hi):
         """Expansion coefficients of pi^k for lo <= k < hi, exactly.
 
-        Writes self = N(1/pi)/D(1/pi) and long-divides the reversed
-        polynomials as power series in pi.
+        Over T^k, self = sum_j num_j pi^(k-j) is read off directly.
+        Otherwise writes self = N(1/pi)/D(1/pi) and long-divides the
+        reversed polynomials as power series in pi.
         """
-        if self.is_zero():
+        cs = self.num.coeffs
+        if not cs:
             return [0] * (hi - lo)
+        d = self.den.coeffs
+        k = len(d) - 1
+        if d.count(0) == k:
+            n = len(cs)
+            return [cs[j] if 0 <= j < n else 0 for j in range(k - lo, k - hi, -1)]
         v = self.ord_inf()
         need = hi - v
         if need <= 0:
@@ -485,12 +539,11 @@ class RatF:
     def finite_laurent(self):
         """As a sorted tuple of (exponent, coeff) if self is a finite
         Laurent polynomial in pi (denominator a T-power); else None."""
-        den = self.den
-        if any(c != 0 for c in den.coeffs[:-1]):
+        k = self.t_exponent()
+        if k is None:
             return None
-        k = den.deg if den.coeffs else 0
         # self = num / T^k: term c*T^j -> c * pi^(k-j)
-        return tuple(sorted((int(k) - j, c) for j, c in enumerate(self.num.coeffs) if c))
+        return tuple(sorted((k - j, c) for j, c in enumerate(self.num.coeffs) if c))
 
     def __str__(self):
         if self.den.is_one():
@@ -501,13 +554,22 @@ class RatF:
         return f"RatF({self})"
 
 
+def ratf_over_t_power(field, cs, k):
+    """cs / T^k as a reduced RatF, for coefficients cs (low to high) and
+    any integer k."""
+    if not any(cs):
+        return RatF.zero(field)
+    if k <= 0:
+        return RatF(Poly(field, [0] * -k + list(cs)), _reduced=True)
+    return RatF(*_over_t_power(field, cs, k), _reduced=True)
+
+
 def ratf_from_pairs(field, pairs):
     """sum c * pi^e as an exact rational function."""
     if not pairs:
         return RatF.zero(field)
     emax = max(e for e, _ in pairs)
-    shift = max(emax, 0)
-    num = Poly.zero(field)
+    cs = []
     for e, c in pairs:
-        num = num + Poly.monomial(field, shift - e, c)
-    return RatF(num, Poly.monomial(field, shift))
+        cs = field.add_at(cs, (c,), emax - e)
+    return ratf_over_t_power(field, cs, emax)

@@ -36,6 +36,20 @@ def test_cycrat_denominator_normalization():
         CycRat.from_rational(2, 2, Fraction(1, 3))
 
 
+def test_from_rational_shares_instances():
+    # from_rational memoizes: equal rationals give one immutable CycRat,
+    # which arithmetic that reads it leaves as it was
+    x = CycRat.from_rational(3, 9, Fraction(-5, 3))
+    assert CycRat.from_rational(3, 9, Fraction(-10, 6)) is x
+    assert CycRat.from_rational(3, 3, Fraction(-5, 3)) is not x
+    assert (x.num, x.den) == ((-15, 0), 9)
+    for y in (x + x, x * x, -x, x - 1, 1 - x, x * Fraction(1, 3),
+              x + psi0(3, 1, 9)):
+        assert isinstance(y, CycRat)
+    assert (x.num, x.den) == ((-15, 0), 9)
+    assert CycRat.from_rational(3, 9, 2) is CycRat.from_rational(3, 9, Fraction(2))
+
+
 def test_cycrat_equality_across_denominators():
     # regression: values equal as rationals must compare equal even
     # when stored over different q-power denominators

@@ -40,6 +40,16 @@ def test_support_is_degree_window():
     assert poly_key((Poly.zero(F2),)) in keys
 
 
+def test_equal_keys_share_one_tuple():
+    # a-vectors built apart give one shared key tuple, so tables over
+    # one support hold their keys once
+    a = (parse_poly(F3, "T+2"), Poly.one(F3))
+    b = (Poly(F3, [2, 1]), Poly(F3, [1]))
+    assert a is not b and poly_key(a) is poly_key(b)
+    assert poly_key(a) == ((2, 1), (1,))
+    assert poly_key((Poly(F3, [1, 1]), Poly.one(F3))) != poly_key(a)
+
+
 def test_u_grid_size():
     # representatives of (pi O / pi^m O): q^{m-1} of them
     assert len(list(u_grid(F2, 3, 1))) == 4

@@ -1,6 +1,7 @@
 """Property tests of the exact arithmetic: the FF field axioms, the FF
 sequence kernel (dot included) against schoolbook loops, Poly division
-and xgcd, the RatF field laws and the RatF fast paths against the general route, the
+and xgcd, the RatF field laws and the RatF fast paths (units, T-power
+operands, pi-expansions read off T-power values) against the general route, the
 CycRat ring laws, the trace-bucketed character sum psi_sum and the
 divisor-sum series_eval each against a per-term sum, the soundness of Laurent precision windows against exact
 RatF expansions, and the Laurent constructor against its earlier
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import hb.poly
 from hb.algebra import CycRat, psi0, psi_sum
+from hb.building import ratf_trunc_below
 from hb.discriminant import p_delta_coefficient, series_eval
-from hb.fields import get_field
+from hb.fields import FF, get_field
 from hb.fourier import table_support
 from hb.laurent import Laurent, PrecisionError
 from hb.poly import (Poly, RatF, parse_poly, poly_gcd, poly_xgcd,
@@ -286,6 +288,137 @@ def test_zero_and_one_operands_match_general_path(args):
     assert x - zero == general_add(x, -zero) and zero - x == general_add(zero, -x)
     assert x * one == general_mul(x, one) and one * x == general_mul(one, x)
     assert x * zero == general_mul(x, zero) and zero * x == general_mul(zero, x)
+
+
+TPOW_QS = (2, 3, 4, 5)
+
+
+@st.composite
+def t_power_ratfs(draw, field):
+    """num/T^k as the constructor reduces it, k = 0 included, numerators
+    often with low-order zeros."""
+    num = draw(polys(field)).shift(draw(st.integers(0, 3)))
+    return RatF(num, Poly.monomial(field, draw(st.integers(0, 4))))
+
+
+@st.composite
+def t_power_operands(draw):
+    """(x, y): x over a T-power; y over a T-power, a Laurent monomial
+    c T^e / T^k, -x or x (so that x + y or x - y cancels to zero), -x
+    plus a short numerator over x's denominator (so the top terms
+    cancel), or over a general denominator."""
+    F = get_field(draw(st.sampled_from(TPOW_QS)))
+    x = draw(t_power_ratfs(F))
+    kind = draw(st.sampled_from(("t-power", "monomial", "negation", "copy",
+                                 "partial", "general")))
+    if kind == "t-power":
+        y = draw(t_power_ratfs(F))
+    elif kind == "monomial":
+        y = RatF(Poly.monomial(F, draw(st.integers(0, 3)),
+                               draw(st.integers(1, F.q - 1))),
+                 Poly.monomial(F, draw(st.integers(0, 3))))
+    elif kind == "negation":
+        y = RatF(x.num.scale(F.neg(1)), x.den)
+    elif kind == "copy":
+        y = RatF(x.num, x.den)
+    elif kind == "partial":
+        y = RatF(x.num.scale(F.neg(1)) + draw(polys(F, max_deg=1)), x.den)
+    else:
+        y = draw(ratfs(F))
+    return x, y
+
+
+def is_reduced(z):
+    return z.den.is_monic() and (z.num.is_zero()
+                                 or poly_gcd(z.num, z.den).is_one())
+
+
+@given(t_power_operands())
+def test_t_power_operands_match_general_path(xy):
+    x, y = xy
+    for a, b in ((x, y), (y, x)):
+        cases = [(a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+                 (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+                 (a * b, a.num * b.num, a.den * b.den)]
+        if not b.is_zero():
+            cases.append((a / b, a.num * b.den, a.den * b.num))
+        for z, num, den in cases:
+            assert (z.num, z.den) == general_reduction(num, den)
+            assert is_reduced(z)
+
+
+def pi_coeffs_by_series_div(x, lo, hi):
+    """The pi-expansion coefficients lo..hi-1 of x by long division of
+    the reversed numerator and denominator."""
+    if x.is_zero():
+        return [0] * (hi - lo)
+    v = int(x.ord_inf())
+    need = hi - v
+    if need <= 0:
+        return [0] * (hi - lo)
+    series = x.field.series_div(x.num.coeffs[::-1], x.den.coeffs[::-1], need)
+    return series[lo - v:] if lo >= v else [0] * (v - lo) + series
+
+
+def trunc_by_series_div(x, bound):
+    """(num, den) of the terms c pi^e, e < bound, of x, summed as Polys
+    over T^max(bound, 0) and reduced by Euclid."""
+    F = x.field
+    if x.is_zero():
+        return x.num, x.den
+    lo = int(x.ord_inf())
+    cs = pi_coeffs_by_series_div(x, lo, bound) if lo < bound else []
+    shift = max(bound, 0)
+    num = Poly.zero(F)
+    for i, c in enumerate(cs):
+        num = num + Poly.monomial(F, shift - lo - i, c)
+    return general_reduction(num, Poly.monomial(F, shift))
+
+
+@given(st.sampled_from(TPOW_QS).flatmap(
+           lambda q: t_power_ratfs(get_field(q))),
+       st.integers(-6, 4), st.integers(0, 8), st.integers(-6, 6))
+def test_t_power_expansion_matches_series_div(x, lo, width, bound):
+    assert x.pi_coeffs(lo, lo + width) == pi_coeffs_by_series_div(
+        x, lo, lo + width)
+    assert x.pi_coeff(lo) == pi_coeffs_by_series_div(x, lo, lo + 1)[0]
+    z = ratf_trunc_below(x, bound)
+    assert (z.num, z.den) == trunc_by_series_div(x, bound)
+
+
+def test_t_power_operands_skip_euclid(monkeypatch):
+    # no gcd, and no Poly product (of denominators or otherwise): the
+    # numerators meet in FF.conv or FF.add_at
+    calls, products = [], []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    def counting_mul(a, b, _mul=Poly.__mul__):
+        products.append((a, b))
+        return _mul(a, b)
+
+    def no_series_div(*args):
+        raise AssertionError("a T-power value is read off, not divided")
+    fields = [get_field(q) for q in TPOW_QS]     # built with Poly products
+    monkeypatch.setattr(hb.poly, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(FF, "series_div", no_series_div)
+    for F in fields:
+        xs = [RatF(Poly(F, cs), Poly.monomial(F, k))
+              for cs in ((1,), (0, 1), (1, 0, F.neg(1)), (0, 0, 1, 1))
+              for k in range(4)]
+        monomials = [x for x in xs if x.num.coeffs.count(0) == x.num.deg]
+        for x in xs:
+            for y in xs:
+                x + y, x - y, x * y
+            for y in monomials:
+                x / y
+            x.pi_coeffs(-3, 5), x.pi_coeff(2), ratf_trunc_below(x, 1)
+    assert calls == [] and products == []
+    RatF.one(F) / RatF(Poly(F, (1, 1)))      # a general denominator
+    assert len(calls) == 1 and len(products) == 2
 
 
 @st.composite

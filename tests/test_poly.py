@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 
 from hb.algebra import divisor_degrees
-from hb.fields import get_field
+from hb.building import ratf_trunc_below
+from hb.fields import FF, get_field
 from hb.poly import (Poly, RatF, factor_monic, is_irreducible, parse_poly,
-                     poly_gcd, vec_content)
+                     poly_gcd, printable, vec_content)
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -98,17 +100,24 @@ def test_zero_denominator_rejected():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_shared_constants_survive_arithmetic(q):
-    # zero() and one() hand out one instance per field; arithmetic that
-    # reads them, or returns one of them as its result, leaves it as it was
+    # zero(), one() and pi_power() hand out one instance per field (and
+    # exponent); arithmetic that reads them, or returns one of them as its
+    # result, leaves it as it was
     F = get_field(q)
     assert Poly.zero(F) is Poly.zero(F) and Poly.one(F) is Poly.one(F)
     assert RatF.zero(F) is RatF.zero(F) and RatF.one(F) is RatF.one(F)
+    exps = (-2, 0, 1, 3)
+    assert all(RatF.pi_power(F, k) is RatF.pi_power(F, k) for k in exps)
 
     def state():
         return (Poly.zero(F).coeffs, Poly.one(F).coeffs,
                 RatF.zero(F).num.coeffs, RatF.zero(F).den.coeffs,
-                RatF.one(F).num.coeffs, RatF.one(F).den.coeffs)
-    assert state() == ((), (1,), (), (1,), (1,), (1,))
+                RatF.one(F).num.coeffs, RatF.one(F).den.coeffs,
+                tuple((RatF.pi_power(F, k).num.coeffs,
+                       RatF.pi_power(F, k).den.coeffs) for k in exps))
+    pi_state = (((0, 0, 1), (1,)), ((1,), (1,)), ((1,), (0, 1)),
+                ((1,), (0, 0, 0, 1)))
+    assert state() == ((), (1,), (), (1,), (1,), (1,), pi_state)
     p0, p1, r0, r1 = Poly.zero(F), Poly.one(F), RatF.zero(F), RatF.one(F)
     x = parse_poly(F, "T^2+T+1")
     rx = RatF(x, parse_poly(F, "T+1"))
@@ -120,4 +129,32 @@ def test_shared_constants_survive_arithmetic(q):
               -r1, r1 * rx, rx * r1, r0 * rx, r1 / rx, rx / r1,
               RatF(p1, x), RatF(x, p1), RatF(p0, x)):
         assert isinstance(y, RatF)
-    assert state() == ((), (1,), (), (1,), (1,), (1,))
+    pis = [RatF.pi_power(F, k) for k in exps]
+    for a in pis:
+        for b in pis + [r0, r1, rx]:
+            for y in (a + b, b + a, a - b, b - a, a * b, b * a, -a, b / a,
+                      ratf_trunc_below(a, 1), ratf_trunc_below(a + b, 0)):
+                assert isinstance(y, RatF)
+    assert state() == ((), (1,), (), (1,), (1,), (1,), pi_state)
+    # a field built again equals the shared one and hashes equal, so the
+    # memos keyed by fields serve it too
+    G = FF(F.p, F.n)
+    assert G == F and hash(G) == hash(F)
+    assert RatF.pi_power(G, 3) == RatF.pi_power(F, 3)
+    assert hash(RatF.pi_power(G, 3)) == hash(RatF.pi_power(F, 3))
+
+
+def test_printable_follows_the_digit_limit():
+    # 2^2127 has 641 digits: printable at the default limit of 4300, not
+    # at 640; the bound is cached per limit, so a change between two
+    # calls is honoured
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert printable(2, 2127) and printable(2, 2126)
+        sys.set_int_max_str_digits(640)
+        assert not printable(2, 2127) and printable(2, 2126)
+        sys.set_int_max_str_digits(4300)
+        assert printable(2, 2127)
+    finally:
+        sys.set_int_max_str_digits(limit)
