@@ -723,8 +723,16 @@ def weak_popov(M):
 
 
 def clear_denominators(g):
-    """(M, d): M = g * d with polynomial entries, d in A monic."""
+    """(M, d): M = g * d with polynomial entries, d in A monic.  When
+    every denominator is a T-power T^k, d = T^(max k) and each multiplier
+    is a monomial, so no gcd or division is needed."""
     field = g[0][0].field
+    dens = [x.den.coeffs for row in g for x in row]
+    if all(d.count(0) == len(d) - 1 for d in dens):
+        top = max(map(len, dens)) - 1
+        return ([tuple(Poly(field, (0,) * (top + 1 - len(x.den.coeffs))
+                            + x.num.coeffs) for x in row) for row in g],
+                Poly.monomial(field, top))
     d = Poly.one(field)
     for row in g:
         for x in row:

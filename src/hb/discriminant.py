@@ -255,7 +255,7 @@ def find_witnesses(n, g_inv):
     alone exactly when, up to a scalar, a_j = l_j T^(M - deg W_j) plus
     lower terms with l = e1 lc(W)^{-1}: the search over these, for the
     first c of unit content, is complete and needs no bound."""
-    from .building import clear_denominators, fq_mat_inv, mat_inv, weak_popov
+    from .building import clear_denominators, fq_mat_inv, mat_vec, weak_popov
     field = g_inv[0][0].field
     level = RatF(n)
     P, _d = clear_denominators(tuple(
@@ -276,9 +276,10 @@ def find_witnesses(n, g_inv):
     if not _in_p_cell_column(g_inv, cvec):
         raise AssertionError("reduced-basis witness fails the P-cell test")
     gamma = _unimodular_to_e1(cvec)
-    # safety: gamma^{-1} really is a Gamma_0(n) element with column c
-    assert tuple(row[0] for row in mat_inv(gamma)) == \
-        tuple(RatF(c) for c in cvec)
+    # safety: gamma^{-1} really is a Gamma_0(n) element with column c,
+    # read as gamma c = e1 (gamma^{-1} e1 = c) with no inversion
+    assert mat_vec(gamma, tuple(RatF(c) for c in cvec)) == \
+        (RatF.one(field),) + (RatF.zero(field),) * (len(cvec) - 1)
     return [(gamma, cvec)]
 
 

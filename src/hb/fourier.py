@@ -10,6 +10,10 @@ exponent tuple.  Coefficients are cyclotomic rationals
 with the u-grid depth M large enough both for the y-level (max n_i) and
 for the character a (max deg a_i + 2), so that out-of-support
 coefficients genuinely vanish instead of aliasing.
+
+The shape-only data (a table's support with its keys, and a grid's
+single-coordinate representatives) are built once per shape and shared
+by every later call, so expand and fourier_coefficient rebuild neither.
 """
 
 import itertools
@@ -57,10 +61,18 @@ def polys_up_to(field, d):
             itertools.product(range(field.q), repeat=d + 1)]
 
 
-def table_support(field, yexps):
-    """All a-vectors with deg a_i <= n_i - 2."""
+# shapes are few: verify and the benchmark use seven between them
+@lru_cache(maxsize=64)
+def _support_and_keys(field, yexps):
     axes = [polys_up_to(field, n - 2) for n in yexps]
-    return [tuple(a) for a in itertools.product(*axes)]
+    support = tuple(itertools.product(*axes))
+    return support, tuple(poly_key(a) for a in support)
+
+
+def table_support(field, yexps):
+    """All a-vectors with deg a_i <= n_i - 2, as one tuple shared by
+    every call for the shape."""
+    return _support_and_keys(field, tuple(yexps))[0]
 
 
 # entries maps poly_key(a) to a CycRat
@@ -83,12 +95,16 @@ def grid_depth(avec, yexps):
     return m
 
 
+@lru_cache(maxsize=64)
+def _grid_singles(field, m):
+    return tuple(ratf_from_pairs(field, [(k + 1, c) for k, c in enumerate(d) if c])
+                 for d in itertools.product(range(field.q), repeat=max(m - 1, 0)))
+
+
 def u_grid(field, m, count):
-    """Representatives of (pi O / pi^m O)^count: u_i = sum_{k=1}^{m-1} c_k pi^k."""
-    digits = list(itertools.product(range(field.q), repeat=max(m - 1, 0)))
-    singles = [ratf_from_pairs(field, [(k + 1, c) for k, c in enumerate(d) if c])
-               for d in digits]
-    return itertools.product(singles, repeat=count)
+    """Representatives of (pi O / pi^m O)^count: u_i = sum_{k=1}^{m-1} c_k pi^k,
+    each coordinate drawn from one shared tuple per (field, m)."""
+    return itertools.product(_grid_singles(field, m), repeat=count)
 
 
 def dot(avec, xvec):
@@ -120,11 +136,11 @@ def build_table(h, yexps, field):
 
 def expand(tbl, xvec):
     """h(x, y) = sum over the support of h*(a,y) psi(a.x)."""
-    field = tbl.field
-    support = table_support(field, tbl.yexps)
-    missing = [a for a in support if poly_key(a) not in tbl.entries]
+    field, entries = tbl.field, tbl.entries
+    support, keys = _support_and_keys(field, tuple(tbl.yexps))
+    missing = [a for a, k in zip(support, keys) if k not in entries]
     if missing:
         raise KeyError("table incomplete; missing "
                        + ", ".join(str([str(p) for p in a]) for a in missing))
-    return psi_sum(((tbl.entries[poly_key(a)], dot(a, xvec).pi_coeff(1))
-                    for a in support), field)
+    return psi_sum(((entries[k], dot(a, xvec).pi_coeff(1))
+                    for a, k in zip(support, keys)), field)

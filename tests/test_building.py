@@ -244,9 +244,10 @@ def test_flip_cell_miss_hands_the_witness_search_g_inverse(monkeypatch):
 def test_theta_miss_inverts_only_for_the_witness(monkeypatch, q, r):
     # the Iwasawa p-part comes as p^{-1} off the Hermite basis and the
     # y-block is column-reduced as y^{-1}: an identity-cell miss makes no
-    # mat_inv call, a flip-cell miss exactly two, g^{-1} for the witness
-    # search and the witness's own safety assert (discriminant imports
-    # mat_inv from building where it calls it)
+    # mat_inv call, a flip-cell miss exactly one, g^{-1} for the witness
+    # search; the witness's own safety assert checks gamma c = e1 with no
+    # inversion (discriminant imports mat_inv from building where it
+    # calls it)
     from hb import discriminant
     from hb.verify import _gl_sample
     real, invs = building.mat_inv, []
@@ -262,7 +263,7 @@ def test_theta_miss_inverts_only_for_the_witness(monkeypatch, q, r):
         cell = iwasawa_decompose(g, canonical_vertex(g)).w
         del invs[:]
         discriminant.eval_theta_on_edge(n, g, _cache={})
-        assert len(invs) == (2 if cell == "flip" else 0), cell
+        assert len(invs) == (1 if cell == "flip" else 0), cell
         cells.add(cell)
     assert cells == {"flip", "identity"}
 

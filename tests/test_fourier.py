@@ -1,13 +1,16 @@
 """Fourier engine: m-values, grids, coefficient/expansion round trips."""
 
+import itertools
 from fractions import Fraction
+
+import pytest
 
 from hb.algebra import CycRat
 from hb.fields import get_field
 from hb.fourier import (FourierTable, PPoint, build_table, expand,
                         fourier_coefficient, mval, poly_key, polys_up_to,
                         table_support, u_grid)
-from hb.poly import Poly, RatF, parse_poly
+from hb.poly import Poly, RatF, parse_poly, ratf_from_pairs
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -48,6 +51,49 @@ def test_equal_keys_share_one_tuple():
     assert a is not b and poly_key(a) is poly_key(b)
     assert poly_key(a) == ((2, 1), (1,))
     assert poly_key((Poly(F3, [1, 1]), Poly.one(F3))) != poly_key(a)
+
+
+SHAPES = [(2, (3,)), (3, (3,)), (4, (2,)), (4, (3,)),
+          (2, (2, 2)), (2, (3, 2)), (3, (3, 3)), (4, (3, 2))]
+
+
+@pytest.mark.parametrize("q, yexps", SHAPES)
+def test_table_support_is_built_once_per_shape(q, yexps):
+    field = get_field(q)
+    sup = table_support(field, yexps)
+    assert isinstance(sup, tuple)
+    assert table_support(field, yexps) is sup
+    assert table_support(field, list(yexps)) is sup
+    fresh = list(itertools.product(*[polys_up_to(field, n - 2)
+                                     for n in yexps]))
+    assert [poly_key(a) for a in sup] == [poly_key(a) for a in fresh]
+
+
+@pytest.mark.parametrize("q, m, count", [(2, 3, 1), (2, 4, 2), (3, 3, 1),
+                                         (3, 2, 2), (4, 3, 1), (4, 2, 2)])
+def test_u_grid_draws_from_one_shared_tuple(q, m, count):
+    field = get_field(q)
+    first, again = list(u_grid(field, m, count)), list(u_grid(field, m, count))
+    assert all(x is y for u, v in zip(first, again) for x, y in zip(u, v))
+    singles = [ratf_from_pairs(field, [(k + 1, c) for k, c in enumerate(d)
+                                       if c])
+               for d in itertools.product(range(q), repeat=m - 1)]
+    assert first == list(itertools.product(singles, repeat=count))
+
+
+@pytest.mark.parametrize("q, yexps, drop, text", [
+    (2, (3,), (1, 3), "['T'], ['T+1']"),
+    (3, (3, 2), (0, 26), "['0', '0'], ['2*T+2', '2']"),
+])
+def test_incomplete_table_names_the_missing_vectors(q, yexps, drop, text):
+    field = get_field(q)
+    entries = {poly_key(a): CycRat.one(field.p, q)
+               for i, a in enumerate(table_support(field, yexps))
+               if i not in drop}
+    tbl = FourierTable(field, yexps, entries)
+    with pytest.raises(KeyError) as exc:
+        expand(tbl, (RatF.zero(field),) * len(yexps))
+    assert exc.value.args == ("table incomplete; missing " + text,)
 
 
 def test_u_grid_size():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import hb.poly
 from hb.algebra import CycRat, psi0, psi_sum
-from hb.building import ratf_trunc_below
+import hb.building
+from hb.building import clear_denominators, ratf_trunc_below
 from hb.discriminant import p_delta_coefficient, series_eval
 from hb.fields import FF, get_field
 from hb.fourier import table_support
@@ -419,6 +420,65 @@ def test_t_power_operands_skip_euclid(monkeypatch):
     assert calls == [] and products == []
     RatF.one(F) / RatF(Poly(F, (1, 1)))      # a general denominator
     assert len(calls) == 1 and len(products) == 2
+
+
+def clear_by_euclid(g):
+    """(M, d) of clear_denominators with the lcm of the denominators
+    formed by Euclid, whatever they are."""
+    d = Poly.one(g[0][0].field)
+    for row in g:
+        for x in row:
+            if not (d % x.den).is_zero():
+                d = (d * x.den) // poly_gcd(d, x.den)
+    return [tuple(x.num * (d // x.den) for x in row) for row in g], d
+
+
+@st.composite
+def t_power_matrices(draw):
+    """1x1 to 3x3 matrices of num/T^k entries (zeros and k = 0 included),
+    one entry sometimes over a general denominator."""
+    F = get_field(draw(st.sampled_from(TPOW_QS)))
+    n = draw(st.integers(1, 3))
+    g = [[draw(t_power_ratfs(F)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        g[draw(st.integers(0, n - 1))][0] = draw(ratfs(F))
+    return tuple(tuple(row) for row in g)
+
+
+@given(t_power_matrices())
+def test_clear_denominators_matches_euclid(g):
+    M, d = clear_denominators(g)
+    assert (M, d) == clear_by_euclid(g)
+    assert d.is_monic()
+    assert all(RatF(m, d) == x for mrow, row in zip(M, g)
+               for m, x in zip(mrow, row))
+
+
+def test_t_power_denominators_clear_without_euclid(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append("gcd")
+        return poly_gcd(a, b)
+
+    def counting_divmod(a, b, _divmod=Poly.__divmod__):
+        calls.append("divmod")
+        return _divmod(a, b)
+    monkeypatch.setattr(hb.building, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(Poly, "__divmod__", counting_divmod)
+    for q in TPOW_QS:
+        F = get_field(q)
+        xs = [RatF(Poly(F, cs), Poly.monomial(F, k))
+              for cs in ((), (1,), (0, 1), (1, 0, F.neg(1)))
+              for k in range(4)]
+        for i in range(0, len(xs) - 3, 2):
+            M, d = clear_denominators(((xs[i], xs[i + 1]),
+                                       (xs[i + 2], xs[i + 3])))
+            assert d.is_monic() and d.coeffs.count(0) == d.deg
+    assert calls == []
+    # a general denominator still goes through Euclid
+    clear_denominators(((RatF.one(F), RatF(Poly.one(F), Poly(F, (1, 1)))),))
+    assert "gcd" in calls and "divmod" in calls
 
 
 @st.composite
