@@ -33,7 +33,7 @@ column of kappa0 mod pi, with no terminus.  Vertex and edge keys are
 bytes (lattice_key, varint_key), computed once per object.  Every
 elimination over F_q (ranks mod pi, the pair framing, the kernel
 functionals, row-reduction relations, constant inverses) is one
-augmented Gauss-Jordan, fq_echelon.
+augmented Gauss-Jordan, fields.fq_echelon.
 """
 
 import itertools
@@ -41,6 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from .fields import fq_echelon
 from .poly import Poly, RatF, poly_gcd, ratf_from_pairs, ratf_over_t_power
 
 
@@ -145,38 +146,6 @@ def ratf_trunc_below(x, bound):
 
 # ----------------------------------------------------------------------
 # F_q linear algebra on coordinate vectors (tuples of codes)
-
-def fq_echelon(field, vectors):
-    """Gauss-Jordan elimination over F_q on vectors of codes, each
-    augmented by its unit vector, pivoting on the first nonzero entry.
-    Returns (pivots, deps): pivots maps each pivot column j to its
-    reduced row, 1 at j and 0 at every other pivot, followed by the
-    combination of the inputs that gives it; deps maps the index of each
-    vector that depends on the ones before it to a combination of the
-    inputs that gives 0, 1 at that index."""
-    m = len(vectors)
-    pivots, deps = {}, {}
-    for idx, v in enumerate(vectors):
-        n = len(v)
-        w = list(v) + [int(k == idx) for k in range(m)]
-        for j, row in pivots.items():
-            c = w[j]
-            if c:
-                w = [field.sub(x, field.mul(c, y)) for x, y in zip(w, row)]
-        piv = next((j for j in range(n) if w[j]), None)
-        if piv is None:
-            deps[idx] = w[n:]
-            continue
-        c = field.inv(w[piv])
-        w = [field.mul(c, x) for x in w]
-        for j, row in pivots.items():
-            c = row[piv]
-            if c:
-                pivots[j] = [field.sub(x, field.mul(c, y))
-                             for x, y in zip(row, w)]
-        pivots[piv] = w
-    return pivots, deps
-
 
 def fq_mat_inv(field, entries):
     """The inverse of an invertible square matrix of F_q codes: row j is

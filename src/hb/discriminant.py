@@ -39,6 +39,20 @@ V_d = 0 adds 1 - 1 = 0, so d runs over deg d <= max n_i - 2, and
 an integer sum up to the one factor K(y).  No coefficient is
 tabulated and no a is factored.
 
+The d of one degree k are counted by rank, not listed.  With d_k = 1
+fixed, each nonzero window w = (w_0, ..., w_k) of k + 1 consecutive
+digits gives one F_q-linear equation sum_{t<k} d_t w_t = -w_k, so the
+monic d of degree k with d x's digits 0 number q^(k - rank) of that
+system, or 0 when it is inconsistent, that is when its echelon form
+(fields.fq_echelon on the windows themselves) has a pivot in the last
+column.  The d = n e that the level divides pair as sum_t d_t w_t =
+sum_u e_u w'_u with w'_u = sum_s n_s w_{u+s}, so they are counted the
+same way in the monic e of degree k - deg n.  The w' are the windows
+of k - deg n + 1 consecutive terms of the sequences sum_s n_s
+x_i[pi^{j+1+s}], formed once per x like the digits.  A value costs one
+elimination per degree of d, and one more for its multiples where some
+d of that degree is a hit.
+
 Evaluation at an arbitrary group element goes through the Iwasawa
 decomposition, whose mirabolic part p^{-1} = [[1, -x], [0, y^{-1}]] is
 read off the Hermite basis with no inverse, and over the flipped cell
@@ -52,21 +66,23 @@ from functools import lru_cache
 
 # building is imported only by the functions that evaluate at a group element
 from .algebra import sigma
+from .fields import fq_echelon
 from .fourier import mval
-from .poly import (Poly, RatF, max_digits, over_cap, poly_xgcd, printable,
-                   vec_content)
+from .poly import Poly, RatF, max_digits, poly_xgcd, printable, vec_content
 
-# no value sums over the monic d of degree below e, q^e of them or
-# fewer, for a q^e above this: at q^e = 2^14 a value with nonzero digits
-# took 5-120 ms (q = 2..9, r = 2..9, levels None, T, T^2+1; 2-core
-# Intel Xeon, Python 3.11), about one cold CLI start; under 0.5 ms at x = 0
-MAX_DIVISORS = 2 ** 14
+# series_eval reads at most this many digits of x, sum max(n_i - 1, 0):
+# at 48, the slowest value took 0.07-0.08 s (q = 2, 3, 5, 9, r = 2..4,
+# levels None, T, T^2+1, T^3+T+1, x with short, periodic and long digit
+# periods, the median of five x; 2-core Intel Xeon, Python 3.11), about
+# what the earlier cap of q^14 divisors allowed; at 56, 0.18 s
+MAX_SERIES_DIGITS = 48
 # value_exponent's room for a sum of coefficients: q^11 > 2^10 of them
 SUM_TERMS = 11
 
 
 class SupportError(ValueError):
-    """A divisor sum above MAX_DIVISORS, or values too long to print."""
+    """A y that reads more than MAX_SERIES_DIGITS digits of x, or values
+    too long to print."""
 
 
 def _scale(q, yexps, r):
@@ -93,25 +109,18 @@ def value_exponent(yexps, r, deg_a, level=None, terms=SUM_TERMS):
 
 
 def check_support(q, yexps, r, level=None):
-    """Refuse a divisor sum over the monic d of degree below
-    e = max n_i - 1, q^e of them or fewer, for q^e above MAX_DIVISORS,
-    or values not poly.printable: h(x, y) is a sum of P1*(a, y) over the
-    q^(sum max(n_i - 1, 0)) a of the support."""
-    e = max(max(yexps) - 1, 0)
-    if over_cap(q, e, MAX_DIVISORS):
-        raise SupportError(f"y = {tuple(yexps)} needs a divisor sum of up "
-                           f"to q^{e} terms, more than {MAX_DIVISORS}")
+    """Refuse a y whose divisor sum reads more than MAX_SERIES_DIGITS
+    digits of x, sum max(n_i - 1, 0), or gives values not
+    poly.printable: h(x, y) is a sum of P1*(a, y) over the q^digits a of
+    the support."""
     support = sum(max(n - 1, 0) for n in yexps)
+    if support > MAX_SERIES_DIGITS:
+        raise SupportError(f"y = {tuple(yexps)} needs {support} digits of x, "
+                           f"more than {MAX_SERIES_DIGITS}")
     if not printable(q, value_exponent(yexps, r, max(yexps) - 2, level,
                                        max(support, SUM_TERMS))):
         raise SupportError(f"y = {tuple(yexps)} gives values with powers of "
                            f"q of more than {max_digits()} digits")
-
-
-def _monic(field, k):
-    """Coefficient tuples, constant term first, of the monic polynomials
-    of degree k."""
-    return (low + (1,) for low in itertools.product(range(field.q), repeat=k))
 
 
 # room for every y that a sweep of the harmonicity checks meets (89 in
@@ -120,49 +129,53 @@ def _monic(field, k):
 def _series_plan(field, yexps, r, level):
     """(K(y) sigma_n(r-1, 0), K(y), terms) of series_eval at y =
     diag(T^{n_i}), yexps a tuple, after check_support: one term
-    (k, |d|^{r-1}, |V_d|, count) per degree k of d, count the monic d of
-    degree k that the level does not divide."""
+    (k, k - deg n, |d|^{r-1}, |V_d|, count) per degree k of d: the degree
+    of the monic e in the multiples d = n e of that degree (-1 for no
+    level), and count the monic d of degree k that n does not divide."""
     q = field.q
     check_support(q, yexps, r, level)
     scale = _scale(q, yexps, r)
-    deg_n = None if level is None else int(level.deg)
     terms = []
     for k in range(max(yexps) - 1):
-        count = q ** k
-        if deg_n is not None and k >= deg_n:
-            count -= q ** (k - deg_n)
-        terms.append((k, q ** ((r - 1) * k),
-                      q ** sum(max(n - 1 - k, 0) for n in yexps), count))
+        deg_e = -1 if level is None else k - int(level.deg)
+        terms.append((k, deg_e, q ** ((r - 1) * k),
+                      q ** sum(max(n - 1 - k, 0) for n in yexps),
+                      q ** k - (q ** deg_e if deg_e >= 0 else 0)))
     return (scale * sigma(r - 1, (Poly.zero(field),), level), scale,
             tuple(terms))
+
+
+def _monic_hits(field, digits, k):
+    """How many monic d of degree k pair to 0 with every window
+    ds[j..j+k] of the digit lists: q^(k - rank) of the windows, or 0
+    when one row of their echelon form is 0 but for its last entry."""
+    pivots, _ = fq_echelon(field, [w for ds in digits
+                                   for j in range(len(ds) - k)
+                                   if any(w := ds[j:j + k + 1])])
+    return 0 if k in pivots else field.q ** (k - len(pivots))
 
 
 def series_eval(xvec, yexps, r, field, level=None):
     """The Fourier sum of P1(Delta_r) (level None) or P1(Theta_level) at
     (x, y), as the divisor sum of the module docstring: for each degree
     k, the monic d of degree k whose pairings with the windows
-    x_i[pi^{j+1}..pi^{j+k+1}] of the digits of x all vanish, less the d
-    that the level divides (d = n e).  Digits of x are read once; no
-    a.x, and no coefficient table, is formed.  A divisor sum above
-    MAX_DIVISORS or values too long to print raise SupportError first."""
+    x_i[pi^{j+1}..pi^{j+k+1}] of the digits of x all vanish, counted by
+    rank, less the d = n e that the level divides, counted in e on the
+    windows of the digits paired with n.  Digits of x are read once; no
+    a.x, no coefficient table and no d is formed.  More digits than
+    MAX_SERIES_DIGITS or values too long to print raise SupportError
+    first."""
     base, scale, terms = _series_plan(field, tuple(yexps), r, level)
     digits = [x.pi_coeffs(1, n) for x, n in zip(xvec, yexps)]
-    deg_n = None if level is None else int(level.deg)
-
-    def trivial(ds, rows):
-        """How many of the d give a character trivial on V_d."""
-        return sum(1 for d in ds if not any(field.dot(d, w) for w in rows))
+    if level is not None:   # sum_s n_s x_i[pi^{j+1+s}], j = 0, 1, ...
+        multiples = [
+            field.conv(ds, level.coeffs[::-1])[int(level.deg):len(ds)]
+            for ds in digits]
     total = 0
-    for k, weight, size, count in terms:
-        windows = [ds[j:j + k + 1] for ds in digits
-                   for j in range(len(ds) - k)]
-        rows = [w for w in windows if any(w)]
-        hits = count
-        if rows:
-            hits = trivial(_monic(field, k), rows)
-            if deg_n is not None and k >= deg_n:
-                hits -= trivial((field.conv(level.coeffs, e)
-                                 for e in _monic(field, k - deg_n)), rows)
+    for k, deg_e, weight, size, count in terms:
+        hits = _monic_hits(field, digits, k)
+        if deg_e >= 0 and hits:     # the multiples are among the hits
+            hits -= _monic_hits(field, multiples, deg_e)
         total += weight * (size * hits - count)
     return base + scale * total
 

@@ -31,9 +31,14 @@ def _trim(c):
 
 
 def _pmul(a, b):
-    return tuple(sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1),
-                                                      min(k + 1, len(a))))
-                 for k in range(len(a) + len(b) - 1))
+    """a b, with no product formed for a zero coefficient of either."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _pdivmod(a, b):                     # b != 0
@@ -52,11 +57,18 @@ class QX:
         num, den = (_trim([Fraction(x) for x in p]) for p in (num, den))
         if not den:
             raise ZeroDivisionError("QX with a zero denominator")
-        g, b = den, num                 # Euclid: g = gcd(num, den)
-        while b:
-            g, b = b, _pdivmod(g, b)[1]
-        g = tuple(x * den[-1] / g[-1] for x in g)   # so that den/g is monic
-        self.num, self.den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+        # num = X^i a, den = X^j b with a, b prime to X (i = j at num = 0),
+        # and gcd(num, den) = X^min(i, j) gcd(a, b): Euclid runs on a, b
+        j = next(k for k, x in enumerate(den) if x)
+        i = next((k for k, x in enumerate(num) if x), j)
+        a, b = num[i:], den[j:]
+        g, c = b, a                     # Euclid: g = gcd(a, b)
+        while c:
+            g, c = c, _pdivmod(g, c)[1]
+        g = tuple(x * b[-1] / g[-1] for x in g)     # so that b/g is monic
+        m = min(i, j)
+        self.num = (Fraction(0),) * (i - m) + _pdivmod(a, g)[0]
+        self.den = (Fraction(0),) * (j - m) + _pdivmod(b, g)[0]
 
     @staticmethod
     def monomial(k):

@@ -20,6 +20,10 @@ run a loop over those tables; once both operands have PACK_MIN
 coefficients, conv packs them into Python ints and lets one big-int
 product do the work (Kronecker substitution), and long quotients use
 Newton iteration on top of it.  Both routes are exact.
+
+fq_echelon is the one elimination over F_q on vectors of codes: the
+building's ranks, frames and constant inverses, the oracle's basis
+reduction and the divisor counts of the discriminant's series.
 """
 
 from functools import lru_cache
@@ -367,6 +371,44 @@ class FF:
 
     def __repr__(self):
         return f"FF({self.p}^{self.n})"
+
+
+def fq_echelon(field, vectors):
+    """Gauss-Jordan elimination over F_q on vectors of codes, each
+    augmented by its unit vector, pivoting on the first nonzero entry.
+    Returns (pivots, deps): pivots maps each pivot column j to its
+    reduced row, 1 at j and 0 at every other pivot, followed by the
+    combination of the inputs that gives it; deps maps the index of each
+    vector that depends on the ones before it to a combination of the
+    inputs that gives 0, 1 at that index.  While input k is reduced,
+    every row is 0 past its first n + k + 1 entries, so that a row
+    operation stops there, not at n + m."""
+    m, q = len(vectors), field.q
+    add, mul, neg = field._add, field._mul, field._neg
+
+    def minus(a, c, b):
+        """a - c b, as long as b."""
+        c = neg[c] * q
+        return [add[x * q + mul[c + y]] for x, y in zip(a, b)]
+    pivots, deps = {}, {}
+    for idx, v in enumerate(vectors):
+        n = len(v)
+        end = n + idx + 1
+        w = [*v, *[0] * idx, 1, *[0] * (m - idx - 1)]
+        for j, row in pivots.items():
+            if w[j]:
+                w[:end] = minus(w, w[j], row[:end])
+        piv = next((j for j in range(n) if w[j]), None)
+        if piv is None:
+            deps[idx] = w[n:]
+            continue
+        c = field.inv(w[piv]) * q
+        w = [mul[c + x] for x in w[:end]]
+        for j, row in pivots.items():
+            if row[piv]:
+                row[:end] = minus(row, row[piv], w)
+        pivots[piv] = w + [0] * (m - idx - 1)
+    return pivots, deps
 
 
 @lru_cache(maxsize=None)

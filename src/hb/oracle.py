@@ -48,8 +48,8 @@ import copy
 import math
 from functools import lru_cache
 
-from .building import fq_echelon, mat_from_exps, mat_mul
-from .fields import embedding, get_field
+from .building import mat_from_exps, mat_mul
+from .fields import embedding, fq_echelon, get_field
 from .laurent import Laurent, PrecisionError, StabilizationError, _prec_of
 from .poly import RatF
 

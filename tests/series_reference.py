@@ -1,10 +1,15 @@
-"""The table route to cochain values, kept as the reference for the
-divisor sum of hb.discriminant.series_eval: every nonzero coefficient
-P1*(a, y) over the support a in prod_i A_{<= n_i - 2}, each factored
-for its divisor sum, and the value sum c psi(a.x) over them."""
+"""Two references for the divisor sum of hb.discriminant.series_eval.
+
+The table route takes every nonzero coefficient P1*(a, y) over the
+support a in prod_i A_{<= n_i - 2}, each factored for its divisor sum,
+and sums c psi(a.x) over them.  The enumeration route sums by divisor,
+as series_eval does, but counts the d of each degree whose character
+is trivial by listing them (q^k of degree k) instead of by rank."""
+
+import itertools
 
 from hb.algebra import psi_sum
-from hb.discriminant import p_delta_coefficient
+from hb.discriminant import _series_plan, p_delta_coefficient
 from hb.fourier import table_support
 
 
@@ -32,3 +37,32 @@ def series_eval_by_table(xvec, yexps, r, field, level=None):
     rat = total.rational()
     assert rat is not None, f"non-rational cochain value {total}"
     return rat
+
+
+def _monic(field, k):
+    """Coefficient tuples, constant term first, of the monic polynomials
+    of degree k."""
+    return (low + (1,) for low in itertools.product(range(field.q), repeat=k))
+
+
+def series_eval_by_enumeration(xvec, yexps, r, field, level=None):
+    """series_eval with each count of its divisor sum made by listing:
+    the monic d of degree k, less the multiples n e, whose pairings with
+    every nonzero window of the digits of x vanish."""
+    base, scale, terms = _series_plan(field, tuple(yexps), r, level)
+    digits = [x.pi_coeffs(1, n) for x, n in zip(xvec, yexps)]
+
+    def trivial(ds, rows):
+        return sum(1 for d in ds if not any(field.dot(d, w) for w in rows))
+    total = 0
+    for k, deg_e, weight, size, count in terms:
+        rows = [w for w in (ds[j:j + k + 1] for ds in digits
+                            for j in range(len(ds) - k)) if any(w)]
+        hits = count
+        if rows:
+            hits = trivial(_monic(field, k), rows)
+            if deg_e >= 0:
+                hits -= trivial((field.conv(level.coeffs, e)
+                                 for e in _monic(field, deg_e)), rows)
+        total += weight * (size * hits - count)
+    return base + scale * total

@@ -15,7 +15,7 @@ from hb.building import (CheckItem, Cochain, _combine, _flag_lattice, _flags,
                          edge_from_rep, edge_reverse, flip_matrix,
                          fq_line_reps, in_edges,
                          inverse_hnf, is_in_I1, is_in_P, iwasawa_decompose,
-                         lattice_key, const_matrix, fq_echelon, fq_mat_inv,
+                         lattice_key, const_matrix, fq_mat_inv,
                          m_matrix, mat_from_exps,
                          mat_identity, mat_inv,
                          mat_is_integral, mat_mul, mat_scale,
@@ -23,7 +23,7 @@ from hb.building import (CheckItem, Cochain, _combine, _flag_lattice, _flags,
                          type_one_in_neighbors,
                          type_one_key, vertex_from_lattice, w_inverse,
                          w_matrix, weak_popov)
-from hb.fields import get_field
+from hb.fields import fq_echelon, get_field
 from hb.poly import Poly, RatF
 
 F2 = get_field(2)

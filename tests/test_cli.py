@@ -20,7 +20,7 @@ import hb.units
 from hb.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID,
                     MAX_NEIGHBORS, main)
 from hb.building import weyl_edge_value
-from hb.discriminant import MAX_DIVISORS, eval_on_mirabolic
+from hb.discriminant import MAX_SERIES_DIGITS, eval_on_mirabolic
 from hb.fields import get_field
 from hb.fourier import PPoint
 from hb.laurent import PrecisionError
@@ -578,38 +578,41 @@ def test_fourier_grid_at_the_cap_is_computed(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--q", "2", "--r", "2", "--y", "40"],
-    ["--q", "2", "--r", "2", "--y", "16"],
-    ["--q", "3", "--r", "3", "--y", "20,20"],
-    ["--q", "2", "--r", "3", "--y", "6,16", "--x", "1/T,0"],
+    ["--q", "2", "--r", "2", "--y", "50"],
+    ["--q", "3", "--r", "3", "--y", "26,25"],
+    ["--q", "2", "--r", "3", "--y", "6,45", "--x", "1/T,0"],
+    ["--q", "2", "--r", "4", "--y", "17,17,18"],
     ["--q", "2", "--r", "2", "--y", str(10 ** 12)],
 ])
 def test_delta_eval_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
-    # a divisor sum of up to q^(max n_i - 1) terms above MAX_DIVISORS is
-    # refused before the series is touched
+    # a y whose divisor sum reads sum max(n_i - 1, 0) digits of x above
+    # MAX_SERIES_DIGITS (49 here, or 10^12 - 1) is refused before the
+    # series is touched, though no n_i alone is past the cap in the
+    # last but one
     def untouchable(*args, **kwargs):
-        raise AssertionError("the divisor cap must come first")
-    for name in ("series_eval", "_monic"):
+        raise AssertionError("the digit cap must come first")
+    for name in ("series_eval", "fq_echelon"):
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     err = _usage_error(capsys, ["delta", "eval", *argv])
-    assert f"more than {MAX_DIVISORS}" in err
+    assert f"digits of x, more than {MAX_SERIES_DIGITS}" in err
 
 
 def test_delta_eval_support_at_the_cap_is_computed(capsys, monkeypatch):
-    # y = T^15: the monic d of degree 0..13, 2^14 - 1 of them below the
-    # cap q^14 = 2^14, each paired with the digits of x = pi^14.  (d x)
-    # has the digit d_k = 1 at pi^(14 - k), so no character is trivial
-    # and h = K(y) (sigma(1, 0) - sum_k q^(2k)) = 6/2^15 (-4^14/3) = -2^14
-    assert MAX_DIVISORS == 2 ** 14
+    # y = T^49 reads the 48 digits of x = pi^48 at pi^1..pi^48, the cap:
+    # one elimination per degree k = 0..47 of d.  The window of the last
+    # k + 1 digits is (0, ..., 0, 1), so d_k = 1 pairs to 1 with it, no
+    # character is trivial and h = K(y) (sigma(1, 0) - sum_k q^(2k)) =
+    # 6/2^49 (-4^48/3) = -2^48
+    assert MAX_SERIES_DIGITS == 48
     degrees = []
-    real = hb.discriminant._monic
-    monkeypatch.setattr(hb.discriminant, "_monic",
-                        lambda field, k: degrees.append(k) or real(field, k))
+    real = hb.discriminant.fq_echelon
+    monkeypatch.setattr(hb.discriminant, "fq_echelon", lambda field, vs:
+                        degrees.append(len(vs[0]) - 1) or real(field, vs))
     code, doc = run_json(capsys, ["delta", "eval", "--q", "2", "--r", "2",
-                                  "--y", "15", "--x", "1/T^14"])
+                                  "--y", "49", "--x", "1/T^48"])
     assert code == EXIT_OK
-    assert sum(2 ** k for k in degrees) == MAX_DIVISORS - 1
-    assert doc["result"] == -2 ** 14
+    assert degrees == list(range(MAX_SERIES_DIGITS))
+    assert doc["result"] == -2 ** 48
 
 
 def test_delta_eval_past_the_old_support_cap(capsys):
@@ -626,36 +629,36 @@ def test_delta_eval_past_the_old_support_cap(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["theta", "eval", "--q", "2", "--r", "2", "--n", "T",
-     "--g", "1,0;0,T^16"],
+     "--g", "1,0;0,T^50"],
     ["theta", "eval", "--q", "2", "--r", "2", "--n", "T+1",
-     "--g", "1,0;0,T^40"],
-    ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1,0;0,T^16",
+     "--g", "1,0;0,T^60"],
+    ["oracle", "pdelta", "--q", "2", "--r", "2", "--g", "1,0;0,T^50",
      "--check"],
     ["theta", "eval", "--q", "3", "--r", "3", "--n", "T",
-     "--g", "0,T^8,0;0,T^16,1;1,0,0"],
+     "--g", "0,T^48,0;0,T^96,1;1,0,0"],
 ])
 def test_series_support_cap_is_a_usage_error(capsys, monkeypatch, argv):
     # y is known once g is reduced into the mirabolic cell (the last g
     # over the flipped cell, through its Gamma_0(T) witness, to y =
-    # (1, 10)); the divisor sum is refused there, before it or the
-    # oracle is touched
+    # (1, 50), 49 digits); the divisor sum is refused there, before it
+    # or the oracle is touched
     def untouchable(*args, **kwargs):
-        raise AssertionError("the divisor cap must come first")
-    for name in ("_monic", "sigma"):
+        raise AssertionError("the digit cap must come first")
+    for name in ("fq_echelon", "sigma"):
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     monkeypatch.setattr(hb.oracle, "p_delta_direct", untouchable)
     err = _usage_error(capsys, argv)
-    assert f"more than {MAX_DIVISORS}" in err
+    assert f"digits of x, more than {MAX_SERIES_DIGITS}" in err
 
 
 def test_theta_eval_support_at_the_cap_is_computed(capsys):
-    # y = T^15 on this edge: up to q^14 = 2^14 divisor terms, exactly the
-    # cap; Theta_T at diag(1, T^k) is 2^(k-1), as the table route gave
-    # for every k up to its cap at k = 11
+    # y = T^49 on this edge reads 48 digits of x, exactly the cap;
+    # Theta_T at diag(1, T^k) is 2^(k-1), as the table route gave for
+    # every k up to its cap at k = 11
     code, doc = run_json(capsys, ["theta", "eval", "--q", "2", "--r", "2",
-                                  "--n", "T", "--g", "1,0;0,T^15"])
+                                  "--n", "T", "--g", "1,0;0,T^49"])
     assert code == EXIT_OK
-    assert doc["result"] == 2 ** 14
+    assert doc["result"] == 2 ** 48
 
 
 @pytest.mark.parametrize("q, r", [("2", "11"), ("3", "7"), ("2", "20"),
@@ -717,7 +720,7 @@ def test_negative_exponent_list_needs_the_equals_form(capsys):
 # before: none of these is reached
 UNTOUCHED = {
     hb.building: ("weyl_edge_value",),
-    hb.discriminant: ("p_delta_coefficient", "_monic", "sigma"),
+    hb.discriminant: ("p_delta_coefficient", "fq_echelon", "sigma"),
     hb.eisenstein: ("eisenstein_at", "eisenstein_truncated_sum",
                     "eisenstein_diagonal"),
     hb.fourier: ("fourier_coefficient",),
@@ -789,7 +792,7 @@ def test_series_value_too_long_to_print_is_a_usage_error(capsys, monkeypatch,
     # divisor sum is touched
     def untouchable(*args, **kwargs):
         raise AssertionError("the value size must be refused first")
-    for name in ("_monic", "sigma"):
+    for name in ("fq_echelon", "sigma"):
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     err = _usage_error(capsys, argv)
     assert "y = (" in err and "digits" in err
@@ -811,6 +814,8 @@ def test_the_digit_budget_is_the_interpreters(capsys, monkeypatch):
      "--g", "T^5000,0;0,1"],
     ["building", "weyl", "--q", "2", "--k", "14000,0"],
     ["delta", "eval", "--q", "2", "--r", "2", "--y=-14000"],
+    # X^2300 in the rational function: Q(X) takes it out before Euclid
+    ["eisenstein", "eval", "--q", "2", "--n", "0,2300", "--s", "2"],
 ])
 def test_large_exponents_that_print_are_computed(capsys, argv):
     code, _doc = run_json(capsys, argv)

@@ -8,9 +8,9 @@ never exits 0; and an entry with a zero denominator, a degree-0
 one-entry `building weyl --k` or an exponent whose power of q has more
 digits than Python prints (an entry T^99999, a --y, --n, --k or --s
 entry of 99999 or beyond) exits 2.  A `delta eval` or `theta eval`
-drawn past the table route's old support cap of 2^10 a-vectors (a --y
-entry, or a diagonal entry T^k of --g, with k = 12 or 16) either
-answers or exits 2 naming the divisor-sum cap.
+drawn past the earlier support caps (a --y entry, or a diagonal entry
+T^k of --g, with k = 16 or 60) either answers or exits 2 naming the
+cap on the digits of x that the divisor sum reads.
 The grammar keeps each call cheap: `verify all` is left out,
 `--deg-bound` is at most 3 and levels have degree at most 2.
 """
@@ -21,16 +21,17 @@ from hypothesis import strategies as st
 
 import hb.cli
 from hb.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from hb.discriminant import MAX_DIVISORS
+from hb.discriminant import MAX_SERIES_DIGITS
 
 ENTRIES = ("0", "1", "2", "T", "T+1", "T^2", "1/T", "T/T^2+1")
 HUGE = "99999"      # q^99999 has 30,103 digits or more
 POLYS = ("0", "1", "2", "T", "T+1", "T^2+T")
 LEVELS = ("T", "T+1", "T^2", "T^2+1", "T^2+T+1", "2T", "0")
 SCALARS = ("2", "3/2", "5/3", "1", "s")
-# past the old support cap; q^15 is past MAX_DIVISORS at q = 2 and q = 3,
-# q^11 only at q = 3
-DEEP = ("12", "16")
+# past the earlier caps on the support, 2^10 a-vectors, and on the
+# divisor sum, q^(max n_i - 1) up to 2^14: an entry 16 is computed, and
+# an entry 60 reads 59 digits of x, past MAX_SERIES_DIGITS
+DEEP = ("16", "60")
 
 
 class Grammar:
@@ -240,7 +241,7 @@ def test_cli_exit_codes(capsys, leaf, data):
     if refused:
         assert code == EXIT_USAGE, argv
     if deep and not (wrong_shape or refused) and code == EXIT_USAGE:
-        assert f"more than {MAX_DIVISORS}" in err, argv
+        assert f"digits of x, more than {MAX_SERIES_DIGITS}" in err, argv
 
 
 @pytest.mark.parametrize("leaf, flag, refused_value", [
@@ -284,7 +285,7 @@ def test_the_grammar_covers_every_leaf_but_verify():
 @pytest.mark.parametrize("leaf", ["delta eval", "theta eval"])
 @pytest.mark.parametrize("answers", [True, False])
 def test_the_grammar_draws_past_the_old_support_cap(capsys, leaf, answers):
-    # a deep draw that answers, and one refused at the divisor-sum cap
+    # a deep draw that answers, and one refused at the digit cap
     def deep(drawn):
         argv, wrong_shape, refused, deep = drawn
         if not deep or wrong_shape or refused:
@@ -292,5 +293,6 @@ def test_the_grammar_draws_past_the_old_support_cap(capsys, leaf, answers):
         code = main(argv)
         err = capsys.readouterr().err
         return code == EXIT_OK if answers else \
-            code == EXIT_USAGE and f"more than {MAX_DIVISORS}" in err
+            code == EXIT_USAGE and \
+            f"digits of x, more than {MAX_SERIES_DIGITS}" in err
     find(argvs(leaf), deep)

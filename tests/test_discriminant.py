@@ -1,6 +1,7 @@
 """Closed-form coefficients and values of the discriminant cochains."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from hb.discriminant import (_in_p_cell_column, _unimodular_to_e1,
 from hb.fields import get_field
 from hb.fourier import PPoint, dot, polys_up_to
 from hb.poly import Poly, RatF, parse_poly, vec_content
-from series_reference import coefficient_table
+from series_reference import coefficient_table, series_eval_by_enumeration
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -133,6 +134,52 @@ def test_series_eval_matches_the_dot_route(args):
     # the divisor sum gives the value of summing every coefficient times
     # psi(a.x), with every a.x formed exactly
     assert series_eval(*args) == _series_eval_reference(*args)
+
+
+# the largest n_i drawn at each q: q^(n - 1) divisors of degree below
+# n - 1, past the earlier cap of 2^14 at both
+DEEP_Y = {2: 16, 3: 10}
+
+
+def _deep_series_args(count, seed=31):
+    """count seeded (x, y, r, field, level): q in {2, 3}, r in {2, 3},
+    level None or of degree 1 to 3, y with one n_i at DEEP_Y[q] and the
+    other from -1 to DEEP_Y[q], and each x_i num/den with deg num <= 6
+    and den = T^j times a monic of degree 0..3 prime to T, j <= 3: most
+    denominators are general, and their digits do not end."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        field = get_field(rng.choice((2, 3)))
+        r = rng.choice((2, 3))
+        text = rng.choice((None, "T", "T+1", "T^2+1", "T^2+T+1", "T^3+T+1"))
+        level = None if text is None else parse_poly(field, text)
+        top = DEEP_Y[field.q]
+        yexps = [rng.randint(-1, top) for _ in range(r - 1)]
+        yexps[rng.randrange(r - 1)] = top
+        xvec = []
+        for _ in range(r - 1):
+            num = [rng.randrange(field.q) for _ in range(rng.randint(0, 7))]
+            den = [rng.randrange(1, field.q)] \
+                + [rng.randrange(field.q) for _ in range(rng.randint(0, 2))]
+            den = [0] * rng.randint(0, 3) + den[:rng.randint(0, 3)] + [1]
+            xvec.append(RatF(Poly(field, num), Poly(field, den)))
+        yield tuple(xvec), tuple(yexps), r, field, level
+
+
+@pytest.mark.parametrize("args", _deep_series_args(24))
+def test_series_eval_counts_by_rank_past_the_old_cap(args):
+    # each count q^(k - rank), or 0, is the number of monic d (and of
+    # multiples n e) that listing them finds
+    assert series_eval(*args) == series_eval_by_enumeration(*args)
+
+
+def test_the_readme_value_past_the_old_cap():
+    # `hb delta eval --q 2 --r 3 --y 16,16 --x 1/T^3,T/T^2+1`, annotated
+    # 1273 in the README, by listing the 2^15 - 1 monic d of degree
+    # below 15
+    x = (RatF(Poly.one(F2), parse_poly(F2, "T^3")),
+         RatF(parse_poly(F2, "T"), parse_poly(F2, "T^2+1")))
+    assert series_eval_by_enumeration(x, (16, 16), 3, F2) == 1273
 
 
 def test_eval_on_mirabolic_agrees_with_series():

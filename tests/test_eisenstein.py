@@ -1,10 +1,12 @@
 """Eisenstein series in X = q^{-s} and the limit-formula chain."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from hb.eisenstein import (QX, LogDeltaAffine, ZeroCoefficient,
+from hb.eisenstein import (QX, LogDeltaAffine, ZeroCoefficient, _pdivmod,
+                           _trim,
                            eisenstein_at, eisenstein_diagonal,
                            eisenstein_fourier, eisenstein_truncated_sum,
                            identity_check_thm56, log_delta_fourier)
@@ -47,8 +49,9 @@ def test_s0_that_is_not_an_integer():
         eisenstein_at((0, 0), 2, Fraction(5, 4))
 
 
+# (0, 2300): X^2300 in the denominator, a long run of zero coefficients
 @pytest.mark.parametrize("nvec", [(0, 0), (1, -1), (2, 0), (1, -2, 0),
-                                  (-1, 0, 2), (0, 0, 0)])
+                                  (-1, 0, 2), (0, 0, 0), (0, 2300)])
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("s0", [2, 3])
 def test_rational_function_agrees_with_point_value(nvec, q, s0):
@@ -70,6 +73,45 @@ def test_qx_arithmetic():
     assert str(QX((0, -1, Fraction(-1, 2)))) == "-1/2*X**2 - X**1"
     with pytest.raises(ZeroDivisionError):
         x / 0
+
+
+def _product(a, b):
+    """a b by the full convolution."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+def _euclid_normal_form(num, den):
+    """(num, den) of num/den in lowest terms, den monic, by Euclid on the
+    whole polynomials."""
+    num, den = (_trim([Fraction(x) for x in p]) for p in (num, den))
+    g, b = den, num
+    while b:
+        g, b = b, _pdivmod(g, b)[1]
+    g = tuple(x * den[-1] / g[-1] for x in g)
+    return _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+
+
+def test_qx_normal_form_is_euclids():
+    # num = X^i a c and den = X^j b c, with runs of zero coefficients in
+    # a, b and the common factor c: the common X^min(i, j) taken out
+    # before Euclid gives plain Euclid's normal form
+    rng = random.Random(2300)
+
+    def sparse(lo, hi):
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                * (rng.random() < 0.4) for _ in range(rng.randint(lo, hi))]
+    tried = 0
+    while tried < 200:
+        c = sparse(1, 4)
+        num = [0] * rng.randint(0, 30) + sparse(0, 12)
+        den = [0] * rng.randint(0, 30) + sparse(1, 12)
+        num, den = _product(num, c), _product(den, c)
+        if not any(den):
+            continue
+        tried += 1
+        f = QX(num, den)
+        assert (f.num, f.den) == _euclid_normal_form(num, den)
 
 
 def test_value_is_invariant_under_diagonal_scaling():

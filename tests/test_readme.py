@@ -42,9 +42,9 @@ IDS = [leaf if LEAVES.index(leaf) == i
 
 
 def test_the_block_is_found():
-    assert len(EXAMPLES) == 16
-    assert [want for _argv, want in EXAMPLES if want] == ["64/15", "9/4",
-                                                          "-512", "768", "13"]
+    assert len(EXAMPLES) == 17
+    assert [want for _argv, want in EXAMPLES if want] == [
+        "64/15", "9/4", "1273", "-512", "768", "13"]
 
 
 @pytest.mark.parametrize("argv, want", EXAMPLES, ids=IDS)
