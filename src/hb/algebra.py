@@ -9,9 +9,12 @@ psi and all Fourier coefficients live.
 psi_sum is the one character sum: sum c psi(x) over (c, a_1) pairs,
 with psi(x) = psi_0(Tr a_1) for the pi^1-coefficient a_1 of x, an F_q
 code (x.pi_coeff(1) for a RatF x).  The c are summed in p buckets b_t
-by that trace.  Rational buckets give the coordinates b_t - b_{p-1} on
-1, zeta, ..., zeta^{p-2} directly; otherwise bucket t is multiplied by
-zeta^t once.
+by that trace, and the buckets are combined in one integer pass: over
+the largest bucket denominator (q-powers nest), coordinate i of b_t is
+added into slot (i + t) mod p of a length-p vector, which is zeta^t b_t
+in Z[x]/(x^p - 1), and slot p-1 is taken off the others once, as
+zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).  No CycRat is formed until
+the one result.
 
 divisor_degrees counts the monic common divisors of a vector by degree,
 and sigma reads the divisor sums off those counts:
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import factor_monic, vec_content
+from .poly import factor_degrees, vec_content
 
 
 class PoleError(ArithmeticError):
@@ -183,20 +186,32 @@ def psi0(p, x, q=None):
 
 def psi_sum(terms, field):
     """sum of c psi(x) over the (c, a_1) pairs, a_1 the F_q code of the
-    pi^1-coefficient of x and c a rational or a CycRat."""
+    pi^1-coefficient of x and c a rational or a CycRat.  A bucket
+    outside Z[zeta_p][1/q] raises ValueError."""
     p, q = field.p, field.q
     trace = field.trace_to_prime
     buckets = [0] * p
     for c, a1 in terms:
         buckets[trace(a1)] += c
-    if not any(isinstance(b, CycRat) for b in buckets):
-        # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-        return CycRat.from_coordinates(p, q, [b - buckets[-1]
-                                              for b in buckets[:-1]])
-    total = CycRat.zero(p, q)
-    for t, b in enumerate(buckets):
-        total = total + psi0(p, t, q) * b
-    return total
+    # each bucket as integer coordinates over its own q-power denominator
+    parts = [(b.num, b.den) if isinstance(b, CycRat)
+             else ((b.numerator,), b.denominator) for b in buckets]
+    den = 1
+    for _, d in parts:
+        while den % d:  # q-powers nest: den ends at the largest of them
+            if gcd(d // gcd(d, den), q) == 1:
+                raise ValueError(f"denominator {d} is not supported by "
+                                 f"powers of {q}")
+            den *= q
+    # zeta^t b in Z[x]/(x^p - 1): coordinate i of bucket t lands in slot i + t
+    slots = [0] * p
+    for t, (num, d) in enumerate(parts):
+        scale = den // d
+        for i, c in enumerate(num, t):
+            if c:
+                slots[i % p] += c * scale
+    top = slots[-1]  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    return CycRat(p, q, [c - top for c in slots[:-1]], den)
 
 
 def divisor_degrees(avec, level=None):
@@ -208,11 +223,11 @@ def divisor_degrees(avec, level=None):
     if content.is_zero():
         return None
     counts = Counter({0: 1})
-    for f, mult in factor_monic(content):
+    for deg, mult in factor_degrees(content):
         step = Counter()
         for d, k in counts.items():
             for j in range(mult + 1):
-                step[d + j * int(f.deg)] += k
+                step[d + j * deg] += k
         counts = step
     if level is not None and level.divides(content):
         for d, k in divisor_degrees((content // level,)).items():

@@ -55,9 +55,11 @@ d of that degree is a hit.
 
 Evaluation at an arbitrary group element goes through the Iwasawa
 decomposition, whose mirabolic part p^{-1} = [[1, -x], [0, y^{-1}]] is
-read off the Hermite basis with no inverse, and over the flipped cell
-through a Gamma_0(n) translate read off a row-reduced basis of the
-lattice g^{-1}(A + nA^{r-1}).
+read off the Hermite basis with no inverse, and over the flipped cell,
+g = s p flip kappa with kappa in I^1, through a Gamma_0(n) translate
+of p flip read off a row-reduced basis of the lattice (p flip)^{-1}(A +
+nA^{r-1}), where (p flip)^{-1} = flip^{-1} p^{-1} comes off the same
+Hermite basis.
 """
 
 import itertools
@@ -302,9 +304,12 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     key names the type-1 edge of g by its origin and kernel line
     (type_one_key), with no terminus and no edge built; the origin's
     Hermite basis H and the product H g go on to the Iwasawa
-    decomposition of a miss, with no inverse of g.  Only a miss in the
-    flipped cell computes g^{-1}, for the witness search."""
-    from .building import (canonical_vertex, iwasawa_decompose, mat_inv,
+    decomposition of a miss, with no inverse of g.  A miss in the
+    flipped cell has g = s p flip kappa with kappa in I^1, so a witness
+    for p flip serves g too: the search takes (p flip)^{-1} = flip^{-1}
+    p^{-1}, a permutation of the rows of the decomposition's p^{-1},
+    and no inverse of g is computed."""
+    from .building import (canonical_vertex, flip_matrix, iwasawa_decompose,
                            mat_mul, type_one_key)
     field = g[0][0].field
     r = len(g)
@@ -315,7 +320,8 @@ def eval_theta_on_edge(n, g, bound=None, _cache=None):
     if iw.w == "identity":
         val = eval_on_p_inverse(iw.p_inv, r, field, level=n)
     else:
-        gamma, _c = find_witnesses(n, mat_inv(g))[0]
+        flip_inv = tuple(zip(*flip_matrix(field, r)))
+        gamma, _c = find_witnesses(n, mat_mul(flip_inv, iw.p_inv))[0]
         gg = mat_mul(gamma, g)
         iw2 = iwasawa_decompose(gg, canonical_vertex(gg))
         if iw2.w != "identity":

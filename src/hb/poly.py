@@ -7,9 +7,12 @@ Euclidean division is Poly.__divmod__.  deg(0) is the sentinel -inf so
 that degree comparisons behave; call sites that exponentiate check for
 zero first.
 
-factor_monic factors by trial division, the one such loop: is_irreducible
-reads its factorization, and algebra.divisor_degrees builds the divisor
-counts of every divisor sum from its prime powers.
+factor_degrees gives the degrees and multiplicities of the irreducible
+factors in polynomial time, by squarefree decomposition and
+distinct-degree factorization: is_irreducible reads it, and
+algebra.divisor_degrees builds the divisor counts of every divisor sum
+from it.  factor_monic finds the factors themselves by trial division,
+for the one caller that needs them, units._residue_fields.
 
 RatF is an exact fraction num/den with den monic and gcd-reduced.  It
 doubles as the exact model of F_infinity = F_q((1/T)): ord at infinity is
@@ -289,11 +292,80 @@ def _monics(field, d):
 
 
 def is_irreducible(f):
-    return f.deg >= 1 and factor_monic(f) == [(f.monic(), 1)]
+    return f.deg >= 1 and factor_degrees(f) == [(int(f.deg), 1)]
+
+
+def factor_degrees(f):
+    """[(deg p, mult)] over the monic irreducible factors p of f, sorted:
+    a squarefree decomposition, then distinct-degree factorization of
+    each part (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 14).  No factor is found, only its degree."""
+    if f.is_zero():
+        raise ValueError("cannot factor zero")
+    return sorted((d, m) for part, m in _squarefree_parts(f.monic())
+                  for d, k in _distinct_degrees(part) for _ in range(k))
+
+
+def _squarefree_parts(f):
+    """[(g, m)] with the monic f = prod g^m, each g squarefree and
+    nonconstant, the g pairwise coprime.  The part of f whose
+    multiplicities are multiples of p has derivative 0 and is a p-th
+    power, taken apart by its p-th root."""
+    F = f.field
+    df = Poly(F, [F.mul(F.from_int(k), c)
+                  for k, c in enumerate(f.coeffs)][1:])
+    c = poly_gcd(f, df)  # f itself when df = 0
+    w = f // c
+    out, m = [], 1
+    while w.deg >= 1:
+        y = poly_gcd(w, c)
+        if w.deg > y.deg:
+            out.append((w // y, m))
+        w, c, m = y, c // y, m + 1
+    if c.deg >= 1:
+        root = F.frobenius(F.n - 1)  # x -> x^(1/p)
+        c = Poly(F, [root[x] for x in c.coeffs[::F.p]])
+        out += [(g, k * F.p) for g, k in _squarefree_parts(c)]
+    return out
+
+
+def _distinct_degrees(f):
+    """[(d, k)]: the squarefree monic f has k irreducible factors of
+    degree d.  Those of degree d divide T^(q^d) - T, so they are
+    gcd(h - T, f) for h = T^(q^d) mod f, taken off f for d = 1, 2, ...
+    until what is left has no factor of degree below half its own."""
+    F = f.field
+    T = Poly(F, (0, 1))
+    out, h, d = [], T, 0
+    while f.deg >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, F.q, f)
+        g = poly_gcd(h - T, f)
+        if g.deg >= 1:
+            out.append((d, int(g.deg) // d))
+            f = f // g
+            h = h % f
+    if f.deg >= 1:
+        out.append((int(f.deg), 1))
+    return out
+
+
+def _pow_mod(h, k, f):
+    """h^k mod f, by squaring."""
+    out = Poly.one(f.field)
+    while k:
+        if k & 1:
+            out = out * h % f
+        k >>= 1
+        if k:
+            h = h * h % f
+    return out
 
 
 def factor_monic(f):
-    """Factor into monic irreducibles by trial division; returns [(p, mult)]."""
+    """Factor into monic irreducibles by trial division; returns [(p, mult)].
+    Only units._residue_fields, which needs the factors themselves, calls
+    it; factor_degrees gives degrees and multiplicities in polynomial time."""
     if f.is_zero():
         raise ValueError("cannot factor zero")
     f = f.monic()

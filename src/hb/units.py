@@ -16,7 +16,7 @@ from math import gcd
 
 from .algebra import sigma
 from .fields import embedding, get_field
-from .poly import Poly, factor_monic, is_irreducible
+from .poly import Poly, factor_degrees, factor_monic, is_irreducible
 
 # cusp_orbits refuses orbit spaces with more states than this
 MAX_CUSP_STATES = 200_000
@@ -164,7 +164,7 @@ def character_order(n, r):
     q = n.field.q
     d = int(n.deg)
     kappa = gcd(d, r)
-    mults = [m for _p, m in factor_monic(n)]
+    mults = [m for _d, m in factor_degrees(n)]
     return (q - 1) // gcd(q - 1, *mults, (r - 1) * d // kappa)
 
 
@@ -176,12 +176,11 @@ OrbitReport = namedtuple("OrbitReport", "n r total orbit_count orbit_sizes")
 
 def _residue_fields(n):
     """The components F_{q^{deg p}} of A/n for squarefree n, each with
-    the image of a root of its p and the embedding of F_q."""
+    the image of a root of its p and the embedding of F_q: the one caller
+    of trial division, which finds the factors p themselves."""
     base = n.field
     comps = []
-    for p, m in factor_monic(n):
-        if m != 1:
-            raise ValueError("level must be squarefree")
+    for p, _m in factor_monic(n):
         Fp = get_field(base.q ** int(p.deg))
         emb = embedding(base.q, Fp.q)
         root = Fp.find_root([emb[c] for c in p.coeffs])
@@ -208,16 +207,20 @@ def cusp_orbits(n, r):
     below-diagonal first column, diag(u, 1, ..., 1, u^{-1}) for units u
     of A/n, and diag(eps, 1, ..., 1) for eps in F_q^x; the search applies
     a small generating set of that group.  An orbit space of more than
-    MAX_CUSP_STATES states is refused before any state is listed."""
+    MAX_CUSP_STATES states is refused from the factor degrees of n,
+    before any factor is found or any state listed."""
     base = n.field
-    comps = _residue_fields(n)
+    degrees = factor_degrees(n)
+    if any(m != 1 for _d, m in degrees):
+        raise ValueError("level must be squarefree")
     total = 1
-    for F, _, _ in comps:
-        total *= F.q ** r - 1
+    for d, _m in degrees:
+        total *= base.q ** (d * r) - 1
     count = total // (base.q - 1)
     if count > MAX_CUSP_STATES:
         raise ValueError(f"orbit space of {count} states, more than "
                          f"{MAX_CUSP_STATES}; reduce q, r or deg n")
+    comps = _residue_fields(n)
 
     def transvection(i, j, beta):
         def act(state):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hb.algebra import CycRat, PoleError, divisor_degrees, psi0, sigma
+import hb.algebra
+from hb.algebra import (CycRat, PoleError, divisor_degrees, psi0, psi_sum,
+                        sigma)
 from hb.fields import get_field
 from hb.poly import Poly, is_irreducible, parse_poly, vec_content
 
@@ -66,6 +68,34 @@ def test_cycrat_zeta_relation():
     total = psi0(p, 0) + psi0(p, 1) + psi0(p, 2)
     assert total.is_zero()
     assert (psi0(p, 1) * psi0(p, 2)).rational() == 1
+
+
+def test_psi_sum_rotates_buckets_with_no_product(monkeypatch):
+    # zeta^t b is b's coordinates shifted by t: one CycRat is built, none
+    # is multiplied, and psi0 is not called; rational and CycRat buckets
+    # mix, over denominators q^0..q^2 at p = 5 (q = 25, Tr codes 0..4)
+    want = CycRat.zero(5, 25)
+    terms = []
+    for t, c in enumerate((Fraction(3, 25), CycRat(5, 25, (1, -2, 0, 4), 625),
+                           2, Fraction(-7, 5), CycRat(5, 25, (0, 0, 1, 1)))):
+        want = want + psi0(5, t, 25) * c
+        terms.append((c, next(a for a in range(25)
+                              if get_field(25).trace_to_prime(a) == t)))
+
+    def untouchable(*args):
+        raise AssertionError("psi_sum must rotate, not multiply")
+    monkeypatch.setattr(CycRat, "__mul__", untouchable)
+    monkeypatch.setattr(CycRat, "__rmul__", untouchable)
+    monkeypatch.setattr(hb.algebra, "psi0", untouchable)
+    assert psi_sum(terms, get_field(25)) == want
+
+
+def test_psi_sum_refuses_a_rational_outside_z_1_q():
+    with pytest.raises(ValueError, match="not supported by powers of 2"):
+        psi_sum([(Fraction(1, 6), 0)], F2)
+    # 1/2 lies in Z[1/4]: it is stored over 4
+    value = psi_sum([(Fraction(1, 2), 0)], get_field(4))
+    assert (value.num, value.den) == ((2,), 4)
 
 
 def test_sigma_values():

@@ -211,10 +211,11 @@ def test_inverse_hnf_is_the_hermite_form_of_the_inverse(q, r, data):
     assert v.inv == mat_inv(v.rep)
 
 
-def test_flip_cell_miss_hands_the_witness_search_g_inverse(monkeypatch):
-    # a rep edge keeps no g^{-1}: a Theta_n miss in the flipped cell
-    # passes the witness search exactly mat_inv(g), any other lookup
-    # passes it nothing
+def test_flip_cell_miss_hands_the_witness_search_p_flip_inverse(monkeypatch):
+    # a rep edge keeps no g^{-1}: a Theta_n miss in the flipped cell,
+    # g = s p flip kappa, passes the witness search exactly (p flip)^{-1}
+    # = flip^{-1} p^{-1}, off the Iwasawa p^{-1}; any other lookup passes
+    # it nothing
     from hb import discriminant
     from hb.verify import _gl_sample
     search, seen = discriminant.find_witnesses, []
@@ -227,27 +228,67 @@ def test_flip_cell_miss_hands_the_witness_search_g_inverse(monkeypatch):
     for q, r in ((2, 2), (3, 2), (2, 3)):
         field = get_field(q)
         n = Poly(field, (0, 1))
+        flip_inv = tuple(zip(*flip_matrix(field, r)))
         for g in _iwasawa_samples(field, r) + _gl_sample(field, r):
             cache = {}
             del seen[:]
             value = discriminant.eval_theta_on_edge(n, g, _cache=cache)
-            cell = iwasawa_decompose(g, canonical_vertex(g)).w
-            assert seen == ([mat_inv(g)] if cell == "flip" else [])
+            iw = iwasawa_decompose(g, canonical_vertex(g))
+            assert seen == ([mat_mul(flip_inv, iw.p_inv)]
+                            if iw.w == "flip" else [])
             del seen[:]
             assert discriminant.eval_theta_on_edge(n, g, _cache=cache) == value
             assert seen == []
-            cells.add(cell)
+            cells.add(iw.w)
     assert cells == {"flip", "identity"}
+
+
+def _theta_by_g_inverse(n, g):
+    """Theta_n(g) through a witness sought for g itself, from mat_inv(g)."""
+    from hb.discriminant import eval_on_p_inverse, find_witnesses
+    gamma, _c = find_witnesses(n, mat_inv(g))[0]
+    gg = mat_mul(gamma, g)
+    iw = iwasawa_decompose(gg, canonical_vertex(gg))
+    assert iw.w == "identity"
+    return eval_on_p_inverse(iw.p_inv, len(g), g[0][0].field, level=n)
+
+
+def test_flip_cell_witness_for_p_flip_serves_g():
+    # a witness for p flip and one for g give the same Theta_n(g): seeded
+    # products of shears (entries with (T+1) denominators too), diagonals
+    # and flips at q <= 5, r <= 4 and levels T, T+1 and T^2+T+1
+    import random
+    from hb.discriminant import eval_theta_on_edge
+    rng = random.Random(7)
+    flips = 0
+    for q, r in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)):
+        field = get_field(q)
+        T, one = Poly(field, (0, 1)), Poly.one(field)
+        flip = flip_matrix(field, r)
+        for n in (T, T + one, T * T + T + one):
+            for _ in range(6):
+                g = mat_identity(field, r)
+                for _ in range(3):
+                    x = RatF(Poly(field, [rng.randrange(q) for _ in range(3)]),
+                             rng.choice((one, T + one, T * T)))
+                    d = mat_from_exps(field, [rng.randrange(3) for _ in range(r)])
+                    g = mat_mul(mat_mul(mat_mul(g, _shear(field, r, x)), d),
+                                flip)
+                if iwasawa_decompose(g, canonical_vertex(g)).w != "flip":
+                    continue
+                flips += 1
+                assert eval_theta_on_edge(n, g) == _theta_by_g_inverse(n, g)
+    assert flips >= 40
 
 
 @pytest.mark.parametrize("q, r", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_theta_miss_inverts_only_for_the_witness(monkeypatch, q, r):
-    # the Iwasawa p-part comes as p^{-1} off the Hermite basis and the
-    # y-block is column-reduced as y^{-1}: an identity-cell miss makes no
-    # mat_inv call, a flip-cell miss exactly one, g^{-1} for the witness
-    # search; the witness's own safety assert checks gamma c = e1 with no
-    # inversion (discriminant imports mat_inv from building where it
-    # calls it)
+    # the Iwasawa p-part comes as p^{-1} off the Hermite basis, the
+    # y-block is column-reduced as y^{-1}, and the witness search of a
+    # flip-cell miss takes (p flip)^{-1} = flip^{-1} p^{-1}: no miss in
+    # either cell makes a mat_inv call; the witness's own safety assert
+    # checks gamma c = e1 with no inversion (discriminant would import
+    # mat_inv from building where it called it)
     from hb import discriminant
     from hb.verify import _gl_sample
     real, invs = building.mat_inv, []
@@ -263,7 +304,7 @@ def test_theta_miss_inverts_only_for_the_witness(monkeypatch, q, r):
         cell = iwasawa_decompose(g, canonical_vertex(g)).w
         del invs[:]
         discriminant.eval_theta_on_edge(n, g, _cache={})
-        assert len(invs) == (1 if cell == "flip" else 0), cell
+        assert invs == [], cell
         cells.add(cell)
     assert cells == {"flip", "identity"}
 

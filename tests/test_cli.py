@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -796,6 +797,17 @@ def test_series_value_too_long_to_print_is_a_usage_error(capsys, monkeypatch,
         monkeypatch.setattr(hb.discriminant, name, untouchable)
     err = _usage_error(capsys, argv)
     assert "y = (" in err and "digits" in err
+
+
+def test_theta_coefficient_at_a_long_a_is_computed_quickly(capsys):
+    # sigma_n reads the factor degrees of a = T^37+T+1 (18 and 19) by
+    # distinct-degree factorization, not by trial division up to degree 18
+    start = time.perf_counter()
+    code, doc = run_json(capsys, ["theta", "coeff", "--q", "2", "--r", "2",
+                                  "--n", "T", "--a", "T^37+T+1", "--y", "39"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK
+    assert doc["result"] == "412319219715/274877906944"
 
 
 def test_the_digit_budget_is_the_interpreters(capsys, monkeypatch):

@@ -504,9 +504,11 @@ def test_cycrat_ring_laws(xyz):
 
 @st.composite
 def psi_terms(draw):
-    """A field of q in {2, 3, 4, 9} and (c, x) pairs: c a Fraction or a
-    CycRat over a q-power denominator, x an exact rational function."""
-    F = get_field(draw(st.sampled_from((2, 3, 4, 9))))
+    """A field of q in {2, 3, 4, 5, 7, 9, 25} and (c, x) pairs: c a
+    Fraction or a CycRat over a q-power denominator, x an exact rational
+    function.  p runs to 7, so the rotation and the reduction mod Phi_p
+    see 1, 2, 4 and 6 coordinates."""
+    F = get_field(draw(st.sampled_from((2, 3, 4, 5, 7, 9, 25))))
     p, q = F.p, F.q
     rationals = st.builds(lambda n, k: Fraction(n, q ** k),
                           st.integers(-20, 20), st.integers(0, 3))

@@ -9,8 +9,9 @@ import pytest
 from hb.algebra import divisor_degrees
 from hb.building import ratf_trunc_below
 from hb.fields import FF, get_field
-from hb.poly import (Poly, RatF, factor_monic, is_irreducible, parse_poly,
-                     poly_gcd, printable, vec_content)
+from hb.poly import (Poly, RatF, _monics, factor_degrees, factor_monic,
+                     is_irreducible, parse_poly, poly_gcd, printable,
+                     vec_content)
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -58,6 +59,64 @@ def test_factor_monic_reassembles():
         for _ in range(m):
             prod = prod * p
     assert prod == n
+
+
+def _degrees_by_products(field, top):
+    """{coefficients: sorted [(deg p, mult)]} for every monic of degree
+    1..top, by multiplying out.  A monic that no product of the
+    irreducibles before it reached is irreducible; it then multiplies,
+    to every power that fits, each product of the ones before it."""
+    by_deg = [{} for _ in range(top + 1)]
+    by_deg[0][(1,)] = ()
+    for d in range(1, top + 1):
+        for g in _monics(field, d):
+            if g.coeffs in by_deg[d]:
+                continue
+            earlier = [(k, list(by_deg[k].items())) for k in range(top - d + 1)]
+            for k, items in earlier:
+                for coeffs, degrees in items:
+                    power = Poly(field, coeffs)
+                    for m in range(1, (top - k) // d + 1):
+                        power = power * g
+                        by_deg[k + m * d][power.coeffs] = \
+                            tuple(sorted(degrees + ((d, m),)))
+    return {c: list(v) for level in by_deg[1:] for c, v in level.items()}
+
+
+# q = 4 stops at degree 7: its 65,536 monics of degree 8 add about 15 s
+@pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 7)])
+def test_factor_degrees_on_every_small_monic(q, top):
+    # squarefree decomposition and distinct-degree factorization against
+    # the factorizations listed by multiplying out irreducibles, and
+    # those against trial division up to degree 5
+    field = get_field(q)
+    want = _degrees_by_products(field, top)
+    assert len(want) == sum(q ** d for d in range(1, top + 1))
+    for coeffs, degrees in want.items():
+        f = Poly(field, coeffs)
+        assert factor_degrees(f) == degrees, f
+        if len(coeffs) <= 6:
+            assert sorted((int(p.deg), m) for p, m in factor_monic(f)) \
+                == degrees
+            assert is_irreducible(f) == (degrees == [(len(coeffs) - 1, 1)])
+    f = Poly(field, (1, 0, 1, 1))
+    assert factor_degrees(f.scale(q - 1)) == factor_degrees(f)
+
+
+@pytest.mark.parametrize("q, factors, degrees", [
+    (2, [("T^37+T+1", 1)], [(18, 1), (19, 1)]),
+    (2, [("T^127+T+1", 1)], [(127, 1)]),
+    (2, [("T^400+T+1", 1)], [(7, 1), (86, 1), (132, 1), (175, 1)]),
+    # p-th powers: the derivative vanishes on the part they make up
+    (2, [("T^3+T+1", 4), ("T^2+T+1", 3), ("T", 2)], [(1, 2), (2, 3), (3, 4)]),
+    (3, [("T^2+1", 3), ("T+1", 6), ("T^3+2*T+1", 1)], [(1, 6), (2, 3), (3, 1)]),
+])
+def test_factor_degrees_of_long_and_repeated_factors(q, factors, degrees):
+    field = get_field(q)
+    f = Poly.one(field)
+    for text, k in factors:
+        f = f * parse_poly(field, text).pow(k)
+    assert factor_degrees(f) == degrees
 
 
 def test_monic_divisor_count():

@@ -172,6 +172,19 @@ def test_cusp_orbit_state_cap(monkeypatch, q, r, level, states):
             cusp_orbits(n, r)
 
 
+def test_cusp_orbit_cap_is_read_off_the_factor_degrees(monkeypatch):
+    # T^31+T^3+1 is irreducible over F_2: 2^62 - 1 states, refused from
+    # its degree before trial division could look for its factors
+    def untouchable(*args):
+        raise AssertionError("the cap must be checked first")
+    monkeypatch.setattr(hb.units, "factor_monic", untouchable)
+    n = parse_poly(F2, "T^31+T^3+1")
+    with pytest.raises(ValueError, match=f"{2 ** 62 - 1} states"):
+        cusp_orbits(n, 2)
+    with pytest.raises(ValueError, match="squarefree"):
+        cusp_orbits(n * n, 2)
+
+
 def test_cusp_orbits_rejects_square_level():
     with pytest.raises(ValueError):
         cusp_orbits(parse_poly(F2, "T^2"), 2)
