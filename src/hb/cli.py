@@ -8,9 +8,10 @@ with --format text) of the shape
 plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound
-or needs a series window wider than oracle.MAX_WINDOW, and exponents or
-degrees over the digit bound poly.printable), 3 a verification or
-anchor mismatch.
+or needs a series window wider than oracle.MAX_WINDOW, exponents or
+degrees over the digit bound poly.printable, and a field to tabulate of
+more than fields.MAX_FIELD elements), 3 a verification or anchor
+mismatch.
 
 Each query is one cold process: importing this module loads fields and
 poly only, a series query (delta, theta coeff, fourier coeff --h
@@ -26,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .fields import factor_prime_power, get_field
+from .fields import MAX_FIELD, factor_prime_power, get_field
 from .poly import RatF, max_digits, over_cap, parse_poly, printable
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_MISMATCH = 0, 1, 2, 3
@@ -45,14 +46,21 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------- parsing
 
-def _prime_power(text):
-    try:
-        q = int(text)
-        factor_prime_power(q)
-    except ValueError:
+def _prime_power(cap):
+    """An argparse type for the prime powers, at most cap unless cap is
+    None; a larger one is refused before it is factored."""
+    def parse(text):
+        try:
+            q = int(text)
+            if cap is None or q <= cap:
+                factor_prime_power(q)
+                return q
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a prime power") from None
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a prime power") from None
-    return q
+            f"{q}: fields of more than {cap} elements are not tabulated")
+    return parse
 
 
 def _int_at_least(lo):
@@ -131,11 +139,16 @@ def _rank_vector(vec, r, flag):
 
 
 def _oracle_range(args):
-    """The rank and --deg-bound limits of the lattice-sum oracle."""
+    """The rank, field and --deg-bound limits of the lattice-sum oracle,
+    checked before any field is built."""
     from .oracle import MAX_BASIS, MAX_RANK
     if args.r > MAX_RANK:
         raise UsageError(f"--r {args.r}: lattice sums are only tractable "
                          f"for r <= {MAX_RANK}")
+    if args.q ** args.r > MAX_FIELD:
+        raise UsageError(f"--q {args.q} at --r {args.r}: the oracle "
+                         f"tabulates F_(q^r), {args.q ** args.r} elements, "
+                         f"more than {MAX_FIELD}")
     n = args.r * (args.deg_bound + 1)
     if n > MAX_BASIS:
         raise UsageError(f"--deg-bound {args.deg_bound}: the truncated "
@@ -269,15 +282,14 @@ def cmd_building_weyl(args):
 def cmd_fourier_coeff(args):
     from .discriminant import p_delta_coefficient, series_eval
     from .fourier import PPoint, fourier_coefficient
+    if args.h == "oracle":
+        _oracle_range(args)
     field = get_field(args.q)
     avec = _rank_vector(_parse_polyvec(field, args.a, "--a"), args.r, "--a")
     yexps = _rank_vector(_parse_ints(args.y), args.r, "--y")
     _grid_range(args.q, avec, yexps)
     _coefficient_range(args, avec, yexps)
     if args.h == "oracle":
-        if args.r != 2:
-            raise UsageError("the oracle evaluator is wired for r = 2")
-        _oracle_range(args)
         from .oracle import p_delta_direct
         h = lambda u, ye: p_delta_direct(PPoint(u, ye).matrix(field),
                                          args.q, args.r, D=args.deg_bound)
@@ -525,8 +537,9 @@ def cmd_verify(args):
 # ---------------------------------------------------------------- wiring
 
 def _common(p, fields):
-    if "q" in fields:
-        p.add_argument("--q", type=_prime_power, default=2,
+    if "q" in fields or "Q" in fields:
+        cap = MAX_FIELD if "q" in fields else None
+        p.add_argument("--q", type=_prime_power(cap), default=2,
                        help="base field size")
     if "r" in fields:
         p.add_argument("--r", type=_int_at_least(2), default=2,
@@ -543,14 +556,16 @@ def _oracle_options(p):
 # order of the help output; fields names which of --q and --r the leaf
 # takes: building weyl and eisenstein eval take their rank from the
 # length of --k / --n, and eisenstein check-klf-chain runs one fixed grid
-# of (q, r) and takes neither
+# of (q, r) and takes neither.  A --q of "q" is the order of a field the
+# leaf tabulates, at most MAX_FIELD; one of "Q" enters integer formulas
+# only, and may be any prime power
 LEAVES = (
     ("building neighbors", cmd_building_neighbors,
      lambda p: p.add_argument("--g", default=None,
                               help="vertex rep 'a,b;c,d'"), "qr"),
     ("building weyl", cmd_building_weyl,
      lambda p: p.add_argument("--k", required=True,
-                              help="dominant type k1,..,kr"), "q"),
+                              help="dominant type k1,..,kr"), "Q"),
     ("fourier coeff", cmd_fourier_coeff, lambda p: (
         _oracle_options(p),
         p.add_argument("--h", choices=("builtin", "oracle"),
@@ -563,7 +578,7 @@ LEAVES = (
         p.add_argument("--s", required=True, help="evaluation point s0 > 1"),
         p.add_argument("--N", type=_int_at_least(0), default=8,
                       help="truncation terms")),
-     "q"),
+     "Q"),
     ("eisenstein check-klf-chain", cmd_eisenstein_klf, None, ""),
     ("delta coeff", cmd_delta_coeff, lambda p: (
         p.add_argument("--a", required=True),

@@ -7,14 +7,13 @@ deterministically as the lexicographically smallest monic irreducible of
 the required degree, so identical parameters always yield identical
 encodings.
 
-All fields used by the package are tiny (at most a few hundred elements),
-so full addition and multiplication tables are precomputed; the tables of
-F_{p^n}, n > 1, are built with Poly over F_p.
+All fields used by the package are tiny (at most MAX_FIELD elements on
+the command line), so full addition and multiplication tables are
+precomputed; the tables of F_{p^n}, n > 1, are built with Poly over F_p.
 
 FF also owns the coefficient-sequence kernel shared by Poly, RatF and
-Laurent, and the pairing of Fourier series values: conv (products),
-add_at (shifted sums), dot (pairings) and series_div (power series
-quotients).  These are the only loops that combine coefficient
+Laurent: conv (products), add_at (shifted sums) and series_div (power
+series quotients).  These are the only loops that combine coefficient
 sequences, and no other module reads the a*q+b tables.  Short products
 run a loop over those tables; once both operands have PACK_MIN
 coefficients, conv packs them into Python ints and lets one big-int
@@ -27,6 +26,7 @@ reduction and the divisor counts of the discriminant's series.
 """
 
 from functools import lru_cache
+from math import isqrt
 
 from .poly import Poly, _monics, is_irreducible
 
@@ -38,6 +38,12 @@ PACK_MIN = 12
 # series_div switches from long division to Newton iteration past this
 # many output coefficients
 NEWTON_MIN = 32
+# the largest field the CLI tabulates: a --q, the oracle's F_{q^r} or a
+# residue field of cusps orbits above it is refused before it is built.
+# Building the q^2-entry tables took 0.5-0.7 s at 243, 256 and 343
+# elements, 2.6 s at 512, 3.1 s at 625, 3.6 s at 729, 10.5 s at 1024 and
+# 8.0 s at 1331 (one run each, 2-core Intel Xeon, Python 3.11.7)
+MAX_FIELD = 343
 
 
 def is_prime(n):
@@ -52,16 +58,15 @@ def is_prime(n):
 
 
 def factor_prime_power(q):
-    """Split q = p^e with p prime; error if q is not a prime power."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
+    """Split q = p^e with p prime; error if q is not a prime power.  p is
+    the smallest divisor d >= 2 of q, which is prime and at most sqrt(q)
+    unless q itself is prime."""
+    if q >= 2:
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        e = 1
+        while p ** e < q:
+            e += 1
+        if p ** e == q:
             return p, e
     raise ValueError(f"{q} is not a prime power")
 
@@ -165,10 +170,6 @@ class FF:
             k >>= 1
         return out
 
-    def frob(self, a):
-        """x -> x^p."""
-        return self.frobenius(1)[a]
-
     def frobenius(self, e):
         """The table of x -> x^(p^e), built on first use."""
         e %= self.n
@@ -222,14 +223,6 @@ class FF:
         return None
 
     # -- coefficient sequences ------------------------------------------
-    def dot(self, a, b, acc=0):
-        """acc + sum a_k b_k over two code sequences, cut to the shorter."""
-        mul, add, q = self._mul, self._add, self.q
-        for x, y in zip(a, b):
-            if x and y:
-                acc = add[acc * q + mul[x * q + y]]
-        return acc
-
     def add_at(self, a, b, shift=0, n=None):
         """a + x^shift * b as a coefficient list, cut to n entries."""
         size = max(len(a), shift + len(b))

@@ -11,8 +11,8 @@ factor_degrees gives the degrees and multiplicities of the irreducible
 factors in polynomial time, by squarefree decomposition and
 distinct-degree factorization: is_irreducible reads it, and
 algebra.divisor_degrees builds the divisor counts of every divisor sum
-from it.  factor_monic finds the factors themselves by trial division,
-for the one caller that needs them, units._residue_fields.
+from it, and units.cusp_orbits builds the residue fields of a level
+from it.  No factor is ever found, only its degree.
 
 RatF is an exact fraction num/den with den monic and gcd-reduced.  It
 doubles as the exact model of F_infinity = F_q((1/T)): ord at infinity is
@@ -359,30 +359,6 @@ def _pow_mod(h, k, f):
         k >>= 1
         if k:
             h = h * h % f
-    return out
-
-
-def factor_monic(f):
-    """Factor into monic irreducibles by trial division; returns [(p, mult)].
-    Only units._residue_fields, which needs the factors themselves, calls
-    it; factor_degrees gives degrees and multiplicities in polynomial time."""
-    if f.is_zero():
-        raise ValueError("cannot factor zero")
-    f = f.monic()
-    out = []
-    d = 1
-    while f.deg >= 1:
-        if f.deg < 2 * d:
-            out.append((f, 1))  # smallest divisor exceeds deg/2: irreducible
-            break
-        for g in _monics(f.field, d):
-            mult = 0
-            while g.divides(f):
-                f = f // g
-                mult += 1
-            if mult:
-                out.append((g, mult))
-        d += 1
     return out
 
 

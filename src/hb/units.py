@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import sigma
-from .fields import embedding, get_field
-from .poly import Poly, factor_degrees, factor_monic, is_irreducible
+from .fields import MAX_FIELD, embedding, get_field
+from .poly import Poly, factor_degrees, is_irreducible
 
 # cusp_orbits refuses orbit spaces with more states than this
 MAX_CUSP_STATES = 200_000
@@ -174,28 +174,12 @@ def character_order(n, r):
 OrbitReport = namedtuple("OrbitReport", "n r total orbit_count orbit_sizes")
 
 
-def _residue_fields(n):
-    """The components F_{q^{deg p}} of A/n for squarefree n, each with
-    the image of a root of its p and the embedding of F_q: the one caller
-    of trial division, which finds the factors p themselves."""
-    base = n.field
-    comps = []
-    for p, _m in factor_monic(n):
-        Fp = get_field(base.q ** int(p.deg))
-        emb = embedding(base.q, Fp.q)
-        root = Fp.find_root([emb[c] for c in p.coeffs])
-        if root is None:
-            raise ValueError(f"{p} has no root in its residue field")
-        comps.append((Fp, emb, root))
-    return comps
-
-
 def _canonical(state, comps, base):
     """Minimum over F_q^x of the scalar multiples of the state."""
     best = None
     for lam in range(1, base.q):
         scaled = tuple(tuple(F.mul(emb[lam], x) for x in vec)
-                       for (F, emb, _), vec in zip(comps, state))
+                       for (F, emb), vec in zip(comps, state))
         if best is None or scaled < best:
             best = scaled
     return best
@@ -206,9 +190,15 @@ def cusp_orbits(n, r):
     the reduction of Gamma_0(n): transvections e_{ij}(b) away from the
     below-diagonal first column, diag(u, 1, ..., 1, u^{-1}) for units u
     of A/n, and diag(eps, 1, ..., 1) for eps in F_q^x; the search applies
-    a small generating set of that group.  An orbit space of more than
-    MAX_CUSP_STATES states is refused from the factor degrees of n,
-    before any factor is found or any state listed."""
+    a small generating set of that group.
+
+    A/n is the product of its residue fields A/p, and A/p is F_{q^{deg p}}
+    whatever p is, so each component is built from the factor degrees of
+    n alone, as F_{q^d} with the embedding of F_q, in ascending d; no
+    factor p is found.  An orbit space of more than MAX_CUSP_STATES
+    states, or a residue field of more than fields.MAX_FIELD elements,
+    is refused from those degrees, before any field is built or any
+    state listed."""
     base = n.field
     degrees = factor_degrees(n)
     if any(m != 1 for _d, m in degrees):
@@ -216,16 +206,22 @@ def cusp_orbits(n, r):
     total = 1
     for d, _m in degrees:
         total *= base.q ** (d * r) - 1
-    count = total // (base.q - 1)
+    # at a unit level (A/n)^r is one point, which every scalar fixes
+    count = total // (base.q - 1) if degrees else 1
     if count > MAX_CUSP_STATES:
         raise ValueError(f"orbit space of {count} states, more than "
                          f"{MAX_CUSP_STATES}; reduce q, r or deg n")
-    comps = _residue_fields(n)
+    top = base.q ** max((d for d, _m in degrees), default=0)
+    if top > MAX_FIELD:
+        raise ValueError(f"a residue field of {top} elements, more than "
+                         f"{MAX_FIELD}")
+    comps = [(get_field(base.q ** d), embedding(base.q, base.q ** d))
+             for d, _m in degrees]
 
     def transvection(i, j, beta):
         def act(state):
             out = []
-            for (F, _, _), b, vec in zip(comps, beta, state):
+            for (F, _), b, vec in zip(comps, beta, state):
                 new = list(vec)
                 new[i] = F.add(new[i], F.mul(b, vec[j]))
                 out.append(tuple(new))
@@ -233,10 +229,10 @@ def cusp_orbits(n, r):
         return act
 
     def torus(u):
-        inv = tuple(F.inv(x) for (F, _, _), x in zip(comps, u))
+        inv = tuple(F.inv(x) for (F, _), x in zip(comps, u))
         def act(state):
             out = []
-            for (F, _, _), x, xi, vec in zip(comps, u, inv, state):
+            for (F, _), x, xi, vec in zip(comps, u, inv, state):
                 new = list(vec)
                 new[0] = F.mul(x, new[0])
                 new[r - 1] = F.mul(xi, new[r - 1])
@@ -247,7 +243,7 @@ def cusp_orbits(n, r):
     def scalar_first(eps):
         def act(state):
             out = []
-            for (F, emb, _), vec in zip(comps, state):
+            for (F, emb), vec in zip(comps, state):
                 new = list(vec)
                 new[0] = F.mul(emb[eps], new[0])
                 out.append(tuple(new))
@@ -259,7 +255,7 @@ def cusp_orbits(n, r):
     # of F_q^x
     zeros, ones = (0,) * len(comps), (1,) * len(comps)
     gens = []
-    for c, (F, _, _) in enumerate(comps):
+    for c, (F, _) in enumerate(comps):
         for k in range(F.n):
             beta = zeros[:c] + (F.p ** k,) + zeros[c + 1:]
             gens += [transvection(i, j, beta) for i in range(r) for j in range(r)
@@ -271,7 +267,7 @@ def cusp_orbits(n, r):
     nonzero = [
         [v for v in itertools.product(range(F.q), repeat=r)
          if any(x != 0 for x in v)]
-        for F, _, _ in comps]
+        for F, _ in comps]
     states = {_canonical(s, comps, base)
               for s in itertools.product(*nonzero)}
     assert len(states) == count

@@ -13,6 +13,13 @@ from hb.discriminant import _series_plan, p_delta_coefficient
 from hb.fourier import table_support
 
 
+def _dot(field, a, b, acc=0):
+    """acc + sum a_k b_k over two code sequences, cut to the shorter."""
+    for x, y in zip(a, b):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
 def coefficient_table(field, yexps, r, level):
     """The nonzero (P1*(a, y), a) pairs over the support at y =
     diag(T^{n_i})."""
@@ -31,7 +38,7 @@ def series_eval_by_table(xvec, yexps, r, field, level=None):
     def pairing(avec):
         v = 0
         for a, d in zip(avec, digits):
-            v = field.dot(a.coeffs, d, v)
+            v = _dot(field, a.coeffs, d, v)
         return v
     total = psi_sum(((c, pairing(a)) for c, a in table), field)
     rat = total.rational()
@@ -53,7 +60,7 @@ def series_eval_by_enumeration(xvec, yexps, r, field, level=None):
     digits = [x.pi_coeffs(1, n) for x, n in zip(xvec, yexps)]
 
     def trivial(ds, rows):
-        return sum(1 for d in ds if not any(field.dot(d, w) for w in rows))
+        return sum(1 for d in ds if not any(_dot(field, d, w) for w in rows))
     total = 0
     for k, deg_e, weight, size, count in terms:
         rows = [w for w in (ds[j:j + k + 1] for ds in digits

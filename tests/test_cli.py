@@ -22,7 +22,7 @@ from hb.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_GRID,
                     MAX_NEIGHBORS, main)
 from hb.building import weyl_edge_value
 from hb.discriminant import MAX_SERIES_DIGITS, eval_on_mirabolic
-from hb.fields import get_field
+from hb.fields import MAX_FIELD, get_field
 from hb.fourier import PPoint
 from hb.laurent import PrecisionError
 from hb.poly import RatF
@@ -215,9 +215,97 @@ def test_oracle_bounds_must_be_positive(capsys, flag):
       "--deg-bound", "21"], "66 basis vectors"),
     (["fourier", "coeff", "--q", "2", "--r", "2", "--h", "oracle",
       "--a", "1", "--y", "2", "--deg-bound", "40"], "82 basis vectors"),
+    (["fourier", "coeff", "--q", "2", "--r", "4", "--h", "oracle",
+      "--a", "1,0,0", "--y", "2,2,2"], "r <= 3"),
 ])
 def test_oracle_range_is_a_usage_error(capsys, argv, needle):
     assert needle in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("q, a, y, deg_bound, want", [
+    (2, "1,0", "2,2", "5", "7/4"),
+    (2, "T,0", "3,2", "5", "35/8"),
+    (3, "1,0", "2,2", None, "52/9"),
+    (2, "T,1", "3,3", None, "7/16"),
+    (3, "0,0", "3,2", None, "-2/27"),
+])
+def test_fourier_coefficient_of_the_oracle_at_rank_3(capsys, q, a, y,
+                                                      deg_bound, want):
+    # the coefficient taken from lattice-sum values is the closed form
+    argv = ["fourier", "coeff", "--q", str(q), "--r", "3", "--h", "oracle",
+            "--a", a, "--y", y]
+    if deg_bound is not None:
+        argv += ["--deg-bound", deg_bound]
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["result"] == str(doc["diagnostics"]["closed_form"]) == want
+
+
+def test_fourier_oracle_at_rank_3_asks_for_a_larger_depth(capsys):
+    err = _usage_error(capsys, ["fourier", "coeff", "--q", "2", "--r", "3",
+                                "--h", "oracle", "--a", "0,0", "--y", "3,3",
+                                "--deg-bound", "2"])
+    assert "StabilizationError" in err and "increase --deg-bound" in err
+
+
+CAPPED_Q = sorted(path for path, _fn, _configure, fields in hb.cli.LEAVES
+                  if "q" in fields)
+
+
+@pytest.mark.parametrize("q", [MAX_FIELD + 6, 1024, 1000003, 2 ** 127 - 1])
+@pytest.mark.parametrize("leaf", CAPPED_Q)
+def test_q_over_the_field_cap_is_a_usage_error(capsys, monkeypatch,
+                                               small_fields_only, leaf, q):
+    # refused while --q is parsed: before it is factored, before any
+    # field is built and before the other flags are read
+    def untouchable(*args, **kwargs):
+        raise AssertionError("an over-cap --q was factored")
+    monkeypatch.setattr(hb.cli, "factor_prime_power", untouchable)
+    err = _usage_error(capsys, [*leaf.split(), "--q", str(q)])
+    assert f"argument --q: {q}: fields of more than {MAX_FIELD} elements" \
+        in err
+
+
+def test_the_field_cap_leaves_out_what_tabulates_no_field():
+    assert MAX_FIELD == 343
+    assert {path for path, *_ in hb.cli.LEAVES} - set(CAPPED_Q) == \
+        {"building weyl", "eisenstein eval", "eisenstein check-klf-chain"}
+
+
+def test_q_at_the_field_cap_is_computed(capsys):
+    code, doc = run_json(capsys, ["delta", "coeff", "--q", str(MAX_FIELD),
+                                  "--r", "2", "--a", "T", "--y", "3"])
+    assert code == EXIT_OK
+    assert doc["result"] == "13841051904/117649"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["building", "weyl", "--q", "1024", "--k", "1,0"], -1072693248),
+    (["eisenstein", "eval", "--q", "1000003", "--n", "0,0", "--s", "2"],
+     "1000018000135000540001215001458000729/1000012000054000108000080"),
+])
+def test_q_of_a_query_that_tabulates_no_field_is_any_prime_power(
+        capsys, small_fields_only, argv, want):
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["result"] == want
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["oracle", "pdelta", "--q", "19", "--r", "2"], "361 elements"),
+    (["oracle", "ptheta", "--q", "8", "--r", "3", "--n", "T"],
+     "512 elements"),
+    (["fourier", "coeff", "--q", "8", "--r", "3", "--h", "oracle",
+      "--a", "1,0", "--y", "2,2"], "512 elements"),
+    (["cusps", "orbits", "--q", "9", "--r", "2", "--n", "T^3+2T^2+1"],
+     "--n 'T^3+2T^2+1': a residue field of 729 elements"),
+])
+def test_an_extension_over_the_field_cap_is_a_usage_error(
+        capsys, small_fields_only, argv, needle):
+    # the oracle's F_(q^r) and the residue fields of a cusp level are
+    # refused from q, r and the factor degrees, before they are built
+    err = _usage_error(capsys, argv)
+    assert needle in err and f"more than {MAX_FIELD}" in err
 
 
 @pytest.mark.parametrize("g", ["1,0;1,1", "0,1;1,0"])

@@ -9,9 +9,8 @@ import pytest
 from hb.algebra import divisor_degrees
 from hb.building import ratf_trunc_below
 from hb.fields import FF, get_field
-from hb.poly import (Poly, RatF, _monics, factor_degrees, factor_monic,
-                     is_irreducible, parse_poly, poly_gcd, printable,
-                     vec_content)
+from hb.poly import (Poly, RatF, _monics, factor_degrees, is_irreducible,
+                     parse_poly, poly_gcd, printable, vec_content)
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -51,16 +50,6 @@ def test_irreducibles_count():
         assert len(by_deg[3]) == (q ** 3 - q) // 3
 
 
-def test_factor_monic_reassembles():
-    n = parse_poly(F2, "T^2+T") * parse_poly(F2, "T^2+T+1")
-    prod = Poly.one(F2)
-    for p, m in factor_monic(n):
-        assert is_irreducible(p)
-        for _ in range(m):
-            prod = prod * p
-    assert prod == n
-
-
 def _degrees_by_products(field, top):
     """{coefficients: sorted [(deg p, mult)]} for every monic of degree
     1..top, by multiplying out.  A monic that no product of the
@@ -87,8 +76,7 @@ def _degrees_by_products(field, top):
 @pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 7)])
 def test_factor_degrees_on_every_small_monic(q, top):
     # squarefree decomposition and distinct-degree factorization against
-    # the factorizations listed by multiplying out irreducibles, and
-    # those against trial division up to degree 5
+    # the factorizations listed by multiplying out irreducibles
     field = get_field(q)
     want = _degrees_by_products(field, top)
     assert len(want) == sum(q ** d for d in range(1, top + 1))
@@ -96,8 +84,6 @@ def test_factor_degrees_on_every_small_monic(q, top):
         f = Poly(field, coeffs)
         assert factor_degrees(f) == degrees, f
         if len(coeffs) <= 6:
-            assert sorted((int(p.deg), m) for p, m in factor_monic(f)) \
-                == degrees
             assert is_irreducible(f) == (degrees == [(len(coeffs) - 1, 1)])
     f = Poly(field, (1, 0, 1, 1))
     assert factor_degrees(f.scale(q - 1)) == factor_degrees(f)

@@ -8,8 +8,8 @@ import itertools
 import pytest
 
 import hb.units
-from hb.fields import get_field
-from hb.poly import parse_poly
+from hb.fields import MAX_FIELD, embedding, get_field
+from hb.poly import factor_degrees, parse_poly
 from hb.units import (MAX_CUSP_STATES, character_order, cusp_orbits,
                       cuspidal_order, gcd_sweep, root_order_delta,
                       root_order_theta, sigma_det_check)
@@ -99,12 +99,13 @@ def _orbit_sizes_full_generators(n, r):
     beta in A/n, every unit torus diag(u, 1, ..., 1, u^{-1}) and every
     diag(eps, 1, ..., 1), eps in F_q^x."""
     base = n.field
-    comps = hb.units._residue_fields(n)
+    comps = [(get_field(base.q ** d), embedding(base.q, base.q ** d))
+             for d, _m in factor_degrees(n)]
     canon = hb.units._canonical
 
     def act(state, i, j, beta, u, eps):
         out = []
-        for (F, emb, _), b, x, vec in zip(comps, beta, u, state):
+        for (F, emb), b, x, vec in zip(comps, beta, u, state):
             new = list(vec)
             new[i] = F.add(new[i], F.mul(b, vec[j]))
             new[0] = F.mul(F.mul(x, emb[eps]), new[0])
@@ -112,14 +113,14 @@ def _orbit_sizes_full_generators(n, r):
             out.append(tuple(new))
         return tuple(out)
 
-    residues = list(itertools.product(*[range(F.q) for F, _, _ in comps]))
+    residues = list(itertools.product(*[range(F.q) for F, _ in comps]))
     ones = (1,) * len(comps)
     moves = [(i, j, beta, ones, 1) for i in range(r) for j in range(r)
              if i != j and not (j == 0 and i >= 1) for beta in residues]
     moves += [(0, 1, (0,) * len(comps), u, 1) for u in residues if all(u)]
     moves += [(0, 1, (0,) * len(comps), ones, eps) for eps in range(1, base.q)]
     nonzero = [[v for v in itertools.product(range(F.q), repeat=r) if any(v)]
-               for F, _, _ in comps]
+               for F, _ in comps]
     left = {canon(s, comps, base) for s in itertools.product(*nonzero)}
     sizes = []
     while left:
@@ -174,15 +175,53 @@ def test_cusp_orbit_state_cap(monkeypatch, q, r, level, states):
 
 def test_cusp_orbit_cap_is_read_off_the_factor_degrees(monkeypatch):
     # T^31+T^3+1 is irreducible over F_2: 2^62 - 1 states, refused from
-    # its degree before trial division could look for its factors
+    # its degree before any residue field is built
     def untouchable(*args):
         raise AssertionError("the cap must be checked first")
-    monkeypatch.setattr(hb.units, "factor_monic", untouchable)
+    monkeypatch.setattr(hb.units, "get_field", untouchable)
+    monkeypatch.setattr(hb.units, "embedding", untouchable)
     n = parse_poly(F2, "T^31+T^3+1")
     with pytest.raises(ValueError, match=f"{2 ** 62 - 1} states"):
         cusp_orbits(n, 2)
     with pytest.raises(ValueError, match="squarefree"):
         cusp_orbits(n * n, 2)
+
+
+@pytest.mark.parametrize("q, level, top", [
+    (5, "T^4+T^2+2", 625),          # irreducible: 97656 states
+    (9, "T^3+2T^2+1", 729),         # irreducible: 66430 states
+])
+def test_cusp_orbit_residue_field_cap(small_fields_only, q, level, top):
+    # under the state cap, but its residue field is over MAX_FIELD and is
+    # refused from the degrees, before it is built
+    n = parse_poly(get_field(q), level)
+    with pytest.raises(ValueError, match=f"residue field of {top} elements, "
+                                         f"more than {MAX_FIELD}"):
+        cusp_orbits(n, 2)
+
+
+# levels with two or three factors of one degree; each value was first computed
+# with the factors found by trial division, a route independent of
+# factor_degrees
+@pytest.mark.parametrize("q, level, r, total, sizes", [
+    (2, "T^2+T", 2, 9, (1, 2, 2, 4)),                       # T (T+1)
+    (2, "T^2+T", 3, 49, (1, 6, 6, 36)),
+    (2, "T^4+T", 2, 135, (3, 6, 6, 12, 12, 24, 24, 48)),    # T (T+1) (T^2+T+1)
+    (2, "T^4+T", 3, 3087, (3, 18, 18, 60, 108, 360, 360, 2160)),
+    (3, "T^3+2T", 2, 256, (4, 12, 12, 12, 36, 36, 36, 108)),  # T (T+1) (T+2)
+    (3, "T^3+2T", 3, 8788, (4, 48, 48, 48, 576, 576, 576, 6912)),
+])
+def test_cusp_orbits_at_repeated_factor_degrees(q, level, r, total, sizes):
+    rep = cusp_orbits(parse_poly(get_field(q), level), r)
+    assert (rep.total, rep.orbit_count, rep.orbit_sizes) == \
+        (total, len(sizes), sizes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_cusp_orbits_at_a_unit_level(q):
+    # (A/1)^r is one point: one orbit, at every q
+    rep = cusp_orbits(parse_poly(get_field(q), "1"), 2)
+    assert (rep.total, rep.orbit_count, rep.orbit_sizes) == (1, 1, (1,))
 
 
 def test_cusp_orbits_rejects_square_level():
