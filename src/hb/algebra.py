@@ -189,10 +189,10 @@ def psi_sum(terms, field):
     pi^1-coefficient of x and c a rational or a CycRat.  A bucket
     outside Z[zeta_p][1/q] raises ValueError."""
     p, q = field.p, field.q
-    trace = field.trace_to_prime
+    trace = field.traces()
     buckets = [0] * p
     for c, a1 in terms:
-        buckets[trace(a1)] += c
+        buckets[trace[a1]] += c
     # each bucket as integer coordinates over its own q-power denominator
     parts = [(b.num, b.den) if isinstance(b, CycRat)
              else ((b.numerator,), b.denominator) for b in buckets]

@@ -9,9 +9,9 @@ plus `paper_expected` / `match` fields when the requested value has a
 published anchor.  Exit codes: 0 success, 1 internal error, 2 usage
 error (including an oracle value that did not stabilize at --deg-bound
 or needs a series window wider than oracle.MAX_WINDOW, exponents or
-degrees over the digit bound poly.printable, and a field to tabulate of
-more than fields.MAX_FIELD elements), 3 a verification or anchor
-mismatch.
+degrees over the digit bound poly.printable, a field to tabulate of
+more than fields.MAX_FIELD elements, and a --q above MAX_PRIME_POWER
+where no field is built), 3 a verification or anchor mismatch.
 
 Each query is one cold process: importing this module loads fields and
 poly only, a series query (delta, theta coeff, fourier coeff --h
@@ -38,6 +38,12 @@ MAX_GRID = 2 ** 10
 # building neighbors refuses a --r with more type-1 in-neighbors: the
 # 1023 of q = 2, r = 10 took 1.4 s, and each costs more as r grows
 MAX_NEIGHBORS = 2 ** 10
+# a --q that builds no field is refused above this: the check that it
+# is a prime power (fields.factor_prime_power) trial-divides up to
+# sqrt(q), 0.09 s at the prime 10^12 + 39 and 0.83 s at 10^14 + 31 (one
+# run each, 2-core Intel Xeon, Python 3.11.7), ten times longer for
+# every two more digits
+MAX_PRIME_POWER = 10 ** 12
 
 
 class UsageError(ValueError):
@@ -46,20 +52,19 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------- parsing
 
-def _prime_power(cap):
-    """An argparse type for the prime powers, at most cap unless cap is
-    None; a larger one is refused before it is factored."""
+def _prime_power(cap, why):
+    """An argparse type for the prime powers at most cap; a larger one is
+    refused, saying why, before it is factored."""
     def parse(text):
         try:
             q = int(text)
-            if cap is None or q <= cap:
+            if q <= cap:
                 factor_prime_power(q)
                 return q
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a prime power") from None
-        raise argparse.ArgumentTypeError(
-            f"{q}: fields of more than {cap} elements are not tabulated")
+        raise argparse.ArgumentTypeError(f"{q}: {why}")
     return parse
 
 
@@ -538,8 +543,12 @@ def cmd_verify(args):
 
 def _common(p, fields):
     if "q" in fields or "Q" in fields:
-        cap = MAX_FIELD if "q" in fields else None
-        p.add_argument("--q", type=_prime_power(cap), default=2,
+        cap, why = ((MAX_FIELD, f"fields of more than {MAX_FIELD} elements "
+                     "are not tabulated") if "q" in fields else
+                    (MAX_PRIME_POWER, f"a --q above {MAX_PRIME_POWER} is "
+                     "refused: its prime-power check trial-divides up to "
+                     "its square root"))
+        p.add_argument("--q", type=_prime_power(cap, why), default=2,
                        help="base field size")
     if "r" in fields:
         p.add_argument("--r", type=_int_at_least(2), default=2,
@@ -558,7 +567,7 @@ def _oracle_options(p):
 # length of --k / --n, and eisenstein check-klf-chain runs one fixed grid
 # of (q, r) and takes neither.  A --q of "q" is the order of a field the
 # leaf tabulates, at most MAX_FIELD; one of "Q" enters integer formulas
-# only, and may be any prime power
+# only, and may be any prime power up to MAX_PRIME_POWER
 LEAVES = (
     ("building neighbors", cmd_building_neighbors,
      lambda p: p.add_argument("--g", default=None,

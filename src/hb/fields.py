@@ -10,15 +10,20 @@ encodings.
 All fields used by the package are tiny (at most MAX_FIELD elements on
 the command line), so full addition and multiplication tables are
 precomputed; the tables of F_{p^n}, n > 1, are built with Poly over F_p.
+The tables of x -> x^(p^e) (frobenius) and of the trace to F_{p^e}
+(traces, read by psi_sum and the oracle's F_q-coordinates) are built on
+first use.
 
 FF also owns the coefficient-sequence kernel shared by Poly, RatF and
-Laurent: conv (products), add_at (shifted sums) and series_div (power
-series quotients).  These are the only loops that combine coefficient
-sequences, and no other module reads the a*q+b tables.  Short products
-run a loop over those tables; once both operands have PACK_MIN
-coefficients, conv packs them into Python ints and lets one big-int
-product do the work (Kronecker substitution), and long quotients use
-Newton iteration on top of it.  Both routes are exact.
+Laurent: conv (products), add_at (shifted sums) and long_division, which
+series_div runs for power series quotients and Poly.__divmod__ on
+reversed coefficients for division with remainder.  These are the only
+loops that combine coefficient sequences, and no other module reads the
+a*q+b tables.  Short products run a loop over those tables; once both
+operands have PACK_MIN coefficients, conv packs them into Python ints
+and lets one big-int product do the work (Kronecker substitution), and
+long series quotients use Newton iteration on top of it.  Both routes
+are exact.
 
 fq_echelon is the one elimination over F_q on vectors of codes: the
 building's ranks, frames and constant inverses, the oracle's basis
@@ -44,17 +49,6 @@ NEWTON_MIN = 32
 # elements, 2.6 s at 512, 3.1 s at 625, 3.6 s at 729, 10.5 s at 1024 and
 # 8.0 s at 1331 (one run each, 2-core Intel Xeon, Python 3.11.7)
 MAX_FIELD = 343
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def factor_prime_power(q):
@@ -105,7 +99,7 @@ class FF:
     """The field F_{p^n} with tabulated arithmetic on integer codes."""
 
     def __init__(self, p, n):
-        if not is_prime(p):
+        if factor_prime_power(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.n = n
@@ -130,7 +124,7 @@ class FF:
         self._inv = [0] + [self._mul[a * q:(a + 1) * q].index(1)
                            for a in range(1, q)]
         self._frob = {}         # e -> table of x^(p^e)
-        self._traces = None     # a -> trace_to_prime(a)
+        self._traces = {}       # e -> table of Tr to F_{p^e}
         # bytes hold the codes and every slot sum of _conv_packed
         self._packable = p < 32 and q <= 256
         self._packings = {}     # slot width -> tables of _conv_packed
@@ -186,18 +180,21 @@ class FF:
     def elements(self):
         return range(self.q)
 
-    def trace_to_prime(self, a):
-        """Tr_{F_{p^n}/F_p}(a), returned as an integer in [0, p); read
-        from a table of all q traces built on first use."""
-        if self._traces is None:
-            frob, table = self.frobenius(1), []
-            for b in range(self.q):
-                t, x = 0, b
-                for _ in range(self.n):
-                    t, x = self.add(t, x), frob[x]
-                table.append(t)  # in the prime subfield: the integer itself
-            self._traces = table
-        return self._traces[a]
+    def traces(self, e=1):
+        """The table of x -> Tr(x) = x + x^(p^e) + ... + x^(p^(n-e)), the
+        trace to the subfield F_{p^e} (e divides n), built on first use;
+        its values are codes of that subfield, for e = 1 the integers
+        0..p-1 themselves."""
+        table = self._traces.get(e)
+        if table is None:
+            frob, add, q, table = self.frobenius(e), self._add, self.q, []
+            for a in range(q):
+                t, x = 0, a
+                for _ in range(self.n // e):
+                    t, x = add[t * q + x], frob[x]
+                table.append(t)
+            self._traces[e] = table
+        return table
 
     def multiplicative_generator(self):
         """Smallest element (by encoding) of multiplicative order q-1."""
@@ -327,12 +324,12 @@ class FF:
         if n <= 0:
             return []
         if n <= NEWTON_MIN or len(den) < PACK_MIN:
-            return self._series_div_loop(num, den, n)
+            return self.long_division(num[:n], den, n)[0]
         # Newton: an inverse g of den mod x^k gives one mod x^2k as
         # g - x^k g e, where den g = 1 + x^k e mod x^2k
         neg = self._neg
         k = NEWTON_MIN
-        inv = self._series_div_loop((1,), den, k)
+        inv = self.long_division((1,), den, k)[0]
         while k < n:
             k2 = min(2 * k, n)
             err = self.conv(den[:k2], inv, k2)[k:]
@@ -342,18 +339,23 @@ class FF:
         out = self.conv(num, inv, n)
         return out + [0] * (n - len(out))
 
-    def _series_div_loop(self, num, den, n):
+    def long_division(self, num, den, n):
+        """n steps of long division of the power series num by den, with
+        den[0] != 0: the first n digits of num / den, and what is left of
+        num, num - den * those digits, past its first n coefficients
+        (which the steps made 0), as many entries as num has there."""
         inv0 = self.inv(den[0])
         mul, add, neg, q = self._mul, self._add, self._neg, self.q
-        out = list(num[:n]) + [0] * (n - len(num))
+        out = list(num) + [0] * (n - len(num))
+        size = len(out)
         tail = den[1:]
         for k in range(n):
             c = out[k] = mul[out[k] * q + inv0]
             if c:
                 row = neg[c] * q  # out[k + j] -= c * den[j]
-                for j, d in zip(range(k + 1, n), tail):
+                for j, d in zip(range(k + 1, size), tail):
                     out[j] = add[out[j] * q + mul[row + d]]
-        return out
+        return out[:n], out[n:]
 
     def __eq__(self, other):
         return (isinstance(other, FF)

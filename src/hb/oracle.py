@@ -120,13 +120,9 @@ def _fq_coordinates(q, r):
     that lie in F_q."""
     big = extension_field(q, r)
     eps = big.multiplicative_generator()
-
-    def trace(x):
-        acc = 0
-        for j in range(r):
-            acc = big.add(acc, big.pow(x, q ** j))
-        return acc
-    return tuple(tuple(trace(big.mul(x, big.pow(eps, k))) for k in range(r))
+    trace = big.traces(big.n // r)
+    powers = [big.pow(eps, k) for k in range(r)]
+    return tuple(tuple(trace[big.mul(x, e)] for e in powers)
                  for x in range(big.q))
 
 

@@ -1,9 +1,10 @@
 """The polynomial ring A = F_q[T] and the rational function field F_q(T).
 
 Coefficients are stored low-to-high as integer codes of the coefficient
-field.  The loops that add, multiply and power-series-divide coefficient
-sequences are FF.add_at, FF.conv and FF.series_div (see fields.py);
-Euclidean division is Poly.__divmod__.  deg(0) is the sentinel -inf so
+field.  The loops that add, multiply and divide coefficient sequences
+are FF.add_at, FF.conv and FF.long_division (see fields.py);
+Poly.__divmod__ is long division of the reversed coefficients, and
+_pow_mod the one square-and-multiply.  deg(0) is the sentinel -inf so
 that degree comparisons behave; call sites that exponentiate check for
 zero first.
 
@@ -114,25 +115,21 @@ class Poly:
         return Poly(self.field, self.field.conv(self.coeffs, (c,)))
 
     def __divmod__(self, other):
-        if other.is_zero():
+        """Division with remainder as long division of the reversed
+        coefficients: T^deg(a) a(1/T) = rev(b) rev(quo) + T^(deg a - deg b
+        + 1) rev(rem), so deg a - deg b + 1 steps of FF.long_division
+        give the quotient's coefficients and leave the remainder's, each
+        top first (von zur Gathen and Gerhard, Modern Computer Algebra,
+        section 9.1)."""
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        rem = list(self.coeffs)
-        db = other.deg
-        inv_lead = F.inv(other.lead())
-        quo = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = F.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(F, quo), Poly(F, rem)
+        a = self.coeffs
+        n = len(a) - len(b) + 1
+        if n <= 0:
+            return Poly.zero(self.field), self
+        quo, rem = self.field.long_division(a[::-1], b[::-1], n)
+        return Poly(self.field, quo[::-1]), Poly(self.field, rem[::-1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -147,16 +144,6 @@ class Poly:
         if self.is_zero():
             return self
         return self.scale(self.field.inv(self.lead()))
-
-    def pow(self, k):
-        out = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def shift(self, k):
         """Multiply by T^k."""

@@ -80,7 +80,7 @@ def test_psi_sum_rotates_buckets_with_no_product(monkeypatch):
                            2, Fraction(-7, 5), CycRat(5, 25, (0, 0, 1, 1)))):
         want = want + psi0(5, t, 25) * c
         terms.append((c, next(a for a in range(25)
-                              if get_field(25).trace_to_prime(a) == t)))
+                              if get_field(25).traces()[a] == t)))
 
     def untouchable(*args):
         raise AssertionError("psi_sum must rotate, not multiply")

@@ -266,6 +266,25 @@ def test_q_over_the_field_cap_is_a_usage_error(capsys, monkeypatch,
         in err
 
 
+UNCAPPED_Q = sorted(path for path, _fn, _configure, fields in hb.cli.LEAVES
+                    if "Q" in fields)
+
+
+@pytest.mark.parametrize("q", [10 ** 12 + 39, 10 ** 20 + 39, 2 ** 127 - 1])
+@pytest.mark.parametrize("leaf", UNCAPPED_Q)
+def test_q_over_the_prime_power_bound_is_a_usage_error(capsys, monkeypatch,
+                                                       leaf, q):
+    # a --q that builds no field is bounded too, and refused before its
+    # prime-power check trial-divides up to sqrt(q)
+    def untouchable(*args, **kwargs):
+        raise AssertionError("an over-bound --q was factored")
+    monkeypatch.setattr(hb.cli, "factor_prime_power", untouchable)
+    assert hb.cli.MAX_PRIME_POWER == 10 ** 12
+    err = _usage_error(capsys, [*leaf.split(), "--q", str(q)])
+    assert f"argument --q: {q}: a --q above {10 ** 12} is refused" in err
+    assert "fields of more than" not in err
+
+
 def test_the_field_cap_leaves_out_what_tabulates_no_field():
     assert MAX_FIELD == 343
     assert {path for path, *_ in hb.cli.LEAVES} - set(CAPPED_Q) == \

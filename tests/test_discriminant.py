@@ -484,6 +484,35 @@ def test_witness_reaches_the_mirabolic_cell(q, r, data):
     assert eval_theta_on_edge(n, g) == value
 
 
+@pytest.mark.parametrize("column, det", [(("0", "1"), 1),
+                                         (("0", "T+1", "T"), 1),
+                                         (("0", "0", "2"), 2)])
+def test_unimodular_to_e1_swaps_up_a_zero_first_entry(column, det):
+    # c_1 = 0: the next nonzero entry is swapped to the top and the row
+    # it leaves negated, so that det U is 1 over the unit content; U c =
+    # e1 and U^-1 has polynomial entries
+    c = tuple(parse_poly(F3, text) for text in column)
+    U = _unimodular_to_e1(c)
+    zero, one = RatF.zero(F3), RatF.one(F3)
+    assert [sum((x * RatF(y) for x, y in zip(row, c)), zero) for row in U] \
+        == [one] + [zero] * (len(c) - 1)
+    assert all(x.den.is_one() for row in mat_inv(U) for x in row)
+    leibniz = zero
+    for perm in itertools.permutations(range(len(c))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = RatF(Poly.const(F3, F3.from_int((-1) ** inversions)))
+        for i, j in enumerate(perm):
+            term = term * U[i][j]
+        leibniz = leibniz + term
+    assert leibniz == RatF(Poly.const(F3, det))
+
+
+@pytest.mark.parametrize("column", [("T", "T^2"), ("0", "T+1")])
+def test_unimodular_to_e1_refuses_content_that_is_not_a_unit(column):
+    with pytest.raises(ValueError, match="column content is not a unit"):
+        _unimodular_to_e1(tuple(parse_poly(F3, text) for text in column))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("k", [4, 6])
 def test_witness_degree_follows_the_depth(q, k):

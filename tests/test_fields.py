@@ -35,12 +35,25 @@ def test_pow_matches_repeated_mul():
 
 def test_trace_is_additive_and_onto():
     F = FF(2, 2)
-    traces = [F.trace_to_prime(a) for a in F.elements()]
+    traces = F.traces()
     assert set(traces) == {0, 1}
     for a in F.elements():
         for b in F.elements():
-            assert F.trace_to_prime(F.add(a, b)) \
-                == (F.trace_to_prime(a) + F.trace_to_prime(b)) % 2
+            assert traces[F.add(a, b)] == (traces[a] + traces[b]) % 2
+    # the trace to a larger subfield F_(p^e), the elements that
+    # frobenius(e) fixes: x + x^(p^e) + ..., F_(p^e)-linear and onto
+    for q, e in ((16, 2), (64, 2), (64, 3), (81, 2)):
+        F = get_field(q)
+        traces, k = F.traces(e), F.p ** e
+        sub = {c for c in F.elements() if F.frobenius(e)[c] == c}
+        assert set(traces) == sub and len(sub) == k
+        for x in F.elements():
+            want, y = 0, x
+            for _ in range(F.n // e):
+                want, y = F.add(want, y), F.pow(y, k)
+            assert traces[x] == want
+            assert all(traces[F.mul(c, x)] == F.mul(c, traces[x])
+                       for c in sub)
 
 
 def test_embedding_is_a_ring_map():

@@ -7,6 +7,7 @@ divisor-sum series_eval each against a per-term sum, the soundness of Laurent pr
 RatF expansions, and the Laurent constructor against its earlier
 version."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,13 @@ def test_packed_kernel_matches_schoolbook(q, data):
     assert len(quo) == m
     _, back = schoolbook(F, quo, den[:m], 0)
     assert (back + [0] * m)[:m] == (list(a) + [0] * m)[:m]
+    # division with remainder of degree up to 400 by a divisor of degree
+    # up to 200 whose leading coefficient den[0] is often not 1
+    A, B = Poly(F, a), Poly(F, den[::-1])
+    quo, rem = divmod(A, B)
+    assert rem.deg < B.deg
+    _, back = schoolbook(F, quo.coeffs, B.coeffs, 0)
+    assert Poly(F, schoolbook(F, back, rem.coeffs, 0)[0]) == A
 
 
 @given(poly_pairs())
@@ -160,6 +168,21 @@ def test_divmod_identity(ab):
     quo, rem = divmod(a, b)
     assert quo * b + rem == a
     assert rem.deg < b.deg
+
+
+def test_divmod_makes_no_element_call(monkeypatch):
+    # Poly division is the kernel's long-division loop on the tables, not
+    # one FF.mul and one FF.sub per coefficient
+    F = get_field(9)
+    a, b = Poly(F, [k % 9 for k in range(1, 41)]), Poly(F, (5, 0, 3, 7))
+
+    def untouchable(*args):
+        raise AssertionError("Poly.__divmod__ called an FF element method")
+    monkeypatch.setattr(FF, "mul", untouchable)
+    monkeypatch.setattr(FF, "sub", untouchable)
+    quo, rem = divmod(a, b)
+    monkeypatch.undo()
+    assert quo * b + rem == a and rem.deg < b.deg
 
 
 @given(poly_pairs())
@@ -517,7 +540,7 @@ def test_psi_sum_matches_per_term_sum(args):
     F, terms = args
     want = CycRat.zero(F.p, F.q)
     for c, x in terms:
-        want = want + psi0(F.p, F.trace_to_prime(x.pi_coeff(1)), F.q) * c
+        want = want + psi0(F.p, F.traces()[x.pi_coeff(1)], F.q) * c
     assert psi_sum(((c, x.pi_coeff(1)) for c, x in terms), F) == want
 
 
@@ -553,7 +576,7 @@ def test_series_eval_matches_per_term_sum(args):
         ax = RatF.zero(F)
         for ai, xi in zip(a, x):
             ax = ax + RatF(ai) * xi
-        want = want + psi0(F.p, F.trace_to_prime(ax.pi_coeff(1)), F.q) * c
+        want = want + psi0(F.p, F.traces()[ax.pi_coeff(1)], F.q) * c
     assert want.rational() is not None
     assert series_eval(x, yexps, r, F, level) == want.rational()
     # and so does the table route that other tests take as the reference
@@ -650,7 +673,8 @@ def test_q_power_is_the_coefficientwise_pow(args):
 def test_laurent_q_power_is_sound(args):
     x, px, e = args
     k = x.field.p ** e
-    exact = RatF(x.num.pow(k), x.den.pow(k))
+    exact = RatF(math.prod([x.num] * k, start=Poly.one(x.field)),
+                 math.prod([x.den] * k, start=Poly.one(x.field)))
     assert_certified(window(x, px).q_power(e), exact)
 
 

@@ -20,10 +20,10 @@ from hb.fields import embedding, get_field
 from hb.fourier import PPoint
 from hb.laurent import Laurent, PrecisionError
 from hb.oracle import (MIN_WINDOW, StabilizationError, _Filtration,
-                       _first_window, _solve_g, _window_step, act,
-                       base_points, drinfeld_coeffs, exp_coefficients,
-                       extension_field, p_delta_direct, p_theta_direct,
-                       reduce_basis)
+                       _first_window, _fq_coordinates, _solve_g,
+                       _window_step, act, base_points, drinfeld_coeffs,
+                       exp_coefficients, extension_field, p_delta_direct,
+                       p_theta_direct, reduce_basis)
 from hb.poly import Poly, RatF, parse_poly, ratf_from_pairs
 
 F2 = get_field(2)
@@ -201,9 +201,15 @@ def _exact_mirabolic(q, r, xs, yexps):
     return z
 
 
-@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.data())
+# q = 4 is a prime power, where the trace to F_q is not the trace to F_p
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]), st.data())
 def test_reduction_keeps_the_lattice_and_frees_the_leading_terms(qr, data):
     q, r = qr
+    # the coordinates that the reduction eliminates in map F_(q^r)
+    # one-to-one onto F_q^r
+    coords = _fq_coordinates(q, r)
+    assert len(set(coords)) == q ** r
+    assert {c for row in coords for c in row} <= set(embedding(q, q ** r))
     terms = st.lists(st.tuples(st.integers(-1, 3), st.integers(1, q - 1)),
                      max_size=3)
     xs = [data.draw(terms) for _ in range(r - 1)]

@@ -1,6 +1,7 @@
 """A guard against orphaned code: every module-level function and every
 method in src/hb that no code in src/hb names is listed here, with the
-reason it stays.
+reason it stays.  And a guard on the one arithmetic kernel: no module
+but hb.fields reads FF's element tables.
 
 A function counts as named when some Name, Attribute or import alias in
 src/hb carries its name; a method, when some Attribute does (x.name or
@@ -21,6 +22,7 @@ ALLOWED = {
     "fourier.build_table": "the public inverse of expand",
     "building.Cochain.eval_rep": "perfbench/ binds it",
     "eisenstein.eisenstein_fourier": "perfbench/ binds it",
+    "fields.FF.sub": "perfbench/ binds it",
 }
 
 
@@ -98,3 +100,30 @@ class K:
 """
     assert _orphans({"mod": ast.parse(source)}) == \
         {"mod.orphan", "mod.K.called"}
+
+
+def _table_readers(trees):
+    """The modules that read an a*q+b table, FF._add or FF._mul."""
+    return {module for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("_add", "_mul")}
+
+
+def test_only_fields_reads_the_element_tables():
+    # every loop that combines coefficient sequences is FF's: the others
+    # call its kernel (conv, add_at, long_division) or its element methods
+    assert _table_readers(_trees()) == {"fields"}
+
+
+def test_the_table_guard_sees_a_reader():
+    source = """
+def fast(F, a, b):
+    return F._mul[a * F.q + b]
+
+
+def slow(F, a, b):
+    return F.mul(a, b)
+"""
+    assert _table_readers({"mod": ast.parse(source),
+                           "other": ast.parse("x = F.add(1, 2)")}) == {"mod"}

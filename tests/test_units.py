@@ -27,6 +27,15 @@ def test_sigma_det_single_prime():
     assert rep.empirical_sign == 1 and rep.stated_sign == -1
 
 
+@pytest.mark.parametrize("M, det", [
+    ([[0, 1], [1, 0]], -1),                     # a row swap at the first pivot
+    ([[0, 2, 1], [1, 0, 0], [0, 0, 3]], -6),    # a swap, then elimination
+    ([[0, 0], [0, 1]], 0),                      # no pivot in column 1
+])
+def test_bareiss_det_swaps_rows_and_sees_a_singular_matrix(M, det):
+    assert hb.units._bareiss_det(M) == det
+
+
 def test_sigma_det_two_primes_magnitude():
     primes = (parse_poly(F2, "T"), parse_poly(F2, "T+1"))
     for s in (1, 2, 3):
